@@ -45,7 +45,9 @@ from .regions import (
     q_form,
     region_S_boundary,
     region_S_contains,
+    teardrop_boundary,
     teardrop_contains,
+    teardrop_distance,
     teardrop_support,
 )
 from .verify import (

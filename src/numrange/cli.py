@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import blaschke as bl
-from . import formats, fov, verify
-from .diskfun import Blaschke, Polynomial
+from . import formats, fov, regions, verify
+from .diskfun import Blaschke
 from .errors import (
     NumericError,
     ParseError,
@@ -27,8 +26,7 @@ from .errors import (
     RequiresVanishingAtZeroError,
 )
 
-ALL_SUITES = ["berger-stampfli", "power", "local-ineq", "operator-ineq",
-              "region-s", "drury", "props52"]
+ALL_SUITES = list(verify.SUITES)
 
 
 def _default_seed() -> int:
@@ -131,50 +129,12 @@ def cmd_clark(args) -> int:
     return 0
 
 
-def _teardrop_boundary(alpha: complex, n_grid: int = 720, n_seg: int = 21):
-    """Ordered (phi, point) samples of the td(alpha) boundary.
-
-    Unit-circle arc where the unit disk supports dominate, an arc of
-    D(alpha, 1-|alpha|^2) where the second disk dominates, and the two
-    common tangent segments at the crossing directions.
-    """
-    a = abs(alpha)
-    r2 = 1.0 - a * a
-    rows = []
-    if a < 1e-12 or r2 < 1e-12:
-        for phi in 2.0 * np.pi * np.arange(n_grid) / n_grid:
-            rows.append((float(phi), np.exp(1j * phi)))
-        return rows
-    psi = math.atan2(alpha.imag, alpha.real)
-    delta = math.acos(a)
-
-    def point_at(phi: float) -> complex:
-        if math.cos(phi - psi) >= a:
-            return alpha + r2 * np.exp(1j * phi)
-        return np.exp(1j * phi)
-
-    crossings = sorted(((psi - delta) % (2.0 * np.pi), (psi + delta) % (2.0 * np.pi)))
-    grid = list(2.0 * np.pi * np.arange(n_grid) / n_grid)
-    events = [(phi, [point_at(phi)]) for phi in grid]
-    for phi_c in crossings:
-        seg = [np.exp(1j * phi_c) + u * (alpha + r2 * np.exp(1j * phi_c) - np.exp(1j * phi_c))
-               for u in np.linspace(0.0, 1.0, n_seg)]
-        events.append((phi_c, seg))
-    events.sort(key=lambda item: item[0])
-    for phi, pts in events:
-        for z in pts:
-            rows.append((float(phi), complex(z)))
-    return rows
-
-
 def cmd_teardrop(args) -> int:
     try:
         alpha = formats.parse_complex(args.alpha)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    if abs(alpha) > 1.0 + 1e-12:
-        raise ParseError(f"|alpha| must be <= 1, got {abs(alpha)!r}")
-    rows = _teardrop_boundary(alpha)
+    rows = regions.teardrop_boundary(alpha)
     if args.out == "csv":
         lines = ["phi,re,im"]
         for phi, z in rows:

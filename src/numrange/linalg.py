@@ -46,8 +46,8 @@ class EigenDecomposition:
 
 
 def _check_hermitian(H: np.ndarray, tol: float, who: str) -> np.ndarray:
-    dev = np.linalg.norm(H - H.conj().T, 2)
-    scale = 1.0 + np.linalg.norm(H, 2)
+    dev = np.linalg.norm(H - H.conj().T)
+    scale = 1.0 + np.linalg.norm(H)
     if dev > tol * scale:
         raise NotHermitianError(
             f"{who}: matrix deviates from Hermitian by {dev:.3e} "
@@ -60,7 +60,7 @@ def _check_hermitian(H: np.ndarray, tol: float, who: str) -> np.ndarray:
 def hermitian_eig(H, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
-    Raises NotHermitianError if ||H - H*|| > tol*(1+||H||), and
+    Raises NotHermitianError if ||H - H*||_F > tol*(1+||H||_F), and
     NoConvergenceError if the underlying iteration fails.
     """
     H = _check_hermitian(as_matrix(H), tol, "hermitian_eig")
@@ -88,10 +88,6 @@ def solve(A, B) -> np.ndarray:
             f"pivot {pivots.min():.3e} below threshold {threshold:.3e}"
         )
     return scipy.linalg.lu_solve((lu, piv), B, check_finite=False)
-
-
-def inverse(A) -> np.ndarray:
-    return solve(A, np.eye(np.asarray(A).shape[0], dtype=complex))
 
 
 def min_eigenvalue(H, tol: float = DEFAULT_TOL) -> float:

@@ -4,7 +4,8 @@ Q(T, t, s) = I + t(T + T*) + s T*T.
 The teardrop td(alpha) is the convex hull of the closed unit disk and the
 disk of center alpha, radius 1 - |alpha|^2. Its support function is
 max(1, Re(e^{-i phi} alpha) + 1 - |alpha|^2), which is rotation-covariant,
-so general complex alpha needs no special casing.
+so general complex alpha needs no special casing. Its boundary, two circle
+arcs joined by two tangent segments, has a closed-form signed distance.
 
 Region S is the set of (t, s) with t >= 0 such that Q(T, t, s) >= 0 for
 every T with w(T) <= 1; its boundary is piecewise t^2 - 1/4 (t <= 1/2),
@@ -23,11 +24,22 @@ from .errors import DomainError, NegativeRadicandError, NegativeTError
 _DOMAIN_SLACK = 1e-12
 
 
-def teardrop_support(alpha: complex, phi) -> float | np.ndarray:
-    """Support function of td(alpha) in direction(s) phi."""
+def _check_alpha(alpha) -> complex:
     alpha = complex(alpha)
     if abs(alpha) > 1.0 + 1e-12:
         raise ValueError(f"|alpha| must be <= 1, got {abs(alpha)!r}")
+    return alpha
+
+
+def _is_unit_disk(a: float) -> bool:
+    """td(alpha) equals the unit disk to within 1e-12 when |alpha| is this
+    close to 0 or to 1."""
+    return a < 1e-12 or 1.0 - a * a < 1e-12
+
+
+def teardrop_support(alpha: complex, phi) -> float | np.ndarray:
+    """Support function of td(alpha) in direction(s) phi."""
+    alpha = _check_alpha(alpha)
     phi = np.asarray(phi, dtype=float)
     value = np.maximum(
         1.0, np.real(np.exp(-1j * phi) * alpha) + 1.0 - abs(alpha) ** 2
@@ -37,25 +49,81 @@ def teardrop_support(alpha: complex, phi) -> float | np.ndarray:
     return value
 
 
-def teardrop_contains(alpha: complex, z: complex, tol: float = 1e-9,
-                      n_angles: int = 720) -> bool:
-    """Support-function membership test of z in td(alpha).
+def teardrop_distance(alpha: complex, z) -> float | np.ndarray:
+    """Signed distance from z (scalar or array) to the boundary of td(alpha),
+    negative inside; for a convex set this is also the largest support
+    excess max_phi Re(e^{-i phi} z) - teardrop_support(alpha, phi).
 
-    Checks a uniform angle grid plus the two analytically critical
-    directions arg(z) and arg(z - alpha).
+    With z rotated onto the axis of alpha, k is its position along the
+    tangent segment of normal (|alpha|, sqrt(1 - |alpha|^2)), which picks
+    the unit circle, the segment or the circle of radius 1 - |alpha|^2
+    around |alpha| as the nearest piece.
     """
-    alpha = complex(alpha)
-    z = complex(z)
-    phis = list(2.0 * np.pi * np.arange(n_angles) / n_angles)
-    if z != 0:
-        phis.append(math.atan2(z.imag, z.real))
-    if z != alpha:
-        w = z - alpha
-        phis.append(math.atan2(w.imag, w.real))
-    phis = np.asarray(phis)
-    supports = teardrop_support(alpha, phis)
-    projections = np.real(np.exp(-1j * phis) * z)
-    return bool(np.all(projections <= supports + tol))
+    alpha = _check_alpha(alpha)
+    z = np.asarray(z, dtype=complex)
+    a = abs(alpha)
+    if _is_unit_disk(a):
+        dist = np.abs(z) - 1.0
+    else:
+        r2 = 1.0 - a * a
+        c = math.sqrt(r2)
+        zr = z * (alpha.conjugate() / a)
+        u, v = zr.real, np.abs(zr.imag)
+        k = c * u - a * v
+        dist = np.where(k < 0.0, np.hypot(u, v) - 1.0,
+                        np.where(k > a * c, np.hypot(u - a, v) - r2,
+                                 a * u + c * v - 1.0))
+    if z.ndim == 0:
+        return float(dist)
+    return dist
+
+
+def teardrop_contains(alpha: complex, z: complex, tol: float = 1e-9) -> bool:
+    """Membership of z in td(alpha), up to a distance tol."""
+    return bool(teardrop_distance(alpha, complex(z)) <= tol)
+
+
+# sampling of the teardrop_boundary polyline: the uniform angle grid, and
+# the points on each tangent segment
+BOUNDARY_ANGLES = 720
+SEGMENT_POINTS = 21
+
+
+def teardrop_boundary(alpha: complex) -> list[tuple[float, complex]]:
+    """Ordered (phi, point) samples of the td(alpha) boundary.
+
+    Unit-circle arc where the unit disk supports dominate, an arc of
+    D(alpha, 1-|alpha|^2) where the second disk dominates, and the two
+    common tangent segments at the crossing directions.
+    """
+    alpha = _check_alpha(alpha)
+    a = abs(alpha)
+    r2 = 1.0 - a * a
+    rows = []
+    if _is_unit_disk(a):
+        for phi in 2.0 * np.pi * np.arange(BOUNDARY_ANGLES) / BOUNDARY_ANGLES:
+            rows.append((float(phi), np.exp(1j * phi)))
+        return rows
+    psi = math.atan2(alpha.imag, alpha.real)
+    delta = math.acos(a)
+
+    def point_at(phi: float) -> complex:
+        if math.cos(phi - psi) >= a:
+            return alpha + r2 * np.exp(1j * phi)
+        return np.exp(1j * phi)
+
+    crossings = sorted(((psi - delta) % (2.0 * np.pi), (psi + delta) % (2.0 * np.pi)))
+    grid = list(2.0 * np.pi * np.arange(BOUNDARY_ANGLES) / BOUNDARY_ANGLES)
+    events = [(phi, [point_at(phi)]) for phi in grid]
+    for phi_c in crossings:
+        seg = [np.exp(1j * phi_c) + u * (alpha + r2 * np.exp(1j * phi_c) - np.exp(1j * phi_c))
+               for u in np.linspace(0.0, 1.0, SEGMENT_POINTS)]
+        events.append((phi_c, seg))
+    events.sort(key=lambda item: item[0])
+    for phi, pts in events:
+        for z in pts:
+            rows.append((float(phi), complex(z)))
+    return rows
 
 
 def region_S_boundary(t: float) -> float:
@@ -77,8 +145,7 @@ def q_form(T, t: float, s: float) -> np.ndarray:
     """Hermitian matrix I + t(T + T*) + s T*T."""
     T = linalg.as_matrix(T)
     n = T.shape[0]
-    G = T.conj().T @ T
-    Q = np.eye(n, dtype=complex) + t * (T + T.conj().T) + s * (G + G.conj().T) / 2.0
+    Q = np.eye(n, dtype=complex) + t * (T + T.conj().T) + s * (T.conj().T @ T)
     return (Q + Q.conj().T) / 2.0
 
 

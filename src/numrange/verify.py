@@ -209,8 +209,7 @@ def _local_bound(p: complex) -> float:
 
 
 def check_local_inequality(trials: int, seed: int = 42) -> VerifyReport:
-    """||Tx||^2 <= 2 + 2 sqrt(1 - |<Tx,x>|^2) for w(T) = 1, plus the angle
-    and 2x2-corner reformulations."""
+    """||Tx||^2 <= 2 + 2 sqrt(1 - |<Tx,x>|^2) for w(T) = 1 and unit x."""
     tol = 1e-9
     rec = _Recorder()
     for i in range(trials):
@@ -219,26 +218,16 @@ def check_local_inequality(trials: int, seed: int = 42) -> VerifyReport:
         x = random_unit_vector(rng, T.shape[0])
         Tx = T @ x
         p = complex(np.vdot(x, Tx))
-        norm_tx = float(np.linalg.norm(Tx))
-        rec.record(norm_tx ** 2 - _local_bound(p), tol,
+        rec.record(float(np.linalg.norm(Tx)) ** 2 - _local_bound(p), tol,
                    lambda: _matrix_witness(T, vector=[format_complex(v) for v in x]))
-        # hermitian-angle form: ||Tx|| <= max(2|sin(angle)|, sqrt(2))
-        if norm_tx > 1e-12:
-            cos_a = min(1.0, abs(p) / norm_tx)
-            bound = max(2.0 * math.sqrt(1.0 - cos_a ** 2), math.sqrt(2.0))
-            rec.record(norm_tx - bound, tol,
-                       lambda: _matrix_witness(T, vector=[format_complex(v) for v in x]))
-        # 2x2 corner bound: |c| <= 1 + sqrt(1 - |a|^2)
-        M = normalize_radius(random_matrix(rng, dim=2))
-        a, c = complex(M[0, 0]), complex(M[1, 0])
-        rec.record(abs(c) - (1.0 + math.sqrt(max(0.0, 1.0 - abs(a) ** 2))), tol,
-                   lambda: _matrix_witness(M))
     return VerifyReport("local-ineq", trials, rec.failures, rec.worst, tol,
                         seed, 0, rec.witness)
 
 
 def check_props52(trials: int, seed: int = 42) -> VerifyReport:
-    """The two reformulations of the local inequality on their own."""
+    """The two reformulations of the local inequality: the hermitian-angle
+    form ||Tx|| <= max(2|sin(angle)|, sqrt(2)) and the 2x2-corner bound
+    |c| <= 1 + sqrt(1 - |a|^2)."""
     tol = 1e-9
     rec = _Recorder()
     for i in range(trials):
@@ -276,26 +265,6 @@ def check_operator_inequality(trials: int, seed: int = 42) -> VerifyReport:
                         seed, 0, rec.witness)
 
 
-def _teardrop_margin(alpha: complex, points: np.ndarray) -> float:
-    """max over boundary points of their support-function excess over td(alpha)."""
-    points = np.asarray(points, dtype=complex)
-    phis = 2.0 * np.pi * np.arange(720) / 720
-    supports = np.asarray(regions.teardrop_support(alpha, phis))
-    dirs = np.exp(-1j * phis)
-    excess = np.real(np.outer(points, dirs)) - supports[None, :]
-    margin = float(excess.max())
-    # analytically critical directions arg(z) and arg(z - alpha), per point
-    for shifted in (points, points - alpha):
-        mask = shifted != 0
-        if not np.any(mask):
-            continue
-        crit = np.angle(shifted[mask])
-        sup = np.asarray(regions.teardrop_support(alpha, crit))
-        proj = np.real(np.exp(-1j * crit) * points[mask])
-        margin = max(margin, float((proj - sup).max()))
-    return margin
-
-
 def check_drury(trials: int, seed: int = 42) -> VerifyReport:
     """W(f(T)) inside td(f(0)) and w(f(T)) <= 1 + |f(0)| - |f(0)|^2."""
     tol = 1e-6
@@ -311,7 +280,7 @@ def check_drury(trials: int, seed: int = 42) -> VerifyReport:
         FT, retried = _eval_with_scale_retry(f, T)
         retries += retried
         curve = boundary(FT, 360)
-        margin = _teardrop_margin(alpha, curve.points)
+        margin = float(regions.teardrop_distance(alpha, curve.points).max())
         rec.record(margin, tol, lambda: _matrix_witness(
             T, alpha=format_complex(alpha),
             zeros=[format_complex(a) for a in B.zeros]))

@@ -9,7 +9,9 @@ from numrange.regions import (
     drury_params_outer,
     q_form,
     region_S_contains,
+    teardrop_boundary,
     teardrop_contains,
+    teardrop_distance,
     teardrop_support,
 )
 
@@ -49,16 +51,67 @@ class TestTeardropSupport:
                     teardrop_support(alpha, phi))
 
 
+def support_excess(alpha, z, phis):
+    """max over phis of Re(e^{-i phi} z) - h(phi), per point of z."""
+    sup = np.asarray(teardrop_support(alpha, phis))
+    return (np.real(np.outer(z, np.exp(-1j * phis))) - sup).max(axis=1)
+
+
 class TestTeardropContains:
     def test_sharp_boundary_point(self):
         assert teardrop_contains(0.5, 1.25)
+        assert teardrop_distance(0.5, 1.25) == pytest.approx(0.0, abs=1e-15)
 
     def test_just_outside(self):
         assert not teardrop_contains(0.5, 1.26, tol=1e-9)
+        assert teardrop_distance(0.5, 1.26) == pytest.approx(0.01, abs=1e-15)
 
     def test_origin_always_inside(self):
         for alpha in (0.0, 0.5, 0.9j, -0.3 + 0.4j, 1.0):
             assert teardrop_contains(alpha, 0.0)
+            assert teardrop_distance(alpha, 0.0) == pytest.approx(-1.0, abs=1e-15)
+
+    def test_point_beside_tangent_segment(self):
+        # 1e-4 outside the middle of a tangent segment: a 720-angle support
+        # grid saw this point as 6e-4 inside
+        a, psi = 0.6, 0.0123
+        c = np.sqrt(1 - a * a)
+        normal = a + 1j * c
+        middle = normal + 0.5 * a * c * (c - 1j * a)
+        z = (middle + 1e-4 * normal) * np.exp(1j * psi)
+        alpha = a * np.exp(1j * psi)
+        assert not teardrop_contains(alpha, z, tol=1e-6)
+        assert abs(teardrop_distance(alpha, z) - 1e-4) < 1e-9
+
+    def test_distance_against_support_grid(self):
+        # a grid can only underestimate the largest support excess; with
+        # the two tangent directions added it is second-order accurate
+        rng = np.random.default_rng(17)
+        phis = 2 * np.pi * np.arange(4096) / 4096
+        for _ in range(40):
+            alpha = 0.95 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            z = 2 * np.sqrt(rng.uniform(size=50)) * np.exp(1j * rng.uniform(0, 2 * np.pi, 50))
+            dist = teardrop_distance(alpha, z)
+            assert np.all(dist >= support_excess(alpha, z, phis) - 1e-12)
+            tangents = np.angle(alpha) + np.array([-1, 1]) * np.arccos(abs(alpha))
+            finer = support_excess(alpha, z, np.concatenate([phis, tangents]))
+            assert np.all(dist <= finer + 1e-6)
+
+    def test_boundary_samples_lie_on_boundary(self):
+        for alpha in (0.0, 1.0, -1j, 0.5, 0.999 * np.exp(1j), 0.6 * np.exp(0.0123j),
+                      -0.3 + 0.4j, 1e-13, 1 - 1e-14):
+            rows = teardrop_boundary(alpha)
+            phis = np.array([phi for phi, _ in rows])
+            dist = teardrop_distance(alpha, np.array([z for _, z in rows]))
+            assert np.abs(dist).max() <= 1e-12, alpha
+            assert np.all(np.diff(phis) >= 0)
+
+    def test_alpha_outside_closed_disk_raises(self):
+        for fn in (lambda a: teardrop_support(a, 0.0),
+                   lambda a: teardrop_distance(a, 0.0),
+                   teardrop_boundary):
+            with pytest.raises(ValueError):
+                fn(1.0 + 1e-9)
 
 
 class TestRegionS:
