@@ -3,25 +3,24 @@ and the Clark partial-fraction decomposition.
 
 A finite Blaschke product B(z) = c * prod_k (a_k - z)/(1 - conj(a_k) z)
 with |c| = 1 and |a_k| < 1 maps the unit circle onto itself with winding
-number n = number of zeros. Its boundary argument t -> arg B(e^{it}) is
-strictly increasing with derivative
+number n = number of zeros. For |gamma| = 1 the level set B(zeta) = gamma
+is the spectrum of a Clark unitary, a closed-form rank-one unitary
+perturbation of the compressed shift of B, so one n x n eigenvalue solve
+gives all n roots. They are simple, because the boundary argument
+t -> arg B(e^{it}) is strictly increasing with derivative
 
     zeta B'(zeta)/B(zeta) = sum_k (1 - |a_k|^2) / |zeta - a_k|^2 > 0,
 
-which is what makes the level-set root finding below robust: every
-equation B(zeta) = gamma with |gamma| = 1 has exactly n simple roots on
-the circle.
+and the reciprocal of this log-derivative at each root is its Clark weight.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
-    BisectionFailureError,
     NotOnCircleError,
     NotUnimodularError,
     PoleHitError,
@@ -30,10 +29,6 @@ from .errors import (
 
 UNIMODULAR_TOL = 1e-9
 ZERO_AT_ORIGIN_TOL = 1e-12
-BISECTION_TOL = 1e-13
-
-_MIN_GRID = 4096
-_MAX_GRID = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -89,71 +84,45 @@ def circle_log_derivative(B: BlaschkeProduct, zeta: complex) -> float:
     return float(sum(terms))
 
 
-def _argument_grid(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
-    """Unwrapped boundary argument F(t) = arg B(e^{it}) on [0, 2pi].
+def _clark_unitary(zeros, lam: complex) -> np.ndarray:
+    """n x n unitary whose eigenvalues are the n solutions of
+    prod_k (z - a_k)/(1 - conj(a_k) z) = lam, for |lam| = 1.
 
-    The grid step is chosen from the analytic derivative bound
-    sum_k (1+|a_k|)/(1-|a_k|) so that consecutive samples differ by less
-    than pi/2, making np.unwrap exact.
+    In the Takenaka-Malmquist-Walsh basis the compressed shift T has a_j on
+    the diagonal and s_j s_k prod_{j<l<k} w_l above it, with
+    s_j = sqrt(1 - |a_j|^2) and w_l = -conj(a_l). The column
+    c_j = s_j prod_{l>j} w_l, the row r_k = s_k prod_{l<k} w_l and the
+    corner d = prod_l w_l complete it to the unitary [[T, c], [r, d]], and
+    the Clark unitary is T + lam/(1 - lam d) c r (Garcia, Mashreghi and
+    Ross, Introduction to Model Spaces and their Operators, the chapter on
+    Clark operators).
     """
-    dmax = sum((1.0 + abs(a)) / (1.0 - abs(a)) for a in B.zeros)
-    n = int(min(_MAX_GRID, max(_MIN_GRID, math.ceil(4.0 * dmax) + 1)))
-    ts = np.linspace(0.0, 2.0 * np.pi, n + 1)
-    args = np.unwrap(np.angle(evaluate(B, np.exp(1j * ts))))
-    total = args[-1] - args[0]
-    if abs(total - 2.0 * np.pi * B.degree) > 1e-6:
-        raise BisectionFailureError(
-            f"boundary argument increased by {total!r}, "
-            f"expected {2.0 * np.pi * B.degree!r} (unwrap aliased)"
-        )
-    if np.any(np.diff(args) < -1e-12):
-        raise BisectionFailureError("boundary argument is not nondecreasing")
-    return ts, args
+    a = np.asarray(zeros, dtype=complex)
+    s = np.append(np.sqrt(1.0 - np.abs(a) ** 2), 1.0)
+    w = -np.conj(a)
+    V = np.diag(np.append(a, 0j))
+    # row -1 holds r and d; s[-1] = 1 scales it
+    for i in range(-1, a.size):
+        V[i, i + 1:] = s[i] * s[i + 1:] * np.cumprod(np.append(1.0, w[i + 1:]))
+    T, c, r, d = V[:-1, :-1], V[:-1, -1], V[-1, :-1], V[-1, -1]
+    return T + lam / (1.0 - lam * d) * np.outer(c, r)
 
 
 def level_set(B: BlaschkeProduct, gamma: complex) -> np.ndarray:
     """All n solutions of B(zeta) = gamma on the unit circle.
 
-    Tracks the unwrapped boundary argument and bisects each of the n
-    crossings of arg(gamma) mod 2pi down to |t| resolution 1e-13.
+    With B = c prod_k (a_k - z)/(1 - conj(a_k) z), they are the
+    eigenvalues of the Clark unitary at lam = (-1)^n gamma/c, returned in
+    increasing angle in [0, 2pi).
     """
     gamma = complex(gamma)
     if abs(abs(gamma) - 1.0) > UNIMODULAR_TOL:
         raise NotUnimodularError(f"|gamma| = {abs(gamma)!r}, expected 1")
     gamma /= abs(gamma)
-    ts, args = _argument_grid(B)
-    n = B.degree
-
-    arg_gamma = float(np.angle(gamma))
-    # targets: the n values congruent to arg(gamma) mod 2pi in [F(0), F(0)+2pi*n)
-    m0 = math.ceil((args[0] - arg_gamma) / (2.0 * np.pi) - 1e-12)
-    targets = arg_gamma + 2.0 * np.pi * (m0 + np.arange(n))
-
-    def h(t: float, target_phase: complex) -> float:
-        # equals F(t) - target inside a bracket where |F - target| < pi
-        return float(np.angle(evaluate(B, np.exp(1j * t)) * np.conj(target_phase)))
-
-    roots = []
-    for target in targets:
-        idx = int(np.searchsorted(args, target))
-        if idx == 0:
-            roots.append(np.exp(1j * ts[0]))
-            continue
-        lo, hi = float(ts[idx - 1]), float(ts[idx])
-        flo, fhi = h(lo, gamma), h(hi, gamma)
-        if flo > 1e-12 or fhi < -1e-12:
-            raise BisectionFailureError(
-                f"bracket [{lo!r}, {hi!r}] does not enclose the crossing "
-                f"(h = {flo!r}, {fhi!r})"
-            )
-        while hi - lo > BISECTION_TOL:
-            mid = (lo + hi) / 2.0
-            if h(mid, gamma) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        roots.append(np.exp(1j * (lo + hi) / 2.0))
-    return np.asarray(roots, dtype=complex)
+    lam = (-1) ** B.degree * gamma / B.constant
+    zetas = np.linalg.eigvals(_clark_unitary(B.zeros, lam))
+    zetas /= np.abs(zetas)
+    return zetas[np.argsort(np.mod(np.angle(zetas), 2.0 * np.pi))]
 
 
 @dataclass(frozen=True)
@@ -177,7 +146,8 @@ class ClarkDecomposition:
 def clark_decomposition(B: BlaschkeProduct, gamma: complex) -> ClarkDecomposition:
     """Clark decomposition of a Blaschke product with B(0) = 0.
 
-    zeta_k are the roots of B = gamma on the circle and
+    The atoms zeta_k are level_set(B, gamma), the eigenvalues of the Clark
+    unitary, in increasing angle; the weights are
     c_k = B(zeta_k)/(zeta_k B'(zeta_k)) = 1/circle_log_derivative(B, zeta_k).
     """
     if not B.vanishes_at_zero():

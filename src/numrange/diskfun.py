@@ -105,7 +105,7 @@ class Mobius(DiskFunction):
         numer = self.a * eye + self.b * T
         if self.d == 0:
             return numer / self.c
-        return numer @ _matrix_solve(self.c * eye + self.d * T, eye)
+        return _matrix_solve(self.c * eye + self.d * T, numer)
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ class Blaschke(DiskFunction):
         eye = np.eye(n, dtype=complex)
         result = self.product.constant * eye
         for a in self.product.zeros:
-            factor = (a * eye - T) @ _matrix_solve(eye - np.conj(a) * T, eye)
+            factor = _matrix_solve(eye - np.conj(a) * T, a * eye - T)
             result = result @ factor
         return result
 

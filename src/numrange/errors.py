@@ -53,10 +53,6 @@ class PoleHitError(NumericError):
     pass
 
 
-class BisectionFailureError(NumericError):
-    pass
-
-
 # --- functional calculus ---
 
 class PolesNearSpectrumError(NumericError):

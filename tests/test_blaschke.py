@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,40 @@ class TestLevelSet:
         diffs = np.abs(roots[:, None] - roots[None, :]) + np.eye(4)
         assert diffs.min() > 1e-6
 
+    @pytest.mark.parametrize("vanishing", [False, True])
+    @pytest.mark.parametrize("degree", range(1, 11))
+    def test_random_products(self, degree, vanishing):
+        B = random_product(100 + degree, degree, vanishing=vanishing)
+        gamma = np.exp(0.83j)
+        roots = level_set(B, gamma)
+        assert len(roots) == degree
+        assert np.max(np.abs(np.abs(roots) - 1.0)) < 1e-12
+        assert np.max(np.abs(evaluate(B, roots) - gamma)) < 1e-10
+        # the CLI prints the atoms in this order
+        angles = np.mod(np.angle(roots), 2 * np.pi)
+        assert np.all(np.diff(angles) > 1e-6)
+
+    def test_repeated_zero(self):
+        B = BlaschkeProduct(1.0, (0.5, 0.5, 0.5j))
+        gamma = np.exp(2.5j)
+        roots = level_set(B, gamma)
+        # B = gamma is c prod(a - z) - gamma prod(1 - conj(a) z) = 0
+        numer = reduce(np.polymul, ([-1, a] for a in B.zeros))
+        denom = reduce(np.polymul, ([-np.conj(a), 1] for a in B.zeros))
+        expected = np.roots(B.constant * numer - gamma * denom)
+        expected = expected[np.argsort(np.mod(np.angle(expected), 2 * np.pi))]
+        assert np.max(np.abs(roots - expected)) < 1e-12
+        assert np.max(np.abs(evaluate(B, roots) - gamma)) < 1e-12
+
+    def test_zeros_near_circle_without_zero_at_origin(self):
+        # no zero near the origin, and |B'| is about 2e7 next to each zero
+        zeros = (1 - 1e-7) * np.exp(1j * np.array([0.4, 2.0, 4.0]))
+        B = BlaschkeProduct(1.0, tuple(zeros))
+        gamma = np.exp(1.1j)
+        roots = level_set(B, gamma)
+        assert len(roots) == 3
+        assert np.max(np.abs(evaluate(B, roots) - gamma)) <= 1e-7
+
     def test_rejects_non_unimodular_gamma(self):
         with pytest.raises(NotUnimodularError):
             level_set(Z2, 0.5)
@@ -162,6 +198,17 @@ class TestClarkDecomposition:
         gamma = np.exp(5.1j)
         d = clark_decomposition(B, gamma)
         assert np.max(np.abs(evaluate(B, d.zetas) - gamma)) < 1e-9
+
+    def test_zero_near_circle(self):
+        # |B'| is about 2e6 near the second zero; an argument grid capped
+        # at 2^20 points aliases there
+        B = BlaschkeProduct(1.0, (0j, (1 - 1e-6) * np.exp(0.4j), 0.3j))
+        gamma = np.exp(1.1j)
+        d = clark_decomposition(B, gamma)
+        assert len(d.zetas) == 3
+        assert np.max(np.abs(np.abs(d.zetas) - 1.0)) < 1e-12
+        assert np.max(np.abs(evaluate(B, d.zetas) - gamma)) <= 1e-8
+        assert d.weights.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_requires_zero_at_origin(self):
         B = BlaschkeProduct(1.0, (0.5,))

@@ -69,6 +69,17 @@ class TestClark:
         residual = float(lines[3].split()[1])
         assert residual < 1e-9
 
+    def test_zero_near_circle(self, capsys):
+        # zero (1 - 1e-6) e^{0.4i}, gamma = e^{1.1i}
+        expr = "blaschke 1+0i 0+0i 0.92106007294189114+0.38941795289030822i 0+0.3i"
+        gamma = "0.45359612142557731+0.89120736006143542i"
+        rc = main(["clark", expr, "--gamma", gamma])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5
+        assert float(lines[3].split()[1]) == pytest.approx(1.0, abs=1e-10)
+        assert float(lines[4].split()[1]) < 1e-9
+
     def test_not_blaschke_is_precondition_error(self, capsys):
         assert main(["clark", "poly 0 1", "--gamma", "1+0i"]) == 4
 

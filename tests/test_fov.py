@@ -84,6 +84,19 @@ class TestBoundary:
         cross = (e.real * np.roll(e, -1).imag - e.imag * np.roll(e, -1).real)
         assert cross.min() > -1e-8 * scale
 
+    def test_compressed_shift_ellipse(self):
+        # elliptical range theorem: W of the 2x2 compressed shift is the
+        # ellipse with foci a1, a2 and major axis sqrt(|a1-a2|^2 + s1^2 s2^2)
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            a1, a2 = 0.95 * np.sqrt(rng.uniform(size=2)) * np.exp(
+                2j * np.pi * rng.uniform(size=2))
+            s1s2 = np.sqrt((1 - abs(a1) ** 2) * (1 - abs(a2) ** 2))
+            pts = boundary(np.array([[a1, s1s2], [0, a2]]), 360).points
+            axis = np.hypot(abs(a1 - a2), s1s2)
+            assert np.max(np.abs(np.abs(pts - a1) + np.abs(pts - a2)
+                                 - axis)) < 1e-12
+
     def test_rejects_too_few_angles(self):
         with pytest.raises(ValueError):
             boundary(SHIFT2, 4)
