@@ -154,10 +154,7 @@ def clark_decomposition(B: BlaschkeProduct, gamma: complex) -> ClarkDecompositio
         raise RequiresVanishingAtZeroError(
             "Clark decomposition needs an explicit zero at the origin"
         )
-    gamma = complex(gamma)
-    if abs(abs(gamma) - 1.0) > UNIMODULAR_TOL:
-        raise NotUnimodularError(f"|gamma| = {abs(gamma)!r}, expected 1")
-    gamma /= abs(gamma)
     zetas = level_set(B, gamma)
+    gamma = complex(gamma) / abs(gamma)
     weights = np.array([1.0 / circle_log_derivative(B, z) for z in zetas])
     return ClarkDecomposition(gamma=gamma, zetas=zetas, weights=weights)

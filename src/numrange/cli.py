@@ -54,44 +54,35 @@ def _write_output(path: str | None, text: str):
             fh.write(text)
 
 
-def _svg_document(paths: list[str]) -> str:
-    """Self-contained 800x800 SVG mapping the square [-2,2]^2."""
-    body = "\n".join(paths)
-    return (
-        '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
-        'viewBox="0 0 800 800">\n'
-        '<rect width="800" height="800" fill="white"/>\n'
-        f"{body}\n"
-        "</svg>\n"
-    )
-
-
 def _px(z: complex) -> tuple[float, float]:
     return (z.real + 2.0) / 4.0 * 800.0, (2.0 - z.imag) / 4.0 * 800.0
 
 
-def _svg_polyline(points, color: str, close: bool = False) -> str:
-    coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in (_px(z) for z in points))
-    tag = "polygon" if close else "polyline"
-    return (f'<{tag} points="{coords}" fill="none" stroke="{color}" '
-            'stroke-width="1.5"/>')
-
-
-_SVG_UNIT_CIRCLE = ('<circle cx="400" cy="400" r="200" fill="none" '
-                    'stroke="#bbbbbb" stroke-width="1" stroke-dasharray="4 4"/>')
+def _write_curve(args, header: str, rows, points, color: str):
+    """Write a closed curve as CSV rows (every value %.17g) or as an
+    800x800 SVG polygon over the square [-2,2]^2 with the unit circle."""
+    if args.out == "csv":
+        row_format = ",".join(["{:.17g}"] * len(header.split(",")))
+        lines = [header] + [row_format.format(*row) for row in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in (_px(z) for z in points))
+        text = ('<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
+                'viewBox="0 0 800 800">\n'
+                '<rect width="800" height="800" fill="white"/>\n'
+                '<circle cx="400" cy="400" r="200" fill="none" '
+                'stroke="#bbbbbb" stroke-width="1" stroke-dasharray="4 4"/>\n'
+                f'<polygon points="{coords}" fill="none" stroke="{color}" '
+                'stroke-width="1.5"/>\n'
+                "</svg>\n")
+    _write_output(args.output, text)
 
 
 def cmd_range(args) -> int:
     T = _read_matrix(args.matrix)
     curve = fov.boundary(T, args.angles)
-    if args.out == "csv":
-        lines = ["theta,support,re,im"]
-        for theta, sup, pt in zip(curve.thetas, curve.supports, curve.points):
-            lines.append(f"{theta:.17g},{sup:.17g},{pt.real:.17g},{pt.imag:.17g}")
-        _write_output(args.output, "\n".join(lines) + "\n")
-    else:
-        paths = [_SVG_UNIT_CIRCLE, _svg_polyline(curve.points, "#c02020", close=True)]
-        _write_output(args.output, _svg_document(paths))
+    rows = zip(curve.thetas, curve.supports, curve.points.real, curve.points.imag)
+    _write_curve(args, "theta,support,re,im", rows, curve.points, "#c02020")
     return 0
 
 
@@ -135,15 +126,8 @@ def cmd_teardrop(args) -> int:
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     rows = regions.teardrop_boundary(alpha)
-    if args.out == "csv":
-        lines = ["phi,re,im"]
-        for phi, z in rows:
-            lines.append(f"{phi:.17g},{z.real:.17g},{z.imag:.17g}")
-        _write_output(args.output, "\n".join(lines) + "\n")
-    else:
-        points = [z for _, z in rows]
-        paths = [_SVG_UNIT_CIRCLE, _svg_polyline(points, "#2040c0", close=True)]
-        _write_output(args.output, _svg_document(paths))
+    _write_curve(args, "phi,re,im", [(phi, z.real, z.imag) for phi, z in rows],
+                 [z for _, z in rows], "#2040c0")
     return 0
 
 

@@ -5,13 +5,20 @@ checks a theorem's inequality with a small one-sided slack, and returns a
 VerifyReport. Reports are deterministic functions of (suite, trials, seed):
 the per-trial RNG is derived from (seed, suite id, trial index), so results
 do not depend on evaluation order.
+
+One driver, _run, holds every suite's trial loop: trial i derives
+rng = _trial_rng(seed, suite, i), draws T = normalize_radius(random_matrix(rng))
+and calls the suite's body trial(rng, T, rec). The body draws the rest of
+its data from rng, evaluates f(T) through rec.eval_matrix, which counts scale
+retries, and passes each residual to rec.record(residual, tol, witness_fn);
+the first witness with residual > tol is kept, tagged with "trial": i.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -84,26 +91,18 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "failures": self.failures,
-            "retries": self.retries,
-            "tolerance": self.tolerance,
-            "worst_residual": self.worst_residual,
-            "warning": self.warning,
-            "seed": self.seed,
-            "witness": self.witness,
-        }
+        return {**asdict(self), "warning": self.warning}
 
 
 class _Recorder:
-    """Accumulates residuals and the first failing witness."""
+    """Accumulates residuals, scale retries and the first failing witness."""
 
     def __init__(self):
         self.failures = 0
         self.worst = -math.inf
         self.witness = None
+        self.retries = 0
+        self.trial = None
 
     def record(self, residual: float, tol: float, witness_fn):
         self.worst = max(self.worst, residual)
@@ -111,10 +110,35 @@ class _Recorder:
             self.failures += 1
             if self.witness is None:
                 self.witness = witness_fn()
+                if self.trial is not None:
+                    self.witness["trial"] = self.trial
+
+    def eval_matrix(self, f: DiskFunction, T: np.ndarray) -> np.ndarray:
+        """eval_matrix, falling back to f(0.999 z) when a resolvent is singular."""
+        try:
+            return eval_matrix(f, T)
+        except PolesNearSpectrumError:
+            self.retries += 1
+            return eval_matrix(Scale(0.999, f), T)
 
 
 def _trial_rng(seed: int, suite: str, index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), _SUITE_IDS[suite], int(index)])
+
+
+def _run(suite: str, trials: int, seed: int, tol: float, trial, after=None) -> VerifyReport:
+    """The trial loop of every suite (see the module docstring); after(rec),
+    if given, then records the checks that belong to no trial."""
+    rec = _Recorder()
+    for i in range(trials):
+        rng = _trial_rng(seed, suite, i)
+        rec.trial = i
+        trial(rng, normalize_radius(random_matrix(rng)), rec)
+    rec.trial = None
+    if after is not None:
+        after(rec)
+    return VerifyReport(suite, trials, rec.failures, rec.worst, tol, seed,
+                        rec.retries, rec.witness)
 
 
 def random_matrix(rng: np.random.Generator, dim: int | None = None) -> np.ndarray:
@@ -150,16 +174,6 @@ def random_blaschke(rng: np.random.Generator, max_degree: int,
     return BlaschkeProduct(constant, tuple(zeros))
 
 
-def _eval_with_scale_retry(f: DiskFunction, T: np.ndarray):
-    """eval_matrix, falling back to f(0.999 z) when a resolvent is singular.
-
-    Returns (result, retried)."""
-    try:
-        return eval_matrix(f, T), False
-    except PolesNearSpectrumError:
-        return eval_matrix(Scale(0.999, f), T), True
-
-
 def _matrix_witness(T: np.ndarray, **extra) -> dict:
     w = {"matrix": serialize_matrix(T)}
     w.update(extra)
@@ -169,20 +183,13 @@ def _matrix_witness(T: np.ndarray, **extra) -> dict:
 def check_berger_stampfli(trials: int, seed: int = 42) -> VerifyReport:
     """w(B(T)) <= 1 for random Blaschke B with B(0) = 0 and w(T) = 1."""
     tol = 1e-7
-    rec = _Recorder()
-    retries = 0
-    for i in range(trials):
-        rng = _trial_rng(seed, "berger-stampfli", i)
-        T = normalize_radius(random_matrix(rng))
+    def trial(rng, T, rec):
         B = random_blaschke(rng, max_degree=5)
-        FT, retried = _eval_with_scale_retry(Blaschke(B), T)
-        retries += retried
-        value = numerical_radius(FT, tol=RADIUS_TOL)
+        value = numerical_radius(rec.eval_matrix(Blaschke(B), T), tol=RADIUS_TOL)
         rec.record(value - 1.0, tol, lambda: _matrix_witness(
             T, constant=format_complex(B.constant),
             zeros=[format_complex(a) for a in B.zeros], value=value))
-    return VerifyReport("berger-stampfli", trials, rec.failures, rec.worst,
-                        tol, seed, retries, rec.witness)
+    return _run("berger-stampfli", trials, seed, tol, trial)
 
 
 def check_power_inequality(trials: int, n_max: int = 6, seed: int = 42) -> VerifyReport:
@@ -190,38 +197,32 @@ def check_power_inequality(trials: int, n_max: int = 6, seed: int = 42) -> Verif
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     tol = 1e-7
-    rec = _Recorder()
-    for i in range(trials):
-        rng = _trial_rng(seed, "power", i)
-        T = normalize_radius(random_matrix(rng))
+    def trial(rng, T, rec):
         P = T
         for n in range(2, n_max + 1):
             P = P @ T
             value = numerical_radius(P, tol=RADIUS_TOL)
             rec.record(value - 1.0, tol,
                        lambda: _matrix_witness(T, power=n, value=value))
-    return VerifyReport("power", trials, rec.failures, rec.worst, tol, seed,
-                        0, rec.witness)
+    return _run("power", trials, seed, tol, trial)
 
 
-def _local_bound(p: complex) -> float:
-    return 2.0 + 2.0 * math.sqrt(max(0.0, 1.0 - abs(p) ** 2))
+def _vector_draw(rng: np.random.Generator, T: np.ndarray):
+    """A random unit x for T: (Tx, <Tx,x>, a witness naming T and x)."""
+    x = random_unit_vector(rng, T.shape[0])
+    Tx = T @ x
+    return Tx, complex(np.vdot(x, Tx)), lambda: _matrix_witness(
+        T, vector=[format_complex(v) for v in x])
 
 
 def check_local_inequality(trials: int, seed: int = 42) -> VerifyReport:
     """||Tx||^2 <= 2 + 2 sqrt(1 - |<Tx,x>|^2) for w(T) = 1 and unit x."""
     tol = 1e-9
-    rec = _Recorder()
-    for i in range(trials):
-        rng = _trial_rng(seed, "local-ineq", i)
-        T = normalize_radius(random_matrix(rng))
-        x = random_unit_vector(rng, T.shape[0])
-        Tx = T @ x
-        p = complex(np.vdot(x, Tx))
-        rec.record(float(np.linalg.norm(Tx)) ** 2 - _local_bound(p), tol,
-                   lambda: _matrix_witness(T, vector=[format_complex(v) for v in x]))
-    return VerifyReport("local-ineq", trials, rec.failures, rec.worst, tol,
-                        seed, 0, rec.witness)
+    def trial(rng, T, rec):
+        Tx, p, witness = _vector_draw(rng, T)
+        bound = 2.0 + 2.0 * math.sqrt(max(0.0, 1.0 - abs(p) ** 2))
+        rec.record(float(np.linalg.norm(Tx)) ** 2 - bound, tol, witness)
+    return _run("local-ineq", trials, seed, tol, trial)
 
 
 def check_props52(trials: int, seed: int = 42) -> VerifyReport:
@@ -229,58 +230,50 @@ def check_props52(trials: int, seed: int = 42) -> VerifyReport:
     form ||Tx|| <= max(2|sin(angle)|, sqrt(2)) and the 2x2-corner bound
     |c| <= 1 + sqrt(1 - |a|^2)."""
     tol = 1e-9
-    rec = _Recorder()
-    for i in range(trials):
-        rng = _trial_rng(seed, "props52", i)
-        T = normalize_radius(random_matrix(rng))
-        x = random_unit_vector(rng, T.shape[0])
-        Tx = T @ x
-        p = complex(np.vdot(x, Tx))
+    def trial(rng, T, rec):
+        Tx, p, witness = _vector_draw(rng, T)
         norm_tx = float(np.linalg.norm(Tx))
         if norm_tx > 1e-12:
             cos_a = min(1.0, abs(p) / norm_tx)
             bound = max(2.0 * math.sqrt(1.0 - cos_a ** 2), math.sqrt(2.0))
-            rec.record(norm_tx - bound, tol,
-                       lambda: _matrix_witness(T, vector=[format_complex(v) for v in x]))
+            rec.record(norm_tx - bound, tol, witness)
         M = normalize_radius(random_matrix(rng, dim=2))
         a, c = complex(M[0, 0]), complex(M[1, 0])
         rec.record(abs(c) - (1.0 + math.sqrt(max(0.0, 1.0 - abs(a) ** 2))), tol,
                    lambda: _matrix_witness(M))
-    return VerifyReport("props52", trials, rec.failures, rec.worst, tol, seed,
-                        0, rec.witness)
+    return _run("props52", trials, seed, tol, trial)
+
+
+def _psd_grid(grid, tol: float):
+    """Trial body: Q(T, t, s) >= 0 at every (t, s) of grid."""
+    def trial(rng, T, rec):
+        for t, s in grid:
+            lam = min_eigenvalue(regions.q_form(T, t, s))
+            rec.record(-lam, tol, lambda: _matrix_witness(
+                T, t=float(t), s=float(s), lam_min=lam))
+    return trial
+
+
+def _first_branch(density: int) -> list:
+    """s = t^2 - 1/4 for t in [0, 1/2], the first boundary branch of S."""
+    return [(t, t * t - 0.25) for t in np.linspace(0.0, 0.5, density)]
 
 
 def check_operator_inequality(trials: int, seed: int = 42) -> VerifyReport:
     """Q(T, t, t^2 - 1/4) >= 0 for t in [0, 1/2] and w(T) = 1."""
     tol = 1e-8
-    t_grid = np.linspace(0.0, 0.5, 21)
-    rec = _Recorder()
-    for i in range(trials):
-        rng = _trial_rng(seed, "operator-ineq", i)
-        T = normalize_radius(random_matrix(rng))
-        for t in t_grid:
-            lam = min_eigenvalue(regions.q_form(T, t, t * t - 0.25))
-            rec.record(-lam, tol, lambda: _matrix_witness(T, t=float(t), lam_min=lam))
-    return VerifyReport("operator-ineq", trials, rec.failures, rec.worst, tol,
-                        seed, 0, rec.witness)
+    return _run("operator-ineq", trials, seed, tol, _psd_grid(_first_branch(21), tol))
 
 
 def check_drury(trials: int, seed: int = 42) -> VerifyReport:
     """W(f(T)) inside td(f(0)) and w(f(T)) <= 1 + |f(0)| - |f(0)|^2."""
     tol = 1e-6
-    rec = _Recorder()
-    retries = 0
-    for i in range(trials):
-        rng = _trial_rng(seed, "drury", i)
-        T = normalize_radius(random_matrix(rng))
+    def trial(rng, T, rec):
         r = 0.95 * math.sqrt(rng.uniform())
         alpha = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         B = random_blaschke(rng, max_degree=4)
-        f = Compose(mobius_automorphism(alpha), Blaschke(B))
-        FT, retried = _eval_with_scale_retry(f, T)
-        retries += retried
-        curve = boundary(FT, 360)
-        margin = float(regions.teardrop_distance(alpha, curve.points).max())
+        FT = rec.eval_matrix(Compose(mobius_automorphism(alpha), Blaschke(B)), T)
+        margin = float(regions.teardrop_distance(alpha, boundary(FT, 360).points).max())
         rec.record(margin, tol, lambda: _matrix_witness(
             T, alpha=format_complex(alpha),
             zeros=[format_complex(a) for a in B.zeros]))
@@ -288,8 +281,7 @@ def check_drury(trials: int, seed: int = 42) -> VerifyReport:
         bound = 1.0 + abs(alpha) - abs(alpha) ** 2
         rec.record(value - bound, tol, lambda: _matrix_witness(
             T, alpha=format_complex(alpha), value=value))
-    return VerifyReport("drury", trials, rec.failures, rec.worst, tol, seed,
-                        retries, rec.witness)
+    return _run("drury", trials, seed, tol, trial)
 
 
 def check_region_S(trials: int, grid_density: int = 21, seed: int = 42) -> VerifyReport:
@@ -302,39 +294,26 @@ def check_region_S(trials: int, grid_density: int = 21, seed: int = 42) -> Verif
     if grid_density < 10:
         raise ValueError(f"grid_density must be >= 10, got {grid_density}")
     tol = 1e-8
-    rec = _Recorder()
+    boundary_grid = (
+        _first_branch(grid_density)
+        + [(t, 2.0 * t - 1.0) for t in np.linspace(0.5, 1.0, grid_density)]
+        + [(t, t * t) for t in np.linspace(1.0, 2.0, grid_density)])
 
-    branch1 = [(t, t * t - 0.25) for t in np.linspace(0.0, 0.5, grid_density)]
-    branch2 = [(t, 2.0 * t - 1.0) for t in np.linspace(0.5, 1.0, grid_density)]
-    branch3 = [(t, t * t) for t in np.linspace(1.0, 2.0, grid_density)]
-    boundary_grid = branch1 + branch2 + branch3
-
-    for i in range(trials):
-        rng = _trial_rng(seed, "region-s", i)
-        T = normalize_radius(random_matrix(rng))
-        for t, s in boundary_grid:
-            lam = min_eigenvalue(regions.q_form(T, t, s))
-            rec.record(-lam, tol, lambda: _matrix_witness(
-                T, t=float(t), s=float(s), lam_min=lam))
-
-    # sharpness witnesses (offset 0.01 below each branch)
+    # (counterexample matrix, t, s) at offset 0.01 below each branch
     shift = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
-    for t in np.linspace(0.025, 0.475, grid_density):
-        lam = min_eigenvalue(regions.q_form(shift, t, t * t - 0.25 - 0.01))
-        rec.record(lam, 0.0, lambda: _matrix_witness(shift, t=float(t), lam_min=lam))
-    for t in np.linspace(0.51, 1.0, grid_density):
-        lam = min_eigenvalue(regions.q_form(-np.eye(2, dtype=complex), t,
-                                            2.0 * t - 1.0 - 0.01))
-        rec.record(lam, 0.0, lambda: _matrix_witness(
-            -np.eye(2, dtype=complex), t=float(t), lam_min=lam))
-    for t in np.linspace(1.1, 2.0, grid_density):
-        s = t * t - 0.01
-        lam = min_eigenvalue(regions.q_form(-(t / s) * np.eye(2, dtype=complex), t, s))
-        rec.record(lam, 0.0, lambda: _matrix_witness(
-            -(t / s) * np.eye(2, dtype=complex), t=float(t), s=float(s), lam_min=lam))
+    eye = np.eye(2, dtype=complex)
+    sharpness = (
+        [(shift, t, t * t - 0.25 - 0.01) for t in np.linspace(0.025, 0.475, grid_density)]
+        + [(-eye, t, 2.0 * t - 1.0 - 0.01) for t in np.linspace(0.51, 1.0, grid_density)]
+        + [(-(t / (t * t - 0.01)) * eye, t, t * t - 0.01)
+           for t in np.linspace(1.1, 2.0, grid_density)])
 
-    return VerifyReport("region-s", trials, rec.failures, rec.worst, tol, seed,
-                        0, rec.witness)
+    def sharp(rec):
+        for M, t, s in sharpness:
+            lam = min_eigenvalue(regions.q_form(M, t, s))
+            rec.record(lam, 0.0, lambda: _matrix_witness(
+                M, t=float(t), s=float(s), lam_min=lam))
+    return _run("region-s", trials, seed, tol, _psd_grid(boundary_grid, tol), sharp)
 
 
 def extremal_search(f: DiskFunction, dim: int, iterations: int, seed: int = 42,

@@ -146,9 +146,11 @@ class TestLevelSet:
         assert len(roots) == 3
         assert np.max(np.abs(evaluate(B, roots) - gamma)) <= 1e-7
 
-    def test_rejects_non_unimodular_gamma(self):
+    @pytest.mark.parametrize("solve", [level_set, clark_decomposition],
+                             ids=["level_set", "clark_decomposition"])
+    def test_rejects_non_unimodular_gamma(self, solve):
         with pytest.raises(NotUnimodularError):
-            level_set(Z2, 0.5)
+            solve(Z2, 0.5)
 
 
 class TestArgumentMonotonicity:

@@ -6,8 +6,10 @@ import pytest
 from numrange.diskfun import Blaschke, Mobius, Polynomial
 from numrange.blaschke import BlaschkeProduct
 from numrange.formats import parse_matrix
+from numrange import verify
 from numrange.verify import (
     VerifyReport,
+    _trial_rng,
     check_berger_stampfli,
     check_drury,
     check_local_inequality,
@@ -131,6 +133,23 @@ class TestReport:
         M = parse_matrix(data["matrix"])
         assert M.shape == (1, 1)
         assert not r.passed
+
+    def test_witness_names_its_trial(self, monkeypatch):
+        # the 4th unit vector drawn, in local-ineq trial 3, is scaled by 10
+        draw = verify.random_unit_vector
+        calls = []
+
+        def scaled_fourth(rng, dim):
+            calls.append(dim)
+            x = draw(rng, dim)
+            return 10.0 * x if len(calls) == 4 else x
+
+        monkeypatch.setattr(verify, "random_unit_vector", scaled_fourth)
+        r = check_local_inequality(6, seed=13)
+        assert r.failures == 1
+        assert r.witness["trial"] == 3
+        T = normalize_radius(random_matrix(_trial_rng(13, "local-ineq", 3)))
+        assert np.array_equal(T, parse_matrix(r.witness["matrix"]))
 
     def test_json_dict(self):
         r = check_props52(5, seed=9)
