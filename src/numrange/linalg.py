@@ -24,8 +24,13 @@ PIVOT_RTOL = 1e-13
 
 def as_matrix(entries) -> np.ndarray:
     """Validate and return a square, finite, complex matrix."""
+    return _as_square(entries, ndims=(2,))
+
+
+def _as_square(entries, ndims=(2, 3)) -> np.ndarray:
+    """as_matrix, by default also accepting a (k, n, n) stack of matrices."""
     T = np.asarray(entries, dtype=complex)
-    if T.ndim != 2 or T.shape[0] != T.shape[1] or T.shape[0] < 1:
+    if T.ndim not in ndims or T.shape[-1] != T.shape[-2] or T.shape[-1] < 1:
         raise ValueError(f"expected a square matrix, got shape {T.shape}")
     if not np.all(np.isfinite(T)):
         raise ValueError("matrix has non-finite entries")
@@ -46,15 +51,21 @@ class EigenDecomposition:
 
 
 def _check_hermitian(H: np.ndarray, tol: float, who: str) -> np.ndarray:
-    dev = np.linalg.norm(H - H.conj().T)
-    scale = 1.0 + np.linalg.norm(H)
-    if dev > tol * scale:
+    """Check each matrix of H (one matrix or a stack) against
+    ||H - H*||_F <= tol*(1+||H||_F), and return H symmetrized."""
+    Hs = H.conj().swapaxes(-1, -2)
+    dev = np.linalg.norm(H - Hs, axis=(-2, -1))
+    allowed = tol * (1.0 + np.linalg.norm(H, axis=(-2, -1)))
+    bad = np.flatnonzero(dev > allowed)
+    if bad.size:
+        i = bad[0]
+        where = f" {i}" if H.ndim == 3 else ""
         raise NotHermitianError(
-            f"{who}: matrix deviates from Hermitian by {dev:.3e} "
-            f"(allowed {tol * scale:.3e})"
+            f"{who}: matrix{where} deviates from Hermitian by {dev.flat[i]:.3e} "
+            f"(allowed {allowed.flat[i]:.3e})"
         )
     # exact symmetrization so downstream results are real where they should be
-    return (H + H.conj().T) / 2
+    return (H + Hs) / 2
 
 
 def hermitian_eig(H, tol: float = DEFAULT_TOL) -> EigenDecomposition:
@@ -90,9 +101,17 @@ def solve(A, B) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), B, check_finite=False)
 
 
-def min_eigenvalue(H, tol: float = DEFAULT_TOL) -> float:
-    H = _check_hermitian(as_matrix(H), tol, "min_eigenvalue")
-    return float(np.linalg.eigvalsh(H)[0])
+def min_eigenvalue(H, tol: float = DEFAULT_TOL) -> float | np.ndarray:
+    """Smallest eigenvalue of a Hermitian matrix, or of each matrix of a
+    (k, n, n) stack, from one LAPACK call.
+
+    Each matrix is checked on its own, as in hermitian_eig: NotHermitianError
+    if ||H - H*||_F > tol*(1+||H||_F), and ValueError for non-finite entries.
+    A matrix gives a float, a stack a length-k array.
+    """
+    H = _check_hermitian(_as_square(H), tol, "min_eigenvalue")
+    lam = np.linalg.eigvalsh(H)[..., 0]
+    return float(lam) if H.ndim == 2 else lam
 
 
 def is_psd(H, tol: float = DEFAULT_TOL) -> tuple[bool, float]:

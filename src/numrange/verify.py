@@ -244,25 +244,27 @@ def check_props52(trials: int, seed: int = 42) -> VerifyReport:
     return _run("props52", trials, seed, tol, trial)
 
 
-def _psd_grid(grid, tol: float):
-    """Trial body: Q(T, t, s) >= 0 at every (t, s) of grid."""
+def _psd_grid(ts: np.ndarray, ss: np.ndarray, tol: float):
+    """Trial body: Q(T, ts[j], ss[j]) >= 0 at every grid point, from one
+    stacked eigensolve per trial, recorded in grid order."""
+    points = list(zip(ts.tolist(), ss.tolist()))
     def trial(rng, T, rec):
-        for t, s in grid:
-            lam = min_eigenvalue(regions.q_form(T, t, s))
-            rec.record(-lam, tol, lambda: _matrix_witness(
-                T, t=float(t), s=float(s), lam_min=lam))
+        lams = min_eigenvalue(regions.q_form(T, ts, ss)).tolist()
+        for (t, s), lam in zip(points, lams):
+            rec.record(-lam, tol, lambda: _matrix_witness(T, t=t, s=s, lam_min=lam))
     return trial
 
 
-def _first_branch(density: int) -> list:
+def _first_branch(density: int) -> tuple[np.ndarray, np.ndarray]:
     """s = t^2 - 1/4 for t in [0, 1/2], the first boundary branch of S."""
-    return [(t, t * t - 0.25) for t in np.linspace(0.0, 0.5, density)]
+    ts = np.linspace(0.0, 0.5, density)
+    return ts, ts * ts - 0.25
 
 
 def check_operator_inequality(trials: int, seed: int = 42) -> VerifyReport:
     """Q(T, t, t^2 - 1/4) >= 0 for t in [0, 1/2] and w(T) = 1."""
     tol = 1e-8
-    return _run("operator-ineq", trials, seed, tol, _psd_grid(_first_branch(21), tol))
+    return _run("operator-ineq", trials, seed, tol, _psd_grid(*_first_branch(21), tol))
 
 
 def check_drury(trials: int, seed: int = 42) -> VerifyReport:
@@ -294,10 +296,11 @@ def check_region_S(trials: int, grid_density: int = 21, seed: int = 42) -> Verif
     if grid_density < 10:
         raise ValueError(f"grid_density must be >= 10, got {grid_density}")
     tol = 1e-8
-    boundary_grid = (
-        _first_branch(grid_density)
-        + [(t, 2.0 * t - 1.0) for t in np.linspace(0.5, 1.0, grid_density)]
-        + [(t, t * t) for t in np.linspace(1.0, 2.0, grid_density)])
+    ts1, ss1 = _first_branch(grid_density)
+    ts2 = np.linspace(0.5, 1.0, grid_density)
+    ts3 = np.linspace(1.0, 2.0, grid_density)
+    ts = np.concatenate([ts1, ts2, ts3])
+    ss = np.concatenate([ss1, 2.0 * ts2 - 1.0, ts3 * ts3])
 
     # (counterexample matrix, t, s) at offset 0.01 below each branch
     shift = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
@@ -309,11 +312,11 @@ def check_region_S(trials: int, grid_density: int = 21, seed: int = 42) -> Verif
            for t in np.linspace(1.1, 2.0, grid_density)])
 
     def sharp(rec):
-        for M, t, s in sharpness:
-            lam = min_eigenvalue(regions.q_form(M, t, s))
+        lams = min_eigenvalue(np.stack([regions.q_form(M, t, s) for M, t, s in sharpness]))
+        for (M, t, s), lam in zip(sharpness, lams.tolist()):
             rec.record(lam, 0.0, lambda: _matrix_witness(
                 M, t=float(t), s=float(s), lam_min=lam))
-    return _run("region-s", trials, seed, tol, _psd_grid(boundary_grid, tol), sharp)
+    return _run("region-s", trials, seed, tol, _psd_grid(ts, ss, tol), sharp)
 
 
 def extremal_search(f: DiskFunction, dim: int, iterations: int, seed: int = 42,

@@ -130,6 +130,17 @@ class TestVerify:
                          "--seed", "9", "--output", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("suite, worst", [
+        ("operator-ineq", "-0.0030636572680443064"),
+        ("region-s", "-3.6183655786381405e-06"),
+    ])
+    def test_q_form_suite_reports_are_pinned(self, capsys, suite, worst):
+        # these bits must survive any batching or reordering of the solves
+        assert main(["verify", "--suite", suite, "--trials", "50", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == (
+            f"suite: {suite}\ntrials: 50\nfailures: 0\nretries: 0\n"
+            f"tolerance: 1e-08\nworst_residual: {worst}\nwarning: false\nseed: 3\n")
+
     def test_json_output(self, capsys):
         import json
         assert main(["verify", "--suite", "props52", "--trials", "5",

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numrange.errors import NotHermitianError, SingularError
-from numrange.linalg import hermitian_eig, is_psd, operator_norm, solve
+from numrange.linalg import hermitian_eig, is_psd, min_eigenvalue, operator_norm, solve
 
 
 def random_hermitian(rng, n):
@@ -120,6 +120,48 @@ class TestIsPsd:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             is_psd(np.array([[1, 1], [0, 1]], dtype=complex))
+
+
+class TestMinEigenvalueStack:
+    def test_stack_equals_per_matrix_loop(self):
+        rng = np.random.default_rng(21)
+        for n in range(2, 9):
+            H = np.stack([random_hermitian(rng, n) for _ in range(9)])
+            lams = min_eigenvalue(H)
+            assert lams.shape == (9,)
+            assert np.array_equal(lams, [min_eigenvalue(h) for h in H])
+
+    def test_matrix_gives_float(self):
+        rng = np.random.default_rng(22)
+        assert type(min_eigenvalue(random_hermitian(rng, 3))) is float
+
+    def test_one_non_hermitian_member_raises(self):
+        rng = np.random.default_rng(23)
+        H = np.stack([random_hermitian(rng, 4) for _ in range(5)])
+        H[3, 0, 1] += 1e-3
+        with pytest.raises(NotHermitianError, match="matrix 3 "):
+            min_eigenvalue(H)
+
+    def test_tolerance_is_per_matrix(self):
+        # the same deviation passes next to a large norm and fails next to
+        # a small one, whatever else the stack holds
+        big = np.array([[1e4, 0], [1e-6, 1e4]], dtype=complex)
+        small = np.array([[1, 0], [1e-6, 1]], dtype=complex)
+        assert min_eigenvalue(big) == pytest.approx(1e4)
+        with pytest.raises(NotHermitianError, match="matrix 1 "):
+            min_eigenvalue(np.stack([big, small]))
+
+    def test_non_finite_member_raises(self):
+        H = np.stack([np.eye(3, dtype=complex)] * 4)
+        H[2, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            min_eigenvalue(H)
+
+    def test_rejects_non_square_and_deeper_stacks(self):
+        with pytest.raises(ValueError, match="square"):
+            min_eigenvalue(np.zeros((3, 2, 4)))
+        with pytest.raises(ValueError, match="square"):
+            min_eigenvalue(np.zeros((2, 3, 2, 2)))
 
 
 class TestOperatorNorm:

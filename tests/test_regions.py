@@ -192,6 +192,35 @@ class TestQForm:
         assert np.linalg.det(Q).real == pytest.approx(-0.04, abs=1e-12)
         assert min_eigenvalue(Q) < 0
 
+    def test_stack_members_equal_scalar_calls(self):
+        t1 = np.linspace(0.0, 0.5, 21)
+        t2 = np.linspace(0.5, 1.0, 21)
+        t3 = np.linspace(1.0, 2.0, 21)
+        ts = np.concatenate([t1, t2, t3])
+        ss = np.concatenate([t1 * t1 - 0.25, 2.0 * t2 - 1.0, t3 * t3])
+        for n in range(2, 9):
+            T = normalized_random(100 + n, n)
+            Q = q_form(T, ts, ss)
+            assert Q.shape == (len(ts), n, n)
+            for k in range(len(ts)):
+                assert np.array_equal(Q[k], q_form(T, ts[k], ss[k]))
+
+    def test_stack_eigenvalues_equal_scalar_calls(self):
+        ts = np.linspace(0.0, 0.5, 21)
+        ss = ts * ts - 0.25
+        T = normalized_random(45, 6)
+        lams = min_eigenvalue(q_form(T, ts, ss))
+        assert np.array_equal(lams, [min_eigenvalue(q_form(T, t, s)) for t, s in zip(ts, ss)])
+
+    def test_scalar_t_s_give_matrix(self):
+        assert q_form(SHIFT2, 0.3, -0.1).shape == (2, 2)
+
+    def test_unequal_shapes_raise(self):
+        with pytest.raises(ValueError):
+            q_form(SHIFT2, np.zeros(3), np.zeros(4))
+        with pytest.raises(ValueError):
+            q_form(SHIFT2, np.zeros((2, 2)), np.zeros((2, 2)))
+
 
 class TestDruryParams:
     def test_outer_alpha_zero_theta_pi(self):

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from numrange.diskfun import Blaschke, Mobius, Polynomial
+from numrange.diskfun import Blaschke, Mobius, Polynomial, Scale
+from numrange.errors import PolesNearSpectrumError
 from numrange.blaschke import BlaschkeProduct
 from numrange.formats import parse_matrix
+from numrange.linalg import min_eigenvalue
+from numrange.regions import q_form
 from numrange import verify
 from numrange.verify import (
     VerifyReport,
@@ -84,6 +87,58 @@ class TestSuitesPass:
     def test_region_s_rejects_sparse_grid(self):
         with pytest.raises(ValueError):
             check_region_S(5, grid_density=5)
+
+    def test_scale_retry_fallback(self, monkeypatch):
+        # the first evaluation hits a pole; the retry evaluates f(0.999 z)
+        real = verify.eval_matrix
+        calls = []
+
+        def pole_once(f, T):
+            calls.append(f)
+            if len(calls) == 1:
+                raise PolesNearSpectrumError("forced pole near the spectrum")
+            return real(f, T)
+
+        monkeypatch.setattr(verify, "eval_matrix", pole_once)
+        report = check_berger_stampfli(3, seed=1)
+        assert report.retries == 1
+        assert report.failures == 0
+        assert calls[1] == Scale(0.999, calls[0])
+        assert len(calls) == 4
+
+
+class TestQFormSuites:
+    def test_failing_witness_matches_per_point_solve(self, monkeypatch):
+        # at radius 3, Q(T, t, t^2 - 1/4) has negative eigenvalues; the
+        # witness must be the first failing grid point, with its exact lam_min
+        normalize = verify.normalize_radius
+        monkeypatch.setattr(verify, "normalize_radius", lambda T: 3.0 * normalize(T))
+        report = check_operator_inequality(4, seed=2)
+        assert report.failures > 0
+        w = report.witness
+        T = parse_matrix(w["matrix"])
+        assert np.array_equal(T, 3.0 * normalize(random_matrix(
+            _trial_rng(2, "operator-ineq", w["trial"]))))
+        assert w["lam_min"] == min_eigenvalue(q_form(T, w["t"], w["s"]))
+        ts = np.linspace(0.0, 0.5, 21)
+        first = next(t for t in ts.tolist()
+                     if -min_eigenvalue(q_form(T, t, t * t - 0.25)) > report.tolerance)
+        assert (w["t"], w["s"]) == (first, first * first - 0.25)
+
+    @pytest.mark.parametrize("check, stack_sizes", [
+        (check_operator_inequality, [21] * 5),
+        (check_region_S, [63] * 6),  # five trials and the sharpness table
+    ])
+    def test_one_eigensolve_call_per_trial(self, monkeypatch, check, stack_sizes):
+        calls = []
+
+        def counted(H, *args):
+            calls.append(len(H))
+            return min_eigenvalue(H, *args)
+
+        monkeypatch.setattr(verify, "min_eigenvalue", counted)
+        assert check(5, seed=1).passed
+        assert calls == stack_sizes
 
 
 class TestDeterminism:
