@@ -4,7 +4,9 @@ Subcommands: range, radius, clark, teardrop, verify, search.
 Exit codes are a stable contract:
     0 success, 1 verification failure, 2 usage/parse error,
     3 numeric failure, 4 precondition violation.
-The environment variable NUMRANGE_SEED sets the default --seed.
+The environment variable NUMRANGE_SEED sets the default --seed of verify
+and search; when --seed is omitted, a value that is not an integer is a
+usage error (exit 2), as a bad --seed would be.
 """
 
 from __future__ import annotations
@@ -27,16 +29,6 @@ from .errors import (
 )
 
 ALL_SUITES = list(verify.SUITES)
-
-
-def _default_seed() -> int:
-    env = os.environ.get("NUMRANGE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 42
 
 
 def _read_matrix(path: str) -> np.ndarray:
@@ -81,8 +73,9 @@ def _write_curve(args, header: str, rows, points, color: str):
 def cmd_range(args) -> int:
     T = _read_matrix(args.matrix)
     curve = fov.boundary(T, args.angles)
-    rows = zip(curve.thetas, curve.supports, curve.points.real, curve.points.imag)
-    _write_curve(args, "theta,support,re,im", rows, curve.points, "#c02020")
+    rows = zip(curve.thetas.tolist(), curve.supports.tolist(),
+               curve.points.real.tolist(), curve.points.imag.tolist())
+    _write_curve(args, "theta,support,re,im", rows, curve.points.tolist(), "#c02020")
     return 0
 
 
@@ -121,13 +114,9 @@ def cmd_clark(args) -> int:
 
 
 def cmd_teardrop(args) -> int:
-    try:
-        alpha = formats.parse_complex(args.alpha)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    rows = regions.teardrop_boundary(alpha)
-    _write_curve(args, "phi,re,im", [(phi, z.real, z.imag) for phi, z in rows],
-                 [z for _, z in rows], "#2040c0")
+    phis, points = regions.teardrop_boundary(formats.parse_complex(args.alpha))
+    rows = zip(phis.tolist(), points.real.tolist(), points.imag.tolist())
+    _write_curve(args, "phi,re,im", rows, points.tolist(), "#2040c0")
     return 0
 
 
@@ -193,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the theorem verification suites")
     p.add_argument("--suite", choices=ALL_SUITES + ["all"], required=True)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=os.environ.get("NUMRANGE_SEED", "42"))
     p.add_argument("--json", action="store_true")
     p.add_argument("--output", default="-", help="report file (default stdout)")
     p.set_defaults(func=cmd_verify)
@@ -202,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("function", help="disk-function expression")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=os.environ.get("NUMRANGE_SEED", "42"))
     p.add_argument("--output", default="-", help="witness matrix file")
     p.set_defaults(func=cmd_search)
 

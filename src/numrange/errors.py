@@ -73,10 +73,6 @@ class NegativeTError(PreconditionError):
     pass
 
 
-class NegativeRadicandError(NumericError):
-    pass
-
-
 # --- file / expression formats ---
 
 class MatrixFileError(ParseError):

@@ -5,11 +5,13 @@ The teardrop td(alpha) is the convex hull of the closed unit disk and the
 disk of center alpha, radius 1 - |alpha|^2. Its support function is
 max(1, Re(e^{-i phi} alpha) + 1 - |alpha|^2), which is rotation-covariant,
 so general complex alpha needs no special casing. Its boundary, two circle
-arcs joined by two tangent segments, has a closed-form signed distance.
+arcs joined by two tangent segments, has a closed-form signed distance, and
+teardrop_boundary samples it as two arrays (phis, points).
 
 Region S is the set of (t, s) with t >= 0 such that Q(T, t, s) >= 0 for
 every T with w(T) <= 1; its boundary is piecewise t^2 - 1/4 (t <= 1/2),
-2t - 1 (1/2 <= t <= 1), t^2 (t >= 1).
+2t - 1 (1/2 <= t <= 1), t^2 (t >= 1). region_S_boundary is the one statement
+of these branches; it takes a scalar or an array of t.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .errors import DomainError, NegativeRadicandError, NegativeTError
+from .errors import DomainError, NegativeTError
 
 _DOMAIN_SLACK = 1e-12
 
@@ -89,52 +91,41 @@ BOUNDARY_ANGLES = 720
 SEGMENT_POINTS = 21
 
 
-def teardrop_boundary(alpha: complex) -> list[tuple[float, complex]]:
-    """Ordered (phi, point) samples of the td(alpha) boundary.
+def teardrop_boundary(alpha: complex) -> tuple[np.ndarray, np.ndarray]:
+    """(phis, points): ordered samples of the td(alpha) boundary.
 
-    Unit-circle arc where the unit disk supports dominate, an arc of
-    D(alpha, 1-|alpha|^2) where the second disk dominates, and the two
-    common tangent segments at the crossing directions.
+    Each grid direction phi gives the point of the unit circle where the
+    unit disk's support dominates, and of the circle D(alpha, 1-|alpha|^2)
+    where the second disk's does. At each crossing direction the common
+    tangent segment follows the grid samples at or before it.
     """
     alpha = _check_alpha(alpha)
     a = abs(alpha)
     r2 = 1.0 - a * a
-    rows = []
+    phis = 2.0 * np.pi * np.arange(BOUNDARY_ANGLES) / BOUNDARY_ANGLES
+    unit = np.exp(1j * phis)
     if _is_unit_disk(a):
-        for phi in 2.0 * np.pi * np.arange(BOUNDARY_ANGLES) / BOUNDARY_ANGLES:
-            rows.append((float(phi), np.exp(1j * phi)))
-        return rows
+        return phis, unit
     psi = math.atan2(alpha.imag, alpha.real)
     delta = math.acos(a)
-
-    def point_at(phi: float) -> complex:
-        if math.cos(phi - psi) >= a:
-            return alpha + r2 * np.exp(1j * phi)
-        return np.exp(1j * phi)
-
-    crossings = sorted(((psi - delta) % (2.0 * np.pi), (psi + delta) % (2.0 * np.pi)))
-    grid = list(2.0 * np.pi * np.arange(BOUNDARY_ANGLES) / BOUNDARY_ANGLES)
-    events = [(phi, [point_at(phi)]) for phi in grid]
-    for phi_c in crossings:
-        seg = [np.exp(1j * phi_c) + u * (alpha + r2 * np.exp(1j * phi_c) - np.exp(1j * phi_c))
-               for u in np.linspace(0.0, 1.0, SEGMENT_POINTS)]
-        events.append((phi_c, seg))
-    events.sort(key=lambda item: item[0])
-    for phi, pts in events:
-        for z in pts:
-            rows.append((float(phi), complex(z)))
-    return rows
+    points = np.where(np.cos(phis - psi) >= a, alpha + r2 * unit, unit)
+    crossings = np.array(sorted(((psi - delta) % (2.0 * np.pi),
+                                 (psi + delta) % (2.0 * np.pi))))
+    at = np.repeat(np.searchsorted(phis, crossings, side="right"), SEGMENT_POINTS)
+    e = np.exp(1j * crossings)[:, None]
+    segments = e + np.linspace(0.0, 1.0, SEGMENT_POINTS) * (alpha + r2 * e - e)
+    return (np.insert(phis, at, np.repeat(crossings, SEGMENT_POINTS)),
+            np.insert(points, at, segments.ravel()))
 
 
-def region_S_boundary(t: float) -> float:
-    """Lowest admissible s for the given t >= 0."""
-    if t < 0:
-        raise NegativeTError(f"t must be >= 0, got {t!r}")
-    if t <= 0.5:
-        return t * t - 0.25
-    if t <= 1.0:
-        return 2.0 * t - 1.0
-    return t * t
+def region_S_boundary(t):
+    """Lowest admissible s for t >= 0, scalar (a float) or array (an array):
+    t^2 - 1/4 up to t = 1/2, then 2t - 1 up to t = 1, then t^2."""
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts < 0):
+        raise NegativeTError(f"t must be >= 0, got {float(ts.min())!r}")
+    s = np.where(ts <= 0.5, ts * ts - 0.25, np.where(ts <= 1.0, 2.0 * ts - 1.0, ts * ts))
+    return float(s) if ts.ndim == 0 else s
 
 
 def region_S_contains(t: float, s: float) -> bool:
@@ -194,11 +185,9 @@ def drury_params_inner(alpha: float, theta: float) -> tuple[complex, float, floa
     if c < alpha - _DOMAIN_SLACK:
         raise DomainError(f"inner branch needs cos(theta) >= alpha, got {c!r} < {alpha!r}")
     s = alpha * (alpha - c)
+    # s + 1/4 = (alpha - 1/2)^2 + alpha(1 - cos(theta)) >= 0: only rounding
+    # can take it below zero
     radicand = s + 0.25
-    if radicand < -1e-12:
-        raise NegativeRadicandError(
-            f"radicand {radicand!r} < 0 at alpha={alpha!r}, cos(theta)={c!r}"
-        )
     t = math.sqrt(max(radicand, 0.0))
     if t < 1e-15:
         return 1.0 + 0.0j, t, s

@@ -43,6 +43,9 @@ from .linalg import min_eigenvalue
 # every slack used here
 RADIUS_TOL = 3e-6
 
+# grid points per t range of region S's boundary in the Q-form suites
+BRANCH_POINTS = 21
+
 _SUITE_IDS = {
     "berger-stampfli": 1,
     "power": 2,
@@ -160,14 +163,13 @@ def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def random_blaschke(rng: np.random.Generator, max_degree: int,
-                    vanishing: bool = True, zero_radius: float = 0.9) -> BlaschkeProduct:
+def random_blaschke(rng: np.random.Generator, max_degree: int) -> BlaschkeProduct:
+    """B(0) = 0, degree drawn from 1..max_degree, the other zeros uniform in
+    the disk |z| < 0.9, and a random unimodular constant."""
     degree = int(rng.integers(1, max_degree + 1))
-    zeros = []
-    if vanishing:
-        zeros.append(0j)
+    zeros = [0j]
     while len(zeros) < degree:
-        r = zero_radius * math.sqrt(rng.uniform())
+        r = 0.9 * math.sqrt(rng.uniform())
         phi = rng.uniform(0.0, 2.0 * np.pi)
         zeros.append(r * np.exp(1j * phi))
     constant = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
@@ -192,14 +194,12 @@ def check_berger_stampfli(trials: int, seed: int = 42) -> VerifyReport:
     return _run("berger-stampfli", trials, seed, tol, trial)
 
 
-def check_power_inequality(trials: int, n_max: int = 6, seed: int = 42) -> VerifyReport:
-    """w(T^n) <= w(T)^n = 1 for n = 2..n_max."""
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
+def check_power_inequality(trials: int, seed: int = 42) -> VerifyReport:
+    """w(T^n) <= w(T)^n = 1 for n = 2..6."""
     tol = 1e-7
     def trial(rng, T, rec):
         P = T
-        for n in range(2, n_max + 1):
+        for n in range(2, 7):
             P = P @ T
             value = numerical_radius(P, tol=RADIUS_TOL)
             rec.record(value - 1.0, tol,
@@ -255,16 +255,18 @@ def _psd_grid(ts: np.ndarray, ss: np.ndarray, tol: float):
     return trial
 
 
-def _first_branch(density: int) -> tuple[np.ndarray, np.ndarray]:
-    """s = t^2 - 1/4 for t in [0, 1/2], the first boundary branch of S."""
-    ts = np.linspace(0.0, 0.5, density)
-    return ts, ts * ts - 0.25
+def _boundary_points(*ranges) -> tuple[np.ndarray, np.ndarray]:
+    """(ts, region_S_boundary(ts)) for ts = linspace(lo, hi, BRANCH_POINTS)
+    over each range (lo, hi) in turn."""
+    ts = np.concatenate([np.linspace(lo, hi, BRANCH_POINTS) for lo, hi in ranges])
+    return ts, regions.region_S_boundary(ts)
 
 
 def check_operator_inequality(trials: int, seed: int = 42) -> VerifyReport:
     """Q(T, t, t^2 - 1/4) >= 0 for t in [0, 1/2] and w(T) = 1."""
     tol = 1e-8
-    return _run("operator-ineq", trials, seed, tol, _psd_grid(*_first_branch(21), tol))
+    return _run("operator-ineq", trials, seed, tol,
+                _psd_grid(*_boundary_points((0.0, 0.5)), tol))
 
 
 def check_drury(trials: int, seed: int = 42) -> VerifyReport:
@@ -286,37 +288,31 @@ def check_drury(trials: int, seed: int = 42) -> VerifyReport:
     return _run("drury", trials, seed, tol, trial)
 
 
-def check_region_S(trials: int, grid_density: int = 21, seed: int = 42) -> VerifyReport:
+def check_region_S(trials: int, seed: int = 42) -> VerifyReport:
     """Boundary membership and below-boundary sharpness of the region S.
 
     Membership: Q(T, t, s) is PSD on the three boundary branches for random
     normalized T. Sharpness: at offset 0.01 below each branch, the proof's
     counterexample matrix produces a negative minimum eigenvalue.
     """
-    if grid_density < 10:
-        raise ValueError(f"grid_density must be >= 10, got {grid_density}")
     tol = 1e-8
-    ts1, ss1 = _first_branch(grid_density)
-    ts2 = np.linspace(0.5, 1.0, grid_density)
-    ts3 = np.linspace(1.0, 2.0, grid_density)
-    ts = np.concatenate([ts1, ts2, ts3])
-    ss = np.concatenate([ss1, 2.0 * ts2 - 1.0, ts3 * ts3])
-
-    # (counterexample matrix, t, s) at offset 0.01 below each branch
-    shift = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
-    sharpness = (
-        [(shift, t, t * t - 0.25 - 0.01) for t in np.linspace(0.025, 0.475, grid_density)]
-        + [(-eye, t, 2.0 * t - 1.0 - 0.01) for t in np.linspace(0.51, 1.0, grid_density)]
-        + [(-(t / (t * t - 0.01)) * eye, t, t * t - 0.01)
-           for t in np.linspace(1.1, 2.0, grid_density)])
+    membership = _psd_grid(*_boundary_points((0.0, 0.5), (0.5, 1.0), (1.0, 2.0)), tol)
 
     def sharp(rec):
-        lams = min_eigenvalue(np.stack([regions.q_form(M, t, s) for M, t, s in sharpness]))
-        for (M, t, s), lam in zip(sharpness, lams.tolist()):
-            rec.record(lam, 0.0, lambda: _matrix_witness(
-                M, t=float(t), s=float(s), lam_min=lam))
-    return _run("region-s", trials, seed, tol, _psd_grid(ts, ss, tol), sharp)
+        k = BRANCH_POINTS
+        ts, ss = _boundary_points((0.025, 0.475), (0.51, 1.0), (1.1, 2.0))
+        ss = ss - 0.01
+        # the proof's counterexample below each branch: 2 x shift, -I, -(t/s) I
+        shift = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
+        eye = np.eye(2, dtype=complex)
+        Ms = [shift] * k + [-eye] * k + [-(t / s) * eye for t, s in zip(ts[2 * k:], ss[2 * k:])]
+        lams = min_eigenvalue(np.concatenate(
+            [regions.q_form(shift, ts[:k], ss[:k]), regions.q_form(-eye, ts[k:2 * k], ss[k:2 * k])]
+            + [regions.q_form(M, t, s)[None]
+               for M, t, s in zip(Ms[2 * k:], ts[2 * k:], ss[2 * k:])]))
+        for M, t, s, lam in zip(Ms, ts.tolist(), ss.tolist(), lams.tolist()):
+            rec.record(lam, 0.0, lambda: _matrix_witness(M, t=t, s=s, lam_min=lam))
+    return _run("region-s", trials, seed, tol, membership, sharp)
 
 
 def extremal_search(f: DiskFunction, dim: int, iterations: int, seed: int = 42,
@@ -392,13 +388,13 @@ def extremal_search(f: DiskFunction, dim: int, iterations: int, seed: int = 42,
 
 
 SUITES = {
-    "berger-stampfli": lambda trials, seed: check_berger_stampfli(trials, seed),
-    "power": lambda trials, seed: check_power_inequality(trials, seed=seed),
-    "local-ineq": lambda trials, seed: check_local_inequality(trials, seed),
-    "operator-ineq": lambda trials, seed: check_operator_inequality(trials, seed),
-    "region-s": lambda trials, seed: check_region_S(trials, seed=seed),
-    "drury": lambda trials, seed: check_drury(trials, seed),
-    "props52": lambda trials, seed: check_props52(trials, seed),
+    "berger-stampfli": check_berger_stampfli,
+    "power": check_power_inequality,
+    "local-ineq": check_local_inequality,
+    "operator-ineq": check_operator_inequality,
+    "region-s": check_region_S,
+    "drury": check_drury,
+    "props52": check_props52,
 }
 
 

@@ -108,6 +108,16 @@ class TestTeardrop:
         assert main(["teardrop", "--alpha", "2+0i"]) == 2
         assert main(["teardrop", "--alpha", "junk"]) == 2
 
+    @pytest.mark.parametrize("alpha, message", [
+        ("junk", "not a complex literal: 'junk'"),
+        ("1.1", "|alpha| must be <= 1, got 1.1"),
+    ])
+    def test_bad_alpha_message(self, capsys, alpha, message):
+        assert main(["teardrop", f"--alpha={alpha}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_svg(self, tmp_path):
         out = tmp_path / "td.svg"
         assert main(["teardrop", "--alpha", "0.5+0i", "--out", "svg",
@@ -151,8 +161,22 @@ class TestVerify:
 
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("NUMRANGE_SEED", "123")
-        from numrange.cli import _default_seed
-        assert _default_seed() == 123
+        assert main(["verify", "--suite", "props52", "--trials", "1"]) == 0
+        assert "seed: 123\n" in capsys.readouterr().out
+
+    def test_malformed_env_seed_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("NUMRANGE_SEED", "7x")
+        for argv in (["verify", "--suite", "props52", "--trials", "1"],
+                     ["search", "blaschke 1 0", "--iters", "1"]):
+            with pytest.raises(SystemExit) as e:
+                main(argv)
+            assert e.value.code == 2
+            assert "argument --seed: invalid int value: '7x'" in capsys.readouterr().err
+
+    def test_explicit_seed_overrides_malformed_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("NUMRANGE_SEED", "7x")
+        assert main(["verify", "--suite", "props52", "--trials", "1", "--seed", "5"]) == 0
+        assert "seed: 5\n" in capsys.readouterr().out
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as e:

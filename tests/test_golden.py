@@ -1,0 +1,86 @@
+"""Golden outputs: SHA-256 digests of CLI stdout, recorded at commit 86a3de3.
+
+Reports for a fixed seed and trial count, and the range and teardrop
+curves, are part of the CLI contract and must stay byte-identical under
+refactors. A digest that changes means an output changed; record a new one
+only with a change that means to alter that output, and say so.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from numrange.cli import main
+from numrange.formats import serialize_matrix
+
+VERIFY = [
+    (["--suite", "all", "--trials", "50", "--seed", "3"],
+     "5a0d4e38c82e283f6654b966981a364997ce99e4eaab4b4791ddb17717485007"),
+    (["--suite", "all", "--trials", "50", "--seed", "3", "--json"],
+     "ae6d4b97038a1b422943f1b92f66b27b927cc20f6b20d47b3479dfd99a63511e"),
+    # region-s's sharpness table alone
+    (["--suite", "region-s", "--trials", "0", "--seed", "1"],
+     "dab2d324e15a93f0fc98e097f81b785f50b37912d814462f02b3c3d8f8548ba2"),
+]
+
+# alpha -> (csv digest, svg digest); 0 and 1e-13 are the unit disk, -1 is on
+# the circle, 0.6+0.0073i and 0.999 e^{i} are off the real axis
+TEARDROP = {
+    "0": ("93f2d982fde81f76b425e2133a19ba6642f1f0a20a6deefee20c23c40bdaa0b2",
+          "8c424eab5ea31a75f6f6567caf470eab34d9425a8be7b7ed294048edbad03aa1"),
+    "1e-13": ("93f2d982fde81f76b425e2133a19ba6642f1f0a20a6deefee20c23c40bdaa0b2",
+              "8c424eab5ea31a75f6f6567caf470eab34d9425a8be7b7ed294048edbad03aa1"),
+    "0.5": ("7c24c2d5cb90c5918058ff62fed4ac9eb2039c6483f9f1b48068782ea03998dd",
+            "707ccf8bdbe9c92ae99420654f508ecf28e618fd2c392c6c3645dea7a283fb15"),
+    "-1": ("93f2d982fde81f76b425e2133a19ba6642f1f0a20a6deefee20c23c40bdaa0b2",
+           "8c424eab5ea31a75f6f6567caf470eab34d9425a8be7b7ed294048edbad03aa1"),
+    "0.6+0.0073i": ("62e7c898af720ca3d5fe00806c83f3d211adcad8c33d8aa4cc0286de6117cff5",
+                    "b0361b169b5f4b81ea8341923ecb2ccf485b5b326bdfa9a3cd4c917b6437a511"),
+    "0.53976200356227166+0.84062951382308859i": (
+        "20eb91d03327c519fe0b89ae7176749107fafa53a8ff1f55b5ce133a0e03e0db",
+        "3113b91134da04dd8fa2485298318bb7a91d1dc9350623cb7e17925a0421accf"),
+    "0.3+0.4i": ("b3352acd11e44972bb211c9f69e59ddc26cd07537c64c7c063e61244c48e34fc",
+                 "41294df47a1866f67fc5e0c096c0e621ded6f1c6dd0185e33ba809ad4f21c1e0"),
+}
+
+# matrix -> (csv digest, svg digest) of `range --angles 360`
+RANGE = {
+    "shift2": ("e2d049b3183f18256e9d955f7829967f21f7bc446bee5e5c6f539f6d750a639d",
+               "b406b3156bbafd07ecf8e44c711ff9aefdad56b0780058511472b7beb62d0efa"),
+    "seeded5": ("9e721f392410499dda399329d8bf6a5be5e42c0f9d9319ad73df3f583ccf7d2d",
+                "1293ecf84c77ed5a7054a0fa9c4138f025d345868fbecb71fbe88e05a94e25ec"),
+}
+
+
+def _matrix(name: str) -> np.ndarray:
+    if name == "shift2":
+        return np.array([[0, 2], [0, 0]], dtype=complex)
+    rng = np.random.default_rng(5)
+    return rng.uniform(-1, 1, (5, 5)) + 1j * rng.uniform(-1, 1, (5, 5))
+
+
+def _digest(capsys, argv) -> str:
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("args, expected", VERIFY)
+def test_verify_report(capsys, args, expected):
+    assert _digest(capsys, ["verify"] + args) == expected
+
+
+@pytest.mark.parametrize("alpha", TEARDROP)
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def test_teardrop_curve(capsys, alpha, fmt):
+    expected = TEARDROP[alpha][fmt == "svg"]
+    assert _digest(capsys, ["teardrop", f"--alpha={alpha}", "--out", fmt]) == expected
+
+
+@pytest.mark.parametrize("name", RANGE)
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def test_range_curve(capsys, tmp_path, name, fmt):
+    path = tmp_path / f"{name}.mat"
+    path.write_text(serialize_matrix(_matrix(name)))
+    expected = RANGE[name][fmt == "svg"]
+    assert _digest(capsys, ["range", str(path), "--angles", "360", "--out", fmt]) == expected

@@ -8,6 +8,7 @@ from numrange.regions import (
     drury_params_inner,
     drury_params_outer,
     q_form,
+    region_S_boundary,
     region_S_contains,
     teardrop_boundary,
     teardrop_contains,
@@ -100,11 +101,13 @@ class TestTeardropContains:
     def test_boundary_samples_lie_on_boundary(self):
         for alpha in (0.0, 1.0, -1j, 0.5, 0.999 * np.exp(1j), 0.6 * np.exp(0.0123j),
                       -0.3 + 0.4j, 1e-13, 1 - 1e-14):
-            rows = teardrop_boundary(alpha)
-            phis = np.array([phi for phi, _ in rows])
-            dist = teardrop_distance(alpha, np.array([z for _, z in rows]))
+            phis, points = teardrop_boundary(alpha)
+            dist = teardrop_distance(alpha, points)
             assert np.abs(dist).max() <= 1e-12, alpha
             assert np.all(np.diff(phis) >= 0)
+            # the unit disk has no tangent segments; otherwise 2 x 21 points
+            unit_disk = abs(alpha) < 1e-12 or 1 - abs(alpha) ** 2 < 1e-12
+            assert len(phis) == len(points) == (720 if unit_disk else 762), alpha
 
     def test_alpha_outside_closed_disk_raises(self):
         for fn in (lambda a: teardrop_support(a, 0.0),
@@ -128,8 +131,32 @@ class TestRegionS:
         assert 2 * 1.0 - 1 == 1.0 ** 2
 
     def test_negative_t_raises(self):
-        with pytest.raises(NegativeTError):
+        with pytest.raises(NegativeTError, match=r"got -0\.1$"):
             region_S_contains(-0.1, 0.0)
+
+    def test_array_equals_scalar_calls_bitwise(self):
+        # the grids hit the seams t = 1/2 and t = 1 exactly
+        for ts in (np.linspace(0.0, 2.0, 41), np.linspace(0.0, 1.0, 201),
+                   np.linspace(0.5, 1.0, 21), np.linspace(1.0, 3.0, 17)):
+            assert 0.5 in ts or 1.0 in ts
+            s = region_S_boundary(ts)
+            assert s.shape == ts.shape
+            assert np.array_equal(s, [region_S_boundary(t) for t in ts.tolist()])
+
+    def test_scalar_gives_float(self):
+        for t in (0.0, 0.3, 0.5, 0.7, 1.0, 1.5, np.float64(0.2)):
+            assert type(region_S_boundary(t)) is float
+        assert region_S_boundary(0.3) == 0.3 * 0.3 - 0.25
+        assert region_S_boundary(0.7) == 2.0 * 0.7 - 1.0
+        assert region_S_boundary(1.5) == 1.5 * 1.5
+
+    def test_any_negative_entry_raises(self):
+        ts = np.linspace(0.0, 2.0, 9)
+        for k in (0, 4, 8):
+            bad = ts.copy()
+            bad[k] = -1e-300
+            with pytest.raises(NegativeTError):
+                region_S_boundary(bad)
 
 
 class TestQForm:
@@ -268,6 +295,17 @@ class TestDruryParams:
                 assert -1e-12 <= t <= 0.5 + 1e-12
                 assert abs(s - (t * t - 0.25)) < 1e-12
                 assert abs(abs(omega) - 1) < 1e-12
+
+    def test_inner_sweep_never_negative(self):
+        # s + 1/4 = (alpha - 1/2)^2 + alpha(1 - cos(theta)) >= 0 on the domain
+        rng = np.random.default_rng(52)
+        alphas = np.concatenate([[0.0, 0.5, 1 - 1e-12], rng.uniform(0.0, 1.0, 197)])
+        for alpha in alphas:
+            for c in (alpha, 1.0, rng.uniform(alpha, 1.0)):
+                for theta in (np.arccos(c), -np.arccos(c)):
+                    omega, t, s = drury_params_inner(alpha, theta)
+                    assert t >= 0.0
+                    assert abs(t * t - 0.25 - s) <= 1e-15, (alpha, theta)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
