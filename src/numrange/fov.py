@@ -9,6 +9,14 @@ outer-polygon bound can still beat the best value found (Uhlig, "Geometric
 computation of the numerical radius of a matrix", 2009) and refines them
 by safeguarded Newton steps on h'(theta) = Im(e^{-i theta}<Tx,x>) (Watson,
 "Computing the numerical radius", 1996).
+
+Comparisons of h with a level c over the whole circle need no angle grid:
+_level_cuts finds every theta at which some eigenvalue of H(theta) equals
+c, from the unimodular eigenvalues of one 2n x 2n pencil (Mengi and
+Overton, "Algorithms for the computation of the pseudospectral radius and
+the numerical radius of a matrix", IMA J. Numer. Anal. 2005). Between
+consecutive cuts h - c has a single sign, so one sample per arc decides
+it. contains(T, z) is this test for h_{T - zI} against -tol.
 """
 
 from __future__ import annotations
@@ -18,8 +26,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
+from .errors import NoConvergenceError
 
 # h is first sampled at _COARSE_ANGLES angles; the cells that can still
 # beat the best sample are halved _HALVINGS times (to 2 pi / 64) before
@@ -30,6 +40,13 @@ _HALVINGS = 2
 # cap on the lockstep Newton/bisection steps: bisection from one 2 pi / 64
 # cell reaches 1e-16 in about 50
 _MAX_STEPS = 64
+
+# a pencil eigenvalue z within this of the unit circle is a cut at arg z. A
+# true crossing lies within rounding of the circle, and a level that h only
+# grazes, missing by g, puts its pair about sqrt(g) off it. Too loose a bound
+# costs nothing: an extra cut only splits an arc into two that each keep a
+# single sign, so the constant errs on the generous side
+_CUT_TOL = 1e-6
 
 
 def hermitian_part(T, theta: float = 0.0) -> np.ndarray:
@@ -232,11 +249,43 @@ def numerical_radius(T, tol: float = 1e-10) -> float:
     return best
 
 
-def contains(T, z: complex, tol: float = 1e-9, n_angles: int = 256) -> bool:
-    """Membership of z in the closure of W(T) by support-function test."""
-    if n_angles < 64:
-        raise ValueError(f"n_angles must be >= 64, got {n_angles}")
-    thetas = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    supports = support_values(T, thetas)
-    projections = np.real(np.exp(-1j * thetas) * z)
-    return bool(np.all(projections <= supports + tol))
+def _level_cuts(T: np.ndarray, c: float) -> np.ndarray:
+    """Sorted angles theta in [0, 2 pi) at which some eigenvalue of H(theta)
+    equals c.
+
+    det(H(theta) - cI) = 0 exactly when z = e^{i theta} solves
+    det(T* z^2 - 2c z I + T) = 0, so the cuts are the arguments of the
+    unimodular eigenvalues of the pencil [[0, I], [-T, 2cI]] - z [[I, 0],
+    [0, T*]]; infinite ones (T* singular) and NaN ones (a singular pencil)
+    are dropped. Between consecutive cuts lambda_max(H) - c has one sign.
+    """
+    n = T.shape[0]
+    eye, zero = np.eye(n), np.zeros((n, n))
+    try:
+        z = scipy.linalg.eigvals(np.block([[zero, eye], [-T, 2.0 * c * eye]]),
+                                 np.block([[eye, zero], [zero, T.conj().T]]))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"level-crossing pencil: {exc}") from exc
+    z = z[np.isfinite(z)]
+    return np.sort(np.angle(z[np.abs(np.abs(z) - 1.0) <= _CUT_TOL]) % (2.0 * np.pi))
+
+
+def _arc_midpoints(cuts: np.ndarray) -> np.ndarray:
+    """The midpoint of each arc into which the sorted angles cuts divide the
+    circle; with no cut, the circle is one arc and 0 stands for it."""
+    if cuts.size == 0:
+        return np.zeros(1)
+    return (cuts + np.append(cuts[1:], cuts[0] + 2.0 * np.pi)) / 2.0
+
+
+def contains(T, z: complex, tol: float = 1e-9) -> bool:
+    """Membership of z in the closure of W(T), up to a support slack tol.
+
+    z is in W(T) iff h_{T - zI}(theta) = h(theta) - Re(e^{-i theta} z) >= 0
+    for every theta. The level cuts of T - zI at -tol divide the circle
+    into arcs on each of which h_{T - zI} + tol has one sign, so testing
+    h_{T - zI} >= -tol at each arc's midpoint tests the whole circle.
+    """
+    S = linalg.as_matrix(T)
+    S = S - complex(z) * np.eye(len(S))
+    return bool(np.all(support_values(S, _arc_midpoints(_level_cuts(S, -tol))) >= -tol))

@@ -152,10 +152,14 @@ def q_form(T, t, s) -> np.ndarray:
 
 
 def drury_params_outer(alpha: float, theta: float) -> tuple[complex, float, float]:
-    """(omega, t, s) for the half-plane family Re(e^{-i theta} z) <= 1.
+    """(omega, t, s) for the half-plane family Re(e^{i theta} z) <= 1.
 
     Valid for alpha in [0, 1) and cos(theta) <= alpha; yields t in [1/2, 1]
-    with s = 2t - 1 and |omega| = 1.
+    with s = 2t - 1 and |omega| = 1. For F = (alpha I + G)(I + alpha G)^{-1},
+    (I + alpha G)* [I - Re(e^{i theta} F)] (I + alpha G)
+    = (1 - alpha cos(theta)) Q(omega G, t, s). The sign of theta matters only
+    through omega: the half-planes covered, cos(theta) <= alpha, are the same
+    for theta and -theta.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha < 1.0:

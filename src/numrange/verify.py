@@ -34,7 +34,7 @@ from .diskfun import (
 )
 from .errors import NumericError, PolesNearSpectrumError
 from .formats import format_complex, serialize_matrix
-from .fov import boundary, numerical_radius
+from .fov import _arc_midpoints, _level_cuts, numerical_radius, support_values
 from .linalg import min_eigenvalue
 
 # angle tolerance for the radius's Newton refinement inside the suites: a
@@ -269,18 +269,41 @@ def check_operator_inequality(trials: int, seed: int = 42) -> VerifyReport:
                 _psd_grid(*_boundary_points((0.0, 0.5)), tol))
 
 
+def _teardrop_excess(F: np.ndarray, alpha: complex, tol: float) -> tuple[float, float]:
+    """(theta, excess) at the largest sampled excess of h_F over td(alpha)'s
+    support, excess(theta) = h_F(theta) - teardrop_support(alpha, theta).
+
+    That excess passes tol exactly where h_F > 1 + tol and
+    h_{F - alpha I} > 1 - |alpha|^2 + tol. The level cuts of both divide the
+    circle into arcs on which each comparison keeps one sign, so the excess
+    passes tol somewhere iff it does at an arc midpoint. The samples are
+    those midpoints and the two tangent directions arg alpha -+ arccos|alpha|.
+    """
+    cuts = np.union1d(_level_cuts(F, 1.0 + tol),
+                      _level_cuts(F - alpha * np.eye(len(F)), 1.0 - abs(alpha) ** 2 + tol))
+    psi, delta = np.angle(alpha), math.acos(abs(alpha))
+    thetas = np.append(_arc_midpoints(cuts), [psi - delta, psi + delta])
+    excess = support_values(F, thetas) - regions.teardrop_support(alpha, thetas)
+    k = int(np.argmax(excess))
+    return float(thetas[k]), float(excess[k])
+
+
 def check_drury(trials: int, seed: int = 42) -> VerifyReport:
-    """W(f(T)) inside td(f(0)) and w(f(T)) <= 1 + |f(0)| - |f(0)|^2."""
+    """W(f(T)) inside td(f(0)) and w(f(T)) <= 1 + |f(0)| - |f(0)|^2.
+
+    The containment residual is _teardrop_excess, which certifies the whole
+    circle of directions; a failing witness names its theta and excess.
+    """
     tol = 1e-6
     def trial(rng, T, rec):
         r = 0.95 * math.sqrt(rng.uniform())
         alpha = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         B = random_blaschke(rng, max_degree=4)
         FT = rec.eval_matrix(Compose(mobius_automorphism(alpha), Blaschke(B)), T)
-        margin = float(regions.teardrop_distance(alpha, boundary(FT, 360).points).max())
-        rec.record(margin, tol, lambda: _matrix_witness(
-            T, alpha=format_complex(alpha),
-            zeros=[format_complex(a) for a in B.zeros]))
+        theta, excess = _teardrop_excess(FT, alpha, tol)
+        rec.record(excess, tol, lambda: _matrix_witness(
+            T, alpha=format_complex(alpha), constant=format_complex(B.constant),
+            zeros=[format_complex(a) for a in B.zeros], theta=theta, excess=excess))
         value = numerical_radius(FT, tol=RADIUS_TOL)
         bound = 1.0 + abs(alpha) - abs(alpha) ** 2
         rec.record(value - bound, tol, lambda: _matrix_witness(

@@ -175,9 +175,18 @@ class TestContains:
             T = random_complex(rng, int(rng.integers(2, 7)))
             assert contains(T, np.trace(T) / T.shape[0])
 
-    def test_rejects_too_few_angles(self):
-        with pytest.raises(ValueError):
-            contains(SHIFT2, 0.0, n_angles=32)
+    @pytest.mark.parametrize("d, inside", [(8.6e-3, False), (1e-6, False),
+                                           (-1e-6, True)])
+    def test_square_edge_between_grid_angles(self, d, inside):
+        # W(T) is the square with vertices e^{i pi/256} i^k, so the outward
+        # normal of an edge sits half-way between two of the 256 angles the
+        # sampled test used; z is d beyond that edge's midpoint (defect (b):
+        # the grid accepted points up to 8.7e-3 outside)
+        rng = np.random.default_rng(14)
+        U = np.linalg.qr(random_complex(rng, 4))[0]
+        T = U @ (np.exp(1j * np.pi / 256) * np.diag([1, 1j, -1, -1j])) @ U.conj().T
+        z = (np.sqrt(2) / 2 + d) * np.exp(1j * (np.pi / 4 + np.pi / 256))
+        assert contains(T, z, tol=1e-9) is inside
 
 
 class TestInvariants:

@@ -327,3 +327,30 @@ class TestDruryParams:
             omega, t, s = drury_params_inner(alpha, np.arccos(c))
             ok, lam = is_psd(q_form(omega * T, t, s), 1e-8)
             assert ok, (c, lam)
+
+    @pytest.mark.parametrize("branch", ["inner", "outer"])
+    def test_congruence_identities(self, branch):
+        # with F = (aI + G)(I + aG)^{-1} and X = I + aG:
+        # inner: X*[(1 - a^2) I - Re(e^{-i theta}(F - a))]X = (1 - a^2) Q(omega G, t, s)
+        # outer: X*[I - Re(e^{+i theta} F)]X = (1 - a cos theta) Q(omega G, t, s)
+        rng = np.random.default_rng(53 if branch == "inner" else 54)
+        for k in range(200):
+            n = int(rng.integers(2, 7))
+            G = normalized_random([55, k], n)
+            a = rng.uniform(0.0, 0.95)
+            X = np.eye(n) + a * G
+            F = (a * np.eye(n) + G) @ np.linalg.inv(X)
+            c = rng.uniform(a, 1.0) if branch == "inner" else rng.uniform(-1.0, a)
+            theta = np.arccos(c) * rng.choice([-1.0, 1.0])
+            if branch == "inner":
+                omega, t, s = drury_params_inner(a, theta)
+                M = np.exp(-1j * theta) * (F - a * np.eye(n))
+                lhs = (1 - a * a) * np.eye(n) - (M + M.conj().T) / 2
+                scale = 1 - a * a
+            else:
+                omega, t, s = drury_params_outer(a, theta)
+                M = np.exp(1j * theta) * F
+                lhs = np.eye(n) - (M + M.conj().T) / 2
+                scale = 1 - a * np.cos(theta)
+            residual = X.conj().T @ lhs @ X - scale * q_form(omega * G, t, s)
+            assert np.abs(residual).max() < 1e-12, (k, a, theta)

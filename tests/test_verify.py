@@ -2,14 +2,24 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from numrange.diskfun import Blaschke, Mobius, Polynomial, Scale
+from numrange.diskfun import (
+    Blaschke,
+    Compose,
+    Mobius,
+    Polynomial,
+    Scale,
+    eval_matrix,
+    mobius_automorphism,
+)
 from numrange.errors import PolesNearSpectrumError
 from numrange.blaschke import BlaschkeProduct
-from numrange.formats import parse_matrix
+from numrange.formats import parse_complex, parse_matrix
+from numrange.fov import boundary, support_value
 from numrange.linalg import min_eigenvalue
-from numrange.regions import q_form
-from numrange import verify
+from numrange.regions import q_form, teardrop_distance, teardrop_support
+from numrange import fov, verify
 from numrange.verify import (
     VerifyReport,
     _trial_rng,
@@ -144,6 +154,55 @@ class TestQFormSuites:
         monkeypatch.setattr(verify.regions, "q_form", counted)
         assert check_region_S(0, seed=1).passed
         assert shapes == [(21,), (21,)] + [()] * 21
+
+
+class TestDrury:
+    def test_crossing_between_grid_angles_fails(self):
+        # W(F) = D(c0, 1/2) passes the line of td(alpha)'s tangent segment by
+        # 1e-5 in its normal direction, 60.5 degrees, half-way between two
+        # angles of a 360-point sweep; the sweep's margin was 4.8e-7 < tol
+        tol = 1e-6
+        alpha = 0.5 * np.exp(1j * np.pi / 360)
+        normal = np.exp(1j * (np.pi / 360 + np.pi / 3))
+        F = (0.5 + 1e-5) * normal * np.eye(2) + np.array([[0, 1], [0, 0]])
+        assert teardrop_distance(alpha, boundary(F, 360).points).max() < tol
+        theta, excess = verify._teardrop_excess(F, alpha, tol)
+        assert excess == pytest.approx(1e-5, rel=1e-6)
+        assert support_value(F, theta) - teardrop_support(alpha, theta) == excess
+
+    def test_radius_above_one_fails_with_checkable_witness(self, monkeypatch):
+        normalize = verify.normalize_radius
+        monkeypatch.setattr(verify, "normalize_radius", lambda T: 1.02 * normalize(T))
+        report = check_drury(8, seed=2)
+        assert report.failures > 0 and report.retries == 0
+        w = report.witness
+        alpha = parse_complex(w["alpha"])
+        B = BlaschkeProduct(parse_complex(w["constant"]),
+                            tuple(parse_complex(a) for a in w["zeros"]))
+        F = eval_matrix(Compose(mobius_automorphism(alpha), Blaschke(B)),
+                        parse_matrix(w["matrix"]))
+        assert w["excess"] > report.tolerance
+        assert (support_value(F, w["theta"]) - teardrop_support(alpha, w["theta"])
+                == pytest.approx(w["excess"], abs=1e-12))
+
+    def test_two_pencil_solves_and_no_boundary_sweep(self, monkeypatch):
+        pencils, sweeps = [], []
+        eigvals = scipy.linalg.eigvals
+
+        def counted(a, b):
+            pencils.append(len(a))
+            return eigvals(a, b)
+
+        def sweep(*args):
+            sweeps.append(args)
+            return boundary(*args)
+
+        monkeypatch.setattr(scipy.linalg, "eigvals", counted)
+        monkeypatch.setattr(fov, "boundary", sweep)
+        monkeypatch.setattr(verify, "boundary", sweep, raising=False)
+        assert check_drury(5, seed=1).passed
+        assert sweeps == []
+        assert len(pencils) == 10
 
 
 class TestDeterminism:
