@@ -18,9 +18,7 @@ from .diskfun import (
     Scale,
     eval_matrix,
     eval_scalar,
-    inverse_automorphism,
     mobius_automorphism,
-    normalize_through_automorphism,
 )
 from .fov import (
     BoundaryCurve,
@@ -28,12 +26,9 @@ from .fov import (
     contains,
     hermitian_part,
     numerical_radius,
-    support_value,
     support_values,
 )
 from .linalg import (
-    EigenDecomposition,
-    hermitian_eig,
     is_psd,
     min_eigenvalue,
     operator_norm,

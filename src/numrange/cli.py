@@ -81,7 +81,7 @@ def cmd_range(args) -> int:
 
 def cmd_radius(args) -> int:
     T = _read_matrix(args.matrix)
-    w = fov.numerical_radius(T, tol=args.tol)
+    w = fov.numerical_radius(T)
     print(f"{w:.15f}")
     return 0
 
@@ -140,11 +140,7 @@ def cmd_search(args) -> int:
     best_w, best_T = verify.extremal_search(
         f, args.dim, args.iters, args.seed, tuple(candidates))
     print(f"best_w: {best_w:.15f}")
-    witness = formats.serialize_matrix(best_T)
-    if args.output and args.output != "-":
-        _write_output(args.output, witness)
-    else:
-        sys.stdout.write(witness)
+    _write_output(args.output, formats.serialize_matrix(best_T))
     return 0
 
 
@@ -164,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("radius", help="numerical radius w(T)")
     p.add_argument("matrix", help="matrix file (or - for stdin)")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_radius)
 
     p = sub.add_parser("clark", help="Clark decomposition of a Blaschke product")

@@ -15,12 +15,7 @@ import numpy as np
 
 from . import linalg
 from .blaschke import BlaschkeProduct
-from .errors import (
-    AlphaOnCircleError,
-    PoleHitError,
-    PolesNearSpectrumError,
-    SingularError,
-)
+from .errors import PoleHitError, PolesNearSpectrumError, SingularError
 
 
 class DiskFunction:
@@ -163,23 +158,3 @@ def mobius_automorphism(alpha: complex) -> Mobius:
     if abs(alpha) >= 1.0:
         raise ValueError(f"|alpha| must be < 1, got {abs(alpha)!r}")
     return Mobius(alpha, 1.0, 1.0, np.conj(alpha))
-
-
-def inverse_automorphism(alpha: complex) -> Mobius:
-    """phi_alpha^{-1}(z) = (z - alpha)/(1 - conj(alpha) z)."""
-    alpha = complex(alpha)
-    if abs(alpha) >= 1.0:
-        raise ValueError(f"|alpha| must be < 1, got {abs(alpha)!r}")
-    return Mobius(-alpha, 1.0, 1.0, -np.conj(alpha))
-
-
-def normalize_through_automorphism(f: DiskFunction, alpha: complex) -> DiskFunction:
-    """g = phi_alpha^{-1} o f, so that g(0) = 0 when alpha = f(0)."""
-    alpha = complex(alpha)
-    if abs(alpha) >= 1.0 - 1e-12:
-        raise AlphaOnCircleError(
-            f"|alpha| = {abs(alpha)!r}: f maps 0 to the circle, so f is constant"
-        )
-    if alpha == 0:
-        return f
-    return Compose(inverse_automorphism(alpha), f)

@@ -59,10 +59,6 @@ class PolesNearSpectrumError(NumericError):
     pass
 
 
-class AlphaOnCircleError(PreconditionError):
-    pass
-
-
 # --- region geometry ---
 
 class DomainError(PreconditionError):

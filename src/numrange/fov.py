@@ -8,7 +8,8 @@ numerical radius w(T). The maximization keeps only the angle cells whose
 outer-polygon bound can still beat the best value found (Uhlig, "Geometric
 computation of the numerical radius of a matrix", 2009) and refines them
 by safeguarded Newton steps on h'(theta) = Im(e^{-i theta}<Tx,x>) (Watson,
-"Computing the numerical radius", 1996).
+"Computing the numerical radius", 1996) until a step can change h by no
+more than rounding; that is the only stop rule, with no angle tolerance.
 
 Comparisons of h with a level c over the whole circle need no angle grid:
 _level_cuts finds every theta at which some eigenvalue of H(theta) equals
@@ -59,10 +60,6 @@ def support_values(T, thetas) -> np.ndarray:
     T = linalg.as_matrix(T)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     return _support_kernels(T)[0](thetas)
-
-
-def support_value(T, theta: float) -> float:
-    return float(support_values(T, [theta])[0])
 
 
 @dataclass(frozen=True)
@@ -174,7 +171,7 @@ def _cell_bound(lo: float, hi: float, h_lo: float, h_hi: float) -> float:
     return max(h_lo, h_hi)
 
 
-def numerical_radius(T, tol: float = 1e-10) -> float:
+def numerical_radius(T) -> float:
     """w(T) = max_theta h(theta), h(theta) = lambda_max(H(theta)).
 
     h is sampled at 16 angles. A cell between neighbouring samples can hold
@@ -186,11 +183,12 @@ def numerical_radius(T, tol: float = 1e-10) -> float:
     vertex of the parabola through the three samples around it, keeps a
     bracket on which h' falls from + to -, and bisects when a step would
     leave it. A cell is dropped as soon as its bound no longer beats the
-    best value attained, and is finished once it has taken a step shorter
-    than tol (an angle, in radians), or once its next step could change h
-    by no more than rounding; Newton's quadratic convergence leaves the
-    angle far closer than tol to the maximizer. The result is the largest h
-    attained, so it never exceeds w(T) by more than rounding.
+    best value attained, and is finished once its next step could change h
+    by no more than rounding: |h'| |step| <= 4 eps times the best of the 16
+    samples. That is the only stop rule. There is no angle tolerance, since
+    Newton's quadratic convergence always meets this rule first. The result
+    is the largest h attained, so it never exceeds w(T) by more than
+    rounding.
     """
     sample, evaluate = _support_kernels(linalg.as_matrix(T))
     width = 2.0 * np.pi / _COARSE_ANGLES
@@ -201,10 +199,7 @@ def numerical_radius(T, tol: float = 1e-10) -> float:
     cells = [(k * width, (k + 1) * width, values[k], values[k + 1], None)
              for k in range(_COARSE_ANGLES)]
     for _ in range(_HALVINGS):
-        # a cell's bound is at most its larger end value / cos(width / 2)
-        floor = best * math.cos(width / 2.0)
-        cells = [c for c in cells
-                 if max(c[2], c[3]) > floor and _cell_bound(*c[:4]) > best]
+        cells = [c for c in cells if _cell_bound(*c[:4]) > best]
         if not cells:
             break
         mids = [(lo + hi) / 2.0 for lo, hi, *_ in cells]
@@ -217,7 +212,7 @@ def numerical_radius(T, tol: float = 1e-10) -> float:
             vertex = mid + 0.5 * width * (h_lo - h_hi) / bend if bend < 0 else mid
             halves += [(lo, mid, h_lo, h_mid, vertex), (mid, hi, h_mid, h_hi, vertex)]
         cells = halves
-    cells = [(lo, hi, h_lo, h_hi, min(max(vertex, lo), hi), math.inf)
+    cells = [(lo, hi, h_lo, h_hi, min(max(vertex, lo), hi))
              for lo, hi, h_lo, h_hi, vertex in cells
              if _cell_bound(lo, hi, h_lo, h_hi) > best]
 
@@ -230,7 +225,7 @@ def numerical_radius(T, tol: float = 1e-10) -> float:
             h, d1, d2 = (v.tolist() for v in evaluate(np.array([c[4] for c in cells])))
         best = max(best, *h)
         refined = []
-        for (lo, hi, h_lo, h_hi, theta, last), val, slope, curv in zip(cells, h, d1, d2):
+        for (lo, hi, h_lo, h_hi, theta), val, slope, curv in zip(cells, h, d1, d2):
             if slope > 0:
                 lo, h_lo = theta, val
             elif slope < 0:
@@ -240,11 +235,10 @@ def numerical_radius(T, tol: float = 1e-10) -> float:
             nxt = theta - slope / curv if curv < 0 else math.nan
             if not lo < nxt < hi:
                 nxt = (lo + hi) / 2.0
-            moved = abs(nxt - theta)
-            if last <= tol or abs(slope) * moved <= gain_tol:
+            if abs(slope) * abs(nxt - theta) <= gain_tol:
                 continue
             if _cell_bound(lo, hi, h_lo, h_hi) > best:
-                refined.append((lo, hi, h_lo, h_hi, nxt, moved))
+                refined.append((lo, hi, h_lo, h_hi, nxt))
         cells = refined
     return best
 

@@ -1,7 +1,7 @@
 """Dense complex linear algebra kernel for small matrices (dim 2..64).
 
 All routines work on square complex numpy arrays and are pure functions.
-Hermitian eigenproblems are delegated to LAPACK (numpy.linalg.eigh), and
+Hermitian eigenvalues are delegated to LAPACK (numpy.linalg.eigvalsh), and
 linear systems go through an LU factorization with an explicit pivot check
 so that near-singular systems raise SingularError instead of returning
 garbage.
@@ -10,12 +10,11 @@ garbage.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import NoConvergenceError, NotHermitianError, SingularError
+from .errors import NotHermitianError, SingularError
 
 DEFAULT_TOL = 1e-9
 
@@ -42,14 +41,6 @@ def operator_norm(T) -> float:
     return float(np.linalg.norm(as_matrix(T), 2))
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Full Hermitian spectrum, eigenvalues ascending, eigenvectors as columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _check_hermitian(H: np.ndarray, tol: float, who: str) -> np.ndarray:
     """Check each matrix of H (one matrix or a stack) against
     ||H - H*||_F <= tol*(1+||H||_F), and return H symmetrized."""
@@ -68,22 +59,14 @@ def _check_hermitian(H: np.ndarray, tol: float, who: str) -> np.ndarray:
     return (H + Hs) / 2
 
 
-def hermitian_eig(H, tol: float = DEFAULT_TOL) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Raises NotHermitianError if ||H - H*||_F > tol*(1+||H||_F), and
-    NoConvergenceError if the underlying iteration fails.
-    """
-    H = _check_hermitian(as_matrix(H), tol, "hermitian_eig")
-    try:
-        vals, vecs = np.linalg.eigh(H)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
-    return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
-
-
 def solve(A, B) -> np.ndarray:
-    """Solve AX = B with partial pivoting; SingularError on pivot underflow."""
+    """Solve AX = B with partial pivoting.
+
+    Raises SingularError when some pivot of the LU factors is at most
+    PIVOT_RTOL * ||A||_F. The Frobenius norm is at least the spectral norm
+    and at most sqrt(n) times it, so this rule is never more lenient than a
+    spectral-norm threshold, and it costs no SVD.
+    """
     A = as_matrix(A)
     B = np.asarray(B, dtype=complex)
     if B.shape[0] != A.shape[0]:
@@ -92,7 +75,7 @@ def solve(A, B) -> np.ndarray:
         # exact-zero pivots are handled by the threshold check below
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    threshold = PIVOT_RTOL * max(np.linalg.norm(A, 2), np.finfo(float).tiny)
+    threshold = PIVOT_RTOL * max(np.linalg.norm(A), np.finfo(float).tiny)
     pivots = np.abs(np.diag(lu))
     if pivots.min() <= threshold:
         raise SingularError(
@@ -105,8 +88,8 @@ def min_eigenvalue(H, tol: float = DEFAULT_TOL) -> float | np.ndarray:
     """Smallest eigenvalue of a Hermitian matrix, or of each matrix of a
     (k, n, n) stack, from one LAPACK call.
 
-    Each matrix is checked on its own, as in hermitian_eig: NotHermitianError
-    if ||H - H*||_F > tol*(1+||H||_F), and ValueError for non-finite entries.
+    Each matrix is checked on its own: NotHermitianError if
+    ||H - H*||_F > tol*(1+||H||_F), and ValueError for non-finite entries.
     A matrix gives a float, a stack a length-k array.
     """
     H = _check_hermitian(_as_square(H), tol, "min_eigenvalue")

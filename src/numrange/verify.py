@@ -37,12 +37,6 @@ from .formats import format_complex, serialize_matrix
 from .fov import _arc_midpoints, _level_cuts, numerical_radius, support_values
 from .linalg import min_eigenvalue
 
-# angle tolerance for the radius's Newton refinement inside the suites: a
-# cell stops after a step shorter than this, and quadratic convergence has
-# by then put the value within rounding of a local maximum, far below
-# every slack used here
-RADIUS_TOL = 3e-6
-
 # grid points per t range of region S's boundary in the Q-form suites
 BRANCH_POINTS = 21
 
@@ -152,7 +146,7 @@ def random_matrix(rng: np.random.Generator, dim: int | None = None) -> np.ndarra
 
 
 def normalize_radius(T: np.ndarray) -> np.ndarray:
-    w = numerical_radius(T, tol=RADIUS_TOL)
+    w = numerical_radius(T)
     if w < 1e-12:
         raise ValueError("matrix has (numerically) zero numerical radius")
     return T / w
@@ -187,7 +181,7 @@ def check_berger_stampfli(trials: int, seed: int = 42) -> VerifyReport:
     tol = 1e-7
     def trial(rng, T, rec):
         B = random_blaschke(rng, max_degree=5)
-        value = numerical_radius(rec.eval_matrix(Blaschke(B), T), tol=RADIUS_TOL)
+        value = numerical_radius(rec.eval_matrix(Blaschke(B), T))
         rec.record(value - 1.0, tol, lambda: _matrix_witness(
             T, constant=format_complex(B.constant),
             zeros=[format_complex(a) for a in B.zeros], value=value))
@@ -201,7 +195,7 @@ def check_power_inequality(trials: int, seed: int = 42) -> VerifyReport:
         P = T
         for n in range(2, 7):
             P = P @ T
-            value = numerical_radius(P, tol=RADIUS_TOL)
+            value = numerical_radius(P)
             rec.record(value - 1.0, tol,
                        lambda: _matrix_witness(T, power=n, value=value))
     return _run("power", trials, seed, tol, trial)
@@ -304,7 +298,7 @@ def check_drury(trials: int, seed: int = 42) -> VerifyReport:
         rec.record(excess, tol, lambda: _matrix_witness(
             T, alpha=format_complex(alpha), constant=format_complex(B.constant),
             zeros=[format_complex(a) for a in B.zeros], theta=theta, excess=excess))
-        value = numerical_radius(FT, tol=RADIUS_TOL)
+        value = numerical_radius(FT)
         bound = 1.0 + abs(alpha) - abs(alpha) ** 2
         rec.record(value - bound, tol, lambda: _matrix_witness(
             T, alpha=format_complex(alpha), value=value))
@@ -359,7 +353,7 @@ def extremal_search(f: DiskFunction, dim: int, iterations: int, seed: int = 42,
         try:
             Tn = normalize_radius(T)
             FT = eval_matrix(f, Tn)
-            return numerical_radius(FT, tol=RADIUS_TOL), Tn
+            return numerical_radius(FT), Tn
         except (NumericError, ValueError):
             return None
 

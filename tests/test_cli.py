@@ -196,5 +196,13 @@ class TestSearch:
         witness = parse_matrix("\n".join(out.splitlines()[1:]) + "\n")
         assert witness.shape == (2, 2)
 
+    def test_witness_file_matches_stdout(self, capsys, tmp_path):
+        argv = ["search", "poly 0 0 1", "--iters", "5", "--seed", "3"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        path = tmp_path / "witness.mat"
+        assert main(argv + ["--output", str(path)]) == 0
+        assert capsys.readouterr().out + path.read_text() == out
+
     def test_bad_expression(self, capsys):
         assert main(["search", "frobnicate 1"]) == 2

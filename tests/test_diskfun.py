@@ -12,9 +12,8 @@ from numrange.diskfun import (
     eval_matrix,
     eval_scalar,
     mobius_automorphism,
-    normalize_through_automorphism,
 )
-from numrange.errors import AlphaOnCircleError, PolesNearSpectrumError
+from numrange.errors import PolesNearSpectrumError
 
 SHIFT2 = np.array([[0, 2], [0, 0]], dtype=complex)
 CIRCLE = np.exp(1j * np.linspace(0, 2 * np.pi, 360, endpoint=False))
@@ -95,26 +94,3 @@ class TestMatrix:
         lhs = eval_matrix(Scale(0.7, f), T)
         rhs = eval_matrix(f, 0.7 * T)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-class TestNormalizeThroughAutomorphism:
-    def test_automorphism_normalizes_to_identity(self):
-        g = normalize_through_automorphism(mobius_automorphism(0.3), 0.3)
-        zs = 0.95 * np.exp(1j * np.linspace(0, 2 * np.pi, 100))
-        for z in zs:
-            assert abs(g.at(z) - z) < 1e-12
-
-    def test_already_vanishing_is_unchanged(self):
-        f = Polynomial((0, 1, 0.5))
-        assert normalize_through_automorphism(f, 0.0) is f
-
-    def test_sharp_example_normalization(self):
-        g = normalize_through_automorphism(SHARP, 0.5)
-        assert abs(g.at(0.0)) < 1e-12
-        sup = max(abs(g.at(z)) for z in np.exp(
-            1j * np.linspace(0, 2 * np.pi, 720, endpoint=False)))
-        assert sup == pytest.approx(1.0, abs=1e-8)
-
-    def test_alpha_on_circle_raises(self):
-        with pytest.raises(AlphaOnCircleError):
-            normalize_through_automorphism(Polynomial((1.0,)), 1.0)

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numrange.fov import (
+    _arc_midpoints,
+    _level_cuts,
     boundary,
     contains,
     hermitian_part,
@@ -11,6 +13,7 @@ from numrange.fov import (
     support_values,
 )
 from numrange.linalg import operator_norm
+from numrange.verify import random_matrix
 
 SHIFT2 = np.array([[0, 2], [0, 0]], dtype=complex)
 
@@ -156,6 +159,16 @@ class TestNumericalRadius:
             for T in (SHIFT2, np.eye(3, k=1, dtype=complex) * 2):
                 expected = scale * numerical_radius(T)
                 assert numerical_radius(scale * T) == pytest.approx(expected, rel=1e-12)
+
+    def test_level_just_above_is_never_reached(self):
+        # the rounding stop is the kernel's only stop rule; certify it: above
+        # w(1 + 1e-12), h has one sign on every arc between the level cuts,
+        # so no arc midpoint may exceed the level
+        rng = np.random.default_rng(2009)
+        for _ in range(200):
+            T = random_matrix(rng)
+            level = numerical_radius(T) * (1 + 1e-12)
+            assert support_values(T, _arc_midpoints(_level_cuts(T, level))).max() <= level
 
     def test_at_least_grid_maximum(self):
         rng = np.random.default_rng(11)

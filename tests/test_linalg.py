@@ -4,76 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numrange.errors import NotHermitianError, SingularError
-from numrange.linalg import hermitian_eig, is_psd, min_eigenvalue, operator_norm, solve
+from numrange.linalg import is_psd, min_eigenvalue, operator_norm, solve
 
 
 def random_hermitian(rng, n):
     M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return (M + M.conj().T) / 2
-
-
-def charpoly_roots(H):
-    """Independent spectrum oracle: Newton's identities on power-sum traces,
-    then companion-matrix roots via np.roots."""
-    n = H.shape[0]
-    power_sums = []
-    P = np.eye(n, dtype=complex)
-    for _ in range(n):
-        P = P @ H
-        power_sums.append(np.trace(P))
-    # e_k from p_1..p_k: k e_k = sum_{i=1}^{k} (-1)^{i-1} e_{k-i} p_i
-    e = [1.0 + 0j]
-    for k in range(1, n + 1):
-        acc = 0j
-        for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * e[k - i] * power_sums[i - 1]
-        e.append(acc / k)
-    coeffs = [(-1) ** k * e[k] for k in range(n + 1)]  # x^n - e1 x^{n-1} + ...
-    return np.sort(np.roots(coeffs).real)
-
-
-class TestHermitianEig:
-    def test_identity(self):
-        dec = hermitian_eig(np.eye(3))
-        assert np.allclose(dec.eigenvalues, [1, 1, 1])
-
-    def test_swap_matrix(self):
-        dec = hermitian_eig(np.array([[0, 1], [1, 0]], dtype=complex))
-        assert np.allclose(dec.eigenvalues, [-1, 1])
-
-    def test_random_against_charpoly_oracle(self):
-        rng = np.random.default_rng(20240601)
-        H = random_hermitian(rng, 6)
-        dec = hermitian_eig(H)
-        assert np.max(np.abs(dec.eigenvalues - charpoly_roots(H))) < 1e-8
-
-    def test_eigen_residuals_and_orthonormality(self):
-        rng = np.random.default_rng(7)
-        H = random_hermitian(rng, 8)
-        dec = hermitian_eig(H)
-        scale = 1 + np.linalg.norm(H, 2)
-        for lam, v in zip(dec.eigenvalues, dec.eigenvectors.T):
-            assert np.linalg.norm(H @ v - lam * v) <= 1e-10 * scale
-        gram = dec.eigenvectors.conj().T @ dec.eigenvectors
-        assert np.max(np.abs(gram - np.eye(8))) <= 1e-10
-
-    def test_ascending_order(self):
-        rng = np.random.default_rng(8)
-        dec = hermitian_eig(random_hermitian(rng, 5))
-        assert np.all(np.diff(dec.eigenvalues) >= 0)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_trace_and_frobenius_identities(self):
-        rng = np.random.default_rng(9)
-        H = random_hermitian(rng, 7)
-        dec = hermitian_eig(H)
-        scale = 1 + np.linalg.norm(H, 2)
-        assert abs(np.trace(H).real - dec.eigenvalues.sum()) <= 1e-9 * scale
-        assert abs(np.linalg.norm(H, "fro") ** 2 - (dec.eigenvalues ** 2).sum()) \
-            <= 1e-9 * scale ** 2
 
 
 class TestSolve:
@@ -97,6 +33,13 @@ class TestSolve:
         A = np.array([[1, 2], [2, 4]], dtype=complex)
         with pytest.raises(SingularError):
             solve(A, np.eye(2))
+
+    def test_pivot_threshold_scales_with_frobenius_norm(self):
+        # ||A||_2 = 1 but ||A||_F = sqrt(7): the last pivot 2e-13 passes a
+        # 1e-13 * ||A||_2 threshold and must fail 1e-13 * ||A||_F
+        A = np.diag([1.0] * 7 + [2e-13]).astype(complex)
+        with pytest.raises(SingularError):
+            solve(A, np.eye(8))
 
 
 class TestIsPsd:

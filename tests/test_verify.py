@@ -16,7 +16,7 @@ from numrange.diskfun import (
 from numrange.errors import PolesNearSpectrumError
 from numrange.blaschke import BlaschkeProduct
 from numrange.formats import parse_complex, parse_matrix
-from numrange.fov import boundary, support_value
+from numrange.fov import boundary, support_values
 from numrange.linalg import min_eigenvalue
 from numrange.regions import q_form, teardrop_distance, teardrop_support
 from numrange import fov, verify
@@ -168,7 +168,7 @@ class TestDrury:
         assert teardrop_distance(alpha, boundary(F, 360).points).max() < tol
         theta, excess = verify._teardrop_excess(F, alpha, tol)
         assert excess == pytest.approx(1e-5, rel=1e-6)
-        assert support_value(F, theta) - teardrop_support(alpha, theta) == excess
+        assert support_values(F, [theta])[0] - teardrop_support(alpha, theta) == excess
 
     def test_radius_above_one_fails_with_checkable_witness(self, monkeypatch):
         normalize = verify.normalize_radius
@@ -182,7 +182,7 @@ class TestDrury:
         F = eval_matrix(Compose(mobius_automorphism(alpha), Blaschke(B)),
                         parse_matrix(w["matrix"]))
         assert w["excess"] > report.tolerance
-        assert (support_value(F, w["theta"]) - teardrop_support(alpha, w["theta"])
+        assert (support_values(F, [w["theta"]])[0] - teardrop_support(alpha, w["theta"])
                 == pytest.approx(w["excess"], abs=1e-12))
 
     def test_two_pencil_solves_and_no_boundary_sweep(self, monkeypatch):
