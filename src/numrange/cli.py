@@ -6,7 +6,9 @@ Exit codes are a stable contract:
     3 numeric failure, 4 precondition violation.
 The environment variable NUMRANGE_SEED sets the default --seed of verify
 and search; when --seed is omitted, a value that is not an integer is a
-usage error (exit 2), as a bad --seed would be.
+usage error (exit 2), as a bad --seed would be. verify --trial i runs only
+trial i of the --trials run with the same seed, so a witness's "trial"
+replays with one command.
 """
 
 from __future__ import annotations
@@ -122,7 +124,8 @@ def cmd_teardrop(args) -> int:
 
 def cmd_verify(args) -> int:
     names = ALL_SUITES if args.suite == "all" else [args.suite]
-    reports = verify.run_suites(names, args.trials, args.seed)
+    trials = args.trials if args.trial is None else range(args.trial, args.trial + 1)
+    reports = verify.run_suites(names, trials, args.seed)
     if args.json:
         text = json.dumps([r.to_json_dict() for r in reports], sort_keys=True,
                           indent=2) + "\n"
@@ -142,6 +145,13 @@ def cmd_search(args) -> int:
     print(f"best_w: {best_w:.15f}")
     _write_output(args.output, formats.serialize_matrix(best_T))
     return 0
+
+
+def _trial_index(text: str) -> int:
+    index = int(text)
+    if index < 0:
+        raise argparse.ArgumentTypeError(f"trial index must be >= 0, got {index}")
+    return index
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,7 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the theorem verification suites")
     p.add_argument("--suite", choices=ALL_SUITES + ["all"], required=True)
-    p.add_argument("--trials", type=int, default=200)
+    count = p.add_mutually_exclusive_group()
+    count.add_argument("--trials", type=int, default=200)
+    count.add_argument("--trial", type=_trial_index, default=None,
+                       help="run only this trial index (replays a witness)")
     p.add_argument("--seed", type=int, default=os.environ.get("NUMRANGE_SEED", "42"))
     p.add_argument("--json", action="store_true")
     p.add_argument("--output", default="-", help="report file (default stdout)")

@@ -10,6 +10,9 @@ computation of the numerical radius of a matrix", 2009) and refines them
 by safeguarded Newton steps on h'(theta) = Im(e^{-i theta}<Tx,x>) (Watson,
 "Computing the numerical radius", 1996) until a step can change h by no
 more than rounding; that is the only stop rule, with no angle tolerance.
+numerical_radii runs this search for a list of matrices of mixed sizes at
+once, with every cell of every matrix in flat arrays, so that each step is
+one eigensolve call per size; numerical_radius is its one-matrix case.
 
 Comparisons of h with a level c over the whole circle need no angle grid:
 _level_cuts finds every theta at which some eigenvalue of H(theta) equals
@@ -30,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .errors import NoConvergenceError
+from .errors import NoConvergenceError, NumericError
 
 # h is first sampled at _COARSE_ANGLES angles; the cells that can still
 # beat the best sample are halved _HALVINGS times (to 2 pi / 64) before
@@ -59,7 +62,7 @@ def support_values(T, thetas) -> np.ndarray:
     """Top eigenvalue of H(theta) for each theta (vectorized)."""
     T = linalg.as_matrix(T)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    return _support_kernels(T)[0](thetas)
+    return _support_kernels(T[None])[0](None, thetas)
 
 
 @dataclass(frozen=True)
@@ -90,29 +93,46 @@ def boundary(T, n_angles: int) -> BoundaryCurve:
 
 
 def _cartesian_parts(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A = (T + T*)/2 and B = (T - T*)/2i, so H(theta) = cos(theta) A + sin(theta) B."""
-    TH = T.conj().T
+    """A = (T + T*)/2 and B = (T - T*)/2i, so H(theta) = cos(theta) A + sin(theta) B;
+    for one matrix or a stack of them."""
+    TH = T.conj().swapaxes(-1, -2)
     return (T + TH) / 2.0, (T - TH) * -0.5j
 
 
 def _rotated(A: np.ndarray, B: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Batch of H(theta) for each theta."""
+    """Batch of H(theta) for each theta; A and B are one matrix's parts, or
+    one pair per theta."""
     return (np.cos(thetas)[:, None, None] * A
             + np.sin(thetas)[:, None, None] * B)
 
 
-def _top_eigh(A: np.ndarray, B: np.ndarray, thetas: np.ndarray):
-    """h, h', h'' of h(theta) = lambda_max(H(theta)) at each theta.
+def _runs(j: np.ndarray):
+    """(start, stop) of each run of equal values in the sorted array j."""
+    cuts = (np.flatnonzero(j[1:] != j[:-1]) + 1).tolist()
+    return zip([0] + cuts, cuts + [len(j)])
+
+
+def _top_eigh(A: np.ndarray, B: np.ndarray, j, thetas: np.ndarray):
+    """h, h', h'' of h(theta) = lambda_max(H_j(theta)) for matrix j[c] of the
+    stacks A, B at thetas[c] (j is None for a stack of one).
 
     h' = x* H' x for a unit top eigenvector x, which is Im(e^{-i theta}<Tx,x>),
     and h'' = -h + 2 sum_j |y_j* H' x|^2 / (h - lambda_j) over the other
-    eigenpairs (lambda_j, y_j), since H'' = -H.
+    eigenpairs (lambda_j, y_j), since H'' = -H. H'x is formed per matrix, as
+    x @ B.T over that matrix's run of thetas: a batched product rounds
+    differently.
     """
-    vals, vecs = np.linalg.eigh(_rotated(A, B, thetas))
+    single = j is None
+    vals, vecs = np.linalg.eigh(_rotated(A[0], B[0], thetas) if single
+                                else _rotated(A[j], B[j], thetas))
     h = vals[:, -1]
     x = vecs[:, :, -1]
+    cos, sin = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
     # H'(theta) x for the top eigenvector x
-    dx = np.cos(thetas)[:, None] * (x @ B.T) - np.sin(thetas)[:, None] * (x @ A.T)
+    dx = np.empty_like(x)
+    for a, b in [(0, len(x))] if single else _runs(j):
+        k = 0 if single else j[a]
+        dx[a:b] = cos[a:b] * (x[a:b] @ B[k].T) - sin[a:b] * (x[a:b] @ A[k].T)
     d1 = np.einsum("ki,ki->k", x.conj(), dx).real
     coef = np.einsum("kji,kj->ki", vecs[:, :, :-1].conj(), dx)
     gaps = h[:, None] - vals[:, :-1]
@@ -133,8 +153,9 @@ def _sinusoids_2x2(T: np.ndarray) -> np.ndarray:
 
 
 def _top_2x2(P: np.ndarray, thetas: np.ndarray):
-    """h, h', h'' in closed form for 2x2 T: h = m + r, r = sqrt(u^2 + |b|^2)."""
-    V = np.cos(thetas)[:, None] * P[0] + np.sin(thetas)[:, None] * P[1]
+    """h, h', h'' in closed form for 2x2 T: h = m + r, r = sqrt(u^2 + |b|^2).
+    P is one matrix's coefficients, or one set per theta."""
+    V = np.cos(thetas)[:, None] * P[..., 0, :] + np.sin(thetas)[:, None] * P[..., 1, :]
     w, dw = V[:, 1:4], V[:, 5:8]
     r = np.hypot(w[:, 0], np.hypot(w[:, 1], w[:, 2]))
     dr = (w * dw).sum(axis=1) / r
@@ -143,104 +164,179 @@ def _top_2x2(P: np.ndarray, thetas: np.ndarray):
     return V[:, 0] + r, V[:, 4] + dr, d2r - V[:, 0]
 
 
-def _support_kernels(T: np.ndarray):
-    """(sample, evaluate) for T: sample(thetas) gives h at each theta and
-    evaluate(thetas) gives h, h', h''; closed forms when T is 2x2."""
-    if T.shape[0] == 2:
-        P = _sinusoids_2x2(T)
-        def sample(thetas):
-            V = np.cos(thetas)[:, None] * P[0, :4] + np.sin(thetas)[:, None] * P[1, :4]
+def _support_kernels(Ts: np.ndarray):
+    """(sample, evaluate) for a (m, n, n) stack: sample(j, thetas) gives h of
+    matrix j[c] at thetas[c] and evaluate(j, thetas) gives h, h', h''; j is
+    sorted, or None when m = 1, so that the one matrix broadcasts instead of
+    being copied per theta. Closed forms when n = 2."""
+    if Ts.shape[1] == 2:
+        P = np.array([_sinusoids_2x2(T) for T in Ts])
+        def coefficients(j):
+            return P[0] if j is None else P[j]
+        def sample(j, thetas):
+            Q = coefficients(j)
+            V = np.cos(thetas)[:, None] * Q[..., 0, :4] + np.sin(thetas)[:, None] * Q[..., 1, :4]
             return V[:, 0] + np.hypot(V[:, 1], np.hypot(V[:, 2], V[:, 3]))
-        return sample, functools.partial(_top_2x2, P)
-    A, B = _cartesian_parts(T)
-    return (lambda thetas: np.linalg.eigvalsh(_rotated(A, B, thetas))[:, -1],
-            functools.partial(_top_eigh, A, B))
+        return sample, lambda j, thetas: _top_2x2(coefficients(j), thetas)
+    A, B = _cartesian_parts(Ts)
+    def sample(j, thetas):
+        H = _rotated(A[0], B[0], thetas) if j is None else _rotated(A[j], B[j], thetas)
+        return np.linalg.eigvalsh(H)[:, -1]
+    return sample, functools.partial(_top_eigh, A, B)
 
 
-def _cell_bound(lo: float, hi: float, h_lo: float, h_hi: float) -> float:
-    """Outer-polygon bound on h over the cell [lo, hi] (0 < hi - lo < pi).
+def _cell_bounds(lo, hi, h_lo, h_hi) -> np.ndarray:
+    """Outer-polygon bound on h over each cell [lo, hi] (hi - lo < pi).
 
     The supporting lines at lo and hi cross at e^{i lo}(h_lo + i c). When
     that vertex lies in the cell's sector of directions, the wedge of the
     two lines, and so W(T), has support at most its modulus there; else the
-    wedge's largest support in those directions is an end value."""
-    cos_w, sin_w = math.cos(hi - lo), math.sin(hi - lo)
+    wedge's largest support in those directions is an end value, which is
+    also the bound of a cell of zero width. The modulus is math.hypot's,
+    which rounds differently from np.hypot."""
+    cos_w, sin_w = np.cos(hi - lo), np.sin(hi - lo)
     c = (h_hi - h_lo * cos_w) / sin_w
-    if c > 0 and h_lo > h_hi * cos_w:
-        return math.hypot(h_lo, c)
-    return max(h_lo, h_hi)
+    bounds = np.maximum(h_lo, h_hi)
+    vertex = (c > 0) & (h_lo > h_hi * cos_w)
+    if vertex.any():
+        bounds[vertex] = [math.hypot(a, b)
+                          for a, b in zip(h_lo[vertex].tolist(), c[vertex].tolist())]
+    return bounds
+
+
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.empty(2 * len(a), dtype=a.dtype)
+    out[0::2], out[1::2] = a, b
+    return out
 
 
 def numerical_radius(T) -> float:
-    """w(T) = max_theta h(theta), h(theta) = lambda_max(H(theta)).
+    """w(T) = max_theta h(theta), h(theta) = lambda_max(H(theta)); the
+    one-matrix case of numerical_radii."""
+    return float(numerical_radii([T])[0])
 
-    h is sampled at 16 angles. A cell between neighbouring samples can hold
-    a value above the best sample only if its outer-polygon bound (the
-    modulus of the point where the supporting lines at its ends cross)
-    exceeds it; such cells are halved, and the rest dropped, until they are
-    2 pi / 64 wide. Each cell left is then refined, all of them in
+
+def numerical_radii(mats) -> np.ndarray:
+    """w(T) for each square matrix T of mats, which may mix sizes.
+
+    For each T, h is sampled at 16 angles. A cell between neighbouring
+    samples can hold a value above the best sample only if its outer-polygon
+    bound (the modulus of the point where the supporting lines at its ends
+    cross) exceeds it; such cells are halved, and the rest dropped, until
+    they are 2 pi / 64 wide. Each cell left is then refined, all of them in
     lockstep, by Newton steps on h' = 0. A cell's first step starts at the
     vertex of the parabola through the three samples around it, keeps a
     bracket on which h' falls from + to -, and bisects when a step would
     leave it. A cell is dropped as soon as its bound no longer beats the
-    best value attained, and is finished once its next step could change h
-    by no more than rounding: |h'| |step| <= 4 eps times the best of the 16
-    samples. That is the only stop rule. There is no angle tolerance, since
-    Newton's quadratic convergence always meets this rule first. The result
-    is the largest h attained, so it never exceeds w(T) by more than
-    rounding.
+    best value its matrix attained, and is finished once its next step
+    could change h by no more than rounding: |h'| |step| <= 4 eps times the
+    best of its matrix's 16 samples. That is the only stop rule. There is no
+    angle tolerance, since Newton's quadratic convergence always meets this
+    rule first. Each result is the largest h attained, so it never exceeds
+    w(T) by more than rounding.
+
+    The cells of all matrices share flat arrays, each cell tagged with its
+    matrix's slot in (n, index) order, so every sampling and Newton step is
+    one eigensolve call per distinct n (none for n = 2, which has closed
+    forms). Each T is first scaled by 2^-e, with 2^(e-1) <= its largest
+    real or imaginary part < 2^e, and w is scaled back: power-of-two scaling
+    is exact, and H(theta) can no longer overflow. A radius that is still not
+    finite raises NumericError; [] gives an empty array.
     """
-    sample, evaluate = _support_kernels(linalg.as_matrix(T))
+    mats = [linalg.as_matrix(T) for T in mats]
+    if not mats:
+        return np.zeros(0)
+    order = sorted(range(len(mats)), key=lambda i: (len(mats[i]), i))
+    exps = [_exponent(mats[i]) for i in order]
+    groups = []  # [first slot, scaled matrices] for each size n
+    for s, i in enumerate(order):
+        if s == 0 or len(mats[i]) != len(mats[order[s - 1]]):
+            groups.append([s, []])
+        groups[-1][1].append(mats[i] * 2.0 ** -exps[s] if exps[s] else mats[i])
+    groups = [(first, len(stack), *_support_kernels(np.array(stack)))
+              for first, stack in groups]
+
+    def sweep(slot, thetas, evaluate=False):
+        # one kernel call per size n, over that size's contiguous run of cells
+        parts = []
+        for first, count, sample, refine in groups:
+            a, b = np.searchsorted(slot, [first, first + count])
+            if a < b:
+                j = None if count == 1 else slot[a:b] - first
+                parts.append((refine if evaluate else sample)(j, thetas[a:b]))
+        if len(parts) == 1:
+            return parts[0]
+        if evaluate:
+            return tuple(np.concatenate(p) for p in zip(*parts))
+        return np.concatenate(parts)
+
+    # non-finite h'' (a repeated top eigenvalue) and zero-width cells are
+    # handled below by comparisons that such values fail
+    with np.errstate(all="ignore"):
+        radii = np.empty(len(mats))
+        radii[order] = np.ldexp(_cell_search(sweep, len(mats)), exps)
+    bad = np.flatnonzero(~np.isfinite(radii))
+    if bad.size:
+        raise NumericError(f"numerical radius of matrix {bad[0]} is {radii[bad[0]]}, "
+                           "not a finite number")
+    return radii
+
+
+def _cell_search(sweep, k: int) -> np.ndarray:
+    """The largest h reached by the search of numerical_radii for each of k
+    slots; sweep(slot, thetas) samples h of matrix slot[c] at thetas[c], and
+    sweep(slot, thetas, evaluate=True) gives h, h', h''."""
     width = 2.0 * np.pi / _COARSE_ANGLES
-    values = sample(width * np.arange(_COARSE_ANGLES)).tolist()
-    best = max(values)
+    ends = width * np.arange(_COARSE_ANGLES + 1)
+    slot = np.repeat(np.arange(k), _COARSE_ANGLES)
+    lo, hi = np.tile(ends[:-1], k), np.tile(ends[1:], k)
+    values = sweep(slot, lo).reshape(k, _COARSE_ANGLES)
+    best = values.max(axis=1)
     gain_tol = 4.0 * np.finfo(float).eps * best
-    values.append(values[0])
-    cells = [(k * width, (k + 1) * width, values[k], values[k + 1], None)
-             for k in range(_COARSE_ANGLES)]
+    h_lo, h_hi = values.ravel(), np.roll(values, -1, axis=1).ravel()
+    vertex = lo  # where each cell's Newton refinement starts, set by the halvings
     for _ in range(_HALVINGS):
-        cells = [c for c in cells if _cell_bound(*c[:4]) > best]
-        if not cells:
+        keep = _cell_bounds(lo, hi, h_lo, h_hi) > best[slot]
+        slot, lo, hi, h_lo, h_hi, vertex = (
+            v[keep] for v in (slot, lo, hi, h_lo, h_hi, vertex))
+        if not slot.size:
             break
-        mids = [(lo + hi) / 2.0 for lo, hi, *_ in cells]
-        h_mids = sample(np.array(mids)).tolist()
-        best = max(best, *h_mids)
+        mid = (lo + hi) / 2.0
+        h_mid = sweep(slot, mid)
+        np.maximum.at(best, slot, h_mid)
         width /= 2.0
-        halves = []
-        for (lo, hi, h_lo, h_hi, _), mid, h_mid in zip(cells, mids, h_mids):
-            bend = h_lo - 2.0 * h_mid + h_hi
-            vertex = mid + 0.5 * width * (h_lo - h_hi) / bend if bend < 0 else mid
-            halves += [(lo, mid, h_lo, h_mid, vertex), (mid, hi, h_mid, h_hi, vertex)]
-        cells = halves
-    cells = [(lo, hi, h_lo, h_hi, min(max(vertex, lo), hi))
-             for lo, hi, h_lo, h_hi, vertex in cells
-             if _cell_bound(lo, hi, h_lo, h_hi) > best]
+        bend = h_lo - 2.0 * h_mid + h_hi
+        vertex = np.where(bend < 0, mid + 0.5 * width * (h_lo - h_hi) / bend, mid)
+        slot, vertex = np.repeat(slot, 2), np.repeat(vertex, 2)
+        lo, hi = _interleave(lo, mid), _interleave(mid, hi)
+        h_lo, h_hi = _interleave(h_lo, h_mid), _interleave(h_mid, h_hi)
+    keep = _cell_bounds(lo, hi, h_lo, h_hi) > best[slot]
+    slot, lo, hi, h_lo, h_hi, vertex = (
+        v[keep] for v in (slot, lo, hi, h_lo, h_hi, vertex))
+    theta = np.minimum(np.maximum(vertex, lo), hi)
 
     for _ in range(_MAX_STEPS):
-        if not cells:
+        if not slot.size:
             break
-        # a repeated top eigenvalue or extreme scaling makes h'' non-finite,
-        # which the bracket logic below treats as "no Newton step"
-        with np.errstate(all="ignore"):
-            h, d1, d2 = (v.tolist() for v in evaluate(np.array([c[4] for c in cells])))
-        best = max(best, *h)
-        refined = []
-        for (lo, hi, h_lo, h_hi, theta), val, slope, curv in zip(cells, h, d1, d2):
-            if slope > 0:
-                lo, h_lo = theta, val
-            elif slope < 0:
-                hi, h_hi = theta, val
-            elif slope == 0:
-                continue
-            nxt = theta - slope / curv if curv < 0 else math.nan
-            if not lo < nxt < hi:
-                nxt = (lo + hi) / 2.0
-            if abs(slope) * abs(nxt - theta) <= gain_tol:
-                continue
-            if _cell_bound(lo, hi, h_lo, h_hi) > best:
-                refined.append((lo, hi, h_lo, h_hi, nxt))
-        cells = refined
+        h, d1, d2 = sweep(slot, theta, evaluate=True)
+        np.maximum.at(best, slot, h)
+        rising, falling = d1 > 0, d1 < 0
+        lo, h_lo = np.where(rising, theta, lo), np.where(rising, h, h_lo)
+        hi, h_hi = np.where(falling, theta, hi), np.where(falling, h, h_hi)
+        nxt = np.where(d2 < 0, theta - d1 / d2, np.nan)
+        nxt = np.where((lo < nxt) & (nxt < hi), nxt, (lo + hi) / 2.0)
+        keep = ((d1 != 0) & ~(np.abs(d1) * np.abs(nxt - theta) <= gain_tol[slot])
+                & (_cell_bounds(lo, hi, h_lo, h_hi) > best[slot]))
+        slot, lo, hi, h_lo, h_hi, theta = (
+            v[keep] for v in (slot, lo, hi, h_lo, h_hi, nxt))
     return best
+
+
+def _exponent(T: np.ndarray) -> int:
+    """e with 2^(e-1) <= the largest |Re| or |Im| of an entry < 2^e (0 for
+    T = 0), at least -1021 so that 2^-e is finite."""
+    top = max(float(np.abs(T.real).max()), float(np.abs(T.imag).max()))
+    return max(math.frexp(top)[1], -1021)
 
 
 def _level_cuts(T: np.ndarray, c: float) -> np.ndarray:

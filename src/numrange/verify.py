@@ -6,12 +6,24 @@ VerifyReport. Reports are deterministic functions of (suite, trials, seed):
 the per-trial RNG is derived from (seed, suite id, trial index), so results
 do not depend on evaluation order.
 
-One driver, _run, holds every suite's trial loop: trial i derives
-rng = _trial_rng(seed, suite, i), draws T = normalize_radius(random_matrix(rng))
-and calls the suite's body trial(rng, T, rec). The body draws the rest of
-its data from rng, evaluates f(T) through rec.eval_matrix, which counts scale
-retries, and passes each residual to rec.record(residual, tol, witness_fn);
-the first witness with residual > tol is kept, tagged with "trial": i.
+One driver, _run, holds every suite's trials. It first draws the raw
+matrix random_matrix(rng) of every trial i, each from its own
+rng = _trial_rng(seed, suite, i), and normalizes them all as one stack
+(normalize_radii, one numerical_radii call). Then it calls the suite's
+body trial(rng, T, rec) for each trial, with a _Recorder of that trial.
+The body draws the rest of its data from rng, evaluates f(T) through
+rec.eval_matrix, which counts scale retries, and passes each residual to
+rec.record(residual, tol, witness_fn), which keeps the trial's first
+witness with residual > tol, tagged with "trial": i.
+
+A body that needs numerical radii is a generator: values = yield [F, ...]
+receives w(F), ... . The bodies advance in lockstep, and each wave of
+requests from all live trials is resolved by one numerical_radii call, so
+the radius kernel runs on stacks instead of one matrix at a time. Each
+trial draws from its own rng and records into its own recorder, so the
+order in which trials advance changes nothing: the report sums failures and
+retries, takes the worst residual, and keeps the witness of the lowest
+failing trial.
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ from .diskfun import (
 )
 from .errors import NumericError, PolesNearSpectrumError
 from .formats import format_complex, serialize_matrix
-from .fov import _arc_midpoints, _level_cuts, numerical_radius, support_values
+from .fov import _arc_midpoints, _level_cuts, numerical_radii, numerical_radius, support_values
 from .linalg import min_eigenvalue
 
 # grid points per t range of region S's boundary in the Q-form suites
@@ -92,14 +104,15 @@ class VerifyReport:
 
 
 class _Recorder:
-    """Accumulates residuals, scale retries and the first failing witness."""
+    """Accumulates one trial's residuals, scale retries and first failing
+    witness; trial is None for the checks that belong to no trial."""
 
-    def __init__(self):
+    def __init__(self, trial: int | None = None):
         self.failures = 0
         self.worst = -math.inf
         self.witness = None
         self.retries = 0
-        self.trial = None
+        self.trial = trial
 
     def record(self, residual: float, tol: float, witness_fn):
         self.worst = max(self.worst, residual)
@@ -123,19 +136,44 @@ def _trial_rng(seed: int, suite: str, index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), _SUITE_IDS[suite], int(index)])
 
 
-def _run(suite: str, trials: int, seed: int, tol: float, trial, after=None) -> VerifyReport:
-    """The trial loop of every suite (see the module docstring); after(rec),
-    if given, then records the checks that belong to no trial."""
-    rec = _Recorder()
-    for i in range(trials):
-        rng = _trial_rng(seed, suite, i)
-        rec.trial = i
-        trial(rng, normalize_radius(random_matrix(rng)), rec)
-    rec.trial = None
+def _run(suite: str, trials: int | range, seed: int, tol: float, trial,
+         after=None) -> VerifyReport:
+    """Run trials 0..trials-1 of a suite, or the trial indices of a range
+    (see the module docstring); after(rec), if given, then records the
+    checks that belong to no trial."""
+    indices = range(trials) if isinstance(trials, int) else trials
+    rngs = [_trial_rng(seed, suite, i) for i in indices]
+    recs = [_Recorder(i) for i in indices]
+    Ts = normalize_radii([random_matrix(rng) for rng in rngs])
+    _lockstep([trial(rng, T, rec) for rng, T, rec in zip(rngs, Ts, recs)])
     if after is not None:
-        after(rec)
-    return VerifyReport(suite, trials, rec.failures, rec.worst, tol, seed,
-                        rec.retries, rec.witness)
+        recs.append(_Recorder())
+        after(recs[-1])
+    return VerifyReport(suite, len(indices), sum(r.failures for r in recs),
+                        max((r.worst for r in recs), default=-math.inf), tol, seed,
+                        sum(r.retries for r in recs),
+                        next((r.witness for r in recs if r.witness is not None), None))
+
+
+def _lockstep(bodies) -> None:
+    """Advance the generator bodies (plain bodies return None and are
+    skipped) side by side: each wave of matrices they yield gets its radii
+    from one numerical_radii call, and each body is sent its own."""
+    live, sent = [b for b in bodies if b is not None], None
+    while live:
+        asks, waiting = [], []
+        for body, values in zip(live, sent or [None] * len(live)):
+            try:
+                asks.append(body.send(values))
+            except StopIteration:
+                continue
+            waiting.append(body)
+        radii = numerical_radii([M for ask in asks for M in ask]).tolist()
+        sent, k = [], 0
+        for ask in asks:
+            sent.append(radii[k:k + len(ask)])
+            k += len(ask)
+        live = waiting
 
 
 def random_matrix(rng: np.random.Generator, dim: int | None = None) -> np.ndarray:
@@ -146,7 +184,16 @@ def random_matrix(rng: np.random.Generator, dim: int | None = None) -> np.ndarra
 
 
 def normalize_radius(T: np.ndarray) -> np.ndarray:
-    w = numerical_radius(T)
+    """T / w(T); ValueError when w(T) is (numerically) zero."""
+    return _normalized(T, numerical_radius(T))
+
+
+def normalize_radii(mats) -> list[np.ndarray]:
+    """T / w(T) for each T of mats, from one numerical_radii call."""
+    return [_normalized(T, w) for T, w in zip(mats, numerical_radii(mats).tolist())]
+
+
+def _normalized(T: np.ndarray, w: float) -> np.ndarray:
     if w < 1e-12:
         raise ValueError("matrix has (numerically) zero numerical radius")
     return T / w
@@ -176,26 +223,27 @@ def _matrix_witness(T: np.ndarray, **extra) -> dict:
     return w
 
 
-def check_berger_stampfli(trials: int, seed: int = 42) -> VerifyReport:
+def check_berger_stampfli(trials: int | range, seed: int = 42) -> VerifyReport:
     """w(B(T)) <= 1 for random Blaschke B with B(0) = 0 and w(T) = 1."""
     tol = 1e-7
     def trial(rng, T, rec):
         B = random_blaschke(rng, max_degree=5)
-        value = numerical_radius(rec.eval_matrix(Blaschke(B), T))
+        [value] = yield [rec.eval_matrix(Blaschke(B), T)]
         rec.record(value - 1.0, tol, lambda: _matrix_witness(
             T, constant=format_complex(B.constant),
             zeros=[format_complex(a) for a in B.zeros], value=value))
     return _run("berger-stampfli", trials, seed, tol, trial)
 
 
-def check_power_inequality(trials: int, seed: int = 42) -> VerifyReport:
+def check_power_inequality(trials: int | range, seed: int = 42) -> VerifyReport:
     """w(T^n) <= w(T)^n = 1 for n = 2..6."""
     tol = 1e-7
     def trial(rng, T, rec):
-        P = T
-        for n in range(2, 7):
-            P = P @ T
-            value = numerical_radius(P)
+        powers = [T]
+        for _ in range(2, 7):
+            powers.append(powers[-1] @ T)
+        values = yield powers[1:]
+        for n, value in zip(range(2, 7), values):
             rec.record(value - 1.0, tol,
                        lambda: _matrix_witness(T, power=n, value=value))
     return _run("power", trials, seed, tol, trial)
@@ -209,7 +257,7 @@ def _vector_draw(rng: np.random.Generator, T: np.ndarray):
         T, vector=[format_complex(v) for v in x])
 
 
-def check_local_inequality(trials: int, seed: int = 42) -> VerifyReport:
+def check_local_inequality(trials: int | range, seed: int = 42) -> VerifyReport:
     """||Tx||^2 <= 2 + 2 sqrt(1 - |<Tx,x>|^2) for w(T) = 1 and unit x."""
     tol = 1e-9
     def trial(rng, T, rec):
@@ -219,7 +267,7 @@ def check_local_inequality(trials: int, seed: int = 42) -> VerifyReport:
     return _run("local-ineq", trials, seed, tol, trial)
 
 
-def check_props52(trials: int, seed: int = 42) -> VerifyReport:
+def check_props52(trials: int | range, seed: int = 42) -> VerifyReport:
     """The two reformulations of the local inequality: the hermitian-angle
     form ||Tx|| <= max(2|sin(angle)|, sqrt(2)) and the 2x2-corner bound
     |c| <= 1 + sqrt(1 - |a|^2)."""
@@ -231,7 +279,9 @@ def check_props52(trials: int, seed: int = 42) -> VerifyReport:
             cos_a = min(1.0, abs(p) / norm_tx)
             bound = max(2.0 * math.sqrt(1.0 - cos_a ** 2), math.sqrt(2.0))
             rec.record(norm_tx - bound, tol, witness)
-        M = normalize_radius(random_matrix(rng, dim=2))
+        M = random_matrix(rng, dim=2)
+        [w] = yield [M]
+        M = _normalized(M, w)
         a, c = complex(M[0, 0]), complex(M[1, 0])
         rec.record(abs(c) - (1.0 + math.sqrt(max(0.0, 1.0 - abs(a) ** 2))), tol,
                    lambda: _matrix_witness(M))
@@ -256,7 +306,7 @@ def _boundary_points(*ranges) -> tuple[np.ndarray, np.ndarray]:
     return ts, regions.region_S_boundary(ts)
 
 
-def check_operator_inequality(trials: int, seed: int = 42) -> VerifyReport:
+def check_operator_inequality(trials: int | range, seed: int = 42) -> VerifyReport:
     """Q(T, t, t^2 - 1/4) >= 0 for t in [0, 1/2] and w(T) = 1."""
     tol = 1e-8
     return _run("operator-ineq", trials, seed, tol,
@@ -282,7 +332,7 @@ def _teardrop_excess(F: np.ndarray, alpha: complex, tol: float) -> tuple[float, 
     return float(thetas[k]), float(excess[k])
 
 
-def check_drury(trials: int, seed: int = 42) -> VerifyReport:
+def check_drury(trials: int | range, seed: int = 42) -> VerifyReport:
     """W(f(T)) inside td(f(0)) and w(f(T)) <= 1 + |f(0)| - |f(0)|^2.
 
     The containment residual is _teardrop_excess, which certifies the whole
@@ -298,14 +348,14 @@ def check_drury(trials: int, seed: int = 42) -> VerifyReport:
         rec.record(excess, tol, lambda: _matrix_witness(
             T, alpha=format_complex(alpha), constant=format_complex(B.constant),
             zeros=[format_complex(a) for a in B.zeros], theta=theta, excess=excess))
-        value = numerical_radius(FT)
+        [value] = yield [FT]
         bound = 1.0 + abs(alpha) - abs(alpha) ** 2
         rec.record(value - bound, tol, lambda: _matrix_witness(
             T, alpha=format_complex(alpha), value=value))
     return _run("drury", trials, seed, tol, trial)
 
 
-def check_region_S(trials: int, seed: int = 42) -> VerifyReport:
+def check_region_S(trials: int | range, seed: int = 42) -> VerifyReport:
     """Boundary membership and below-boundary sharpness of the region S.
 
     Membership: Q(T, t, s) is PSD on the three boundary branches for random
@@ -415,5 +465,7 @@ SUITES = {
 }
 
 
-def run_suites(names, trials: int, seed: int) -> list[VerifyReport]:
+def run_suites(names, trials: int | range, seed: int) -> list[VerifyReport]:
+    """One report per suite name; trials is a count, or a range of trial
+    indices such as range(i, i + 1) to replay trial i alone."""
     return [SUITES[name](trials, seed) for name in names]

@@ -33,6 +33,21 @@ class TestRadius:
         bad.write_text("dim 2\n1+0i oops\n0+0i 0+0i\n")
         assert main(["radius", str(bad)]) == 2
 
+    def test_entries_near_overflow(self, tmp_path, capsys):
+        # forming (T + T*)/2 overflowed, and this printed nan with exit 0
+        path = tmp_path / "big.mat"
+        path.write_text("dim 2\n1e308+0i 1e308+0i\n0+0i 1e308+0i\n")
+        assert main(["radius", str(path)]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(1.5e308, rel=1e-15)
+
+    def test_radius_beyond_float_range_is_numeric_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.mat"
+        path.write_text("dim 2\n1.7e308+0i 1.7e308+0i\n0+0i 1.7e308+0i\n")
+        assert main(["radius", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numeric error" in captured.err
+
 
 class TestRange:
     def test_csv_circle(self, shift_file, capsys):
@@ -177,6 +192,12 @@ class TestVerify:
         monkeypatch.setenv("NUMRANGE_SEED", "7x")
         assert main(["verify", "--suite", "props52", "--trials", "1", "--seed", "5"]) == 0
         assert "seed: 5\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("extra", [["--trial", "-1"], ["--trial", "2", "--trials", "5"]])
+    def test_bad_trial_is_usage_error(self, capsys, extra):
+        with pytest.raises(SystemExit) as e:
+            main(["verify", "--suite", "props52"] + extra)
+        assert e.value.code == 2
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as e:

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numrange.errors import NumericError
 from numrange.fov import (
     _arc_midpoints,
     _level_cuts,
     boundary,
     contains,
     hermitian_part,
+    numerical_radii,
     numerical_radius,
     support_values,
 )
@@ -175,6 +177,55 @@ class TestNumericalRadius:
         T = random_complex(rng, 4)
         thetas = 2 * np.pi * np.arange(256) / 256
         assert numerical_radius(T) >= support_values(T, thetas).max()
+
+
+class TestNumericalRadii:
+    def test_mixed_list_matches_one_by_one(self):
+        # sizes interleave in the list, so the stack regroups them by n and
+        # must hand back every radius in list order, bitwise
+        rng = np.random.default_rng(23)
+        mats = [random_complex(rng, 2) for _ in range(5)]
+        mats += [np.eye(n, k=1, dtype=complex) for n in range(2, 17)]
+        mats += [np.diag([np.exp(1j * phi), (1 - 1e-6) * np.exp(1j * (phi + g)), 0.3])
+                 for phi, g in zip(rng.uniform(0, 2 * np.pi, 8), np.geomspace(1e-3, 0.3, 8))]
+        mats += [random_matrix(rng, n) for n in range(2, 9) for _ in range(3)]
+        mats += [np.zeros((3, 3)), np.array([[0.3 - 0.4j]])]
+        mats = [mats[i] for i in rng.permutation(len(mats))]
+        radii = numerical_radii(mats)
+        assert radii.shape == (len(mats),)
+        assert radii.tolist() == [numerical_radius(T) for T in mats]
+        assert radii[[T.shape == (3, 3) and not T.any() for T in mats]].tolist() == [0.0]
+
+    def test_empty_list(self):
+        radii = numerical_radii([])
+        assert radii.shape == (0,)
+
+    def test_power_of_two_scales_are_exact(self):
+        # at 2^600 the 2x2 closed form's squares overflowed: the radius came
+        # out low by up to 2e-6, and zero-width cells raised ZeroDivisionError
+        rng = np.random.default_rng(600)
+        mats = [random_matrix(rng, dim=2) for _ in range(300)]
+        radii = numerical_radii(mats)
+        for k in (600, -600):
+            scaled = [T * 2.0 ** k for T in mats]
+            assert [numerical_radius(T) for T in scaled] == np.ldexp(radii, k).tolist()
+            assert numerical_radii(scaled).tolist() == np.ldexp(radii, k).tolist()
+
+    def test_hermitian_part_overflow(self):
+        # (T + T*)/2 overflows, which gave nan; W(T) is the disk about 1e308
+        # of radius 0.5e308
+        T = np.array([[1e308, 1e308], [0, 1e308]])
+        assert numerical_radius(T) == pytest.approx(1.5e308, rel=1e-15)
+        J = np.eye(3, dtype=complex) + np.eye(3, k=1)
+        assert numerical_radius(1e308 * J) == pytest.approx(1e308 * numerical_radius(J),
+                                                            rel=1e-15)
+
+    def test_radius_beyond_float_range_raises(self):
+        T = np.array([[1.7e308, 1.7e308], [0, 1.7e308]])
+        with pytest.raises(NumericError):
+            numerical_radius(T)
+        with pytest.raises(NumericError, match="matrix 1"):
+            numerical_radii([SHIFT2, T])
 
 
 class TestContains:

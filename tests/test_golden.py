@@ -24,6 +24,9 @@ VERIFY = [
      "38ff4b09d408a088c4ed6b978de2c6d1996384f5b094443f91c428d4388123a4"),
     (["--suite", "all", "--trials", "50", "--seed", "3", "--json"],
      "44ab9583f6d94d655c006afe9f8f70075b395b6f2ce7f8b1770f42ad593e18b0"),
+    # a second seed, recorded before the radius kernel was stacked
+    (["--suite", "all", "--trials", "200", "--seed", "42"],
+     "89162a7034e107b7cfae2eed92bc8f2de740bda099321c074c9f6bac0a0eba7c"),
     # region-s's sharpness table alone
     (["--suite", "region-s", "--trials", "0", "--seed", "1"],
      "dab2d324e15a93f0fc98e097f81b785f50b37912d814462f02b3c3d8f8548ba2"),
@@ -71,7 +74,7 @@ def _digest(capsys, argv) -> str:
 
 
 @pytest.mark.parametrize("args, expected", VERIFY,
-                         ids=["all-text", "all-json", "region-s-sharpness"])
+                         ids=["all-text", "all-json", "all-text-200-42", "region-s-sharpness"])
 def test_verify_report(capsys, args, expected):
     assert _digest(capsys, ["verify"] + args) == expected
 

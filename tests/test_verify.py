@@ -20,6 +20,7 @@ from numrange.fov import boundary, support_values
 from numrange.linalg import min_eigenvalue
 from numrange.regions import q_form, teardrop_distance, teardrop_support
 from numrange import fov, verify
+from numrange.cli import main
 from numrange.verify import (
     VerifyReport,
     _trial_rng,
@@ -113,8 +114,9 @@ class TestQFormSuites:
     def test_failing_witness_matches_per_point_solve(self, monkeypatch):
         # at radius 3, Q(T, t, t^2 - 1/4) has negative eigenvalues; the
         # witness must be the first failing grid point, with its exact lam_min
-        normalize = verify.normalize_radius
-        monkeypatch.setattr(verify, "normalize_radius", lambda T: 3.0 * normalize(T))
+        normalize, stack = verify.normalize_radius, verify.normalize_radii
+        monkeypatch.setattr(verify, "normalize_radii",
+                            lambda mats: [3.0 * T for T in stack(mats)])
         report = check_operator_inequality(4, seed=2)
         assert report.failures > 0
         w = report.witness
@@ -171,8 +173,9 @@ class TestDrury:
         assert support_values(F, [theta])[0] - teardrop_support(alpha, theta) == excess
 
     def test_radius_above_one_fails_with_checkable_witness(self, monkeypatch):
-        normalize = verify.normalize_radius
-        monkeypatch.setattr(verify, "normalize_radius", lambda T: 1.02 * normalize(T))
+        stack = verify.normalize_radii
+        monkeypatch.setattr(verify, "normalize_radii",
+                            lambda mats: [1.02 * T for T in stack(mats)])
         report = check_drury(8, seed=2)
         assert report.failures > 0 and report.retries == 0
         w = report.witness
@@ -203,6 +206,30 @@ class TestDrury:
         assert check_drury(5, seed=1).passed
         assert sweeps == []
         assert len(pencils) == 10
+
+
+class TestLockstep:
+    def test_power_stacks_radii_across_trials(self, monkeypatch):
+        # the same Hermitian matrices as one radius call per power per trial
+        # (553 calls), in a quarter of the calls or fewer
+        calls, matrices = [], []
+
+        def counted(solve):
+            def solve_counted(a, *args, **kwargs):
+                calls.append(solve.__name__)
+                matrices.append(len(a) if np.ndim(a) == 3 else 1)
+                return solve(a, *args, **kwargs)
+            return solve_counted
+
+        monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+        assert check_power_inequality(20, seed=1).passed
+        assert sum(matrices) == 2311
+        assert len(calls) <= 138
+
+    def test_zero_trials(self):
+        report = check_power_inequality(0, seed=1)
+        assert (report.trials, report.failures, report.witness) == (0, 0, None)
 
 
 class TestDeterminism:
@@ -269,6 +296,29 @@ class TestReport:
         assert r.witness["trial"] == 3
         T = normalize_radius(random_matrix(_trial_rng(13, "local-ineq", 3)))
         assert np.array_equal(T, parse_matrix(r.witness["matrix"]))
+
+    def test_one_command_replays_the_witness_trial(self, monkeypatch, capsys):
+        # as above, but then trial 3 alone, where its vector is the 1st drawn
+        draw = verify.random_unit_vector
+        calls = []
+
+        def scaled(nth):
+            def draw_scaled(rng, dim):
+                calls.append(dim)
+                x = draw(rng, dim)
+                return 10.0 * x if len(calls) == nth else x
+            return draw_scaled
+
+        monkeypatch.setattr(verify, "random_unit_vector", scaled(4))
+        witness = check_local_inequality(6, seed=13).witness
+        calls.clear()
+        monkeypatch.setattr(verify, "random_unit_vector", scaled(1))
+        assert main(["verify", "--suite", "local-ineq", "--seed", "13",
+                     "--trial", "3", "--json"]) == 1
+        [report] = json.loads(capsys.readouterr().out)
+        assert (report["trials"], report["failures"]) == (1, 1)
+        assert report["witness"] == witness
+        assert witness["trial"] == 3
 
     def test_json_dict(self):
         r = check_props52(5, seed=9)
