@@ -270,8 +270,8 @@ def numerical_radii(mats) -> np.ndarray:
             return tuple(np.concatenate(p) for p in zip(*parts))
         return np.concatenate(parts)
 
-    # non-finite h'' (a repeated top eigenvalue) and zero-width cells are
-    # handled below by comparisons that such values fail
+    # _cell_search meets non-finite h'' (a repeated top eigenvalue) and
+    # zero-width cells; the comparisons it makes fail for such values
     with np.errstate(all="ignore"):
         radii = np.empty(len(mats))
         radii[order] = np.ldexp(_cell_search(sweep, len(mats)), exps)
