@@ -141,7 +141,7 @@ def _run(suite: str, trials: int | range, seed: int, tol: float, trial,
     """Run trials 0..trials-1 of a suite, or the trial indices of a range
     (see the module docstring); after(rec), if given, then records the
     checks that belong to no trial."""
-    indices = range(trials) if isinstance(trials, int) else trials
+    indices = trials if isinstance(trials, range) else range(trials)
     rngs = [_trial_rng(seed, suite, i) for i in indices]
     recs = [_Recorder(i) for i in indices]
     Ts = normalize_radii([random_matrix(rng) for rng in rngs])
@@ -149,7 +149,8 @@ def _run(suite: str, trials: int | range, seed: int, tol: float, trial,
     if after is not None:
         recs.append(_Recorder())
         after(recs[-1])
-    return VerifyReport(suite, len(indices), sum(r.failures for r in recs),
+    count = len(indices) if isinstance(trials, range) else trials
+    return VerifyReport(suite, count, sum(r.failures for r in recs),
                         max((r.worst for r in recs), default=-math.inf), tol, seed,
                         sum(r.retries for r in recs),
                         next((r.witness for r in recs if r.witness is not None), None))
@@ -159,10 +160,11 @@ def _lockstep(bodies) -> None:
     """Advance the generator bodies (plain bodies return None and are
     skipped) side by side: each wave of matrices they yield gets its radii
     from one numerical_radii call, and each body is sent its own."""
-    live, sent = [b for b in bodies if b is not None], None
+    live = [b for b in bodies if b is not None]
+    sent = [None] * len(live)
     while live:
         asks, waiting = [], []
-        for body, values in zip(live, sent or [None] * len(live)):
+        for body, values in zip(live, sent):
             try:
                 asks.append(body.send(values))
             except StopIteration:
