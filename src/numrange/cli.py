@@ -147,11 +147,11 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _trial_index(text: str) -> int:
-    index = int(text)
-    if index < 0:
-        raise argparse.ArgumentTypeError(f"trial index must be >= 0, got {index}")
-    return index
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the theorem verification suites")
     p.add_argument("--suite", choices=ALL_SUITES + ["all"], required=True)
     count = p.add_mutually_exclusive_group()
-    count.add_argument("--trials", type=int, default=200)
-    count.add_argument("--trial", type=_trial_index, default=None,
+    count.add_argument("--trials", type=_nonnegative, default=200)
+    count.add_argument("--trial", type=_nonnegative, default=None,
                        help="run only this trial index (replays a witness)")
     p.add_argument("--seed", type=int, default=os.environ.get("NUMRANGE_SEED", "42"))
     p.add_argument("--json", action="store_true")

@@ -11,8 +11,11 @@ by safeguarded Newton steps on h'(theta) = Im(e^{-i theta}<Tx,x>) (Watson,
 "Computing the numerical radius", 1996) until a step can change h by no
 more than rounding; that is the only stop rule, with no angle tolerance.
 numerical_radii runs this search for a list of matrices of mixed sizes at
-once, with every cell of every matrix in flat arrays, so that each step is
-one eigensolve call per size; numerical_radius is its one-matrix case.
+once, on the one kernel for h (_supports) that support_values shares, so
+that each step is one eigensolve call per size. Every entry point, the
+level cuts included, scales T by 2^-e, with e from its largest entry
+(_prescaled), and scales h back: that is exact, and H(theta) can no longer
+overflow. A value that is still not finite raises NumericError (_finite).
 
 Comparisons of h with a level c over the whole circle need no angle grid:
 _level_cuts finds every theta at which some eigenvalue of H(theta) equals
@@ -20,7 +23,8 @@ c, from the unimodular eigenvalues of one 2n x 2n pencil (Mengi and
 Overton, "Algorithms for the computation of the pseudospectral radius and
 the numerical radius of a matrix", IMA J. Numer. Anal. 2005). Between
 consecutive cuts h - c has a single sign, so one sample per arc decides
-it. contains(T, z) is this test for h_{T - zI} against -tol.
+it; arc_midpoints gives those samples. contains(T, z) is this test for
+h_{T - zI} against -tol.
 """
 
 from __future__ import annotations
@@ -47,22 +51,23 @@ _MAX_STEPS = 64
 
 # a pencil eigenvalue z within this of the unit circle is a cut at arg z. A
 # true crossing lies within rounding of the circle, and a level that h only
-# grazes, missing by g, puts its pair about sqrt(g) off it. Too loose a bound
-# costs nothing: an extra cut only splits an arc into two that each keep a
-# single sign, so the constant errs on the generous side
+# grazes, missing by g, puts its pair about sqrt(g) off it. An extra cut
+# costs nothing, as both arcs it makes keep a single sign, so this is generous
 _CUT_TOL = 1e-6
 
 
 def hermitian_part(T, theta: float = 0.0) -> np.ndarray:
     """(e^{-i theta} T + e^{i theta} T*)/2, Hermitian by construction."""
-    return _rotated(*_cartesian_parts(linalg.as_matrix(T)), np.array([theta]))[0]
+    return _rotated(*_cartesian_parts(linalg.as_matrix(T)[None]), [0], np.array([theta]))[0]
 
 
 def support_values(T, thetas) -> np.ndarray:
-    """Top eigenvalue of H(theta) for each theta (vectorized)."""
-    T = linalg.as_matrix(T)
+    """Top eigenvalue of H(theta) for each theta (vectorized); NumericError
+    if one is not a finite number."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    return _support_kernels(T[None])[0](None, thetas)
+    slot = np.zeros(len(thetas), dtype=int)
+    _, sweep, scale_back = _supports([T])
+    return scale_back(slot, sweep(slot, thetas), "support value")
 
 
 @dataclass(frozen=True)
@@ -80,30 +85,37 @@ class BoundaryCurve:
 
 
 def boundary(T, n_angles: int) -> BoundaryCurve:
-    """Boundary curve of W(T) on a uniform angle grid (n_angles >= 8)."""
+    """Boundary curve of W(T) on a uniform angle grid (n_angles >= 8), from
+    its own eigensolve of the prescaled T, since it needs the top vectors;
+    NumericError if a support value or point is not finite."""
     if n_angles < 8:
         raise ValueError(f"n_angles must be >= 8, got {n_angles}")
     T = linalg.as_matrix(T)
+    S, e = _prescaled(T)
     thetas = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    vals, vecs = np.linalg.eigh(_rotated(*_cartesian_parts(T), thetas))
-    supports = vals[:, -1]
+    A, B = _cartesian_parts(S[None])
+    vals, vecs = np.linalg.eigh(_rotated(A, B, np.zeros(n_angles, dtype=int), thetas))
     tops = vecs[:, :, -1]
-    points = np.einsum("ki,ij,kj->k", tops.conj(), T, tops)
+    with np.errstate(over="ignore"):
+        supports = _finite(np.ldexp(vals[:, -1], e), "support value")
+        points = _finite(np.einsum("ki,ij,kj->k", tops.conj(), T, tops), "boundary point")
     return BoundaryCurve(thetas=thetas, supports=supports, points=points)
 
 
 def _cartesian_parts(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A = (T + T*)/2 and B = (T - T*)/2i, so H(theta) = cos(theta) A + sin(theta) B;
-    for one matrix or a stack of them."""
+    """A = (T + T*)/2, B = (T - T*)/2i of a stack T: H = cos(theta) A + sin(theta) B."""
     TH = T.conj().swapaxes(-1, -2)
     return (T + TH) / 2.0, (T - TH) * -0.5j
 
 
-def _rotated(A: np.ndarray, B: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Batch of H(theta) for each theta; A and B are one matrix's parts, or
-    one pair per theta."""
-    return (np.cos(thetas)[:, None, None] * A
-            + np.sin(thetas)[:, None, None] * B)
+def _rotated(A: np.ndarray, B: np.ndarray, j, thetas: np.ndarray) -> np.ndarray:
+    """H(thetas[c]) of matrix j[c] of the stacks A, B, formed in place in the
+    copies A[j] and B[j], which saves two temporaries of that size."""
+    H, G = A[j], B[j]
+    H *= np.cos(thetas)[:, None, None]
+    G *= np.sin(thetas)[:, None, None]
+    H += G
+    return H
 
 
 def _runs(j: np.ndarray):
@@ -112,9 +124,9 @@ def _runs(j: np.ndarray):
     return zip([0] + cuts, cuts + [len(j)])
 
 
-def _top_eigh(A: np.ndarray, B: np.ndarray, j, thetas: np.ndarray):
+def _top_eigh(A: np.ndarray, B: np.ndarray, j: np.ndarray, thetas: np.ndarray):
     """h, h', h'' of h(theta) = lambda_max(H_j(theta)) for matrix j[c] of the
-    stacks A, B at thetas[c] (j is None for a stack of one).
+    stacks A, B at thetas[c].
 
     h' = x* H' x for a unit top eigenvector x, which is Im(e^{-i theta}<Tx,x>),
     and h'' = -h + 2 sum_j |y_j* H' x|^2 / (h - lambda_j) over the other
@@ -122,17 +134,13 @@ def _top_eigh(A: np.ndarray, B: np.ndarray, j, thetas: np.ndarray):
     x @ B.T over that matrix's run of thetas: a batched product rounds
     differently.
     """
-    single = j is None
-    vals, vecs = np.linalg.eigh(_rotated(A[0], B[0], thetas) if single
-                                else _rotated(A[j], B[j], thetas))
-    h = vals[:, -1]
-    x = vecs[:, :, -1]
+    vals, vecs = np.linalg.eigh(_rotated(A, B, j, thetas))
+    h, x = vals[:, -1], vecs[:, :, -1]
     cos, sin = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
     # H'(theta) x for the top eigenvector x
     dx = np.empty_like(x)
-    for a, b in [(0, len(x))] if single else _runs(j):
-        k = 0 if single else j[a]
-        dx[a:b] = cos[a:b] * (x[a:b] @ B[k].T) - sin[a:b] * (x[a:b] @ A[k].T)
+    for a, b in _runs(j):
+        dx[a:b] = cos[a:b] * (x[a:b] @ B[j[a]].T) - sin[a:b] * (x[a:b] @ A[j[a]].T)
     d1 = np.einsum("ki,ki->k", x.conj(), dx).real
     coef = np.einsum("kji,kj->ki", vecs[:, :, :-1].conj(), dx)
     gaps = h[:, None] - vals[:, :-1]
@@ -154,8 +162,8 @@ def _sinusoids_2x2(T: np.ndarray) -> np.ndarray:
 
 def _top_2x2(P: np.ndarray, thetas: np.ndarray):
     """h, h', h'' in closed form for 2x2 T: h = m + r, r = sqrt(u^2 + |b|^2).
-    P is one matrix's coefficients, or one set per theta."""
-    V = np.cos(thetas)[:, None] * P[..., 0, :] + np.sin(thetas)[:, None] * P[..., 1, :]
+    P holds one set of coefficients per theta."""
+    V = np.cos(thetas)[:, None] * P[:, 0] + np.sin(thetas)[:, None] * P[:, 1]
     w, dw = V[:, 1:4], V[:, 5:8]
     r = np.hypot(w[:, 0], np.hypot(w[:, 1], w[:, 2]))
     dr = (w * dw).sum(axis=1) / r
@@ -165,24 +173,52 @@ def _top_2x2(P: np.ndarray, thetas: np.ndarray):
 
 
 def _support_kernels(Ts: np.ndarray):
-    """(sample, evaluate) for a (m, n, n) stack: sample(j, thetas) gives h of
-    matrix j[c] at thetas[c] and evaluate(j, thetas) gives h, h', h''; j is
-    sorted, or None when m = 1, so that the one matrix broadcasts instead of
-    being copied per theta. Closed forms when n = 2."""
+    """(sample, evaluate) for a (m, n, n) stack: h, or h, h', h'', of matrix
+    j[c] at thetas[c] for a sorted j; closed forms when n = 2."""
     if Ts.shape[1] == 2:
         P = np.array([_sinusoids_2x2(T) for T in Ts])
-        def coefficients(j):
-            return P[0] if j is None else P[j]
         def sample(j, thetas):
-            Q = coefficients(j)
-            V = np.cos(thetas)[:, None] * Q[..., 0, :4] + np.sin(thetas)[:, None] * Q[..., 1, :4]
+            V = np.cos(thetas)[:, None] * P[j, 0, :4] + np.sin(thetas)[:, None] * P[j, 1, :4]
             return V[:, 0] + np.hypot(V[:, 1], np.hypot(V[:, 2], V[:, 3]))
-        return sample, lambda j, thetas: _top_2x2(coefficients(j), thetas)
+        return sample, lambda j, thetas: _top_2x2(P[j], thetas)
     A, B = _cartesian_parts(Ts)
     def sample(j, thetas):
-        H = _rotated(A[0], B[0], thetas) if j is None else _rotated(A[j], B[j], thetas)
-        return np.linalg.eigvalsh(H)[:, -1]
+        return np.linalg.eigvalsh(_rotated(A, B, j, thetas))[:, -1]
     return sample, functools.partial(_top_eigh, A, B)
+
+
+def _supports(mats):
+    """The kernel for h of the square matrices mats, which may mix sizes:
+    (slots, sweep, scale_back). Slots hold the prescaled matrices in (n,
+    index) order, and mats[i] is in slots[i]. sweep(slot, thetas) gives h of
+    slot[c] at thetas[c], or h, h', h'' with evaluate=True, in one eigensolve
+    call per distinct n for a sorted slot. scale_back(slot, values, what)
+    takes values of slot back to the units of mats and checks them (_finite).
+    """
+    mats = [linalg.as_matrix(T) for T in mats]
+    order = sorted(range(len(mats)), key=lambda i: (len(mats[i]), i))
+    slots = np.argsort(order)
+    scaled, exps = zip(*[_prescaled(mats[i]) for i in order])
+    # (first slot, stop slot, sample, evaluate) for each size n
+    groups = [(first, stop, *_support_kernels(np.array(scaled[first:stop])))
+              for first, stop in _runs(np.array([len(S) for S in scaled]))]
+
+    def sweep(slot, thetas, evaluate=False):
+        # one kernel call per size n, over that size's contiguous run of cells
+        parts = []
+        for first, stop, sample, refine in groups:
+            a, b = np.searchsorted(slot, [first, stop])
+            if a < b:
+                parts.append((refine if evaluate else sample)(slot[a:b] - first, thetas[a:b]))
+        if evaluate:
+            return tuple(np.concatenate(p) for p in zip(*parts))
+        return np.concatenate(parts)
+
+    def scale_back(slot, values, what):
+        with np.errstate(over="ignore"):
+            return _finite(np.ldexp(values, np.array(exps)[slot]), what)
+
+    return slots, sweep, scale_back
 
 
 def _cell_bounds(lo, hi, h_lo, h_hi) -> np.ndarray:
@@ -204,15 +240,8 @@ def _cell_bounds(lo, hi, h_lo, h_hi) -> np.ndarray:
     return bounds
 
 
-def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * len(a), dtype=a.dtype)
-    out[0::2], out[1::2] = a, b
-    return out
-
-
 def numerical_radius(T) -> float:
-    """w(T) = max_theta h(theta), h(theta) = lambda_max(H(theta)); the
-    one-matrix case of numerical_radii."""
+    """w(T) = max_theta h(theta), the one-matrix case of numerical_radii."""
     return float(numerical_radii([T])[0])
 
 
@@ -230,56 +259,22 @@ def numerical_radii(mats) -> np.ndarray:
     leave it. A cell is dropped as soon as its bound no longer beats the
     best value its matrix attained, and is finished once its next step
     could change h by no more than rounding: |h'| |step| <= 4 eps times the
-    best of its matrix's 16 samples. That is the only stop rule. There is no
-    angle tolerance, since Newton's quadratic convergence always meets this
-    rule first. Each result is the largest h attained, so it never exceeds
-    w(T) by more than rounding.
+    best of its matrix's 16 samples; Newton's quadratic convergence always
+    meets this rule before any angle tolerance would. Each result is the
+    largest h attained, so it never exceeds w(T) by more than rounding.
 
-    The cells of all matrices share flat arrays, each cell tagged with its
-    matrix's slot in (n, index) order, so every sampling and Newton step is
-    one eigensolve call per distinct n (none for n = 2, which has closed
-    forms). Each T is first scaled by 2^-e, with 2^(e-1) <= its largest
-    real or imaginary part < 2^e, and w is scaled back: power-of-two scaling
-    is exact, and H(theta) can no longer overflow. A radius that is still not
-    finite raises NumericError; [] gives an empty array.
+    The search runs on the kernel _supports, for all matrices at once; a w
+    that is not finite raises NumericError, and [] gives an empty array.
     """
-    mats = [linalg.as_matrix(T) for T in mats]
+    mats = list(mats)
     if not mats:
         return np.zeros(0)
-    order = sorted(range(len(mats)), key=lambda i: (len(mats[i]), i))
-    exps = [_exponent(mats[i]) for i in order]
-    groups = []  # [first slot, scaled matrices] for each size n
-    for s, i in enumerate(order):
-        if s == 0 or len(mats[i]) != len(mats[order[s - 1]]):
-            groups.append([s, []])
-        groups[-1][1].append(mats[i] * 2.0 ** -exps[s] if exps[s] else mats[i])
-    groups = [(first, len(stack), *_support_kernels(np.array(stack)))
-              for first, stack in groups]
-
-    def sweep(slot, thetas, evaluate=False):
-        # one kernel call per size n, over that size's contiguous run of cells
-        parts = []
-        for first, count, sample, refine in groups:
-            a, b = np.searchsorted(slot, [first, first + count])
-            if a < b:
-                j = None if count == 1 else slot[a:b] - first
-                parts.append((refine if evaluate else sample)(j, thetas[a:b]))
-        if len(parts) == 1:
-            return parts[0]
-        if evaluate:
-            return tuple(np.concatenate(p) for p in zip(*parts))
-        return np.concatenate(parts)
-
+    slots, sweep, scale_back = _supports(mats)
     # _cell_search meets non-finite h'' (a repeated top eigenvalue) and
     # zero-width cells; the comparisons it makes fail for such values
     with np.errstate(all="ignore"):
-        radii = np.empty(len(mats))
-        radii[order] = np.ldexp(_cell_search(sweep, len(mats)), exps)
-    bad = np.flatnonzero(~np.isfinite(radii))
-    if bad.size:
-        raise NumericError(f"numerical radius of matrix {bad[0]} is {radii[bad[0]]}, "
-                           "not a finite number")
-    return radii
+        best = _cell_search(sweep, len(mats))
+    return scale_back(slots, best[slots], "numerical radius of matrix")
 
 
 def _cell_search(sweep, k: int) -> np.ndarray:
@@ -295,11 +290,11 @@ def _cell_search(sweep, k: int) -> np.ndarray:
     gain_tol = 4.0 * np.finfo(float).eps * best
     h_lo, h_hi = values.ravel(), np.roll(values, -1, axis=1).ravel()
     vertex = lo  # where each cell's Newton refinement starts, set by the halvings
-    for _ in range(_HALVINGS):
+    for halving in range(_HALVINGS + 1):
         keep = _cell_bounds(lo, hi, h_lo, h_hi) > best[slot]
         slot, lo, hi, h_lo, h_hi, vertex = (
             v[keep] for v in (slot, lo, hi, h_lo, h_hi, vertex))
-        if not slot.size:
+        if halving == _HALVINGS or not slot.size:
             break
         mid = (lo + hi) / 2.0
         h_mid = sweep(slot, mid)
@@ -307,12 +302,10 @@ def _cell_search(sweep, k: int) -> np.ndarray:
         width /= 2.0
         bend = h_lo - 2.0 * h_mid + h_hi
         vertex = np.where(bend < 0, mid + 0.5 * width * (h_lo - h_hi) / bend, mid)
-        slot, vertex = np.repeat(slot, 2), np.repeat(vertex, 2)
-        lo, hi = _interleave(lo, mid), _interleave(mid, hi)
-        h_lo, h_hi = _interleave(h_lo, h_mid), _interleave(h_mid, h_hi)
-    keep = _cell_bounds(lo, hi, h_lo, h_hi) > best[slot]
-    slot, lo, hi, h_lo, h_hi, vertex = (
-        v[keep] for v in (slot, lo, hi, h_lo, h_hi, vertex))
+        # each cell splits into [lo, mid] and [mid, hi]
+        slot, lo, hi, h_lo, h_hi, vertex = (
+            np.repeat(v, 2) for v in (slot, lo, hi, h_lo, h_hi, vertex))
+        lo[1::2], hi[0::2], h_lo[1::2], h_hi[0::2] = mid, mid, h_mid, h_mid
     theta = np.minimum(np.maximum(vertex, lo), hi)
 
     for _ in range(_MAX_STEPS):
@@ -332,11 +325,20 @@ def _cell_search(sweep, k: int) -> np.ndarray:
     return best
 
 
-def _exponent(T: np.ndarray) -> int:
-    """e with 2^(e-1) <= the largest |Re| or |Im| of an entry < 2^e (0 for
-    T = 0), at least -1021 so that 2^-e is finite."""
+def _prescaled(T: np.ndarray) -> tuple[np.ndarray, int]:
+    """(2^-e T, e), with 2^(e-1) <= the largest |Re| or |Im| of an entry
+    < 2^e (e = 0 for T = 0) and e >= -1021, so that 2^-e is finite."""
     top = max(float(np.abs(T.real).max()), float(np.abs(T.imag).max()))
-    return max(math.frexp(top)[1], -1021)
+    e = max(math.frexp(top)[1], -1021)
+    return (T * 2.0 ** -e if e else T), e
+
+
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """values, or NumericError naming the first one that is not finite."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NumericError(f"{what} {bad[0]} is {values[bad[0]]}, not a finite number")
+    return values
 
 
 def _level_cuts(T: np.ndarray, c: float) -> np.ndarray:
@@ -347,12 +349,12 @@ def _level_cuts(T: np.ndarray, c: float) -> np.ndarray:
     det(T* z^2 - 2c z I + T) = 0, so the cuts are the arguments of the
     unimodular eigenvalues of the pencil [[0, I], [-T, 2cI]] - z [[I, 0],
     [0, T*]]; infinite ones (T* singular) and NaN ones (a singular pencil)
-    are dropped. Between consecutive cuts lambda_max(H) - c has one sign.
+    are dropped. The pencil is formed from the prescaled T and level.
     """
-    n = T.shape[0]
-    eye, zero = np.eye(n), np.zeros((n, n))
+    T, e = _prescaled(T)
+    eye, zero = np.eye(len(T)), np.zeros(T.shape)
     try:
-        z = scipy.linalg.eigvals(np.block([[zero, eye], [-T, 2.0 * c * eye]]),
+        z = scipy.linalg.eigvals(np.block([[zero, eye], [-T, 2.0 * math.ldexp(c, -e) * eye]]),
                                  np.block([[eye, zero], [zero, T.conj().T]]))
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"level-crossing pencil: {exc}") from exc
@@ -360,9 +362,13 @@ def _level_cuts(T: np.ndarray, c: float) -> np.ndarray:
     return np.sort(np.angle(z[np.abs(np.abs(z) - 1.0) <= _CUT_TOL]) % (2.0 * np.pi))
 
 
-def _arc_midpoints(cuts: np.ndarray) -> np.ndarray:
-    """The midpoint of each arc into which the sorted angles cuts divide the
-    circle; with no cut, the circle is one arc and 0 stands for it."""
+def arc_midpoints(levels) -> np.ndarray:
+    """The midpoint of each arc into which the level cuts of every pair
+    (T, c) of levels divide the circle; with no cut, the circle is one arc
+    and 0 stands for it. On each arc, h_T - c keeps one sign for every
+    pair, so comparing h_T with c at these angles compares it everywhere."""
+    cuts = functools.reduce(np.union1d, [_level_cuts(linalg.as_matrix(T), c)
+                                         for T, c in levels])
     if cuts.size == 0:
         return np.zeros(1)
     return (cuts + np.append(cuts[1:], cuts[0] + 2.0 * np.pi)) / 2.0
@@ -372,10 +378,8 @@ def contains(T, z: complex, tol: float = 1e-9) -> bool:
     """Membership of z in the closure of W(T), up to a support slack tol.
 
     z is in W(T) iff h_{T - zI}(theta) = h(theta) - Re(e^{-i theta} z) >= 0
-    for every theta. The level cuts of T - zI at -tol divide the circle
-    into arcs on each of which h_{T - zI} + tol has one sign, so testing
-    h_{T - zI} >= -tol at each arc's midpoint tests the whole circle.
+    for every theta; testing h_{T - zI} >= -tol at the arc midpoints of its
+    level cuts at -tol tests the whole circle.
     """
-    S = linalg.as_matrix(T)
-    S = S - complex(z) * np.eye(len(S))
-    return bool(np.all(support_values(S, _arc_midpoints(_level_cuts(S, -tol))) >= -tol))
+    S = linalg.as_matrix(T) - complex(z) * np.eye(len(T))
+    return bool(np.all(support_values(S, arc_midpoints([(S, -tol)])) >= -tol))

@@ -46,7 +46,7 @@ from .diskfun import (
 )
 from .errors import NumericError, PolesNearSpectrumError
 from .formats import format_complex, serialize_matrix
-from .fov import _arc_midpoints, _level_cuts, numerical_radii, numerical_radius, support_values
+from .fov import arc_midpoints, numerical_radii, numerical_radius, support_values
 from .linalg import min_eigenvalue
 
 # grid points per t range of region S's boundary in the Q-form suites
@@ -149,8 +149,7 @@ def _run(suite: str, trials: int | range, seed: int, tol: float, trial,
     if after is not None:
         recs.append(_Recorder())
         after(recs[-1])
-    count = len(indices) if isinstance(trials, range) else trials
-    return VerifyReport(suite, count, sum(r.failures for r in recs),
+    return VerifyReport(suite, len(indices), sum(r.failures for r in recs),
                         max((r.worst for r in recs), default=-math.inf), tol, seed,
                         sum(r.retries for r in recs),
                         next((r.witness for r in recs if r.witness is not None), None))
@@ -170,11 +169,8 @@ def _lockstep(bodies) -> None:
             except StopIteration:
                 continue
             waiting.append(body)
-        radii = numerical_radii([M for ask in asks for M in ask]).tolist()
-        sent, k = [], 0
-        for ask in asks:
-            sent.append(radii[k:k + len(ask)])
-            k += len(ask)
+        radii = iter(numerical_radii([M for ask in asks for M in ask]).tolist())
+        sent = [[next(radii) for _ in ask] for ask in asks]
         live = waiting
 
 
@@ -320,15 +316,14 @@ def _teardrop_excess(F: np.ndarray, alpha: complex, tol: float) -> tuple[float, 
     support, excess(theta) = h_F(theta) - teardrop_support(alpha, theta).
 
     That excess passes tol exactly where h_F > 1 + tol and
-    h_{F - alpha I} > 1 - |alpha|^2 + tol. The level cuts of both divide the
-    circle into arcs on which each comparison keeps one sign, so the excess
-    passes tol somewhere iff it does at an arc midpoint. The samples are
-    those midpoints and the two tangent directions arg alpha -+ arccos|alpha|.
+    h_{F - alpha I} > 1 - |alpha|^2 + tol, so it passes tol somewhere iff it
+    does at an arc midpoint of both level cuts. The samples are those
+    midpoints and the two tangent directions arg alpha -+ arccos|alpha|.
     """
-    cuts = np.union1d(_level_cuts(F, 1.0 + tol),
-                      _level_cuts(F - alpha * np.eye(len(F)), 1.0 - abs(alpha) ** 2 + tol))
+    arcs = arc_midpoints([(F, 1.0 + tol),
+                          (F - alpha * np.eye(len(F)), 1.0 - abs(alpha) ** 2 + tol)])
     psi, delta = np.angle(alpha), math.acos(abs(alpha))
-    thetas = np.append(_arc_midpoints(cuts), [psi - delta, psi + delta])
+    thetas = np.append(arcs, [psi - delta, psi + delta])
     excess = support_values(F, thetas) - regions.teardrop_support(alpha, thetas)
     k = int(np.argmax(excess))
     return float(thetas[k]), float(excess[k])
@@ -392,8 +387,8 @@ def extremal_search(f: DiskFunction, dim: int, iterations: int, seed: int = 42,
     parameter, halved after 20 consecutive non-improvements, restart when
     the step drops below 1e-4. Deterministic for a fixed seed.
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if dim < 1 or iterations < 1:
+        raise ValueError(f"dim and iterations must be >= 1, got {dim} and {iterations}")
     rng = np.random.default_rng([int(seed), _SUITE_IDS["search"]])
     n_params = 2 * dim * dim
 

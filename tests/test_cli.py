@@ -71,6 +71,28 @@ class TestRange:
     def test_too_few_angles(self, shift_file, capsys):
         assert main(["range", shift_file, "--angles", "4"]) == 2
 
+    def test_entries_near_overflow(self, tmp_path, capsys):
+        # H(theta) was formed from the raw T and overflowed: this printed
+        # supports of 7.07e307 and nan points with exit 0
+        path = tmp_path / "big.mat"
+        path.write_text("dim 2\n1e308+0i 1e308+0i\n0+0i 1e308+0i\n")
+        assert main(["range", str(path), "--angles", "8"]) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out
+        rows = [list(map(float, line.split(","))) for line in out.splitlines()[1:]]
+        assert rows[0][:2] == [0.0, pytest.approx(1.5e308, rel=1e-15)]
+
+    def test_support_beyond_float_range_is_numeric_error(self, tmp_path, capsys):
+        # h(0) = 2e308 overflows; numpy's eigensolver failed on the inf
+        # entries of H(0), and this was reported as a usage error (exit 2)
+        path = tmp_path / "huge.mat"
+        path.write_text("dim 3\n1e308+0i 1e308+0i 1e308+0i\n"
+                        "0+0i 1e308+0i 1e308+0i\n0+0i 0+0i 1e308+0i\n")
+        assert main(["range", str(path), "--angles", "8"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric error:")
+
 
 class TestClark:
     def test_z_squared(self, capsys):
@@ -193,11 +215,16 @@ class TestVerify:
         assert main(["verify", "--suite", "props52", "--trials", "1", "--seed", "5"]) == 0
         assert "seed: 5\n" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("extra", [["--trial", "-1"], ["--trial", "2", "--trials", "5"]])
+    @pytest.mark.parametrize("extra", [["--trial", "-1"], ["--trial", "2", "--trials", "5"],
+                                       ["--trials", "-3"]])
     def test_bad_trial_is_usage_error(self, capsys, extra):
         with pytest.raises(SystemExit) as e:
             main(["verify", "--suite", "props52"] + extra)
         assert e.value.code == 2
+
+    def test_zero_trials_is_allowed(self, capsys):
+        assert main(["verify", "--suite", "power", "--trials", "0"]) == 0
+        assert "trials: 0\n" in capsys.readouterr().out
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -227,3 +254,9 @@ class TestSearch:
 
     def test_bad_expression(self, capsys):
         assert main(["search", "frobnicate 1"]) == 2
+
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_dimension_below_one_is_usage_error(self, capsys, dim):
+        # --dim 0 looped for ever: every objective of an empty matrix failed
+        assert main(["search", "poly 0 1", "--dim", dim]) == 2
+        assert capsys.readouterr().err.startswith(f"error: dim and iterations must be >= 1, got {dim}")

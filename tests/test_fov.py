@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from numrange.errors import NumericError
 from numrange.fov import (
-    _arc_midpoints,
-    _level_cuts,
+    arc_midpoints,
     boundary,
     contains,
     hermitian_part,
@@ -170,7 +169,7 @@ class TestNumericalRadius:
         for _ in range(200):
             T = random_matrix(rng)
             level = numerical_radius(T) * (1 + 1e-12)
-            assert support_values(T, _arc_midpoints(_level_cuts(T, level))).max() <= level
+            assert support_values(T, arc_midpoints([(T, level)])).max() <= level
 
     def test_at_least_grid_maximum(self):
         rng = np.random.default_rng(11)
@@ -226,6 +225,45 @@ class TestNumericalRadii:
             numerical_radius(T)
         with pytest.raises(NumericError, match="matrix 1"):
             numerical_radii([SHIFT2, T])
+
+
+class TestPrescale:
+    def test_entry_points_scale_exactly(self):
+        # support_values, boundary and the level cuts formed H(theta) and the
+        # pencil from the raw T: at 2^600 the 2x2 closed form's squares
+        # overflowed, and the pencil lost or moved cuts
+        rng = np.random.default_rng(601)
+        thetas = np.linspace(0.0, 2.0 * np.pi, 29)
+        for _ in range(60):
+            T = random_matrix(rng)
+            level = 0.7 * numerical_radius(T)
+            supports = support_values(T, thetas)
+            curve = boundary(T, 16)
+            arcs = arc_midpoints([(T, level)])
+            for k in (600, -600):
+                S = T * 2.0 ** k
+                assert support_values(S, thetas).tolist() == np.ldexp(supports, k).tolist()
+                scaled = boundary(S, 16)
+                assert scaled.supports.tolist() == np.ldexp(curve.supports, k).tolist()
+                assert scaled.points.tolist() == (curve.points * 2.0 ** k).tolist()
+                assert arc_midpoints([(S, level * 2.0 ** k)]).tolist() == arcs.tolist()
+
+    def test_entries_near_overflow(self):
+        # H(0) = [[1, 1/2], [1/2, 1]] 1e308 has top eigenvalue 1.5e308
+        T = np.array([[1e308, 1e308], [0, 1e308]])
+        assert support_values(T, 0.0)[0] == pytest.approx(1.5e308, rel=1e-15)
+        curve = boundary(T, 8)
+        assert curve.supports[0] == pytest.approx(1.5e308, rel=1e-15)
+        assert np.all(np.isfinite(curve.points))
+
+    def test_support_beyond_float_range_raises(self):
+        # h(0) = 2e308; numpy's eigensolver raised LinAlgError on the inf
+        # entries of H(0)
+        T = 1e308 * np.triu(np.ones((3, 3)))
+        with pytest.raises(NumericError, match="support value 0 is inf"):
+            support_values(T, [0.0, np.pi])
+        with pytest.raises(NumericError, match="support value 0 is inf"):
+            boundary(T, 8)
 
 
 class TestContains:

@@ -1,4 +1,5 @@
-"""Golden outputs: SHA-256 digests of CLI stdout, recorded at commit 86a3de3.
+"""Golden outputs: SHA-256 digests of CLI stdout, recorded at commit 86a3de3,
+and of the fov kernel's float64 results, recorded at commit ae4ce58.
 
 The two `verify --suite all` digests were recorded again when drury's
 containment residual became the largest support excess at the arc
@@ -9,6 +10,8 @@ curves, are part of the CLI contract and must stay byte-identical under
 refactors. A digest that changes means an output changed; record a new one
 only with a change that means to alter that output, and say so. The verify
 cases carry fixed ids, so recording a digest again keeps the test's name.
+The kernel digests pin numerical_radii, support_values and boundary bit for
+bit on inputs whose prescale exponent is and is not zero.
 """
 
 import hashlib
@@ -18,6 +21,8 @@ import pytest
 
 from numrange.cli import main
 from numrange.formats import serialize_matrix
+from numrange.fov import boundary, numerical_radii, support_values
+from numrange.verify import random_matrix
 
 VERIFY = [
     (["--suite", "all", "--trials", "50", "--seed", "3"],
@@ -93,3 +98,45 @@ def test_range_curve(capsys, tmp_path, name, fmt):
     path.write_text(serialize_matrix(_matrix(name)))
     expected = RANGE[name][fmt == "svg"]
     assert _digest(capsys, ["range", str(path), "--angles", "360", "--out", fmt]) == expected
+
+
+KERNEL = {
+    "numerical_radii": "03807c6e1be170abd38cfb16dda29158cd57765635baa7348b82c69d3ca0f39d",
+    "support_values": "c918e21d1cf40c6a5c99703ce12e43887f2074a5ff4ea20e4b6240a983d9ec8f",
+    "boundary-16": "ded2c885231d68e71eb219ff5592536ef740b512a639b325232118394d781130",
+    "boundary-64": "82e9fafecbff1db7004864afdcefe6b5c97e50d07326fe1b19dd670c53a305da",
+}
+
+
+def _kernel_matrices() -> list[np.ndarray]:
+    """2000 seeded random_matrix draws, a quarter of them cubed (so that
+    their prescale exponent is not zero), Jordan blocks at n = 2..16 and
+    the near-tie family diag(e^{i phi}, (1 - 1e-6) e^{i (phi + g)}, 0.3)."""
+    rng = np.random.default_rng(2027)
+    mats = [random_matrix(rng) for _ in range(2000)]
+    mats[::4] = [np.linalg.matrix_power(T, 3) for T in mats[::4]]
+    mats += [np.eye(n, k=1, dtype=complex) for n in range(2, 17)]
+    mats += [np.diag([np.exp(1j * phi), (1 - 1e-6) * np.exp(1j * (phi + g)), 0.3])
+             for phi in np.linspace(0.0, 6.0, 5) for g in np.geomspace(1e-3, 0.3, 10)]
+    return mats
+
+
+def _kernel_output(name: str) -> list[np.ndarray]:
+    if name == "numerical_radii":
+        return [numerical_radii(_kernel_matrices())]
+    if name == "support_values":
+        thetas = np.linspace(0.0, 2.0 * np.pi, 37)
+        return [support_values(T, thetas) for T in _kernel_matrices()[::5]]
+    rng = np.random.default_rng(64)
+    if name == "boundary-16":
+        T = np.linalg.matrix_power(random_matrix(rng, 16), 3)
+    else:
+        T = random_matrix(rng, 64)
+    curve = boundary(T, 360)
+    return [curve.supports, curve.points]
+
+
+@pytest.mark.parametrize("name", KERNEL)
+def test_kernel_digest(name):
+    data = b"".join(np.asarray(a).tobytes() for a in _kernel_output(name))
+    assert hashlib.sha256(data).hexdigest() == KERNEL[name]

@@ -351,6 +351,12 @@ class TestExtremalSearch:
         with pytest.raises(ValueError):
             extremal_search(Polynomial((0, 1)), 2, 0)
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_rejects_dimension_below_one(self, dim):
+        # dim 0 looped for ever: every objective of an empty matrix failed
+        with pytest.raises(ValueError, match="dim and iterations must be >= 1"):
+            extremal_search(Polynomial((0, 1)), dim, 10)
+
     def test_deterministic(self):
         f = Polynomial((0, 0.5, 0.5))
         a = extremal_search(f, 2, 50, seed=4)
