@@ -115,7 +115,7 @@ class _Recorder:
         self.trial = trial
 
     def record(self, residual: float, tol: float, witness_fn):
-        self.worst = max(self.worst, residual)
+        self.worst = max(self.worst, float(residual))  # not np.float64(...) in reports
         if residual > tol:
             self.failures += 1
             if self.witness is None:

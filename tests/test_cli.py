@@ -222,9 +222,11 @@ class TestVerify:
             main(["verify", "--suite", "props52"] + extra)
         assert e.value.code == 2
 
-    def test_zero_trials_is_allowed(self, capsys):
-        assert main(["verify", "--suite", "power", "--trials", "0"]) == 0
-        assert "trials: 0\n" in capsys.readouterr().out
+    def test_worst_residual_prints_as_a_float(self, capsys):
+        # drury's radius residual was a numpy scalar, and the report read
+        # "worst_residual: np.float64(-0.0385670075054485)"
+        assert main(["verify", "--suite", "drury", "--seed", "1844281053", "--trial", "17"]) == 0
+        assert "worst_residual: -0.0385670075054485\n" in capsys.readouterr().out
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as e:
