@@ -211,12 +211,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (NumericError, np.linalg.LinAlgError) as exc:
+        # a LAPACK failure is numeric; it comes first, as LinAlgError is a ValueError
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return 3
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 4

@@ -3,19 +3,22 @@
 The support function h(theta) of W(T) in direction theta is the top
 eigenvalue of the rotated Hermitian part
 H(theta) = (e^{-i theta} T + e^{i theta} T*)/2.
-Sweeping theta gives the boundary curve; maximizing over theta gives the
-numerical radius w(T). The maximization keeps only the angle cells whose
-outer-polygon bound can still beat the best value found (Uhlig, "Geometric
-computation of the numerical radius of a matrix", 2009) and refines them
-by safeguarded Newton steps on h'(theta) = Im(e^{-i theta}<Tx,x>) (Watson,
-"Computing the numerical radius", 1996) until a step can change h by no
-more than rounding; that is the only stop rule, with no angle tolerance.
-numerical_radii runs this search for a list of matrices of mixed sizes at
-once, on the one kernel for h (_supports) that support_values shares, so
-that each step is one eigensolve call per size. Every entry point, the
-level cuts included, scales T by 2^-e, with e from its largest entry
-(_prescaled), and scales h back: that is exact, and H(theta) can no longer
-overflow. A value that is still not finite raises NumericError (_finite).
+Sweeping theta gives the boundary curve; since H(theta + pi) = -H(theta),
+one eigensolve gives h at theta (top pair) and at theta + pi (bottom pair),
+so boundary solves only half of an even angle grid. Maximizing over theta
+gives the numerical radius w(T). The maximization keeps only the angle
+cells whose outer-polygon bound can still beat the best value found
+(Uhlig, "Geometric computation of the numerical radius of a matrix", 2009)
+and refines them by safeguarded Newton steps on h'(theta) =
+Im(e^{-i theta}<Tx,x>) (Watson, "Computing the numerical radius", 1996)
+until a step can change h by no more than rounding; that is the only stop
+rule, with no angle tolerance. numerical_radii runs this search for a list
+of matrices of mixed sizes at once, on the one kernel for h (_supports)
+that support_values shares, so that each step is one eigensolve call per
+size. Every entry point, the level cuts and hermitian_part included,
+scales T by 2^-e, with e from its largest entry (_prescaled), and scales
+the result back: that is exact, and H(theta) can no longer overflow. A
+value that is still not finite raises NumericError (_finite).
 
 Comparisons of h with a level c over the whole circle need no angle grid:
 _level_cuts finds every theta at which some eigenvalue of H(theta) equals
@@ -57,8 +60,13 @@ _CUT_TOL = 1e-6
 
 
 def hermitian_part(T, theta: float = 0.0) -> np.ndarray:
-    """(e^{-i theta} T + e^{i theta} T*)/2, Hermitian by construction."""
-    return _rotated(*_cartesian_parts(linalg.as_matrix(T)[None]), [0], np.array([theta]))[0]
+    """(e^{-i theta} T + e^{i theta} T*)/2, Hermitian by construction, formed
+    from the prescaled T; NumericError if an entry is not finite."""
+    S, e = _prescaled(linalg.as_matrix(T))
+    H = _rotated(*_cartesian_parts(S[None]), [0], np.array([theta]))[0]
+    with np.errstate(over="ignore"):
+        H.real, H.imag = np.ldexp(H.real, e), np.ldexp(H.imag, e)
+    return _finite(H, "Hermitian part entry")
 
 
 def support_values(T, thetas) -> np.ndarray:
@@ -87,17 +95,26 @@ class BoundaryCurve:
 def boundary(T, n_angles: int) -> BoundaryCurve:
     """Boundary curve of W(T) on a uniform angle grid (n_angles >= 8), from
     its own eigensolve of the prescaled T, since it needs the top vectors;
-    NumericError if a support value or point is not finite."""
+    NumericError if a support value or point is not finite.
+
+    H(theta + pi) = -H(theta), so for an even n_angles only the first half
+    of the angles is solved: the bottom pair of H(thetas[k]) gives row
+    k + n_angles/2, with h(thetas[k] + pi) = -lambda_min(H(thetas[k])). An
+    odd n_angles has no antipodal pairs, and every angle is solved.
+    """
     if n_angles < 8:
         raise ValueError(f"n_angles must be >= 8, got {n_angles}")
     T = linalg.as_matrix(T)
     S, e = _prescaled(T)
     thetas = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    paired = 0 if n_angles % 2 else n_angles // 2
+    m = n_angles - paired
     A, B = _cartesian_parts(S[None])
-    vals, vecs = np.linalg.eigh(_rotated(A, B, np.zeros(n_angles, dtype=int), thetas))
-    tops = vecs[:, :, -1]
+    vals, vecs = np.linalg.eigh(_rotated(A, B, np.zeros(m, dtype=int), thetas[:m]))
+    h = np.concatenate([vals[:, -1], -vals[:paired, 0]])
+    tops = np.concatenate([vecs[:, :, -1], vecs[:paired, :, 0]])
     with np.errstate(over="ignore"):
-        supports = _finite(np.ldexp(vals[:, -1], e), "support value")
+        supports = _finite(np.ldexp(h, e), "support value")
         points = _finite(np.einsum("ki,ij,kj->k", tops.conj(), T, tops), "boundary point")
     return BoundaryCurve(thetas=thetas, supports=supports, points=points)
 
@@ -334,10 +351,11 @@ def _prescaled(T: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:
-    """values, or NumericError naming the first one that is not finite."""
+    """values, or NumericError naming the first one (by flat index) that is
+    not finite."""
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        raise NumericError(f"{what} {bad[0]} is {values[bad[0]]}, not a finite number")
+        raise NumericError(f"{what} {bad[0]} is {values.flat[bad[0]]}, not a finite number")
     return values
 
 

@@ -7,6 +7,10 @@ from numrange.formats import parse_matrix, serialize_matrix
 SHIFT2 = np.array([[0, 2], [0, 0]], dtype=complex)
 
 
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 @pytest.fixture
 def shift_file(tmp_path):
     path = tmp_path / "shift.mat"
@@ -47,6 +51,17 @@ class TestRadius:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "numeric error" in captured.err
+
+    def test_lapack_failure_is_numeric_error(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError is a ValueError, and was reported as a usage error
+        # (exit 2); 3x3 so that the kernel calls eigvalsh, not a closed form
+        path = tmp_path / "three.mat"
+        path.write_text(serialize_matrix(np.eye(3, k=1)))
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_convergence)
+        assert main(["radius", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric error: Eigenvalues did not converge\n"
 
 
 class TestRange:
@@ -92,6 +107,14 @@ class TestRange:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("numeric error:")
+
+    def test_lapack_failure_is_numeric_error(self, shift_file, capsys, monkeypatch):
+        # LinAlgError is a ValueError, and was reported as a usage error (exit 2)
+        monkeypatch.setattr(np.linalg, "eigh", _no_convergence)
+        assert main(["range", shift_file, "--angles", "8"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric error: Eigenvalues did not converge\n"
 
 
 class TestClark:

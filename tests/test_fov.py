@@ -45,6 +45,18 @@ class TestHermitianPart:
         H = hermitian_part(random_complex(rng, 6), 1.3)
         assert np.array_equal(H, H.conj().T)
 
+    def test_entries_near_overflow(self):
+        # (T + T*)/2 was formed from the raw T, and overflowed to nan
+        T = np.array([[1e308, 1e308], [0, 1e308]])
+        H = hermitian_part(T)
+        assert H.tolist() == [[1e308, 5e307], [5e307, 1e308]]
+
+    def test_entry_beyond_float_range_raises(self):
+        # H(pi/4) has diagonal sqrt(2) 1.7e308
+        T = 1.7e308 * (1 + 1j) * np.eye(2)
+        with pytest.raises(NumericError, match=r"Hermitian part entry 0 is \(inf"):
+            hermitian_part(T, np.pi / 4)
+
 
 class TestBoundary:
     def test_shift_gives_unit_circle(self):
@@ -104,6 +116,36 @@ class TestBoundary:
     def test_rejects_too_few_angles(self):
         with pytest.raises(ValueError):
             boundary(SHIFT2, 4)
+
+    @pytest.mark.parametrize("n_angles, solved", [(360, 180), (361, 361)])
+    def test_one_eigensolve_per_antipodal_pair(self, monkeypatch, n_angles, solved):
+        # H(theta + pi) = -H(theta): an even grid solves only its first half
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        boundary(random_complex(np.random.default_rng(7), 4), n_angles)
+        assert shapes == [(solved, 4, 4)]
+
+    def test_matches_support_values(self):
+        # the antipodal rows come from the bottom eigenpair of H(theta)
+        rng = np.random.default_rng(8)
+        for n in range(2, 17):
+            T = random_matrix(rng, n)
+            scale = max(1.0, operator_norm(T))
+            for n_angles in (360, 361):
+                for k in (0, 600, -600):
+                    curve = boundary(T * 2.0 ** k, n_angles)
+                    tol = 2.0 ** k * scale
+                    supports = support_values(T * 2.0 ** k, curve.thetas)
+                    assert np.max(np.abs(curve.supports - supports)) <= 1e-14 * tol
+                    # each point lies on its supporting line
+                    proj = np.real(np.exp(-1j * curve.thetas) * curve.points)
+                    assert np.max(np.abs(proj - curve.supports)) <= 1e-13 * tol
 
 
 class TestNumericalRadius:
