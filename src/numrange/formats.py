@@ -29,6 +29,9 @@ from .errors import FunctionExprError, MatrixFileError, NotUnimodularError
 _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(rf"^([+-]?{_NUM})([+-]{_NUM})i$")
 _REAL_RE = re.compile(rf"^[+-]?{_NUM}$")
+# a matrix row: whitespace-separated tokens, each real or complex as above
+_TOKEN = rf"[+-]?{_NUM}(?:[+-]{_NUM}i)?"
+_ROW_RE = re.compile(rf"\s*{_TOKEN}(?:\s+{_TOKEN})*\s*")
 
 
 def format_complex(z: complex) -> str:
@@ -54,7 +57,11 @@ def serialize_matrix(T) -> str:
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    """Parse the MatrixFile format; errors carry line/column positions."""
+    """Parse the MatrixFile format; errors carry line/column positions.
+
+    Each row is checked by one regular expression, and only then are its
+    tokens converted by complex(), which reads `re+imj` as parse_complex
+    reads `re+imi`."""
     lines = text.splitlines()
     if not lines:
         raise MatrixFileError("line 1: empty input, expected 'dim n'")
@@ -67,26 +74,31 @@ def parse_matrix(text: str) -> np.ndarray:
         raise MatrixFileError(f"line 1: bad dimension {header[1]!r}") from None
     if n < 1:
         raise MatrixFileError(f"line 1: dimension must be positive, got {n}")
-    rows = [ln for ln in lines[1:] if ln.strip()]
+    rows = [(number, line) for number, line in enumerate(lines[1:], start=2) if line.strip()]
     if len(rows) != n:
         raise MatrixFileError(f"expected {n} matrix rows, found {len(rows)}")
-    T = np.empty((n, n), dtype=complex)
-    for i, line in enumerate(rows):
-        tokens = line.split()
-        if len(tokens) != n:
-            raise MatrixFileError(
-                f"line {i + 2}: expected {n} entries, found {len(tokens)}"
-            )
-        col = 1
-        for j, tok in enumerate(tokens):
-            try:
-                T[i, j] = parse_complex(tok)
-            except ValueError as exc:
-                raise MatrixFileError(f"line {i + 2}, column {col}: {exc}") from None
-            col += len(tok) + 1
+    tokens = []
+    for number, line in rows:
+        row = line.split()
+        if len(row) != n:
+            raise MatrixFileError(f"line {number}: expected {n} entries, found {len(row)}")
+        if not _ROW_RE.fullmatch(line):
+            _raise_bad_entry(number, line)
+        tokens += row
+    T = np.array([complex(tok.replace("i", "j")) for tok in tokens]).reshape(n, n)
     if not np.all(np.isfinite(T)):
         raise MatrixFileError("matrix has non-finite entries")
     return T
+
+
+def _raise_bad_entry(number: int, line: str):
+    """MatrixFileError at the line and column of the first token of line
+    that is not a complex literal."""
+    for token in re.finditer(r"\S+", line):
+        try:
+            parse_complex(token.group())
+        except ValueError as exc:
+            raise MatrixFileError(f"line {number}, column {token.start() + 1}: {exc}") from None
 
 
 def _parse_real(token: str, what: str) -> float:

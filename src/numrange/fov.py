@@ -4,8 +4,10 @@ The support function h(theta) of W(T) in direction theta is the top
 eigenvalue of the rotated Hermitian part
 H(theta) = (e^{-i theta} T + e^{i theta} T*)/2.
 Sweeping theta gives the boundary curve; since H(theta + pi) = -H(theta),
-one eigensolve gives h at theta (top pair) and at theta + pi (bottom pair),
-so boundary solves only half of an even angle grid. Maximizing over theta
+the extreme eigenpairs of H(theta) give h at theta (top pair) and at
+theta + pi (bottom pair), so boundary solves only half of an even angle
+grid, with one tridiagonal reduction and two eigenpairs per solved angle
+rather than a full eigendecomposition. Maximizing over theta
 gives the numerical radius w(T). The maximization keeps only the angle
 cells whose outer-polygon bound can still beat the best value found
 (Uhlig, "Geometric computation of the numerical radius of a matrix", 2009)
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from . import linalg
 from .errors import NoConvergenceError, NumericError
@@ -94,13 +97,16 @@ class BoundaryCurve:
 
 def boundary(T, n_angles: int) -> BoundaryCurve:
     """Boundary curve of W(T) on a uniform angle grid (n_angles >= 8), from
-    its own eigensolve of the prescaled T, since it needs the top vectors;
-    NumericError if a support value or point is not finite.
+    its own eigenpairs of the prescaled T, since it needs the top vectors;
+    NumericError if a support value or point is not finite,
+    NoConvergenceError if LAPACK fails.
 
     H(theta + pi) = -H(theta), so for an even n_angles only the first half
     of the angles is solved: the bottom pair of H(thetas[k]) gives row
     k + n_angles/2, with h(thetas[k] + pi) = -lambda_min(H(thetas[k])). An
-    odd n_angles has no antipodal pairs, and every angle is solved.
+    odd n_angles has no antipodal pairs, and every angle is solved. Each
+    solved angle costs one tridiagonal reduction and two eigenpairs
+    (_extreme_pairs), not a full eigendecomposition.
     """
     if n_angles < 8:
         raise ValueError(f"n_angles must be >= 8, got {n_angles}")
@@ -108,15 +114,60 @@ def boundary(T, n_angles: int) -> BoundaryCurve:
     S, e = _prescaled(T)
     thetas = 2.0 * np.pi * np.arange(n_angles) / n_angles
     paired = 0 if n_angles % 2 else n_angles // 2
-    m = n_angles - paired
-    A, B = _cartesian_parts(S[None])
-    vals, vecs = np.linalg.eigh(_rotated(A, B, np.zeros(m, dtype=int), thetas[:m]))
-    h = np.concatenate([vals[:, -1], -vals[:paired, 0]])
-    tops = np.concatenate([vecs[:, :, -1], vecs[:paired, :, 0]])
+    A, B = _cartesian_parts(S)
+    vals, vecs = _extreme_pairs(A, B, thetas[:n_angles - paired])
+    h = np.concatenate([vals[:, 1], -vals[:paired, 0]])
+    tops = np.concatenate([vecs[:, 1], vecs[:paired, 0]])
     with np.errstate(over="ignore"):
         supports = _finite(np.ldexp(h, e), "support value")
         points = _finite(np.einsum("ki,ij,kj->k", tops.conj(), T, tops), "boundary point")
     return BoundaryCurve(thetas=thetas, supports=supports, points=points)
+
+
+def _extreme_pairs(A: np.ndarray, B: np.ndarray, thetas: np.ndarray):
+    """(vals, vecs): vals[k] = (lambda_min, lambda_max) of H(thetas[k]) =
+    cos A + sin B, formed as _rotated forms it, and vecs[k, 0], vecs[k, 1]
+    unit eigenvectors of the two.
+
+    Each H is reduced once to real tridiagonal form, H = Q T Q* (zhetrd).
+    Bisection on Sturm counts (dstebz) gives eigenvalue 1 and eigenvalue n
+    of T, inverse iteration (dstein) a vector for each, and one zunmqr call
+    maps both vectors back by Q. This is how LAPACK's zheevr computes an
+    index subset; MRRR (dstemr) for a single index returned the second
+    eigenvalue in place of the first when the two were 1e-14..1e-11 apart.
+    NoConvergenceError if a LAPACK call reports failure.
+    """
+    n = len(A)
+    cos, sin = np.cos(thetas), np.sin(thetas)
+    if n == 1:  # H = [h], and the LAPACK wrappers reject an empty off-diagonal
+        h = (A[0, 0] * cos + B[0, 0] * sin).real
+        return np.stack([h, h], axis=1), np.ones((len(thetas), 2, 1), dtype=complex)
+    A, B = np.asfortranarray(A), np.asfortranarray(B)
+    vals = np.empty((len(thetas), 2))
+    vecs = np.empty((len(thetas), 2, n), dtype=complex)
+    Z = np.empty((n, 2), dtype=complex, order="F")
+    for k in range(len(thetas)):
+        H = A * cos[k]
+        H += B * sin[k]
+        c, d, e, tau, info = scipy.linalg.lapack.zhetrd(H, lower=1, overwrite_a=1)
+        _lapack_ok("zhetrd", info)
+        for col, i in enumerate((1, n)):
+            # range 2 selects eigenvalues il..iu; tolerance 0 is LAPACK's default
+            _, w, block, split, info = scipy.linalg.lapack.dstebz(d, e, 2, 0.0, 0.0, i, i,
+                                                                  0.0, "E")
+            _lapack_ok("dstebz", info)
+            z, info = scipy.linalg.lapack.dstein(d, e, w[:1], block, split)
+            _lapack_ok("dstein", info)
+            vals[k, col], Z[:, col] = w[0], z[:, 0]
+        Z[1:], _, info = scipy.linalg.lapack.zunmqr("L", "N", c[1:, :-1], tau, Z[1:], 2)
+        _lapack_ok("zunmqr", info)
+        vecs[k] = Z.T
+    return vals, vecs
+
+
+def _lapack_ok(routine: str, info: int):
+    if info != 0:
+        raise NoConvergenceError(f"boundary eigenpairs: {routine} returned info {info}")
 
 
 def _cartesian_parts(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from numrange.cli import main
 from numrange.formats import parse_matrix, serialize_matrix
@@ -109,12 +110,18 @@ class TestRange:
         assert captured.err.startswith("numeric error:")
 
     def test_lapack_failure_is_numeric_error(self, shift_file, capsys, monkeypatch):
-        # LinAlgError is a ValueError, and was reported as a usage error (exit 2)
-        monkeypatch.setattr(np.linalg, "eigh", _no_convergence)
+        # a LAPACK routine that reports failure (info > 0) is a numeric error
+        dstein = scipy.linalg.lapack.dstein
+
+        def failing(*args, **kwargs):
+            z, _ = dstein(*args, **kwargs)
+            return z, 1
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstein", failing)
         assert main(["range", shift_file, "--angles", "8"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "numeric error: Eigenvalues did not converge\n"
+        assert captured.err == "numeric error: boundary eigenpairs: dstein returned info 1\n"
 
 
 class TestClark:

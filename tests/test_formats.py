@@ -71,6 +71,34 @@ class TestMatrixFiles:
         with pytest.raises(MatrixFileError, match="line 3, column 6"):
             parse_matrix("dim 2\n1+0i 0+0i\n0+0i oops\n")
 
+    def test_error_line_counts_blank_lines(self):
+        # blank lines were skipped before rows were numbered
+        with pytest.raises(MatrixFileError, match="line 4, column 6"):
+            parse_matrix("dim 2\n\n1+0i 0+0i\n0+0i x\n")
+        with pytest.raises(MatrixFileError, match="line 3: expected 2 entries"):
+            parse_matrix("dim 2\n\n1+0i\n0+0i 1+0i\n")
+
+    def test_error_column_counts_every_space(self):
+        # columns assumed a single space between tokens
+        with pytest.raises(MatrixFileError, match="line 3, column 10"):
+            parse_matrix("dim 2\n1+0i   0+0i\n0+0i     x\n")
+        with pytest.raises(MatrixFileError, match="line 2, column 3: .*'1\\+i'"):
+            parse_matrix("dim 1\n\t 1+i\n")
+
+    def test_bits_match_token_parser(self):
+        # parse_matrix converts whole rows with complex(); every entry must
+        # keep the bits that parse_complex gives its token
+        tokens = ["0+0i", "-0-0i", "0-0i", "-0", "5e-324-5e-324i", "2.2250738585072e-309+1e-310i",
+                  ".5", "1.", "-.5+1.i", "+1.-.5i", "3", "-2e3", "1E5+2E-05i",
+                  "1.7976931348623157e308-1.7976931348623157e308i", "0.1+0.2i", "7"]
+        rng = np.random.default_rng(16)
+        values = rng.normal(size=48) * 10.0 ** rng.integers(-300, 300, size=48)
+        tokens += [format_complex(complex(a, b)) for a, b in values.reshape(24, 2)]
+        tokens += [f"{v:.17g}" for v in rng.normal(size=24)]
+        text = "dim 8\n" + "\n".join(" ".join(tokens[i:i + 8]) for i in range(0, 64, 8)) + "\n"
+        expected = np.array([parse_complex(tok) for tok in tokens]).reshape(8, 8)
+        assert parse_matrix(text).tobytes() == expected.tobytes()
+
     def test_entry_count_error(self):
         with pytest.raises(MatrixFileError, match="line 2"):
             parse_matrix("dim 2\n1+0i\n0+0i 1+0i\n")

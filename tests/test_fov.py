@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,30 @@ SHIFT2 = np.array([[0, 2], [0, 0]], dtype=complex)
 
 def random_complex(rng, n):
     return rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+
+
+JORDAN_C = 1.5 * (0.6 + 0.8j)
+
+
+def _extreme_pair_inputs() -> dict:
+    """Inputs whose H(theta) has tied or near-tied extreme eigenvalues, a
+    flat or polygonal W(T), no off-diagonal or an extreme scale."""
+    rng = np.random.default_rng(15)
+    U = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    cases = {"cI": (0.3 - 0.7j) * np.eye(5),
+             "diag(1,i,-1,-i)": np.diag([1, 1j, -1, -1j]),
+             "tie-1e-12": U @ np.diag([1, 1 + 1e-12, 0.5j, -0.2]) @ U.conj().T,
+             "zero": np.zeros((3, 3)),
+             "1x1": np.array([[0.3 - 0.4j]])}
+    cases.update({f"roots-{n}": np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+                  for n in (3, 8, 30, 64)})
+    cases.update({f"jordan-{n}": JORDAN_C * np.eye(n, k=1) for n in range(2, 17)})
+    cases.update({f"draw-{n}-2^{k}": random_matrix(rng, n) * 2.0 ** k
+                  for k in (600, -600) for n in (2, 5, 16)})
+    return {name: T.astype(complex) for name, T in cases.items()}
+
+
+EXTREME_PAIR_INPUTS = _extreme_pair_inputs()
 
 
 class TestHermitianPart:
@@ -119,17 +144,41 @@ class TestBoundary:
 
     @pytest.mark.parametrize("n_angles, solved", [(360, 180), (361, 361)])
     def test_one_eigensolve_per_antipodal_pair(self, monkeypatch, n_angles, solved):
-        # H(theta + pi) = -H(theta): an even grid solves only its first half
-        shapes = []
-        eigh = np.linalg.eigh
+        # H(theta + pi) = -H(theta): an even grid reduces only its first half,
+        # one tridiagonal reduction per angle and no full eigendecomposition
+        reductions = []
+        zhetrd = scipy.linalg.lapack.zhetrd
 
         def counting(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
+            reductions.append(np.shape(a))
+            return zhetrd(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("boundary called np.linalg.eigh")
+
+        monkeypatch.setattr(scipy.linalg.lapack, "zhetrd", counting)
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         boundary(random_complex(np.random.default_rng(7), 4), n_angles)
-        assert shapes == [(solved, 4, 4)]
+        assert reductions == [(4, 4)] * solved
+
+    @pytest.mark.parametrize("name", EXTREME_PAIR_INPUTS)
+    def test_extreme_pairs_match_eigh(self, name):
+        # boundary computes only eigenpairs 1 and n of each H(theta); they
+        # must be those of a full eigensolve of the same H. MRRR for a single
+        # index returned eigenpair 2 in place of 1 on the 1e-12 tie
+        T = EXTREME_PAIR_INPUTS[name]
+        curve = boundary(T, 360)
+        vals = np.linalg.eigh(np.array([hermitian_part(T, t) for t in curve.thetas[:180]]))[0]
+        norm = operator_norm(T)
+        supports = np.concatenate([vals[:, -1], -vals[:, 0]])
+        assert np.abs(curve.supports - supports).max() <= 1e-14 * norm
+        if name.startswith("jordan"):
+            n = len(T)
+            assert np.abs(curve.supports - abs(JORDAN_C) * np.cos(np.pi / (n + 1))).max() <= 1e-14 * norm
+        # each point lies on its supporting line and inside every half-plane
+        proj = np.real(np.exp(-1j * curve.thetas)[:, None] * curve.points[None, :])
+        assert np.abs(np.diagonal(proj) - curve.supports).max() <= 1e-13 * norm
+        assert (proj - curve.supports[:, None]).max() <= 1e-13 * norm
 
     def test_matches_support_values(self):
         # the antipodal rows come from the bottom eigenpair of H(theta)
