@@ -3,24 +3,30 @@
 The support function h(theta) of W(T) in direction theta is the top
 eigenvalue of the rotated Hermitian part
 H(theta) = (e^{-i theta} T + e^{i theta} T*)/2.
-Sweeping theta gives the boundary curve; since H(theta + pi) = -H(theta),
-the extreme eigenpairs of H(theta) give h at theta (top pair) and at
-theta + pi (bottom pair), so boundary solves only half of an even angle
-grid, with one tridiagonal reduction and two eigenpairs per solved angle
-rather than a full eigendecomposition. Maximizing over theta
-gives the numerical radius w(T). The maximization keeps only the angle
-cells whose outer-polygon bound can still beat the best value found
-(Uhlig, "Geometric computation of the numerical radius of a matrix", 2009)
-and refines them by safeguarded Newton steps on h'(theta) =
-Im(e^{-i theta}<Tx,x>) (Watson, "Computing the numerical radius", 1996)
-until a step can change h by no more than rounding; that is the only stop
-rule, with no angle tolerance. numerical_radii runs this search for a list
-of matrices of mixed sizes at once, on the one kernel for h (_supports)
-that support_values shares, so that each step is one eigensolve call per
-size. Every entry point, the level cuts and hermitian_part included,
-scales T by 2^-e, with e from its largest entry (_prescaled), and scales
-the result back: that is exact, and H(theta) can no longer overflow. A
-value that is still not finite raises NumericError (_finite).
+Every result here is read off one kernel for h (_supports), which serves
+a list of matrices of mixed sizes in one eigensolve call per size and
+answers three orders of query: h; h and h' at theta and theta + pi; and
+h, h', h''. For a unit top eigenvector x, h' = Im(e^{-i theta}<Tx,x>), so
+<Tx, x> = e^{i theta}(h + i h') is a boundary point (C. R. Johnson,
+"Numerical determination of the field of values of a general complex
+matrix", SIAM J. Numer. Anal. 1978): boundary is the order-1 query on an
+angle grid. Since H(theta + pi) = -H(theta), the extreme eigenpairs of
+H(theta) give h at theta (top pair) and at theta + pi (bottom pair), so
+boundary solves only half of an even angle grid; n = 2 (and n = 1, as
+t I_2) has closed forms, and larger n takes one tridiagonal reduction and
+two eigenpairs per solved angle rather than a full eigendecomposition.
+Maximizing over theta gives the numerical radius w(T). The maximization
+keeps only the angle cells whose outer-polygon bound can still beat the
+best value found (Uhlig, "Geometric computation of the numerical radius
+of a matrix", 2009) and refines them by safeguarded Newton steps on h'
+(Watson, "Computing the numerical radius", 1996) until a step can change
+h by no more than rounding; that is the only stop rule, with no angle
+tolerance. numerical_radii runs this search for many matrices at once,
+and support_values samples h. Every entry point, the level cuts and
+hermitian_part included, scales T by 2^-e, with e from its largest entry
+(_prescaled), and scales the result back: that is exact, and H(theta) can
+no longer overflow. A value that is still not finite raises NumericError
+(_finite).
 
 Comparisons of h with a level c over the whole circle need no angle grid:
 _level_cuts finds every theta at which some eigenvalue of H(theta) equals
@@ -97,61 +103,58 @@ class BoundaryCurve:
 
 def boundary(T, n_angles: int) -> BoundaryCurve:
     """Boundary curve of W(T) on a uniform angle grid (n_angles >= 8), from
-    its own eigenpairs of the prescaled T, since it needs the top vectors;
-    NumericError if a support value or point is not finite,
+    the kernel's order-1 query: points[k] = e^{i theta}(h + i h') at
+    thetas[k]. NumericError if a support value or point is not finite,
     NoConvergenceError if LAPACK fails.
 
-    H(theta + pi) = -H(theta), so for an even n_angles only the first half
-    of the angles is solved: the bottom pair of H(thetas[k]) gives row
-    k + n_angles/2, with h(thetas[k] + pi) = -lambda_min(H(thetas[k])). An
-    odd n_angles has no antipodal pairs, and every angle is solved. Each
-    solved angle costs one tridiagonal reduction and two eigenpairs
-    (_extreme_pairs), not a full eigendecomposition.
+    The query gives h and h' at theta and at theta + pi, so an even
+    n_angles asks only for the first half of its angles, and row
+    k + n_angles/2 is the theta + pi answer of row k. An odd n_angles has
+    no antipodal pairs and asks for every angle.
     """
     if n_angles < 8:
         raise ValueError(f"n_angles must be >= 8, got {n_angles}")
-    T = linalg.as_matrix(T)
-    S, e = _prescaled(T)
     thetas = 2.0 * np.pi * np.arange(n_angles) / n_angles
     paired = 0 if n_angles % 2 else n_angles // 2
-    A, B = _cartesian_parts(S)
-    vals, vecs = _extreme_pairs(A, B, thetas[:n_angles - paired])
-    h = np.concatenate([vals[:, 1], -vals[:paired, 0]])
-    tops = np.concatenate([vecs[:, 1], vecs[:paired, 0]])
-    with np.errstate(over="ignore"):
-        supports = _finite(np.ldexp(h, e), "support value")
-        points = _finite(np.einsum("ki,ij,kj->k", tops.conj(), T, tops), "boundary point")
+    _, sweep, scale_back = _supports([T])
+    h, d1 = sweep(np.zeros(n_angles - paired, dtype=int), thetas[:n_angles - paired], order=1)
+    slot = np.zeros(n_angles, dtype=int)
+    supports, slopes = (scale_back(slot, np.concatenate([v[:, 0], v[:paired, 1]]), what)
+                        for v, what in ((h, "support value"), (d1, "boundary point")))
+    points = _finite(np.exp(1j * thetas) * (supports + 1j * slopes), "boundary point")
     return BoundaryCurve(thetas=thetas, supports=supports, points=points)
 
 
-def _extreme_pairs(A: np.ndarray, B: np.ndarray, thetas: np.ndarray):
-    """(vals, vecs): vals[k] = (lambda_min, lambda_max) of H(thetas[k]) =
-    cos A + sin B, formed as _rotated forms it, and vecs[k, 0], vecs[k, 1]
-    unit eigenvectors of the two.
+def _extreme_pairs(S: np.ndarray, thetas: np.ndarray):
+    """(h, h') of the prescaled matrix S at each of thetas, each with
+    columns theta and theta + pi.
 
-    Each H is reduced once to real tridiagonal form, H = Q T Q* (zhetrd).
-    Bisection on Sturm counts (dstebz) gives eigenvalue 1 and eigenvalue n
-    of T, inverse iteration (dstein) a vector for each, and one zunmqr call
-    maps both vectors back by Q. This is how LAPACK's zheevr computes an
-    index subset; MRRR (dstemr) for a single index returned the second
-    eigenvalue in place of the first when the two were 1e-14..1e-11 apart.
-    NoConvergenceError if a LAPACK call reports failure.
+    H(theta) = cos A + sin B, formed as _rotated forms it from the cartesian
+    parts of S, is reduced once to real tridiagonal form, H = Q T Q*
+    (zhetrd). Bisection on Sturm counts (dstebz) gives eigenvalue n and
+    eigenvalue 1 of T, inverse iteration (dstein) a vector for each, and one
+    zunmqr call maps both vectors back by Q. This is how LAPACK's zheevr
+    computes an index subset; MRRR (dstemr) for a single index returned the
+    second eigenvalue in place of the first when the two were 1e-14..1e-11
+    apart. The top pair (lambda_n, x) gives h = lambda_n and
+    h' = Im(e^{-i theta}<Sx, x>); the bottom pair (lambda_1, y) is the top
+    pair of H(theta + pi) = -H(theta), which gives h = -lambda_1 and
+    h' = -Im(e^{-i theta}<Sy, y>) there. NoConvergenceError if a LAPACK call
+    reports failure.
     """
-    n = len(A)
+    n = len(S)
+    # Fortran order, so that zhetrd works on H in place
+    A, B = (np.asfortranarray(X) for X in _cartesian_parts(S))
     cos, sin = np.cos(thetas), np.sin(thetas)
-    if n == 1:  # H = [h], and the LAPACK wrappers reject an empty off-diagonal
-        h = (A[0, 0] * cos + B[0, 0] * sin).real
-        return np.stack([h, h], axis=1), np.ones((len(thetas), 2, 1), dtype=complex)
-    A, B = np.asfortranarray(A), np.asfortranarray(B)
     vals = np.empty((len(thetas), 2))
     vecs = np.empty((len(thetas), 2, n), dtype=complex)
-    Z = np.empty((n, 2), dtype=complex, order="F")
     for k in range(len(thetas)):
+        Z = vecs[k].T  # the two vectors at thetas[k], as Fortran-order columns
         H = A * cos[k]
         H += B * sin[k]
         c, d, e, tau, info = scipy.linalg.lapack.zhetrd(H, lower=1, overwrite_a=1)
         _lapack_ok("zhetrd", info)
-        for col, i in enumerate((1, n)):
+        for col, i in enumerate((n, 1)):
             # range 2 selects eigenvalues il..iu; tolerance 0 is LAPACK's default
             _, w, block, split, info = scipy.linalg.lapack.dstebz(d, e, 2, 0.0, 0.0, i, i,
                                                                   0.0, "E")
@@ -161,8 +164,9 @@ def _extreme_pairs(A: np.ndarray, B: np.ndarray, thetas: np.ndarray):
             vals[k, col], Z[:, col] = w[0], z[:, 0]
         Z[1:], _, info = scipy.linalg.lapack.zunmqr("L", "N", c[1:, :-1], tau, Z[1:], 2)
         _lapack_ok("zunmqr", info)
-        vecs[k] = Z.T
-    return vals, vecs
+    # <Sx, x> of both vectors at each angle
+    forms = (vecs.conj() * (vecs @ S.T)).sum(axis=2)
+    return vals * [1, -1], (np.exp(-1j * thetas)[:, None] * forms).imag * [1, -1]
 
 
 def _lapack_ok(routine: str, info: int):
@@ -234,51 +238,61 @@ def _top_2x2(P: np.ndarray, thetas: np.ndarray):
     V = np.cos(thetas)[:, None] * P[:, 0] + np.sin(thetas)[:, None] * P[:, 1]
     w, dw = V[:, 1:4], V[:, 5:8]
     r = np.hypot(w[:, 0], np.hypot(w[:, 1], w[:, 2]))
-    dr = (w * dw).sum(axis=1) / r
+    # at r = 0, H = m I and every unit vector is a top eigenvector: take
+    # r' = r'' = 0 there, which dividing by inf gives, since w = 0
+    q = np.where(r > 0, r, np.inf)
+    dr = (w * dw).sum(axis=1) / q
     # the parts of H are sinusoids, so w'' = -w
-    d2r = ((dw * dw).sum(axis=1) - r * r - dr * dr) / r
+    d2r = ((dw * dw).sum(axis=1) - r * r - dr * dr) / q
     return V[:, 0] + r, V[:, 4] + dr, d2r - V[:, 0]
 
 
 def _support_kernels(Ts: np.ndarray):
-    """(sample, evaluate) for a (m, n, n) stack: h, or h, h', h'', of matrix
-    j[c] at thetas[c] for a sorted j; closed forms when n = 2."""
+    """The methods of orders 0, 1 and 2 for a (m, n, n) stack (see
+    _supports), each taking (j, thetas) for matrix j[c] at thetas[c] and a
+    sorted j; closed forms when n = 2."""
     if Ts.shape[1] == 2:
         P = np.array([_sinusoids_2x2(T) for T in Ts])
-        def sample(j, thetas):
-            V = np.cos(thetas)[:, None] * P[j, 0, :4] + np.sin(thetas)[:, None] * P[j, 1, :4]
-            return V[:, 0] + np.hypot(V[:, 1], np.hypot(V[:, 2], V[:, 3]))
-        return sample, lambda j, thetas: _top_2x2(P[j], thetas)
+        def pairs(j, thetas):
+            h, d1, _ = _top_2x2(P[np.tile(j, 2)], np.concatenate([thetas, thetas + np.pi]))
+            return h.reshape(2, -1).T, d1.reshape(2, -1).T
+        return (lambda j, thetas: _top_2x2(P[j], thetas)[0], pairs,
+                lambda j, thetas: _top_2x2(P[j], thetas))
     A, B = _cartesian_parts(Ts)
     def sample(j, thetas):
         return np.linalg.eigvalsh(_rotated(A, B, j, thetas))[:, -1]
-    return sample, functools.partial(_top_eigh, A, B)
+    def pairs(j, thetas):
+        runs = [_extreme_pairs(Ts[j[a]], thetas[a:b]) for a, b in _runs(j)]
+        return tuple(np.concatenate(p) for p in zip(*runs))
+    return sample, pairs, functools.partial(_top_eigh, A, B)
 
 
 def _supports(mats):
     """The kernel for h of the square matrices mats, which may mix sizes:
-    (slots, sweep, scale_back). Slots hold the prescaled matrices in (n,
-    index) order, and mats[i] is in slots[i]. sweep(slot, thetas) gives h of
-    slot[c] at thetas[c], or h, h', h'' with evaluate=True, in one eigensolve
-    call per distinct n for a sorted slot. scale_back(slot, values, what)
+    (slots, sweep, scale_back). A 1x1 [t] enters as t I_2, which has the
+    same W. Slots hold the prescaled matrices in (n, index) order, and
+    mats[i] is in slots[i]. sweep(slot, thetas, order) answers for slot[c]
+    at thetas[c], in one kernel call per distinct n for a sorted slot:
+    order 0 gives h; order 1 gives (h, h'), each with columns theta and
+    theta + pi; order 2 gives (h, h', h''). scale_back(slot, values, what)
     takes values of slot back to the units of mats and checks them (_finite).
     """
-    mats = [linalg.as_matrix(T) for T in mats]
-    order = sorted(range(len(mats)), key=lambda i: (len(mats[i]), i))
-    slots = np.argsort(order)
-    scaled, exps = zip(*[_prescaled(mats[i]) for i in order])
-    # (first slot, stop slot, sample, evaluate) for each size n
-    groups = [(first, stop, *_support_kernels(np.array(scaled[first:stop])))
+    mats = [T * np.eye(2) if len(T) == 1 else T for T in map(linalg.as_matrix, mats)]
+    ranked = sorted(range(len(mats)), key=lambda i: (len(mats[i]), i))
+    slots = np.argsort(ranked)
+    scaled, exps = zip(*[_prescaled(mats[i]) for i in ranked])
+    # (first slot, stop slot, methods by order) for each size n
+    groups = [(first, stop, _support_kernels(np.array(scaled[first:stop])))
               for first, stop in _runs(np.array([len(S) for S in scaled]))]
 
-    def sweep(slot, thetas, evaluate=False):
+    def sweep(slot, thetas, order=0):
         # one kernel call per size n, over that size's contiguous run of cells
         parts = []
-        for first, stop, sample, refine in groups:
+        for first, stop, methods in groups:
             a, b = np.searchsorted(slot, [first, stop])
             if a < b:
-                parts.append((refine if evaluate else sample)(slot[a:b] - first, thetas[a:b]))
-        if evaluate:
+                parts.append(methods[order](slot[a:b] - first, thetas[a:b]))
+        if order:
             return tuple(np.concatenate(p) for p in zip(*parts))
         return np.concatenate(parts)
 
@@ -348,7 +362,7 @@ def numerical_radii(mats) -> np.ndarray:
 def _cell_search(sweep, k: int) -> np.ndarray:
     """The largest h reached by the search of numerical_radii for each of k
     slots; sweep(slot, thetas) samples h of matrix slot[c] at thetas[c], and
-    sweep(slot, thetas, evaluate=True) gives h, h', h''."""
+    sweep(slot, thetas, order=2) gives h, h', h''."""
     width = 2.0 * np.pi / _COARSE_ANGLES
     ends = width * np.arange(_COARSE_ANGLES + 1)
     slot = np.repeat(np.arange(k), _COARSE_ANGLES)
@@ -379,7 +393,7 @@ def _cell_search(sweep, k: int) -> np.ndarray:
     for _ in range(_MAX_STEPS):
         if not slot.size:
             break
-        h, d1, d2 = sweep(slot, theta, evaluate=True)
+        h, d1, d2 = sweep(slot, theta, order=2)
         np.maximum.at(best, slot, h)
         rising, falling = d1 > 0, d1 < 0
         lo, h_lo = np.where(rising, theta, lo), np.where(rising, h, h_lo)

@@ -109,8 +109,11 @@ class TestRange:
         assert captured.out == ""
         assert captured.err.startswith("numeric error:")
 
-    def test_lapack_failure_is_numeric_error(self, shift_file, capsys, monkeypatch):
-        # a LAPACK routine that reports failure (info > 0) is a numeric error
+    def test_lapack_failure_is_numeric_error(self, tmp_path, capsys, monkeypatch):
+        # a LAPACK routine that reports failure (info > 0) is a numeric error;
+        # n = 3, since the 2x2 closed form calls no LAPACK routine
+        path = tmp_path / "shift3.mat"
+        path.write_text(serialize_matrix(np.eye(3, k=1)))
         dstein = scipy.linalg.lapack.dstein
 
         def failing(*args, **kwargs):
@@ -118,7 +121,7 @@ class TestRange:
             return z, 1
 
         monkeypatch.setattr(scipy.linalg.lapack, "dstein", failing)
-        assert main(["range", shift_file, "--angles", "8"]) == 3
+        assert main(["range", str(path), "--angles", "8"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "numeric error: boundary eigenpairs: dstein returned info 1\n"

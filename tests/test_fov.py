@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg.lapack
@@ -33,6 +35,7 @@ def _extreme_pair_inputs() -> dict:
     rng = np.random.default_rng(15)
     U = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
     cases = {"cI": (0.3 - 0.7j) * np.eye(5),
+             "cI-2x2": (0.3 - 0.7j) * np.eye(2),
              "diag(1,i,-1,-i)": np.diag([1, 1j, -1, -1j]),
              "tie-1e-12": U @ np.diag([1, 1 + 1e-12, 0.5j, -0.2]) @ U.conj().T,
              "zero": np.zeros((3, 3)),
@@ -138,6 +141,18 @@ class TestBoundary:
             assert np.max(np.abs(np.abs(pts - a1) + np.abs(pts - a2)
                                  - axis)) < 1e-12
 
+    def test_multiple_of_identity(self):
+        # H(theta) = Re(e^{-i theta} c) I, where the 2x2 closed form divided
+        # 0 by 0 for h' and h'': Newton never moved, and the radius fell
+        # up to 2.8e-8 low
+        rng = np.random.default_rng(16)
+        for c in rng.uniform(-1, 1, 50) + 1j * rng.uniform(-1, 1, 50):
+            T = c * np.eye(2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert abs(numerical_radius(T) - abs(c)) <= 1e-15 * abs(c)
+                assert np.abs(boundary(T, 360).points - c).max() <= 4e-15 * abs(c)
+
     def test_rejects_too_few_angles(self):
         with pytest.raises(ValueError):
             boundary(SHIFT2, 4)
@@ -183,7 +198,7 @@ class TestBoundary:
     def test_matches_support_values(self):
         # the antipodal rows come from the bottom eigenpair of H(theta)
         rng = np.random.default_rng(8)
-        for n in range(2, 17):
+        for n in range(1, 17):
             T = random_matrix(rng, n)
             scale = max(1.0, operator_norm(T))
             for n_angles in (360, 361):
