@@ -147,11 +147,15 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _nonnegative(text: str) -> int:
+def _nonnegative(text: str, least: int = 0) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
     return value
+
+
+def _positive(text: str) -> int:
+    return _nonnegative(text, least=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("clark", help="Clark decomposition of a Blaschke product")
     p.add_argument("function", help="blaschke expression with a zero at the origin")
     p.add_argument("--gamma", required=True, help="unimodular target, re+imi")
-    p.add_argument("--check-points", type=int, default=100, dest="check_points")
+    p.add_argument("--check-points", type=_positive, default=100, dest="check_points")
     p.set_defaults(func=cmd_clark)
 
     p = sub.add_parser("teardrop", help="boundary of the teardrop region td(alpha)")

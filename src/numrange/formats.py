@@ -27,9 +27,8 @@ from .diskfun import Blaschke, Compose, DiskFunction, Mobius, Polynomial, Scale
 from .errors import FunctionExprError, MatrixFileError, NotUnimodularError
 
 _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_COMPLEX_RE = re.compile(rf"^([+-]?{_NUM})([+-]{_NUM})i$")
-_REAL_RE = re.compile(rf"^[+-]?{_NUM}$")
-# a matrix row: whitespace-separated tokens, each real or complex as above
+# one complex literal, `re` or `re+imi`, which complex() reads once its `i`
+# is a `j`; a matrix row is whitespace-separated literals
 _TOKEN = rf"[+-]?{_NUM}(?:[+-]{_NUM}i)?"
 _ROW_RE = re.compile(rf"\s*{_TOKEN}(?:\s+{_TOKEN})*\s*")
 
@@ -40,12 +39,9 @@ def format_complex(z: complex) -> str:
 
 
 def parse_complex(token: str) -> complex:
-    m = _COMPLEX_RE.match(token)
-    if m:
-        return complex(float(m.group(1)), float(m.group(2)))
-    if _REAL_RE.match(token):
-        return complex(float(token), 0.0)
-    raise ValueError(f"not a complex literal: {token!r}")
+    if not re.match(rf"^{_TOKEN}$", token):
+        raise ValueError(f"not a complex literal: {token!r}")
+    return complex(token.replace("i", "j"))
 
 
 def serialize_matrix(T) -> str:
@@ -59,9 +55,9 @@ def serialize_matrix(T) -> str:
 def parse_matrix(text: str) -> np.ndarray:
     """Parse the MatrixFile format; errors carry line/column positions.
 
-    Each row is checked by one regular expression, and only then are its
-    tokens converted by complex(), which reads `re+imj` as parse_complex
-    reads `re+imi`."""
+    Each row is checked by one regular expression, built from the literal
+    grammar of parse_complex, and only then are its tokens converted by
+    complex(), as parse_complex converts one literal."""
     lines = text.splitlines()
     if not lines:
         raise MatrixFileError("line 1: empty input, expected 'dim n'")

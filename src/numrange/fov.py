@@ -310,16 +310,12 @@ def _cell_bounds(lo, hi, h_lo, h_hi) -> np.ndarray:
     that vertex lies in the cell's sector of directions, the wedge of the
     two lines, and so W(T), has support at most its modulus there; else the
     wedge's largest support in those directions is an end value, which is
-    also the bound of a cell of zero width. The modulus is math.hypot's,
-    which rounds differently from np.hypot."""
+    also the bound of a cell of zero width. The bound only decides which
+    cells are kept; it is never a reported value."""
     cos_w, sin_w = np.cos(hi - lo), np.sin(hi - lo)
     c = (h_hi - h_lo * cos_w) / sin_w
-    bounds = np.maximum(h_lo, h_hi)
     vertex = (c > 0) & (h_lo > h_hi * cos_w)
-    if vertex.any():
-        bounds[vertex] = [math.hypot(a, b)
-                          for a, b in zip(h_lo[vertex].tolist(), c[vertex].tolist())]
-    return bounds
+    return np.where(vertex, np.hypot(h_lo, c), np.maximum(h_lo, h_hi))
 
 
 def numerical_radius(T) -> float:

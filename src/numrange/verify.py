@@ -100,7 +100,10 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "warning": self.warning}
+        """asdict plus warning; a worst_residual of -inf (no residual was
+        recorded) becomes None, as JSON has no infinities."""
+        worst = self.worst_residual if math.isfinite(self.worst_residual) else None
+        return {**asdict(self), "worst_residual": worst, "warning": self.warning}
 
 
 class _Recorder:
@@ -216,9 +219,7 @@ def random_blaschke(rng: np.random.Generator, max_degree: int) -> BlaschkeProduc
 
 
 def _matrix_witness(T: np.ndarray, **extra) -> dict:
-    w = {"matrix": serialize_matrix(T)}
-    w.update(extra)
-    return w
+    return {"matrix": serialize_matrix(T), **extra}
 
 
 def check_berger_stampfli(trials: int | range, seed: int = 42) -> VerifyReport:
@@ -390,65 +391,52 @@ def extremal_search(f: DiskFunction, dim: int, iterations: int, seed: int = 42,
     if dim < 1 or iterations < 1:
         raise ValueError(f"dim and iterations must be >= 1, got {dim} and {iterations}")
     rng = np.random.default_rng([int(seed), _SUITE_IDS["search"]])
-    n_params = 2 * dim * dim
-
-    def to_matrix(v: np.ndarray) -> np.ndarray:
-        return (v[: dim * dim] + 1j * v[dim * dim:]).reshape(dim, dim)
+    size = dim * dim
 
     def objective(v: np.ndarray):
-        T = to_matrix(v)
+        """(w(f(T)), T) for the T = normalize_radius(v as a matrix), or None."""
         try:
-            Tn = normalize_radius(T)
-            FT = eval_matrix(f, Tn)
-            return numerical_radius(FT), Tn
+            Tn = normalize_radius((v[:size] + 1j * v[size:]).reshape(dim, dim))
+            return numerical_radius(eval_matrix(f, Tn)), Tn
         except (NumericError, ValueError):
             return None
 
     def random_start():
         while True:
-            v = rng.uniform(-1.0, 1.0, n_params)
+            v = rng.uniform(-1.0, 1.0, 2 * size)
             res = objective(v)
             if res is not None:
                 return v, res
 
-    best_w = -math.inf
-    best_T = None
+    current, best = None, (-math.inf, None)
     for cand in initial_candidates:
-        v = np.concatenate([np.asarray(cand, dtype=complex).real.ravel(),
-                            np.asarray(cand, dtype=complex).imag.ravel()])
+        cand = np.asarray(cand, dtype=complex).ravel()
+        v = np.concatenate([cand.real, cand.imag])
         res = objective(v)
-        if res is not None and res[0] > best_w:
-            best_w, best_T = res[0], res[1]
-            current, cur_val = v, res[0]
-    if best_T is None:
-        current, (cur_val, best_T) = random_start()
-        best_w = cur_val
-
-    step = 0.3
-    stall = 0
+        if res is not None and res[0] > best[0]:
+            current, best = v, res
+    if current is None:
+        current, best = random_start()
+    value, step, stall = best[0], 0.3, 0
     for it in range(iterations):
-        k = it % n_params
-        improved = False
+        k = it % (2 * size)
+        stall += 1
         for sign in (1.0, -1.0):
             cand = current.copy()
             cand[k] += sign * step
             res = objective(cand)
-            if res is not None and res[0] > cur_val + 1e-12:
-                current, cur_val = cand, res[0]
-                if res[0] > best_w:
-                    best_w, best_T = res[0], res[1]
-                improved = True
+            if res is not None and res[0] > value + 1e-12:
+                current, value, stall = cand, res[0], 0
+                # max keeps the first of equal values, as a strict > would
+                best = max(best, res, key=lambda r: r[0])
                 break
-        stall = 0 if improved else stall + 1
         if stall >= 20:
-            step /= 2.0
-            stall = 0
+            step, stall = step / 2.0, 0
         if step < 1e-4:
-            current, (cur_val, T_here) = random_start()
-            if cur_val > best_w:
-                best_w, best_T = cur_val, T_here
-            step = 0.3
-    return best_w, best_T
+            current, res = random_start()
+            value, step = res[0], 0.3
+            best = max(best, res, key=lambda r: r[0])
+    return best
 
 
 SUITES = {

@@ -65,6 +65,39 @@ class TestRadius:
         assert captured.err == "numeric error: Eigenvalues did not converge\n"
 
 
+def _edge_matrices():
+    yield pytest.param(np.zeros((3, 3)), 0.0, 0.0, id="zero")
+    # W([t]) = {t}; the points' tolerance is one subnormal spacing, since
+    # e^{i theta}(h + i h') is formed at the scale of t
+    yield pytest.param(np.array([[1e-320]]), 1e-320, 5e-324, id="1x1-subnormal")
+    for n in range(2, 17):
+        for label, c in (("1", 1.0), ("2^600", 2.0 ** 600), ("2^-600", 2.0 ** -600)):
+            # W(c J_n) is the disk of radius |c| cos(pi/(n+1))
+            w = c * np.cos(np.pi / (n + 1))
+            yield pytest.param(c * np.eye(n, k=1), w, 1e-14 * w, id=f"jordan{n}-{label}")
+
+
+@pytest.mark.parametrize("T, w, tol", _edge_matrices())
+def test_radius_and_range_of_edge_matrices(T, w, tol, tmp_path, capsys):
+    # W(T) is the disk |z| <= w, so every point has modulus w and every
+    # support value is w; for a 1x1 [t], W(T) = {t}
+    path = tmp_path / "edge.mat"
+    path.write_text(serialize_matrix(T))
+    assert main(["radius", str(path)]) == 0
+    # radius prints 15 decimals, which round by up to 5e-16: below that it reads 0
+    assert abs(float(capsys.readouterr().out) - w) <= tol + 5e-16
+    assert main(["range", str(path)]) == 0
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in capsys.readouterr().out.splitlines()[1:]])
+    assert len(rows) == 360
+    points = rows[:, 2] + 1j * rows[:, 3]
+    if T.shape[0] == 1:
+        assert np.all(np.abs(points - T[0, 0]) <= tol)
+    else:
+        assert np.all(np.abs(np.abs(points) - w) <= tol)
+        assert np.all(np.abs(rows[:, 1] - w) <= tol)
+
+
 class TestRange:
     def test_csv_circle(self, shift_file, capsys):
         assert main(["range", shift_file, "--angles", "90"]) == 0
@@ -159,6 +192,17 @@ class TestClark:
     def test_bad_gamma(self, capsys):
         assert main(["clark", "blaschke 1 0", "--gamma", "0.5+0i"]) == 4
 
+    @pytest.mark.parametrize("points", ["0", "-2"])
+    def test_check_points_below_one_is_usage_error(self, capsys, points):
+        # the atoms and sum_weights were printed before the residual's max
+        # over no points failed with exit 2
+        with pytest.raises(SystemExit) as e:
+            main(["clark", "blaschke 1 0 0", "--gamma", "1+0i", "--check-points", points])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --check-points: must be >= 1, got {points}" in captured.err
+
 
 class TestTeardrop:
     def test_alpha_zero_is_unit_circle(self, capsys):
@@ -228,6 +272,20 @@ class TestVerify:
         data = json.loads(capsys.readouterr().out)
         assert data[0]["suite"] == "props52"
         assert data[0]["failures"] == 0
+
+    def test_json_without_residuals_is_valid_json(self, capsys):
+        # a report with no trials has worst_residual -inf, which was written
+        # as -Infinity, a token JSON does not have
+        import json
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        assert main(["verify", "--suite", "power", "--trials", "0", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert data[0]["worst_residual"] is None
+        assert main(["verify", "--suite", "power", "--trials", "0"]) == 0
+        assert "worst_residual: -inf\n" in capsys.readouterr().out
 
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("NUMRANGE_SEED", "123")

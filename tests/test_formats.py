@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -86,8 +88,8 @@ class TestMatrixFiles:
             parse_matrix("dim 1\n\t 1+i\n")
 
     def test_bits_match_token_parser(self):
-        # parse_matrix converts whole rows with complex(); every entry must
-        # keep the bits that parse_complex gives its token
+        # parse_matrix and parse_complex convert with complex(); every entry
+        # must keep the bits, signed zeros included, of float() on each part
         tokens = ["0+0i", "-0-0i", "0-0i", "-0", "5e-324-5e-324i", "2.2250738585072e-309+1e-310i",
                   ".5", "1.", "-.5+1.i", "+1.-.5i", "3", "-2e3", "1E5+2E-05i",
                   "1.7976931348623157e308-1.7976931348623157e308i", "0.1+0.2i", "7"]
@@ -96,8 +98,11 @@ class TestMatrixFiles:
         tokens += [format_complex(complex(a, b)) for a, b in values.reshape(24, 2)]
         tokens += [f"{v:.17g}" for v in rng.normal(size=24)]
         text = "dim 8\n" + "\n".join(" ".join(tokens[i:i + 8]) for i in range(0, 64, 8)) + "\n"
-        expected = np.array([parse_complex(tok) for tok in tokens]).reshape(8, 8)
+        number = r"[+-]?[\d.]+(?:[eE][+-]?\d+)?"
+        parts = [re.fullmatch(rf"({number})(?:({number})i)?", tok).groups() for tok in tokens]
+        expected = np.array([complex(float(a), float(b or "0")) for a, b in parts]).reshape(8, 8)
         assert parse_matrix(text).tobytes() == expected.tobytes()
+        assert np.array([parse_complex(tok) for tok in tokens]).tobytes() == expected.ravel().tobytes()
 
     def test_entry_count_error(self):
         with pytest.raises(MatrixFileError, match="line 2"):
