@@ -148,7 +148,11 @@ def cmd_search(args) -> int:
 
 
 def _nonnegative(text: str, least: int = 0) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        # argparse would name this function in its message
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < least:
         raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
     return value

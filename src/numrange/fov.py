@@ -36,6 +36,10 @@ the numerical radius of a matrix", IMA J. Numer. Anal. 2005). Between
 consecutive cuts h - c has a single sign, so one sample per arc decides
 it; arc_midpoints gives those samples. contains(T, z) is this test for
 h_{T - zI} against -tol.
+
+Only _extreme_pairs (LAPACK's tridiagonal routines) and _level_cuts (QZ)
+call scipy, and each imports it where it is called, so that radius and
+boundary at n <= 2 run without loading scipy.linalg.
 """
 
 from __future__ import annotations
@@ -45,8 +49,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.lapack
 
 from . import linalg
 from .errors import NoConvergenceError, NumericError
@@ -119,9 +121,15 @@ def boundary(T, n_angles: int) -> BoundaryCurve:
     _, sweep, scale_back = _supports([T])
     h, d1 = sweep(np.zeros(n_angles - paired, dtype=int), thetas[:n_angles - paired], order=1)
     slot = np.zeros(n_angles, dtype=int)
-    supports, slopes = (scale_back(slot, np.concatenate([v[:, 0], v[:paired, 1]]), what)
-                        for v, what in ((h, "support value"), (d1, "boundary point")))
-    points = _finite(np.exp(1j * thetas) * (supports + 1j * slopes), "boundary point")
+    h, d1 = (np.concatenate([v[:, 0], v[:paired, 1]]) for v in (h, d1))
+    supports = scale_back(slot, h, "support value")
+    # formed at the prescaled size and scaled back once per part, so that
+    # the product does not round on the subnormal grid; assigning the parts
+    # keeps the sign of a zero imaginary part
+    z = np.exp(1j * thetas) * (h + 1j * d1)
+    points = np.empty(n_angles, dtype=complex)
+    points.real = scale_back(slot, z.real, "boundary point")
+    points.imag = scale_back(slot, z.imag, "boundary point")
     return BoundaryCurve(thetas=thetas, supports=supports, points=points)
 
 
@@ -142,6 +150,8 @@ def _extreme_pairs(S: np.ndarray, thetas: np.ndarray):
     h' = -Im(e^{-i theta}<Sy, y>) there. NoConvergenceError if a LAPACK call
     reports failure.
     """
+    import scipy.linalg.lapack
+
     n = len(S)
     # Fortran order, so that zhetrd works on H in place
     A, B = (np.asfortranarray(X) for X in _cartesian_parts(S))
@@ -232,12 +242,17 @@ def _sinusoids_2x2(T: np.ndarray) -> np.ndarray:
     return np.array([from_a + from_b, from_b + [-v for v in from_a]])
 
 
-def _top_2x2(P: np.ndarray, thetas: np.ndarray):
+def _top_2x2(P: np.ndarray, thetas: np.ndarray, order: int = 2):
     """h, h', h'' in closed form for 2x2 T: h = m + r, r = sqrt(u^2 + |b|^2).
-    P holds one set of coefficients per theta."""
-    V = np.cos(thetas)[:, None] * P[:, 0] + np.sin(thetas)[:, None] * P[:, 1]
-    w, dw = V[:, 1:4], V[:, 5:8]
+    P holds one set of coefficients per theta. Order 0 returns h alone,
+    formed from the four value columns only."""
+    cols = slice(None) if order else slice(4)
+    V = np.cos(thetas)[:, None] * P[:, 0, cols] + np.sin(thetas)[:, None] * P[:, 1, cols]
+    w = V[:, 1:4]
     r = np.hypot(w[:, 0], np.hypot(w[:, 1], w[:, 2]))
+    if not order:
+        return V[:, 0] + r
+    dw = V[:, 5:8]
     # at r = 0, H = m I and every unit vector is a top eigenvector: take
     # r' = r'' = 0 there, which dividing by inf gives, since w = 0
     q = np.where(r > 0, r, np.inf)
@@ -256,7 +271,7 @@ def _support_kernels(Ts: np.ndarray):
         def pairs(j, thetas):
             h, d1, _ = _top_2x2(P[np.tile(j, 2)], np.concatenate([thetas, thetas + np.pi]))
             return h.reshape(2, -1).T, d1.reshape(2, -1).T
-        return (lambda j, thetas: _top_2x2(P[j], thetas)[0], pairs,
+        return (lambda j, thetas: _top_2x2(P[j], thetas, order=0), pairs,
                 lambda j, thetas: _top_2x2(P[j], thetas))
     A, B = _cartesian_parts(Ts)
     def sample(j, thetas):
@@ -430,6 +445,8 @@ def _level_cuts(T: np.ndarray, c: float) -> np.ndarray:
     [0, T*]]; infinite ones (T* singular) and NaN ones (a singular pencil)
     are dropped. The pencil is formed from the prescaled T and level.
     """
+    import scipy.linalg
+
     T, e = _prescaled(T)
     eye, zero = np.eye(len(T)), np.zeros(T.shape)
     try:

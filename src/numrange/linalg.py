@@ -4,7 +4,9 @@ All routines work on square complex numpy arrays and are pure functions.
 Hermitian eigenvalues are delegated to LAPACK (numpy.linalg.eigvalsh), and
 linear systems go through an LU factorization with an explicit pivot check
 so that near-singular systems raise SingularError instead of returning
-garbage.
+garbage. solve is the one function here that needs scipy, and it imports
+scipy.linalg itself, on its first call: importing scipy.linalg costs more
+than most CLI commands do in all.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotHermitianError, SingularError
 
@@ -71,6 +72,8 @@ def solve(A, B) -> np.ndarray:
     B = np.asarray(B, dtype=complex)
     if B.shape[0] != A.shape[0]:
         raise ValueError(f"shape mismatch: A is {A.shape}, B is {B.shape}")
+    import scipy.linalg
+
     with warnings.catch_warnings():
         # exact-zero pivots are handled by the threshold check below
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)

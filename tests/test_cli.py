@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg.lapack
@@ -67,9 +73,9 @@ class TestRadius:
 
 def _edge_matrices():
     yield pytest.param(np.zeros((3, 3)), 0.0, 0.0, id="zero")
-    # W([t]) = {t}; the points' tolerance is one subnormal spacing, since
-    # e^{i theta}(h + i h') is formed at the scale of t
-    yield pytest.param(np.array([[1e-320]]), 1e-320, 5e-324, id="1x1-subnormal")
+    # W([t]) = {t}; e^{i theta}(h + i h') is formed at the prescaled size,
+    # so even a subnormal t comes back exactly
+    yield pytest.param(np.array([[1e-320]]), 1e-320, 0.0, id="1x1-subnormal")
     for n in range(2, 17):
         for label, c in (("1", 1.0), ("2^600", 2.0 ** 600), ("2^-600", 2.0 ** -600)):
             # W(c J_n) is the disk of radius |c| cos(pi/(n+1))
@@ -353,3 +359,53 @@ class TestSearch:
         # --dim 0 looped for ever: every objective of an empty matrix failed
         assert main(["search", "poly 0 1", "--dim", dim]) == 2
         assert capsys.readouterr().err.startswith(f"error: dim and iterations must be >= 1, got {dim}")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "--suite", "drury", "--trials", "x"], "--trials"),
+    (["verify", "--suite", "drury", "--trial", "1.5"], "--trial"),
+    (["clark", "blaschke 1 0 0", "--gamma", "1+0i", "--check-points", "y"], "--check-points"),
+])
+def test_non_integer_count_is_usage_error(capsys, argv, option):
+    # argparse named the private type function: "invalid _nonnegative value"
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: invalid int value: {argv[-1]!r}" in captured.err
+
+
+def _run_fresh(script: str, tmp_path):
+    """Run script in a fresh interpreter that imports numrange from src/."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_scipy_is_imported_only_where_it_is_used(tmp_path):
+    # every other test process has scipy already, from the tests' own imports
+    for name, T in (("one", [[0.5]]), ("two", SHIFT2), ("three", np.eye(3, k=1))):
+        (tmp_path / f"{name}.mat").write_text(serialize_matrix(np.array(T, dtype=complex)))
+    _run_fresh("""
+        import sys
+        import numrange
+        import numrange.cli
+        for argv in (["radius", "three.mat"], ["range", "two.mat"], ["range", "one.mat"],
+                     ["clark", "blaschke 1 0 0.5", "--gamma", "1+0i"],
+                     ["teardrop", "--alpha", "0.3+0.2i"]):
+            assert numrange.cli.main(argv) == 0, argv
+        loaded = [m for m in ("scipy", "scipy.linalg") if m in sys.modules]
+        assert not loaded, loaded
+    """, tmp_path)
+    # range at n >= 3, and verify's solves and level cuts, import it on first use
+    _run_fresh("""
+        import sys
+        from numrange.cli import main
+        for argv in (["range", "three.mat"],
+                     ["verify", "--suite", "berger-stampfli", "--trials", "2"],
+                     ["verify", "--suite", "drury", "--trials", "2"]):
+            assert main(argv) == 0, argv
+        assert "scipy.linalg" in sys.modules
+    """, tmp_path)
