@@ -9,11 +9,16 @@ and search; when --seed is omitted, a value that is not an integer is a
 usage error (exit 2), as a bad --seed would be. verify --trial i runs only
 trial i of the --trials run with the same seed, so a witness's "trial"
 replays with one command.
+
+main(argv) may be called many times in one process. The argument parser
+is built on the first call, not at import, and kept; NUMRANGE_SEED is read
+on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -48,19 +53,23 @@ def _write_output(path: str | None, text: str):
             fh.write(text)
 
 
-def _px(z: complex) -> tuple[float, float]:
-    return (z.real + 2.0) / 4.0 * 800.0, (2.0 - z.imag) / 4.0 * 800.0
+def _px(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    with np.errstate(over="ignore"):  # a point beyond ~9e305 maps to inf, silently
+        return (points.real + 2.0) / 4.0 * 800.0, (2.0 - points.imag) / 4.0 * 800.0
 
 
-def _write_curve(args, header: str, rows, points, color: str):
-    """Write a closed curve as CSV rows (every value %.17g) or as an
-    800x800 SVG polygon over the square [-2,2]^2 with the unit circle."""
+def _write_curve(args, header: str, columns, points: np.ndarray, color: str):
+    """Write a closed curve as CSV rows (the columns, then the real and
+    imaginary parts of points, every value %.17g) or as an 800x800 SVG
+    polygon over the square [-2,2]^2 with the unit circle."""
+    # one % pass over all values; %-formatting a float gives str.format's bytes
     if args.out == "csv":
-        row_format = ",".join(["{:.17g}"] * len(header.split(",")))
-        lines = [header] + [row_format.format(*row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        table = np.column_stack((*columns, points.real, points.imag))
+        row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
+        text = header + "\n" + (row_format * len(table)) % tuple(table.ravel().tolist())
     else:
-        coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in (_px(z) for z in points))
+        xy = np.column_stack(_px(points)).ravel().tolist()
+        coords = " ".join(["%.3f,%.3f"] * len(points)) % tuple(xy)
         text = ('<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
                 'viewBox="0 0 800 800">\n'
                 '<rect width="800" height="800" fill="white"/>\n'
@@ -75,9 +84,8 @@ def _write_curve(args, header: str, rows, points, color: str):
 def cmd_range(args) -> int:
     T = _read_matrix(args.matrix)
     curve = fov.boundary(T, args.angles)
-    rows = zip(curve.thetas.tolist(), curve.supports.tolist(),
-               curve.points.real.tolist(), curve.points.imag.tolist())
-    _write_curve(args, "theta,support,re,im", rows, curve.points.tolist(), "#c02020")
+    _write_curve(args, "theta,support,re,im", (curve.thetas, curve.supports),
+                 curve.points, "#c02020")
     return 0
 
 
@@ -117,8 +125,7 @@ def cmd_clark(args) -> int:
 
 def cmd_teardrop(args) -> int:
     phis, points = regions.teardrop_boundary(formats.parse_complex(args.alpha))
-    rows = zip(phis.tolist(), points.real.tolist(), points.imag.tolist())
-    _write_curve(args, "phi,re,im", rows, points.tolist(), "#2040c0")
+    _write_curve(args, "phi,re,im", (phis,), points, "#2040c0")
     return 0
 
 
@@ -162,7 +169,10 @@ def _positive(text: str) -> int:
     return _nonnegative(text, least=1)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def build_parser() -> tuple[argparse.ArgumentParser, tuple[argparse.ArgumentParser, ...]]:
+    """(parser, seeded): the numrange parser, built once per process, and
+    its subparsers whose --seed default main sets from NUMRANGE_SEED."""
     parser = argparse.ArgumentParser(
         prog="numrange",
         description="Numerical ranges, radii, Blaschke/Clark decompositions "
@@ -198,24 +208,29 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--trials", type=_nonnegative, default=200)
     count.add_argument("--trial", type=_nonnegative, default=None,
                        help="run only this trial index (replays a witness)")
-    p.add_argument("--seed", type=int, default=os.environ.get("NUMRANGE_SEED", "42"))
+    p.add_argument("--seed", type=int)
     p.add_argument("--json", action="store_true")
     p.add_argument("--output", default="-", help="report file (default stdout)")
     p.set_defaults(func=cmd_verify)
+    seeded = [p]
 
     p = sub.add_parser("search", help="hill-climb for matrices maximizing w(f(T))")
     p.add_argument("function", help="disk-function expression")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--seed", type=int, default=os.environ.get("NUMRANGE_SEED", "42"))
+    p.add_argument("--seed", type=int)
     p.add_argument("--output", default="-", help="witness matrix file")
     p.set_defaults(func=cmd_search)
+    seeded.append(p)
 
-    return parser
+    return parser, tuple(seeded)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, seeded = build_parser()
+    for p in seeded:
+        # a string default goes through type=int, so a bad value is a usage error
+        p.set_defaults(seed=os.environ.get("NUMRANGE_SEED", "42"))
     args = parser.parse_args(argv)
     try:
         return args.func(args)

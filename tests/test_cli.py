@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg.lapack
 
-from numrange.cli import main
+from numrange.cli import _write_curve, build_parser, main
 from numrange.formats import parse_matrix, serialize_matrix
 
 SHIFT2 = np.array([[0, 2], [0, 0]], dtype=complex)
@@ -136,6 +137,13 @@ class TestRange:
         assert "nan" not in out
         rows = [list(map(float, line.split(","))) for line in out.splitlines()[1:]]
         assert rows[0][:2] == [0.0, pytest.approx(1.5e308, rel=1e-15)]
+
+    def test_svg_of_entries_near_overflow(self, tmp_path, capsys):
+        # the pixel coordinates overflow; numpy must not warn about it
+        path = tmp_path / "big.mat"
+        path.write_text("dim 2\n1e308+0i 1e308+0i\n0+0i 1e308+0i\n")
+        assert main(["range", str(path), "--angles", "8", "--out", "svg"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_support_beyond_float_range_is_numeric_error(self, tmp_path, capsys):
         # h(0) = 2e308 overflows; numpy's eigensolver failed on the inf
@@ -312,6 +320,28 @@ class TestVerify:
         assert main(["verify", "--suite", "props52", "--trials", "1", "--seed", "5"]) == 0
         assert "seed: 5\n" in capsys.readouterr().out
 
+    def test_env_seed_is_read_on_every_call(self, capsys, monkeypatch):
+        # the parser is built once per process; its --seed default is not
+        argv = ["verify", "--suite", "props52", "--trials", "1"]
+        outs = {}
+        for seed in ("123", "7", None):
+            if seed is None:
+                monkeypatch.delenv("NUMRANGE_SEED", raising=False)
+            else:
+                monkeypatch.setenv("NUMRANGE_SEED", seed)
+            assert main(argv) == 0
+            outs[seed] = capsys.readouterr().out
+            assert f"seed: {seed or 42}\n" in outs[seed]
+        monkeypatch.setenv("NUMRANGE_SEED", "7x")
+        for bad in (argv, ["radius"]):
+            with pytest.raises(SystemExit) as e:
+                main(bad)
+            assert e.value.code == 2
+        monkeypatch.delenv("NUMRANGE_SEED")
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == outs[None]
+
     @pytest.mark.parametrize("extra", [["--trial", "-1"], ["--trial", "2", "--trials", "5"],
                                        ["--trials", "-3"]])
     def test_bad_trial_is_usage_error(self, capsys, extra):
@@ -376,31 +406,82 @@ def test_non_integer_count_is_usage_error(capsys, argv, option):
     assert f"argument {option}: invalid int value: {argv[-1]!r}" in captured.err
 
 
-def _run_fresh(script: str, tmp_path):
-    """Run script in a fresh interpreter that imports numrange from src/."""
+def test_parser_is_built_once_per_process(shift_file, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    build_parser.cache_clear()
+    calls = [["radius", shift_file], ["range", shift_file, "--angles", "8"],
+             ["range", shift_file, "--angles", "8", "--out", "svg"],
+             ["clark", "blaschke 1 0 0", "--gamma", "1+0i"],
+             ["teardrop", "--alpha", "0.5+0i"], ["teardrop", "--alpha", "0+0i", "--out", "svg"],
+             ["verify", "--suite", "props52", "--trials", "1"],
+             ["search", "poly 0 1", "--iters", "1"]]
+    calls = (calls * 3)[:20]
+    assert main(calls[0]) == 0
+    first = len(built)
+    for argv in calls[1:]:
+        assert main(argv) == 0, argv
+    assert first == 7  # numrange and its six subcommands
+    assert len(built) == first
+    assert build_parser.cache_info().misses == 1
+
+
+def _old_csv(header, rows):
+    return header + "\n" + "".join(",".join("{:.17g}".format(v) for v in row) + "\n"
+                                   for row in rows)
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1e-300, 0.1, 1 / 3, 2.0]
+
+
+@pytest.mark.parametrize("header", ["phi,re,im", "theta,support,re,im"])
+@pytest.mark.parametrize("m", [1, len(EDGE_FLOATS)])
+def test_curve_csv_matches_per_value_format(capsys, header, m):
+    # each column is a rotation of EDGE_FLOATS, so every value meets every slot
+    k = len(header.split(","))
+    table = np.array([np.roll(EDGE_FLOATS, j)[:m] for j in range(k)]).T
+    points = np.empty(m, dtype=complex)
+    points.real, points.imag = table[:, -2], table[:, -1]
+    _write_curve(argparse.Namespace(out="csv", output="-"), header,
+                 tuple(table[:, :-2].T), points, "#000000")
+    assert capsys.readouterr().out == _old_csv(header, table.tolist())
+
+
+def _run_fresh(tmp_path, *args) -> str:
+    """Run the interpreter with args in a fresh process that imports numrange
+    from src/; return its stdout."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], cwd=tmp_path,
+    proc = subprocess.run([sys.executable, *args], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_scipy_is_imported_only_where_it_is_used(tmp_path):
     # every other test process has scipy already, from the tests' own imports
     for name, T in (("one", [[0.5]]), ("two", SHIFT2), ("three", np.eye(3, k=1))):
         (tmp_path / f"{name}.mat").write_text(serialize_matrix(np.array(T, dtype=complex)))
-    _run_fresh("""
+    _run_fresh(tmp_path, "-c", textwrap.dedent("""
         import sys
         import numrange
         import numrange.cli
+        assert numrange.cli.build_parser.cache_info().currsize == 0
         for argv in (["radius", "three.mat"], ["range", "two.mat"], ["range", "one.mat"],
                      ["clark", "blaschke 1 0 0.5", "--gamma", "1+0i"],
                      ["teardrop", "--alpha", "0.3+0.2i"]):
             assert numrange.cli.main(argv) == 0, argv
         loaded = [m for m in ("scipy", "scipy.linalg") if m in sys.modules]
         assert not loaded, loaded
-    """, tmp_path)
+    """))
     # range at n >= 3, and verify's solves and level cuts, import it on first use
-    _run_fresh("""
+    _run_fresh(tmp_path, "-c", textwrap.dedent("""
         import sys
         from numrange.cli import main
         for argv in (["range", "three.mat"],
@@ -408,4 +489,9 @@ def test_scipy_is_imported_only_where_it_is_used(tmp_path):
                      ["verify", "--suite", "drury", "--trials", "2"]):
             assert main(argv) == 0, argv
         assert "scipy.linalg" in sys.modules
-    """, tmp_path)
+    """))
+
+
+def test_python_m_numrange(tmp_path):
+    (tmp_path / "one.mat").write_text(serialize_matrix(np.array([[0.5]], dtype=complex)))
+    assert _run_fresh(tmp_path, "-m", "numrange", "radius", "one.mat") == "0.500000000000000\n"
