@@ -53,9 +53,19 @@ def _write_output(path: str | None, text: str):
             fh.write(text)
 
 
-def _px(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    with np.errstate(over="ignore"):  # a point beyond ~9e305 maps to inf, silently
-        return (points.real + 2.0) / 4.0 * 800.0, (2.0 - points.imag) / 4.0 * 800.0
+def _px(points: np.ndarray) -> np.ndarray:
+    """The x, y pixel coordinates of each point, one point per row;
+    NumericError names the first that is not finite (a point beyond about
+    9e305 maps to inf)."""
+    with np.errstate(over="ignore"):
+        xy = np.column_stack(((points.real + 2.0) / 4.0 * 800.0,
+                              (2.0 - points.imag) / 4.0 * 800.0))
+    bad = np.flatnonzero(~np.isfinite(xy))
+    if bad.size:
+        k, axis = divmod(int(bad[0]), 2)
+        raise NumericError(f"SVG {'xy'[axis]} coordinate of point {k} is "
+                           f"{xy.flat[bad[0]]}, not a finite number")
+    return xy
 
 
 def _write_curve(args, header: str, columns, points: np.ndarray, color: str):
@@ -68,7 +78,7 @@ def _write_curve(args, header: str, columns, points: np.ndarray, color: str):
         row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
         text = header + "\n" + (row_format * len(table)) % tuple(table.ravel().tolist())
     else:
-        xy = np.column_stack(_px(points)).ravel().tolist()
+        xy = _px(points).ravel().tolist()
         coords = " ".join(["%.3f,%.3f"] * len(points)) % tuple(xy)
         text = ('<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
                 'viewBox="0 0 800 800">\n'

@@ -30,6 +30,7 @@ _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 # one complex literal, `re` or `re+imi`, which complex() reads once its `i`
 # is a `j`; a matrix row is whitespace-separated literals
 _TOKEN = rf"[+-]?{_NUM}(?:[+-]{_NUM}i)?"
+_TOKEN_RE = re.compile(_TOKEN)
 _ROW_RE = re.compile(rf"\s*{_TOKEN}(?:\s+{_TOKEN})*\s*")
 
 
@@ -39,7 +40,7 @@ def format_complex(z: complex) -> str:
 
 
 def parse_complex(token: str) -> complex:
-    if not re.match(rf"^{_TOKEN}$", token):
+    if not _TOKEN_RE.fullmatch(token):
         raise ValueError(f"not a complex literal: {token!r}")
     return complex(token.replace("i", "j"))
 

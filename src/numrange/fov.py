@@ -29,22 +29,27 @@ no longer overflow. A value that is still not finite raises NumericError
 (_finite).
 
 Comparisons of h with a level c over the whole circle need no angle grid:
-_level_cuts finds every theta at which some eigenvalue of H(theta) equals
-c, from the unimodular eigenvalues of one 2n x 2n pencil (Mengi and
-Overton, "Algorithms for the computation of the pseudospectral radius and
-the numerical radius of a matrix", IMA J. Numer. Anal. 2005). Between
-consecutive cuts h - c has a single sign, so one sample per arc decides
-it; arc_midpoints gives those samples. contains(T, z) is this test for
+level_cuts finds every theta at which some eigenvalue of H(theta) equals
+c, from the unimodular eigenvalues of a 2n x 2n linearization of
+T* z^2 - 2c z I + T (Mengi and Overton, "Algorithms for the computation of
+the pseudospectral radius and the numerical radius of a matrix", IMA J.
+Numer. Anal. 2005). It takes many pairs (T, c) at once: each T whose T* is
+well conditioned goes through the standard form [[0, I], [-T^-* T, 2c T^-*]],
+one stacked solve and one stacked eigvals call per size, and the rest
+through the generalized pencil of _level_cuts (QZ). Between consecutive
+cuts h - c has a single sign, so one sample per arc decides it;
+arc_midpoints gives those samples. contains(T, z) is this test for
 h_{T - zI} against -tol.
 
-Only _extreme_pairs (LAPACK's tridiagonal routines) and _level_cuts (QZ)
-call scipy, and each imports it where it is called, so that radius and
-boundary at n <= 2 run without loading scipy.linalg.
+Only _extreme_pairs (LAPACK's tridiagonal routines) and the QZ fallback
+_level_cuts call scipy, and each imports it where it is called, so that
+radius and boundary at n <= 2 run without loading scipy.linalg.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -69,12 +74,17 @@ _MAX_STEPS = 64
 # costs nothing, as both arcs it makes keep a single sign, so this is generous
 _CUT_TOL = 1e-6
 
+# level_cuts inverts T* only below this condition number, where the
+# rounding it adds to the eigenvalues, about cond(T*) eps, stays far below
+# _CUT_TOL; the draws of the verify suites stay under 1e4
+_COND_LIMIT = 1e8
+
 
 def hermitian_part(T, theta: float = 0.0) -> np.ndarray:
     """(e^{-i theta} T + e^{i theta} T*)/2, Hermitian by construction, formed
     from the prescaled T; NumericError if an entry is not finite."""
-    S, e = _prescaled(linalg.as_matrix(T))
-    H = _rotated(*_cartesian_parts(S[None]), [0], np.array([theta]))[0]
+    S, e = _prescaled(linalg.as_matrix(T)[None])
+    H = _rotated(*_cartesian_parts(S), [0], np.array([theta]))[0]
     with np.errstate(over="ignore"):
         H.real, H.imag = np.ldexp(H.real, e), np.ldexp(H.imag, e)
     return _finite(H, "Hermitian part entry")
@@ -83,10 +93,26 @@ def hermitian_part(T, theta: float = 0.0) -> np.ndarray:
 def support_values(T, thetas) -> np.ndarray:
     """Top eigenvalue of H(theta) for each theta (vectorized); NumericError
     if one is not a finite number."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    slot = np.zeros(len(thetas), dtype=int)
-    _, sweep, scale_back = _supports([T])
-    return scale_back(slot, sweep(slot, thetas), "support value")
+    return support_samples([(T, thetas)])[0]
+
+
+def support_samples(requests) -> list[np.ndarray]:
+    """support_values(T, thetas) for each pair (T, thetas) of requests, from
+    one kernel sweep: one eigensolve call per size n. NumericError names a
+    value that is not finite by its index in the requests' thetas, taken
+    in turn."""
+    requests = [(T, np.atleast_1d(np.asarray(thetas, dtype=float))) for T, thetas in requests]
+    if not requests:
+        return []
+    slots, sweep, scale_back = _supports([T for T, _ in requests])
+    sizes = [len(thetas) for _, thetas in requests]
+    slot = np.repeat(slots, sizes)
+    thetas = np.concatenate([thetas for _, thetas in requests])
+    # the sweep wants its cells sorted by slot
+    order = np.argsort(slot, kind="stable")
+    values = np.empty(len(thetas))
+    values[order] = sweep(slot[order], thetas[order])
+    return np.split(scale_back(slot, values, "support value"), np.cumsum(sizes)[:-1])
 
 
 @dataclass(frozen=True)
@@ -292,13 +318,17 @@ def _supports(mats):
     theta + pi; order 2 gives (h, h', h''). scale_back(slot, values, what)
     takes values of slot back to the units of mats and checks them (_finite).
     """
-    mats = [T * np.eye(2) if len(T) == 1 else T for T in map(linalg.as_matrix, mats)]
-    ranked = sorted(range(len(mats)), key=lambda i: (len(mats[i]), i))
-    slots = np.argsort(ranked)
-    scaled, exps = zip(*[_prescaled(mats[i]) for i in ranked])
+    mats = [np.asarray(T, dtype=complex) for T in mats]
+    # a non-finite 1x1 [t] gives nan here, which _size_groups rejects
+    with np.errstate(invalid="ignore"):
+        mats = [T * np.eye(2) if T.shape == (1, 1) else T for T in mats]
+    sized = _size_groups(mats)
+    slots = np.argsort([i for run, _, _ in sized for i in run])
+    exps = np.concatenate([e for _, _, e in sized])
     # (first slot, stop slot, methods by order) for each size n
-    groups = [(first, stop, _support_kernels(np.array(scaled[first:stop])))
-              for first, stop in _runs(np.array([len(S) for S in scaled]))]
+    stops = np.cumsum([len(run) for run, _, _ in sized]).tolist()
+    groups = [(stop - len(run), stop, _support_kernels(S))
+              for (run, S, _), stop in zip(sized, stops)]
 
     def sweep(slot, thetas, order=0):
         # one kernel call per size n, over that size's contiguous run of cells
@@ -313,7 +343,7 @@ def _supports(mats):
 
     def scale_back(slot, values, what):
         with np.errstate(over="ignore"):
-            return _finite(np.ldexp(values, np.array(exps)[slot]), what)
+            return _finite(np.ldexp(values, exps[slot]), what)
 
     return slots, sweep, scale_back
 
@@ -418,12 +448,31 @@ def _cell_search(sweep, k: int) -> np.ndarray:
     return best
 
 
-def _prescaled(T: np.ndarray) -> tuple[np.ndarray, int]:
-    """(2^-e T, e), with 2^(e-1) <= the largest |Re| or |Im| of an entry
-    < 2^e (e = 0 for T = 0) and e >= -1021, so that 2^-e is finite."""
-    top = max(float(np.abs(T.real).max()), float(np.abs(T.imag).max()))
-    e = max(math.frexp(top)[1], -1021)
-    return (T * 2.0 ** -e if e else T), e
+def _prescaled(Ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(2^-e T, e) for each T of a (m, n, n) stack, with 2^(e-1) <= the
+    largest |Re| or |Im| of an entry of T < 2^e (e = 0 for T = 0) and
+    e >= -1021, so that 2^-e is finite. A T with e = 0 is left as it is."""
+    top = np.maximum(np.abs(Ts.real).max(axis=(1, 2)), np.abs(Ts.imag).max(axis=(1, 2)))
+    e = np.maximum(np.frexp(top)[1], -1021)
+    scaled = e != 0
+    Ts = Ts.copy()
+    Ts[scaled] *= np.ldexp(1.0, -e[scaled])[:, None, None]
+    return Ts, e
+
+
+def _size_groups(mats):
+    """Validate the square matrices mats (ValueError, as from
+    linalg.as_matrix) and prescale them as one stack per size: a list of
+    (run, S, e) by increasing n, where run holds the indices i of the
+    matrices of that size in increasing order and (S, e) is the
+    _prescaled stack of those mats[i]."""
+    mats = [np.asarray(T, dtype=complex) for T in mats]
+    ranked = sorted(range(len(mats)), key=lambda i: (mats[i].shape, i))
+    groups = []
+    for _, run in itertools.groupby(ranked, key=lambda i: mats[i].shape):
+        run = list(run)
+        groups.append((run, *_prescaled(linalg.as_stack([mats[i] for i in run]))))
+    return groups
 
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -435,19 +484,59 @@ def _finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def _level_cuts(T: np.ndarray, c: float) -> np.ndarray:
-    """Sorted angles theta in [0, 2 pi) at which some eigenvalue of H(theta)
-    equals c.
+def level_cuts(levels) -> list[np.ndarray]:
+    """The sorted angles theta in [0, 2 pi) at which some eigenvalue of
+    H_T(theta) equals c, for each pair (T, c) of levels.
 
     det(H(theta) - cI) = 0 exactly when z = e^{i theta} solves
     det(T* z^2 - 2c z I + T) = 0, so the cuts are the arguments of the
-    unimodular eigenvalues of the pencil [[0, I], [-T, 2cI]] - z [[I, 0],
-    [0, T*]]; infinite ones (T* singular) and NaN ones (a singular pencil)
-    are dropped. The pencil is formed from the prescaled T and level.
+    unimodular z of that quadratic eigenproblem, formed from the prescaled
+    T and level. When T* has condition number below _COND_LIMIT, z is an
+    eigenvalue of the 2n x 2n matrix [[0, I], [-T^-* T, 2c T^-*]]: each
+    size's pairs take one stacked solve and one stacked eigvals call, and
+    numpy solves each matrix of a stack on its own, so stacking keeps the
+    bits. The other pairs take the pencil of _level_cuts (QZ).
+    """
+    levels = [(np.asarray(T, dtype=complex), c) for T, c in levels]
+    cuts = [None] * len(levels)
+    for run, S, e in _size_groups([T for T, _ in levels]):
+        run = np.array(run)
+        sv = np.linalg.svd(S, compute_uv=False)
+        well = sv[:, -1] * _COND_LIMIT > sv[:, 0]
+        for i in run[~well]:
+            cuts[i] = _level_cuts(*levels[i])
+        if not well.any():
+            continue
+        n, S = S.shape[1], S[well]
+        c = np.ldexp([levels[i][1] for i in run[well]], -e[well])
+        eye = np.eye(n)
+        M = np.zeros((len(S), 2 * n, 2 * n), dtype=complex)
+        M[:, :n, n:] = eye
+        try:
+            X = np.linalg.solve(S.conj().swapaxes(1, 2),
+                                np.concatenate([S, 2.0 * c[:, None, None] * eye], axis=2))
+            M[:, n:, :n], M[:, n:, n:] = -X[:, :, :n], X[:, :, n:]
+            z = np.linalg.eigvals(M)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(f"level-crossing eigenproblem: {exc}") from exc
+        near = np.abs(np.abs(z) - 1.0) <= _CUT_TOL
+        angles = np.sort(np.where(near, np.angle(z) % (2.0 * np.pi), np.inf), axis=1)
+        for i, row, k in zip(run[well], angles, near.sum(axis=1).tolist()):
+            cuts[i] = row[:k]
+    return cuts
+
+
+def _level_cuts(T: np.ndarray, c: float) -> np.ndarray:
+    """The cuts of level_cuts for one pair (T, c), from the pencil
+    [[0, I], [-T, 2cI]] - z [[I, 0], [0, T*]] (QZ), which needs no inverse
+    of T*: infinite eigenvalues (T* singular) and NaN ones (a singular
+    pencil) are dropped. The pencil is formed from the prescaled T and
+    level.
     """
     import scipy.linalg
 
-    T, e = _prescaled(T)
+    T, e = _prescaled(T[None])
+    T, e = T[0], int(e[0])
     eye, zero = np.eye(len(T)), np.zeros(T.shape)
     try:
         z = scipy.linalg.eigvals(np.block([[zero, eye], [-T, 2.0 * math.ldexp(c, -e) * eye]]),
@@ -463,8 +552,12 @@ def arc_midpoints(levels) -> np.ndarray:
     (T, c) of levels divide the circle; with no cut, the circle is one arc
     and 0 stands for it. On each arc, h_T - c keeps one sign for every
     pair, so comparing h_T with c at these angles compares it everywhere."""
-    cuts = functools.reduce(np.union1d, [_level_cuts(linalg.as_matrix(T), c)
-                                         for T, c in levels])
+    return cut_midpoints(level_cuts(levels))
+
+
+def cut_midpoints(cuts) -> np.ndarray:
+    """arc_midpoints from the level_cuts arrays of its pairs."""
+    cuts = functools.reduce(np.union1d, cuts)
     if cuts.size == 0:
         return np.zeros(1)
     return (cuts + np.append(cuts[1:], cuts[0] + 2.0 * np.pi)) / 2.0

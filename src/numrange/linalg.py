@@ -27,6 +27,12 @@ def as_matrix(entries) -> np.ndarray:
     return _as_square(entries, ndims=(2,))
 
 
+def as_stack(entries) -> np.ndarray:
+    """Validate and return a (k, n, n) stack of square, finite, complex
+    matrices."""
+    return _as_square(entries, ndims=(3,))
+
+
 def _as_square(entries, ndims=(2, 3)) -> np.ndarray:
     """as_matrix, by default also accepting a (k, n, n) stack of matrices."""
     T = np.asarray(entries, dtype=complex)

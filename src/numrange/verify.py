@@ -16,14 +16,18 @@ rec.eval_matrix, which counts scale retries, and passes each residual to
 rec.record(residual, tol, witness_fn), which keeps the trial's first
 witness with residual > tol, tagged with "trial": i.
 
-A body that needs numerical radii is a generator: values = yield [F, ...]
-receives w(F), ... . The bodies advance in lockstep, and each wave of
-requests from all live trials is resolved by one numerical_radii call, so
-the radius kernel runs on stacks instead of one matrix at a time. Each
-trial draws from its own rng and records into its own recorder, so the
-order in which trials advance changes nothing: the report sums failures and
-retries, takes the worst residual, and keeps the witness of the lowest
-failing trial.
+A body that needs the fov kernels is a generator, and each value it
+yields is a request: a list [F, ...] receives the radii w(F), ... ;
+_Arcs([(F, c), ...]) receives the arc midpoints of those level pairs
+(arc_midpoints); _Samples((F, thetas)) receives h_F at thetas. The bodies
+advance in lockstep, and each wave of requests from all live trials is
+answered kind by kind, one call per kind: one numerical_radii call, one
+level_cuts call (one stacked eigenvalue call per size) and one
+support_samples sweep, so the kernels run on stacks instead of one matrix
+at a time. Each trial draws from its own rng and records into its own
+recorder, so the order in which trials advance changes nothing: the report
+sums failures and retries, takes the worst residual, and keeps the witness
+of the lowest failing trial.
 """
 
 from __future__ import annotations
@@ -46,7 +50,13 @@ from .diskfun import (
 )
 from .errors import NumericError, PolesNearSpectrumError
 from .formats import format_complex, serialize_matrix
-from .fov import arc_midpoints, numerical_radii, numerical_radius, support_values
+from .fov import (
+    cut_midpoints,
+    level_cuts,
+    numerical_radii,
+    numerical_radius,
+    support_samples,
+)
 from .linalg import min_eigenvalue
 
 # grid points per t range of region S's boundary in the Q-form suites
@@ -158,23 +168,54 @@ def _run(suite: str, trials: int | range, seed: int, tol: float, trial,
                         next((r.witness for r in recs if r.witness is not None), None))
 
 
-def _lockstep(bodies) -> None:
+class _Arcs(tuple):
+    """A lockstep request for arc_midpoints of its level pairs (T, c)."""
+
+
+class _Samples(tuple):
+    """A lockstep request (T, thetas) for support_values(T, thetas)."""
+
+
+def _radii(asks):
+    radii = iter(numerical_radii([M for ask in asks for M in ask]).tolist())
+    return [[next(radii) for _ in ask] for ask in asks]
+
+
+def _arcs(asks):
+    cuts = iter(level_cuts([pair for ask in asks for pair in ask]))
+    return [cut_midpoints([next(cuts) for _ in ask]) for ask in asks]
+
+
+# what a body may yield, and how a wave's requests of that kind are
+# answered, all with one call
+_ANSWERS = {list: _radii, _Arcs: _arcs, _Samples: support_samples}
+
+
+def _lockstep(bodies) -> list:
     """Advance the generator bodies (plain bodies return None and are
-    skipped) side by side: each wave of matrices they yield gets its radii
-    from one numerical_radii call, and each body is sent its own."""
-    live = [b for b in bodies if b is not None]
+    skipped) side by side, and return what each body returns. In each
+    wave, the requests of every kind in _ANSWERS that the bodies yield are
+    answered together, and each body is sent its own answer."""
+    results = [None] * len(bodies)
+    live = [(k, body) for k, body in enumerate(bodies) if body is not None]
     sent = [None] * len(live)
     while live:
         asks, waiting = [], []
-        for body, values in zip(live, sent):
+        for (k, body), answer in zip(live, sent):
             try:
-                asks.append(body.send(values))
-            except StopIteration:
+                asks.append(body.send(answer))
+            except StopIteration as stop:
+                results[k] = stop.value
                 continue
-            waiting.append(body)
-        radii = iter(numerical_radii([M for ask in asks for M in ask]).tolist())
-        sent = [[next(radii) for _ in ask] for ask in asks]
+            waiting.append((k, body))
+        sent = [None] * len(asks)
+        for kind, answer in _ANSWERS.items():
+            picked = [i for i, ask in enumerate(asks) if type(ask) is kind]
+            if picked:
+                for i, value in zip(picked, answer([asks[i] for i in picked])):
+                    sent[i] = value
         live = waiting
+    return results
 
 
 def random_matrix(rng: np.random.Generator, dim: int | None = None) -> np.ndarray:
@@ -321,11 +362,18 @@ def _teardrop_excess(F: np.ndarray, alpha: complex, tol: float) -> tuple[float, 
     does at an arc midpoint of both level cuts. The samples are those
     midpoints and the two tangent directions arg alpha -+ arccos|alpha|.
     """
-    arcs = arc_midpoints([(F, 1.0 + tol),
-                          (F - alpha * np.eye(len(F)), 1.0 - abs(alpha) ** 2 + tol)])
+    [result] = _lockstep([_excess_body(F, alpha, tol)])
+    return result
+
+
+def _excess_body(F: np.ndarray, alpha: complex, tol: float):
+    """_teardrop_excess as a lockstep body: it yields the two level pairs,
+    then the support samples, and returns (theta, excess)."""
+    arcs = yield _Arcs([(F, 1.0 + tol),
+                        (F - alpha * np.eye(len(F)), 1.0 - abs(alpha) ** 2 + tol)])
     psi, delta = np.angle(alpha), math.acos(abs(alpha))
     thetas = np.append(arcs, [psi - delta, psi + delta])
-    excess = support_values(F, thetas) - regions.teardrop_support(alpha, thetas)
+    excess = (yield _Samples((F, thetas))) - regions.teardrop_support(alpha, thetas)
     k = int(np.argmax(excess))
     return float(thetas[k]), float(excess[k])
 
@@ -335,6 +383,8 @@ def check_drury(trials: int | range, seed: int = 42) -> VerifyReport:
 
     The containment residual is _teardrop_excess, which certifies the whole
     circle of directions; a failing witness names its theta and excess.
+    Each trial's waves ask for its level cuts, its support samples and
+    w(f(T)) in turn.
     """
     tol = 1e-6
     def trial(rng, T, rec):
@@ -342,7 +392,7 @@ def check_drury(trials: int | range, seed: int = 42) -> VerifyReport:
         alpha = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         B = random_blaschke(rng, max_degree=4)
         FT = rec.eval_matrix(Compose(mobius_automorphism(alpha), Blaschke(B)), T)
-        theta, excess = _teardrop_excess(FT, alpha, tol)
+        theta, excess = yield from _excess_body(FT, alpha, tol)
         rec.record(excess, tol, lambda: _matrix_witness(
             T, alpha=format_complex(alpha), constant=format_complex(B.constant),
             zeros=[format_complex(a) for a in B.zeros], theta=theta, excess=excess))

@@ -139,11 +139,14 @@ class TestRange:
         assert rows[0][:2] == [0.0, pytest.approx(1.5e308, rel=1e-15)]
 
     def test_svg_of_entries_near_overflow(self, tmp_path, capsys):
-        # the pixel coordinates overflow; numpy must not warn about it
+        # the pixel coordinates overflow: this wrote inf coordinates with
+        # exit 0; numpy must not warn about it either
         path = tmp_path / "big.mat"
         path.write_text("dim 2\n1e308+0i 1e308+0i\n0+0i 1e308+0i\n")
-        assert main(["range", str(path), "--angles", "8", "--out", "svg"]) == 0
-        assert capsys.readouterr().err == ""
+        assert main(["range", str(path), "--angles", "8", "--out", "svg"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric error: SVG x coordinate of point 0 is inf, not a finite number\n"
 
     def test_support_beyond_float_range_is_numeric_error(self, tmp_path, capsys):
         # h(0) = 2e308 overflows; numpy's eigensolver failed on the inf
@@ -205,6 +208,10 @@ class TestClark:
 
     def test_bad_gamma(self, capsys):
         assert main(["clark", "blaschke 1 0", "--gamma", "0.5+0i"]) == 4
+
+    def test_gamma_with_trailing_newline_is_usage_error(self, capsys):
+        assert main(["clark", "blaschke 1 0 0", "--gamma", "1+0i\n"]) == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("points", ["0", "-2"])
     def test_check_points_below_one_is_usage_error(self, capsys, points):

@@ -37,6 +37,13 @@ class TestComplexLiterals:
             with pytest.raises(ValueError):
                 parse_complex(bad)
 
+    @pytest.mark.parametrize("bad", ["1+2i\n", "3.25\n", "1+2i ", " 1+2i", "\n1+2i"])
+    def test_parse_rejects_surrounding_whitespace(self, bad):
+        # `$` also matches before a final newline, so "1+2i\n" parsed while
+        # "1+2i " was rejected
+        with pytest.raises(ValueError, match="not a complex literal"):
+            parse_complex(bad)
+
     @given(finite, finite)
     def test_round_trip_exact(self, re, im):
         z = complex(re, im)

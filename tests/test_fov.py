@@ -6,12 +6,14 @@ import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numrange import fov, verify
 from numrange.errors import NumericError
 from numrange.fov import (
     arc_midpoints,
     boundary,
     contains,
     hermitian_part,
+    level_cuts,
     numerical_radii,
     numerical_radius,
     support_values,
@@ -370,6 +372,99 @@ class TestPrescale:
             support_values(T, [0.0, np.pi])
         with pytest.raises(NumericError, match="support value 0 is inf"):
             boundary(T, 8)
+
+
+class _LevelsDrawn(Exception):
+    pass
+
+
+def _drury_levels(trials: int, seed: int) -> list:
+    """The level pairs (F, c) of drury's first trials, taken from its wave
+    of level requests, after which the run stops."""
+    pairs = []
+
+    def capture(asks):
+        pairs.extend(pair for ask in asks for pair in ask)
+        raise _LevelsDrawn
+
+    arcs = verify._ANSWERS[verify._Arcs]
+    verify._ANSWERS[verify._Arcs] = capture
+    try:
+        with pytest.raises(_LevelsDrawn):
+            verify.check_drury(trials, seed=seed)
+    finally:
+        verify._ANSWERS[verify._Arcs] = arcs
+    return pairs
+
+
+class TestLevelCuts:
+    def _assert_qz_parity(self, pairs):
+        cuts = level_cuts(pairs)
+        for (T, c), got in zip(pairs, cuts):
+            want = fov._level_cuts(np.asarray(T, dtype=complex), c)
+            assert len(got) == len(want)
+            assert np.all(np.abs(got - want) <= 1e-9)
+
+    def _qz_calls(self, monkeypatch) -> list:
+        calls = []
+        qz = fov._level_cuts
+        monkeypatch.setattr(fov, "_level_cuts", lambda T, c: calls.append(len(T)) or qz(T, c))
+        return calls
+
+    def test_drury_levels_match_qz(self, monkeypatch):
+        # every drury pencil passes the conditioning test, so none takes QZ
+        pairs = _drury_levels(1000, seed=20)
+        assert len(pairs) == 2000
+        calls = self._qz_calls(monkeypatch)
+        cuts = level_cuts(pairs)
+        assert calls == []
+        monkeypatch.undo()
+        for (F, c), got in zip(pairs, cuts):
+            want = fov._level_cuts(F, c)
+            assert len(got) == len(want)
+            assert np.all(np.abs(got - want) <= 1e-9)
+
+    def test_near_tie_levels_match_qz(self):
+        # diag(e^{i phi}, (1 - 1e-6) e^{i(phi + g)}, 0.3): h grazes level 1
+        # at phi; at level 1 - 1e-6 the first eigenvalue crosses at
+        # phi -+ arccos(1 - 1e-6) and the second grazes at phi + g. A
+        # simple cut is fixed to rounding, but each half of a grazing
+        # (double) cut only to about sqrt(eps), by either method
+        rng = np.random.default_rng(24)
+        for phi, g in zip(rng.uniform(0.1, 5.5, 12), np.geomspace(1e-6, 0.5, 12)):
+            T = np.diag([np.exp(1j * phi), (1 - 1e-6) * np.exp(1j * (phi + g)), 0.3])
+            a = np.arccos(1 - 1e-6)
+            for c, simple, grazing in ((1.0, [], [phi]), (1 - 1e-6, [phi - a, phi + a], [phi + g])):
+                exact = np.array(simple + 2 * grazing)
+                order = np.argsort(exact)
+                exact, tol = exact[order], np.array([1e-9] * len(simple) + [1e-7] * 2)[order]
+                got, want = level_cuts([(T, c)])[0], fov._level_cuts(T, c)
+                assert len(got) == len(want) == len(exact)
+                assert np.all(np.abs(got - exact) <= tol) and np.all(np.abs(want - exact) <= tol)
+                assert np.all(np.abs(got - want)[tol < 1e-7] <= 1e-9)
+
+    def test_singular_inputs_take_qz(self, monkeypatch):
+        # T* singular: nilpotent Jordan blocks at three scales, the zero
+        # matrix and a rank-deficient F; a regular T rides in the same stack
+        rng = np.random.default_rng(25)
+        F = random_matrix(rng, 4)
+        F[:, 2] = F[:, 0] - F[:, 1]
+        singular = [(s * np.eye(n, k=1), 0.3 * s)
+                    for n in range(2, 17) for s in (1.0, 2.0 ** 600, 2.0 ** -600)]
+        singular += [(np.zeros((3, 3)), 0.0), (F, 0.5 * numerical_radius(F))]
+        calls = self._qz_calls(monkeypatch)
+        cuts = level_cuts(singular + [(random_matrix(rng, 4), 0.5)])
+        assert calls == [len(T) for T, _ in sorted(singular, key=lambda p: len(p[0]))]
+        assert len(cuts[-2]) > 0
+        monkeypatch.undo()
+        self._assert_qz_parity(singular)
+
+    def test_empty_and_mixed_sizes(self):
+        assert level_cuts([]) == []
+        rng = np.random.default_rng(26)
+        pairs = [(random_matrix(rng, n), 0.4) for n in (5, 2, 5, 1, 3)]
+        assert [c.tolist() for c in level_cuts(pairs)] == [
+            level_cuts([p])[0].tolist() for p in pairs]
 
 
 class TestContains:

@@ -189,23 +189,48 @@ class TestDrury:
                 == pytest.approx(w["excess"], abs=1e-12))
 
     def test_two_pencil_solves_and_no_boundary_sweep(self, monkeypatch):
-        pencils, sweeps = [], []
-        eigvals = scipy.linalg.eigvals
+        # the five trials draw n = 7, 6, 5, 2, 8, so the one wave of level
+        # pairs makes one stacked eigvals call per size, each with a trial's
+        # two 2n x 2n matrices, and no QZ pencil solve
+        pencils, stacks, sweeps = [], [], []
+        qz, eigvals = scipy.linalg.eigvals, np.linalg.eigvals
 
-        def counted(a, b):
+        def counted_qz(a, b):
             pencils.append(len(a))
-            return eigvals(a, b)
+            return qz(a, b)
+
+        def counted(a):
+            stacks.append(np.shape(a))
+            return eigvals(a)
 
         def sweep(*args):
             sweeps.append(args)
             return boundary(*args)
 
-        monkeypatch.setattr(scipy.linalg, "eigvals", counted)
+        monkeypatch.setattr(scipy.linalg, "eigvals", counted_qz)
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
         monkeypatch.setattr(fov, "boundary", sweep)
         monkeypatch.setattr(verify, "boundary", sweep, raising=False)
         assert check_drury(5, seed=1).passed
         assert sweeps == []
-        assert len(pencils) == 10
+        assert pencils == []
+        assert stacks == [(2, 4, 4), (2, 10, 10), (2, 12, 12), (2, 14, 14), (2, 16, 16)]
+
+    def test_waves_ask_levels_then_samples_then_radii(self, monkeypatch):
+        # three waves after the normalization, each answered by one call for
+        # all 20 trials: the level cuts, the support samples, the radii
+        calls = []
+
+        def counted(kind, answer):
+            def wrapped(asks):
+                calls.append((kind.__name__, len(asks)))
+                return answer(asks)
+            return wrapped
+
+        for kind, answer in list(verify._ANSWERS.items()):
+            monkeypatch.setitem(verify._ANSWERS, kind, counted(kind, answer))
+        assert check_drury(20, seed=3).passed
+        assert calls == [("_Arcs", 20), ("_Samples", 20), ("list", 20)]
 
 
 class TestLockstep:
