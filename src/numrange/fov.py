@@ -33,24 +33,24 @@ level_cuts finds every theta at which some eigenvalue of H(theta) equals
 c, from the unimodular eigenvalues of a 2n x 2n linearization of
 T* z^2 - 2c z I + T (Mengi and Overton, "Algorithms for the computation of
 the pseudospectral radius and the numerical radius of a matrix", IMA J.
-Numer. Anal. 2005). It takes many pairs (T, c) at once: each T whose T* is
-well conditioned goes through the standard form [[0, I], [-T^-* T, 2c T^-*]],
-one stacked solve and one stacked eigvals call per size, and the rest
-through the generalized pencil of _level_cuts (QZ). Between consecutive
-cuts h - c has a single sign, so one sample per arc decides it;
+Numer. Anal. 2005). It takes many pairs (T, c) at once, with one stacked
+solve and one stacked eigvals call per size: each T whose T* is well
+conditioned goes through the standard form [[0, I], [-T^-* T, 2c T^-*]],
+and the rest through the same form after a Moebius shift of the circle
+that makes the leading coefficient invertible (_shifted). Between
+consecutive cuts h - c has a single sign, so one sample per arc decides it;
 arc_midpoints gives those samples. contains(T, z) is this test for
 h_{T - zI} against -tol.
 
-Only _extreme_pairs (LAPACK's tridiagonal routines) and the QZ fallback
-_level_cuts call scipy, and each imports it where it is called, so that
-radius and boundary at n <= 2 run without loading scipy.linalg.
+Only _extreme_pairs (LAPACK's tridiagonal routines) calls scipy, and it
+imports it where it is called, so that everything but boundary at n >= 3
+runs without loading scipy.linalg.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,10 +74,16 @@ _MAX_STEPS = 64
 # costs nothing, as both arcs it makes keep a single sign, so this is generous
 _CUT_TOL = 1e-6
 
-# level_cuts inverts T* only below this condition number, where the
-# rounding it adds to the eigenvalues, about cond(T*) eps, stays far below
-# _CUT_TOL; the draws of the verify suites stay under 1e4
+# level_cuts inverts the leading coefficient L0* of a level polynomial only
+# below this condition number, where the rounding it adds to the
+# eigenvalues, about cond(L0*) eps, stays far below _CUT_TOL; the T* of the
+# verify suites' draws stay under 1e4
 _COND_LIMIT = 1e8
+
+# the shifts level_cuts tries, in turn, where T* is ill conditioned: L0 is P
+# at the shift, and a regular P has at most 2n eigenvalues, so only a P that
+# is singular, or within rounding of it, fails them all
+_SHIFTS = 0.5 * np.exp(2j * np.pi * np.arange(7) / 7)
 
 
 def hermitian_part(T, theta: float = 0.0) -> np.ndarray:
@@ -489,62 +495,72 @@ def level_cuts(levels) -> list[np.ndarray]:
     H_T(theta) equals c, for each pair (T, c) of levels.
 
     det(H(theta) - cI) = 0 exactly when z = e^{i theta} solves
-    det(T* z^2 - 2c z I + T) = 0, so the cuts are the arguments of the
-    unimodular z of that quadratic eigenproblem, formed from the prescaled
-    T and level. When T* has condition number below _COND_LIMIT, z is an
-    eigenvalue of the 2n x 2n matrix [[0, I], [-T^-* T, 2c T^-*]]: each
-    size's pairs take one stacked solve and one stacked eigvals call, and
-    numpy solves each matrix of a stack on its own, so stacking keeps the
-    bits. The other pairs take the pencil of _level_cuts (QZ).
+    det P(z) = 0, P(z) = T* z^2 - 2c z I + T, so the cuts are the arguments
+    of the unimodular eigenvalues z of P, formed from the prescaled T and
+    level. The shift z = (zeta + beta)/(1 + conj(beta) zeta) maps the circle
+    onto itself and P to L0* zeta^2 + L1 zeta + L0 (_shifted), whose zeta
+    are the eigenvalues of [[0, I], [-L0^-* L0, -L0^-* L1]]: one stacked
+    solve and one stacked eigvals call per size, and numpy solves each
+    matrix of a stack on its own, so stacking keeps the bits. beta = 0
+    (L0 = T, L1 = -2cI) where T* has condition number below _COND_LIMIT,
+    else the first of _SHIFTS where L0 has; the zeta within _CUT_TOL of the
+    circle are mapped back to z. NoConvergenceError if no shift qualifies,
+    as for every singular pencil (det P = 0 for all z, such as the zero
+    matrix at level 0), or if LAPACK fails.
     """
     levels = [(np.asarray(T, dtype=complex), c) for T, c in levels]
     cuts = [None] * len(levels)
     for run, S, e in _size_groups([T for T, _ in levels]):
-        run = np.array(run)
-        sv = np.linalg.svd(S, compute_uv=False)
-        well = sv[:, -1] * _COND_LIMIT > sv[:, 0]
-        for i in run[~well]:
-            cuts[i] = _level_cuts(*levels[i])
-        if not well.any():
-            continue
-        n, S = S.shape[1], S[well]
-        c = np.ldexp([levels[i][1] for i in run[well]], -e[well])
-        eye = np.eye(n)
+        c = np.ldexp([levels[i][1] for i in run], -e)[:, None, None]
+        beta = _shifts(S, c)
+        lost = np.flatnonzero(np.isnan(beta))
+        if lost.size:
+            raise NoConvergenceError(f"level pair {run[lost[0]]}: its pencil is singular, or "
+                                     f"within rounding of it (cond >= {_COND_LIMIT:.0e} at every shift)")
+        n, (L0, R) = S.shape[1], _shifted(S, c, beta[:, None, None])
         M = np.zeros((len(S), 2 * n, 2 * n), dtype=complex)
-        M[:, :n, n:] = eye
+        M[:, :n, n:] = np.eye(n)
         try:
-            X = np.linalg.solve(S.conj().swapaxes(1, 2),
-                                np.concatenate([S, 2.0 * c[:, None, None] * eye], axis=2))
+            X = np.linalg.solve(L0.conj().swapaxes(1, 2), np.concatenate([L0, R], axis=2))
             M[:, n:, :n], M[:, n:, n:] = -X[:, :, :n], X[:, :, n:]
-            z = np.linalg.eigvals(M)
+            zeta = np.linalg.eigvals(M)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(f"level-crossing eigenproblem: {exc}") from exc
-        near = np.abs(np.abs(z) - 1.0) <= _CUT_TOL
-        angles = np.sort(np.where(near, np.angle(z) % (2.0 * np.pi), np.inf), axis=1)
-        for i, row, k in zip(run[well], angles, near.sum(axis=1).tolist()):
+        near = np.abs(np.abs(zeta) - 1.0) <= _CUT_TOL
+        # a zeta far off the circle may map to z = inf, so only the near ones are mapped
+        b, z = np.broadcast_to(beta[:, None], zeta.shape)[near], zeta[near]
+        zeta[near] = (z + b) / (1.0 + b.conj() * z)
+        angles = np.sort(np.where(near, np.angle(zeta) % (2.0 * np.pi), np.inf), axis=1)
+        for i, row, k in zip(run, angles, near.sum(axis=1).tolist()):
             cuts[i] = row[:k]
     return cuts
 
 
-def _level_cuts(T: np.ndarray, c: float) -> np.ndarray:
-    """The cuts of level_cuts for one pair (T, c), from the pencil
-    [[0, I], [-T, 2cI]] - z [[I, 0], [0, T*]] (QZ), which needs no inverse
-    of T*: infinite eigenvalues (T* singular) and NaN ones (a singular
-    pencil) are dropped. The pencil is formed from the prescaled T and
-    level.
-    """
-    import scipy.linalg
+def _shifts(S: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """beta of level_cuts for each matrix of the stack S at its level c
+    (shape (k, 1, 1)), NaN where no shift qualifies: one stacked svd per
+    shift tried, on the matrices still without one."""
+    beta = np.full(len(S), np.nan, dtype=complex)
+    for shift in (0.0, *_SHIFTS):
+        todo = np.flatnonzero(np.isnan(beta))
+        if not todo.size:
+            break
+        sv = np.linalg.svd(_shifted(S[todo], c[todo], shift)[0], compute_uv=False)
+        beta[todo[sv[:, -1] * _COND_LIMIT > sv[:, 0]]] = shift
+    return beta
 
-    T, e = _prescaled(T[None])
-    T, e = T[0], int(e[0])
-    eye, zero = np.eye(len(T)), np.zeros(T.shape)
-    try:
-        z = scipy.linalg.eigvals(np.block([[zero, eye], [-T, 2.0 * math.ldexp(c, -e) * eye]]),
-                                 np.block([[eye, zero], [zero, T.conj().T]]))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"level-crossing pencil: {exc}") from exc
-    z = z[np.isfinite(z)]
-    return np.sort(np.angle(z[np.abs(np.abs(z) - 1.0) <= _CUT_TOL]) % (2.0 * np.pi))
+
+def _shifted(S: np.ndarray, c, beta):
+    """(L0, -L1) for the stack S at levels c after the shift beta, both
+    broadcast against S: L0 = P(beta) = beta^2 S* - 2c beta I + S and the
+    Hermitian L1 = 2(beta S* + conj(beta) S) - 2c(1 + |beta|^2) I. At
+    beta = 0 they are S and 2cI exactly, zeros' signs included."""
+    SH, eye = S.conj().swapaxes(-1, -2), np.eye(S.shape[-1])
+    flat = beta == 0
+    L0 = np.where(flat, S, beta * (beta * SH - 2.0 * c * eye) + S)
+    R = np.where(flat, 2.0 * c * eye,
+                 2.0 * c * (1.0 + abs(beta) ** 2) * eye - 2.0 * (beta * SH + np.conj(beta) * S))
+    return L0, R
 
 
 def arc_midpoints(levels) -> np.ndarray:

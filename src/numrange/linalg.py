@@ -2,16 +2,12 @@
 
 All routines work on square complex numpy arrays and are pure functions.
 Hermitian eigenvalues are delegated to LAPACK (numpy.linalg.eigvalsh), and
-linear systems go through an LU factorization with an explicit pivot check
-so that near-singular systems raise SingularError instead of returning
-garbage. solve is the one function here that needs scipy, and it imports
-scipy.linalg itself, on its first call: importing scipy.linalg costs more
-than most CLI commands do in all.
+linear systems to numpy.linalg.solve after a singular-value check, so that
+near-singular systems raise SingularError instead of returning garbage.
+Nothing here needs scipy.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -67,30 +63,28 @@ def _check_hermitian(H: np.ndarray, tol: float, who: str) -> np.ndarray:
 
 
 def solve(A, B) -> np.ndarray:
-    """Solve AX = B with partial pivoting.
+    """Solve AX = B by numpy.linalg.solve (LU with partial pivoting).
 
-    Raises SingularError when some pivot of the LU factors is at most
-    PIVOT_RTOL * ||A||_F. The Frobenius norm is at least the spectral norm
-    and at most sqrt(n) times it, so this rule is never more lenient than a
-    spectral-norm threshold, and it costs no SVD.
+    Raises SingularError when sigma_min(A) <= n^(3/2) PIVOT_RTOL sigma_max(A).
+    As sigma_min <= ||L||_2 min|u_kk| <= n min|u_kk| and
+    ||A||_F <= sqrt(n) sigma_max, this flags every A with an LU pivot at most
+    PIVOT_RTOL ||A||_F, and also a near-singular A that partial pivoting
+    hides behind large pivots.
     """
     A = as_matrix(A)
     B = np.asarray(B, dtype=complex)
     if B.shape[0] != A.shape[0]:
         raise ValueError(f"shape mismatch: A is {A.shape}, B is {B.shape}")
-    import scipy.linalg
-
-    with warnings.catch_warnings():
-        # exact-zero pivots are handled by the threshold check below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    threshold = PIVOT_RTOL * max(np.linalg.norm(A), np.finfo(float).tiny)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() <= threshold:
+    sv = np.linalg.svd(A, compute_uv=False)
+    threshold = len(A) ** 1.5 * PIVOT_RTOL * max(sv[0], np.finfo(float).tiny)
+    if sv[-1] <= threshold:
         raise SingularError(
-            f"pivot {pivots.min():.3e} below threshold {threshold:.3e}"
+            f"smallest singular value {sv[-1]:.3e} below threshold {threshold:.3e}"
         )
-    return scipy.linalg.lu_solve((lu, piv), B, check_finite=False)
+    try:
+        return np.linalg.solve(A, B)
+    except np.linalg.LinAlgError as exc:  # an exact zero pivot
+        raise SingularError(str(exc)) from exc
 
 
 def min_eigenvalue(H, tol: float = DEFAULT_TOL) -> float | np.ndarray:

@@ -64,6 +64,14 @@ class TestMatrix:
         with pytest.raises(PolesNearSpectrumError):
             eval_matrix(Mobius(0, 1, 1, -1), np.eye(2))
 
+    def test_pole_near_spectrum_behind_large_pivots(self):
+        # z/(1 + z) at A - I needs A^-1, for the A of
+        # TestSolve::test_near_singular_behind_unit_pivots: its LU has unit
+        # pivots, and at n = 64 A is numerically singular
+        A = np.eye(64) - np.triu(np.ones((64, 64)), 1)
+        with pytest.raises(PolesNearSpectrumError):
+            eval_matrix(Mobius(0, 1, 1, 1), A - np.eye(64))
+
     def test_spectral_mapping_on_diagonalizable(self):
         rng = np.random.default_rng(21)
         n = 5

@@ -1,13 +1,15 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numrange import fov, verify
-from numrange.errors import NumericError
+from numrange.errors import NoConvergenceError, NumericError
 from numrange.fov import (
     arc_midpoints,
     boundary,
@@ -397,32 +399,50 @@ def _drury_levels(trials: int, seed: int) -> list:
     return pairs
 
 
+def _qz_cuts(T, c) -> np.ndarray:
+    """The reference for level_cuts: the cuts of one pair (T, c) from the
+    pencil [[0, I], [-T, 2cI]] - z [[I, 0], [0, T*]] (QZ), which needs no
+    inverse of T*. Infinite eigenvalues (T* singular) and NaN ones (a
+    singular pencil) are dropped. Formed from the prescaled T and level, as
+    level_cuts forms its own."""
+    S, e = fov._prescaled(np.asarray(T, dtype=complex)[None])
+    S, c = S[0], math.ldexp(c, -int(e[0]))
+    eye, zero = np.eye(len(S)), np.zeros(S.shape)
+    z = scipy.linalg.eigvals(np.block([[zero, eye], [-S, 2.0 * c * eye]]),
+                             np.block([[eye, zero], [zero, S.conj().T]]))
+    z = z[np.isfinite(z)]
+    return np.sort(np.angle(z[np.abs(np.abs(z) - 1.0) <= fov._CUT_TOL]) % (2.0 * np.pi))
+
+
 class TestLevelCuts:
     def _assert_qz_parity(self, pairs):
         cuts = level_cuts(pairs)
         for (T, c), got in zip(pairs, cuts):
-            want = fov._level_cuts(np.asarray(T, dtype=complex), c)
+            want = _qz_cuts(T, c)
             assert len(got) == len(want)
             assert np.all(np.abs(got - want) <= 1e-9)
 
-    def _qz_calls(self, monkeypatch) -> list:
-        calls = []
-        qz = fov._level_cuts
-        monkeypatch.setattr(fov, "_level_cuts", lambda T, c: calls.append(len(T)) or qz(T, c))
-        return calls
+    def _record_shifts(self, monkeypatch) -> list:
+        """Whether each pair that level_cuts gets takes a nonzero Moebius
+        shift, in the order of its size stacks (by n, then by index)."""
+        taken = []
+        shifts = fov._shifts
+
+        def recording(S, c):
+            beta = shifts(S, c)
+            taken.extend((beta != 0).tolist())
+            return beta
+
+        monkeypatch.setattr(fov, "_shifts", recording)
+        return taken
 
     def test_drury_levels_match_qz(self, monkeypatch):
-        # every drury pencil passes the conditioning test, so none takes QZ
+        # every drury T* passes the conditioning test, so no pair is shifted
         pairs = _drury_levels(1000, seed=20)
         assert len(pairs) == 2000
-        calls = self._qz_calls(monkeypatch)
-        cuts = level_cuts(pairs)
-        assert calls == []
-        monkeypatch.undo()
-        for (F, c), got in zip(pairs, cuts):
-            want = fov._level_cuts(F, c)
-            assert len(got) == len(want)
-            assert np.all(np.abs(got - want) <= 1e-9)
+        shifted = self._record_shifts(monkeypatch)
+        self._assert_qz_parity(pairs)
+        assert shifted == [False] * len(pairs)
 
     def test_near_tie_levels_match_qz(self):
         # diag(e^{i phi}, (1 - 1e-6) e^{i(phi + g)}, 0.3): h grazes level 1
@@ -438,26 +458,48 @@ class TestLevelCuts:
                 exact = np.array(simple + 2 * grazing)
                 order = np.argsort(exact)
                 exact, tol = exact[order], np.array([1e-9] * len(simple) + [1e-7] * 2)[order]
-                got, want = level_cuts([(T, c)])[0], fov._level_cuts(T, c)
+                got, want = level_cuts([(T, c)])[0], _qz_cuts(T, c)
                 assert len(got) == len(want) == len(exact)
                 assert np.all(np.abs(got - exact) <= tol) and np.all(np.abs(want - exact) <= tol)
                 assert np.all(np.abs(got - want)[tol < 1e-7] <= 1e-9)
 
-    def test_singular_inputs_take_qz(self, monkeypatch):
-        # T* singular: nilpotent Jordan blocks at three scales, the zero
-        # matrix and a rank-deficient F; a regular T rides in the same stack
+    def test_singular_inputs_take_a_shift(self, monkeypatch):
+        # T* singular: nilpotent Jordan blocks at three scales, a
+        # rank-deficient F and 300 rank-deficient draws; a regular T rides
+        # in the same stacks
         rng = np.random.default_rng(25)
         F = random_matrix(rng, 4)
         F[:, 2] = F[:, 0] - F[:, 1]
         singular = [(s * np.eye(n, k=1), 0.3 * s)
                     for n in range(2, 17) for s in (1.0, 2.0 ** 600, 2.0 ** -600)]
-        singular += [(np.zeros((3, 3)), 0.0), (F, 0.5 * numerical_radius(F))]
-        calls = self._qz_calls(monkeypatch)
-        cuts = level_cuts(singular + [(random_matrix(rng, 4), 0.5)])
-        assert calls == [len(T) for T, _ in sorted(singular, key=lambda p: len(p[0]))]
-        assert len(cuts[-2]) > 0
+        singular.append((F, 0.5 * numerical_radius(F)))
+        at_F = len(singular) - 1
+        for k in range(300):
+            G = random_matrix(rng, 2 + k % 7)
+            G[:, -1] = G[:, :-1] @ rng.normal(size=len(G) - 1)
+            singular.append((G, rng.uniform(0.2, 0.95) * numerical_radius(G)))
+        pairs = singular + [(random_matrix(rng, 4), 0.5)]
+        shifted = self._record_shifts(monkeypatch)
+        cuts = level_cuts(pairs)
+        by_size = sorted(range(len(pairs)), key=lambda i: len(pairs[i][0]))
+        assert shifted == [i < len(singular) for i in by_size]
+        assert len(cuts[at_F]) > 0
         monkeypatch.undo()
-        self._assert_qz_parity(singular)
+        self._assert_qz_parity(pairs)
+
+    @pytest.mark.parametrize("T, c", [
+        # det(T* z^2 - 2cz I + T) = 0 for every z
+        (np.zeros((3, 3)), 0.0),
+        # J_3 (+) [-0.9] at level cos(pi/4), an eigenvalue of H(theta) of
+        # J_3 at every theta: no cut would leave one arc, whose sample at
+        # theta = 0 reads h = c, while h reaches 0.9 near theta = pi
+        (np.block([[np.eye(3, k=1), np.zeros((3, 1))], [np.zeros((1, 3)), -0.9]]),
+         math.cos(math.pi / 4)),
+    ])
+    def test_singular_pencils_raise(self, T, c):
+        # and with no RuntimeWarning, which Tier-1 turns into an error
+        with pytest.raises(NoConvergenceError, match="singular"):
+            level_cuts([(T, c), (random_matrix(np.random.default_rng(26), len(T)), 0.5)])
 
     def test_empty_and_mixed_sizes(self):
         assert level_cuts([]) == []

@@ -41,6 +41,20 @@ class TestSolve:
         with pytest.raises(SingularError):
             solve(A, np.eye(8))
 
+    @pytest.mark.parametrize("n, singular", [(32, False), (64, True)])
+    def test_near_singular_behind_unit_pivots(self, n, singular):
+        # ones on the diagonal and -1 above it: partial pivoting swaps no
+        # rows and leaves every pivot 1, yet sigma_min is 1e-17 at n = 64
+        # (cond 3.8e18), where LU alone returned entries of 4.6e18; at n = 32
+        # (cond 2.8e10) the system is still solved
+        A = np.eye(n) - np.triu(np.ones((n, n)), 1)
+        if singular:
+            with pytest.raises(SingularError, match="singular value"):
+                solve(A, np.eye(n))
+        else:
+            X = solve(A, np.eye(n))
+            assert np.abs(A @ X - np.eye(n)).max() <= 1e-12 * np.abs(X).max()
+
 
 class TestIsPsd:
     def test_identity(self):
