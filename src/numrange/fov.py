@@ -36,8 +36,8 @@ the pseudospectral radius and the numerical radius of a matrix", IMA J.
 Numer. Anal. 2005). It takes many pairs (T, c) at once, with one stacked
 solve and one stacked eigvals call per size: each T whose T* is well
 conditioned goes through the standard form [[0, I], [-T^-* T, 2c T^-*]],
-and the rest through the same form after a Moebius shift of the circle
-that makes the leading coefficient invertible (_shifted). Between
+and the rest through the same form after the Moebius shift of the circle,
+of seven, that best conditions the leading coefficient (_shifts). Between
 consecutive cuts h - c has a single sign, so one sample per arc decides it;
 arc_midpoints gives those samples. contains(T, z) is this test for
 h_{T - zI} against -tol.
@@ -74,16 +74,22 @@ _MAX_STEPS = 64
 # costs nothing, as both arcs it makes keep a single sign, so this is generous
 _CUT_TOL = 1e-6
 
-# level_cuts inverts the leading coefficient L0* of a level polynomial only
-# below this condition number, where the rounding it adds to the
-# eigenvalues, about cond(L0*) eps, stays far below _CUT_TOL; the T* of the
+# level_cuts keeps the standard form (shift 0) where T* has a condition
+# number below this, where the rounding that inverting it adds to the
+# eigenvalues, about cond(T*) eps, stays far below _CUT_TOL; the T* of the
 # verify suites' draws stay under 1e4
 _COND_LIMIT = 1e8
 
-# the shifts level_cuts tries, in turn, where T* is ill conditioned: L0 is P
-# at the shift, and a regular P has at most 2n eigenvalues, so only a P that
-# is singular, or within rounding of it, fails them all
+# elsewhere level_cuts takes the shift of _SHIFTS with the best conditioned
+# leading coefficient L0, which is P at the shift. A regular P has at most
+# 2n eigenvalues, so only a P that is singular fails at all seven; rounding
+# puts the cond(L0) of a singular P at about 1/eps (3.5e15 or more over
+# draws with n = 2..64), while a regular P whose blocks are scaled apart, as
+# that of contains near an eigenvalue of a normal T, reads about 1/distance.
+# An L0 with cond(L0) above _COND_LIMIT widens the band of _CUT_TOL in
+# proportion (to at most 0.5), so that its larger rounding loses no cut
 _SHIFTS = 0.5 * np.exp(2j * np.pi * np.arange(7) / 7)
+_SINGULAR_COND = 1e14
 
 
 def hermitian_part(T, theta: float = 0.0) -> np.ndarray:
@@ -503,20 +509,23 @@ def level_cuts(levels) -> list[np.ndarray]:
     solve and one stacked eigvals call per size, and numpy solves each
     matrix of a stack on its own, so stacking keeps the bits. beta = 0
     (L0 = T, L1 = -2cI) where T* has condition number below _COND_LIMIT,
-    else the first of _SHIFTS where L0 has; the zeta within _CUT_TOL of the
-    circle are mapped back to z. NoConvergenceError if no shift qualifies,
-    as for every singular pencil (det P = 0 for all z, such as the zero
-    matrix at level 0), or if LAPACK fails.
+    else the one of _SHIFTS with the smallest condition number of L0; the
+    zeta within _CUT_TOL of the circle (a band widened for an L0 that is
+    not well conditioned, _shifts) are mapped back to z.
+    NoConvergenceError, for the whole call, if L0 has condition number
+    _SINGULAR_COND or more at every shift, as for every singular pencil
+    (det P = 0 for all z, such as the zero matrix at level 0), or if LAPACK
+    fails.
     """
     levels = [(np.asarray(T, dtype=complex), c) for T, c in levels]
     cuts = [None] * len(levels)
     for run, S, e in _size_groups([T for T, _ in levels]):
         c = np.ldexp([levels[i][1] for i in run], -e)[:, None, None]
-        beta = _shifts(S, c)
+        beta, band = _shifts(S, c)
         lost = np.flatnonzero(np.isnan(beta))
         if lost.size:
-            raise NoConvergenceError(f"level pair {run[lost[0]]}: its pencil is singular, or "
-                                     f"within rounding of it (cond >= {_COND_LIMIT:.0e} at every shift)")
+            raise NoConvergenceError(f"level pair {run[lost[0]]}: its pencil is singular, or within "
+                                     f"rounding of it (cond >= {_SINGULAR_COND:.0e} at every shift)")
         n, (L0, R) = S.shape[1], _shifted(S, c, beta[:, None, None])
         M = np.zeros((len(S), 2 * n, 2 * n), dtype=complex)
         M[:, :n, n:] = np.eye(n)
@@ -526,7 +535,7 @@ def level_cuts(levels) -> list[np.ndarray]:
             zeta = np.linalg.eigvals(M)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(f"level-crossing eigenproblem: {exc}") from exc
-        near = np.abs(np.abs(zeta) - 1.0) <= _CUT_TOL
+        near = np.abs(np.abs(zeta) - 1.0) <= band[:, None]
         # a zeta far off the circle may map to z = inf, so only the near ones are mapped
         b, z = np.broadcast_to(beta[:, None], zeta.shape)[near], zeta[near]
         zeta[near] = (z + b) / (1.0 + b.conj() * z)
@@ -536,18 +545,21 @@ def level_cuts(levels) -> list[np.ndarray]:
     return cuts
 
 
-def _shifts(S: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """beta of level_cuts for each matrix of the stack S at its level c
-    (shape (k, 1, 1)), NaN where no shift qualifies: one stacked svd per
-    shift tried, on the matrices still without one."""
-    beta = np.full(len(S), np.nan, dtype=complex)
-    for shift in (0.0, *_SHIFTS):
-        todo = np.flatnonzero(np.isnan(beta))
-        if not todo.size:
-            break
-        sv = np.linalg.svd(_shifted(S[todo], c[todo], shift)[0], compute_uv=False)
-        beta[todo[sv[:, -1] * _COND_LIMIT > sv[:, 0]]] = shift
-    return beta
+def _shifts(S: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(beta, band) of level_cuts for each matrix of the stack S at its
+    level c (shape (k, 1, 1)), beta NaN where its pencil is singular: one
+    stacked svd of S, and one of L0 at all seven shifts for the matrices
+    with cond(S) >= _COND_LIMIT. band is _CUT_TOL cond(L0)/_COND_LIMIT, at least _CUT_TOL and at
+    most 0.5, so that |1 + conj(beta) zeta| >= 1/4 for the zeta it keeps."""
+    sv = np.linalg.svd(S, compute_uv=False)
+    beta, band = np.zeros(len(S), dtype=complex), np.full(len(S), _CUT_TOL)
+    todo = np.flatnonzero(sv[:, -1] * _COND_LIMIT <= sv[:, 0])
+    L0 = _shifted(S[todo, None], c[todo, None], _SHIFTS[:, None, None])[0]
+    sv = np.linalg.svd(L0, compute_uv=False)
+    rcond = sv[..., -1] / np.maximum(sv[..., 0], np.finfo(float).tiny)
+    beta[todo] = np.where(rcond.max(1) * _SINGULAR_COND > 1, _SHIFTS[rcond.argmax(1)], np.nan)
+    band[todo] = _CUT_TOL / np.clip(rcond.max(1) * _COND_LIMIT, 2.0 * _CUT_TOL, 1.0)
+    return beta, band
 
 
 def _shifted(S: np.ndarray, c, beta):
@@ -584,7 +596,13 @@ def contains(T, z: complex, tol: float = 1e-9) -> bool:
 
     z is in W(T) iff h_{T - zI}(theta) = h(theta) - Re(e^{-i theta} z) >= 0
     for every theta; testing h_{T - zI} >= -tol at the arc midpoints of its
-    level cuts at -tol tests the whole circle.
+    level cuts at -tol tests the whole circle. Where sigma_min(S) <= tol,
+    up to its rounding (n eps sigma_max), a unit singular vector x has
+    |<Sx, x>| <= ||Sx|| <= tol, so z is in; the level pencil of S is not
+    asked there, as it can be singular (T normal with eigenvalue z, at
+    tol = 0).
     """
     S = linalg.as_matrix(T) - complex(z) * np.eye(len(T))
-    return bool(np.all(support_values(S, arc_midpoints([(S, -tol)])) >= -tol))
+    sv = np.linalg.svd(S, compute_uv=False)
+    return bool(sv[-1] <= tol + len(S) * np.finfo(float).eps * sv[0]
+                or np.all(support_values(S, arc_midpoints([(S, -tol)])) >= -tol))

@@ -429,9 +429,9 @@ class TestLevelCuts:
         shifts = fov._shifts
 
         def recording(S, c):
-            beta = shifts(S, c)
+            beta, band = shifts(S, c)
             taken.extend((beta != 0).tolist())
-            return beta
+            return beta, band
 
         monkeypatch.setattr(fov, "_shifts", recording)
         return taken
@@ -501,6 +501,25 @@ class TestLevelCuts:
         with pytest.raises(NoConvergenceError, match="singular"):
             level_cuts([(T, c), (random_matrix(np.random.default_rng(26), len(T)), 0.5)])
 
+    def test_pencils_scaled_apart_take_the_best_shift(self):
+        # contains near an eigenvalue lambda of a normal T asks for the cuts
+        # of S = T - (lambda - d)I at level -1e-9, whose level pencil has a
+        # block scaled by about max(d, 1e-9): cond(L0) is about 1e9 at every
+        # shift, although the pencil is regular. Diagonal T and a unitary
+        # conjugate; the angles of that block are fixed only to about
+        # eps / max(d, 1e-9), and a grazing cut at 0 may fall on either side
+        rng = np.random.default_rng(30)
+        pairs = []
+        for D in (np.diag([1.0, 0.0]), np.diag([1.0, -1.0, 0.0]), np.diag([1, 1j, -1, -1j, 0])):
+            U = np.linalg.qr(random_matrix(rng, len(D)))[0]
+            pairs += [(T - d * np.eye(len(D)), -1e-9)
+                      for T in (D, U @ D @ U.conj().T) for d in (0.0, 1e-9, 1e-8)]
+        for (T, c), got in zip(pairs, level_cuts(pairs)):
+            want = _qz_cuts(T, c)
+            assert len(got) == len(want)
+            gap = np.abs(got[:, None] - want[None, :]) % (2.0 * np.pi)
+            assert np.all(np.minimum(gap, 2.0 * np.pi - gap).min(axis=1) <= 1e-7)
+
     def test_empty_and_mixed_sizes(self):
         assert level_cuts([]) == []
         rng = np.random.default_rng(26)
@@ -519,6 +538,36 @@ class TestContains:
         for _ in range(10):
             T = random_complex(rng, int(rng.integers(2, 7)))
             assert contains(T, np.trace(T) / T.shape[0])
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0])
+    def test_eigenvalues_of_normal_matrices_are_inside(self, tol):
+        # 0 is a corner of W(diag(1, 0)) = [0, 1] and inside W(diag(1, -1, 0))
+        # and the square W(diag(1, i, -1, -i, 0)). Each eigenvector x has
+        # T*x = conj(lambda) x, so the level pencil of T - lambda I has a
+        # block 2 tol z: singular at tol = 0, and with cond(L0) about 1/tol
+        # at every shift at tol = 1e-9
+        rng = np.random.default_rng(31)
+        for D in (np.diag([1.0, 0.0]), np.diag([1.0, -1.0, 0.0]), np.diag([1, 1j, -1, -1j, 0])):
+            U = np.linalg.qr(random_matrix(rng, len(D)))[0]
+            for T in (D, U @ D @ U.conj().T):
+                assert all(contains(T, z, tol) for z in np.diag(D))
+
+    @pytest.mark.parametrize("d", [1e-11, 1e-10, 1e-8])
+    def test_beside_a_corner_of_a_normal_matrix(self, d):
+        # W(T) is the square with vertices i^k (T also has eigenvalue 0). A
+        # corner lambda moved by d along an edge's outward side is d/sqrt(2)
+        # outside; lambda(1 - d) is inside. The dip of h below -tol there
+        # comes from the block of the level pencil scaled by d, whose
+        # unimodular eigenvalues a cond(L0) of about 1/d pushes past
+        # _CUT_TOL: a band of _CUT_TOL alone, like the QZ pencil, loses the
+        # dip's cuts for some of these and says "inside"
+        for seed in range(5):
+            U = np.linalg.qr(random_matrix(np.random.default_rng(seed), 5))[0]
+            T = U @ np.diag([1, 1j, -1, -1j, 0]) @ U.conj().T
+            for lam in (1, 1j, -1, -1j):
+                for tol in (0.0, d / 4):
+                    assert not contains(T, lam + d * (1j if lam in (1, -1) else 1), tol)
+                    assert contains(T, lam * (1 - d), tol)
 
     @pytest.mark.parametrize("d, inside", [(8.6e-3, False), (1e-6, False),
                                            (-1e-6, True)])
