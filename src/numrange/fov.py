@@ -5,8 +5,9 @@ eigenvalue of the rotated Hermitian part
 H(theta) = (e^{-i theta} T + e^{i theta} T*)/2.
 Every result here is read off one kernel for h (_supports), which serves
 a list of matrices of mixed sizes in one eigensolve call per size and
-answers three orders of query: h; h and h' at theta and theta + pi; and
-h, h', h''. For a unit top eigenvector x, h' = Im(e^{-i theta}<Tx,x>), so
+answers three orders of query: h, at theta or at theta and theta + pi; h
+and h' at theta and theta + pi; and h, h', h''. For a unit top
+eigenvector x, h' = Im(e^{-i theta}<Tx,x>), so
 <Tx, x> = e^{i theta}(h + i h') is a boundary point (C. R. Johnson,
 "Numerical determination of the field of values of a general complex
 matrix", SIAM J. Numer. Anal. 1978): boundary is the order-1 query on an
@@ -58,7 +59,8 @@ import numpy as np
 from . import linalg
 from .errors import NoConvergenceError, NumericError
 
-# h is first sampled at _COARSE_ANGLES angles; the cells that can still
+# h is first sampled at _COARSE_ANGLES angles, from eigensolves at the first
+# half of them only (H(theta + pi) = -H(theta)); the cells that can still
 # beat the best sample are halved _HALVINGS times (to 2 pi / 64) before
 # Newton refinement starts in them
 _COARSE_ANGLES = 16
@@ -157,7 +159,8 @@ def boundary(T, n_angles: int) -> BoundaryCurve:
     thetas = 2.0 * np.pi * np.arange(n_angles) / n_angles
     paired = 0 if n_angles % 2 else n_angles // 2
     _, sweep, scale_back = _supports([T])
-    h, d1 = sweep(np.zeros(n_angles - paired, dtype=int), thetas[:n_angles - paired], order=1)
+    h, d1 = sweep(np.zeros(n_angles - paired, dtype=int), thetas[:n_angles - paired],
+                  order=1, paired=True)
     slot = np.zeros(n_angles, dtype=int)
     h, d1 = (np.concatenate([v[:, 0], v[:paired, 1]]) for v in (h, d1))
     supports = scale_back(slot, h, "support value")
@@ -250,17 +253,17 @@ def _top_eigh(A: np.ndarray, B: np.ndarray, j: np.ndarray, thetas: np.ndarray):
 
     h' = x* H' x for a unit top eigenvector x, which is Im(e^{-i theta}<Tx,x>),
     and h'' = -h + 2 sum_j |y_j* H' x|^2 / (h - lambda_j) over the other
-    eigenpairs (lambda_j, y_j), since H'' = -H. H'x is formed per matrix, as
-    x @ B.T over that matrix's run of thetas: a batched product rounds
-    differently.
+    eigenpairs (lambda_j, y_j), since H'' = -H. H'x = cos B x - sin A x takes
+    one batched product over the gathered A[j] and one over B[j], for all
+    cells, so each cell's bits do not depend on which cells share the call.
+    A[j] and B[j] are gathered again for it, not kept through the
+    eigensolve, so that a step's peak memory stays that of _rotated.
     """
     vals, vecs = np.linalg.eigh(_rotated(A, B, j, thetas))
-    h, x = vals[:, -1], vecs[:, :, -1]
-    cos, sin = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
-    # H'(theta) x for the top eigenvector x
-    dx = np.empty_like(x)
-    for a, b in _runs(j):
-        dx[a:b] = cos[a:b] * (x[a:b] @ B[j[a]].T) - sin[a:b] * (x[a:b] @ A[j[a]].T)
+    h, x = vals[:, -1], vecs[:, :, -1:]
+    cos, sin = np.cos(thetas)[:, None, None], np.sin(thetas)[:, None, None]
+    dx = (cos * (B[j] @ x) - sin * (A[j] @ x))[:, :, 0]
+    x = x[:, :, 0]
     d1 = np.einsum("ki,ki->k", x.conj(), dx).real
     coef = np.einsum("kji,kj->ki", vecs[:, :, :-1].conj(), dx)
     gaps = h[:, None] - vals[:, :-1]
@@ -300,35 +303,46 @@ def _top_2x2(P: np.ndarray, thetas: np.ndarray, order: int = 2):
     return V[:, 0] + r, V[:, 4] + dr, d2r - V[:, 0]
 
 
-def _support_kernels(Ts: np.ndarray):
-    """The methods of orders 0, 1 and 2 for a (m, n, n) stack (see
-    _supports), each taking (j, thetas) for matrix j[c] at thetas[c] and a
+def _support_kernels(Ts: np.ndarray) -> dict:
+    """The queries of _supports for a (m, n, n) stack, keyed by (order,
+    paired), each taking (j, thetas) for matrix j[c] at thetas[c] and a
     sorted j; closed forms when n = 2."""
     if Ts.shape[1] == 2:
         P = np.array([_sinusoids_2x2(T) for T in Ts])
-        def pairs(j, thetas):
-            h, d1, _ = _top_2x2(P[np.tile(j, 2)], np.concatenate([thetas, thetas + np.pi]))
-            return h.reshape(2, -1).T, d1.reshape(2, -1).T
-        return (lambda j, thetas: _top_2x2(P[j], thetas, order=0), pairs,
-                lambda j, thetas: _top_2x2(P[j], thetas))
+        def pairs(j, thetas, order):
+            # there is no eigensolve to save: the closed form at theta + pi
+            both = _top_2x2(P[np.tile(j, 2)], np.concatenate([thetas, thetas + np.pi]), order)
+            if not order:
+                return both.reshape(2, -1).T
+            return tuple(v.reshape(2, -1).T for v in both[:order + 1])
+        return {(0, False): lambda j, thetas: _top_2x2(P[j], thetas, order=0),
+                (0, True): functools.partial(pairs, order=0),
+                (1, True): functools.partial(pairs, order=1),
+                (2, False): lambda j, thetas: _top_2x2(P[j], thetas)}
     A, B = _cartesian_parts(Ts)
     def sample(j, thetas):
         return np.linalg.eigvalsh(_rotated(A, B, j, thetas))[:, -1]
+    def sample_pairs(j, thetas):
+        # H(theta + pi) = -H(theta), whose top eigenvalue is -lambda_min(H(theta))
+        return np.linalg.eigvalsh(_rotated(A, B, j, thetas))[:, [-1, 0]] * [1, -1]
     def pairs(j, thetas):
         runs = [_extreme_pairs(Ts[j[a]], thetas[a:b]) for a, b in _runs(j)]
         return tuple(np.concatenate(p) for p in zip(*runs))
-    return sample, pairs, functools.partial(_top_eigh, A, B)
+    return {(0, False): sample, (0, True): sample_pairs, (1, True): pairs,
+            (2, False): functools.partial(_top_eigh, A, B)}
 
 
 def _supports(mats):
     """The kernel for h of the square matrices mats, which may mix sizes:
     (slots, sweep, scale_back). A 1x1 [t] enters as t I_2, which has the
     same W. Slots hold the prescaled matrices in (n, index) order, and
-    mats[i] is in slots[i]. sweep(slot, thetas, order) answers for slot[c]
-    at thetas[c], in one kernel call per distinct n for a sorted slot:
-    order 0 gives h; order 1 gives (h, h'), each with columns theta and
-    theta + pi; order 2 gives (h, h', h''). scale_back(slot, values, what)
-    takes values of slot back to the units of mats and checks them (_finite).
+    mats[i] is in slots[i]. sweep(slot, thetas, order, paired) answers for
+    slot[c] at thetas[c], in one kernel call per distinct n for a sorted
+    slot: order 0 gives h; order 1, which is always paired, gives (h, h');
+    order 2 gives (h, h', h''). A paired query gives each value with
+    columns theta and theta + pi, from the same eigensolves as theta alone.
+    scale_back(slot, values, what) takes values of slot back to the units
+    of mats and checks them (_finite).
     """
     mats = [np.asarray(T, dtype=complex) for T in mats]
     # a non-finite 1x1 [t] gives nan here, which _size_groups rejects
@@ -342,13 +356,13 @@ def _supports(mats):
     groups = [(stop - len(run), stop, _support_kernels(S))
               for (run, S, _), stop in zip(sized, stops)]
 
-    def sweep(slot, thetas, order=0):
+    def sweep(slot, thetas, order=0, paired=False):
         # one kernel call per size n, over that size's contiguous run of cells
         parts = []
         for first, stop, methods in groups:
             a, b = np.searchsorted(slot, [first, stop])
             if a < b:
-                parts.append(methods[order](slot[a:b] - first, thetas[a:b]))
+                parts.append(methods[order, paired](slot[a:b] - first, thetas[a:b]))
         if order:
             return tuple(np.concatenate(p) for p in zip(*parts))
         return np.concatenate(parts)
@@ -383,7 +397,9 @@ def numerical_radius(T) -> float:
 def numerical_radii(mats) -> np.ndarray:
     """w(T) for each square matrix T of mats, which may mix sizes.
 
-    For each T, h is sampled at 16 angles. A cell between neighbouring
+    For each T, h is sampled at 16 angles, from eigensolves at the first 8:
+    H(theta + pi) = -H(theta), so lambda_max and -lambda_min of H(theta)
+    are h at theta and at theta + pi. A cell between neighbouring
     samples can hold a value above the best sample only if its outer-polygon
     bound (the modulus of the point where the supporting lines at its ends
     cross) exceeds it; such cells are halved, and the rest dropped, until
@@ -398,7 +414,9 @@ def numerical_radii(mats) -> np.ndarray:
     meets this rule before any angle tolerance would. Each result is the
     largest h attained, so it never exceeds w(T) by more than rounding.
 
-    The search runs on the kernel _supports, for all matrices at once; a w
+    The search runs on the kernel _supports, for all matrices at once, and
+    each matrix's cells go through the same products whichever matrices
+    share the call, so a radius keeps its bits alone or in a stack. A w
     that is not finite raises NumericError, and [] gives an empty array.
     """
     mats = list(mats)
@@ -414,13 +432,18 @@ def numerical_radii(mats) -> np.ndarray:
 
 def _cell_search(sweep, k: int) -> np.ndarray:
     """The largest h reached by the search of numerical_radii for each of k
-    slots; sweep(slot, thetas) samples h of matrix slot[c] at thetas[c], and
+    slots; sweep(slot, thetas) samples h of matrix slot[c] at thetas[c],
+    sweep(slot, thetas, paired=True) also at thetas[c] + pi, and
     sweep(slot, thetas, order=2) gives h, h', h''."""
     width = 2.0 * np.pi / _COARSE_ANGLES
     ends = width * np.arange(_COARSE_ANGLES + 1)
+    # ends[k] + pi is ends[k + half] to the bit, so the paired samples at
+    # the first half of the grid are the samples at all of it
+    half = _COARSE_ANGLES // 2
+    values = sweep(np.repeat(np.arange(k), half), np.tile(ends[:half], k), paired=True)
+    values = values.reshape(k, half, 2).transpose(0, 2, 1).reshape(k, _COARSE_ANGLES)
     slot = np.repeat(np.arange(k), _COARSE_ANGLES)
     lo, hi = np.tile(ends[:-1], k), np.tile(ends[1:], k)
-    values = sweep(slot, lo).reshape(k, _COARSE_ANGLES)
     best = values.max(axis=1)
     gain_tol = 4.0 * np.finfo(float).eps * best
     h_lo, h_hi = values.ravel(), np.roll(values, -1, axis=1).ravel()

@@ -97,7 +97,9 @@ def teardrop_boundary(alpha: complex) -> tuple[np.ndarray, np.ndarray]:
     Each grid direction phi gives the point of the unit circle where the
     unit disk's support dominates, and of the circle D(alpha, 1-|alpha|^2)
     where the second disk's does. At each crossing direction the common
-    tangent segment follows the grid samples at or before it.
+    tangent segment follows the grid samples at or before it, walked from
+    the circle the boundary leaves to the one it joins, so that the points
+    go once around td(alpha) counterclockwise.
     """
     alpha = _check_alpha(alpha)
     a = abs(alpha)
@@ -109,11 +111,15 @@ def teardrop_boundary(alpha: complex) -> tuple[np.ndarray, np.ndarray]:
     psi = math.atan2(alpha.imag, alpha.real)
     delta = math.acos(a)
     points = np.where(np.cos(phis - psi) >= a, alpha + r2 * unit, unit)
-    crossings = np.array(sorted(((psi - delta) % (2.0 * np.pi),
-                                 (psi + delta) % (2.0 * np.pi))))
+    leave, join = (psi - delta) % (2.0 * np.pi), (psi + delta) % (2.0 * np.pi)
+    crossings = np.array(sorted((leave, join)))
     at = np.repeat(np.searchsorted(phis, crossings, side="right"), SEGMENT_POINTS)
     e = np.exp(1j * crossings)[:, None]
     segments = e + np.linspace(0.0, 1.0, SEGMENT_POINTS) * (alpha + r2 * e - e)
+    # the boundary leaves the unit circle at psi - delta and joins it again
+    # at psi + delta, so that segment runs from the small circle
+    back = int(join > leave)
+    segments[back] = segments[back, ::-1]
     return (np.insert(phis, at, np.repeat(crossings, SEGMENT_POINTS)),
             np.insert(points, at, segments.ravel()))
 

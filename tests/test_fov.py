@@ -245,12 +245,12 @@ class TestNumericalRadius:
         assert numerical_radius(T) == pytest.approx(1.0, abs=1e-12)
 
     def test_jordan_block_disk(self):
-        # W(J_n) is the disk of radius cos(pi/(n+1)): the support function
-        # is flat, so every cell stays a candidate
-        for n in (3, 8):
-            J = np.eye(n, k=1, dtype=complex)
-            assert numerical_radius(J) == pytest.approx(np.cos(np.pi / (n + 1)),
-                                                        abs=1e-12)
+        # W(J_n) is the disk of radius cos(pi/(n+1)) (Haagerup and de la
+        # Harpe, Proc. AMS 1992): the support function is flat, so every
+        # cell stays a candidate, and half the coarse samples are -lambda_min
+        ns = np.arange(2, 65)
+        radii = numerical_radii([np.eye(n, k=1, dtype=complex) for n in ns])
+        assert np.abs(radii - np.cos(np.pi / (ns + 1))).max() <= 1e-15
 
     def test_two_by_two_matches_zero_padded(self):
         # W(T + 0) is the convex hull of W(T) and 0, so the radius is the
@@ -298,7 +298,9 @@ class TestNumericalRadii:
         mats += [np.diag([np.exp(1j * phi), (1 - 1e-6) * np.exp(1j * (phi + g)), 0.3])
                  for phi, g in zip(rng.uniform(0, 2 * np.pi, 8), np.geomspace(1e-3, 0.3, 8))]
         mats += [random_matrix(rng, n) for n in range(2, 9) for _ in range(3)]
-        mats += [np.zeros((3, 3)), np.array([[0.3 - 0.4j]])]
+        # H'x is one batched product over all cells, at the cli-matrix sizes too
+        mats += [random_complex(rng, n) for n in (16, 32, 64) for _ in range(3)]
+        mats += [np.zeros((3, 3)), np.array([[0.3 - 0.4j]]), np.array([[-2.0 + 1e-3j]])]
         mats = [mats[i] for i in rng.permutation(len(mats))]
         radii = numerical_radii(mats)
         assert radii.shape == (len(mats),)
@@ -308,6 +310,34 @@ class TestNumericalRadii:
     def test_empty_list(self):
         radii = numerical_radii([])
         assert radii.shape == (0,)
+
+    @pytest.mark.parametrize("n", [3, 8, 64])
+    def test_coarse_stage_solves_half_the_grid(self, monkeypatch, n):
+        # H(theta + pi) = -H(theta): the 16 coarse samples of a one-matrix
+        # radius come from eigensolves at 8 angles
+        sizes = []
+
+        def counted(a, *args, **kwargs):
+            sizes.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        numerical_radius(random_complex(np.random.default_rng(n), n))
+        assert sizes[0] == 8
+
+    def test_newton_derivatives_match_differences(self):
+        # h' and h'' of the order-2 query, whose H'x is one batched product
+        # over the cells of all matrices, against central differences of h
+        rng = np.random.default_rng(31)
+        slots, sweep, _ = fov._supports([random_complex(rng, n) for n in (3, 3, 5, 16)])
+        slot = np.repeat(slots, 3)
+        thetas = rng.uniform(0, 2 * np.pi, slot.size)
+        h, d1, d2 = sweep(slot, thetas, order=2)
+        step = 1e-4
+        above, below = sweep(slot, thetas + step), sweep(slot, thetas - step)
+        assert np.abs(d1 - (above - below) / (2 * step)).max() <= 1e-6
+        assert np.abs(d2 - (above - 2 * h + below) / step ** 2).max() <= 1e-4
 
     def test_power_of_two_scales_are_exact(self):
         # at 2^600 the 2x2 closed form's squares overflowed: the radius came

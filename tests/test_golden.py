@@ -33,6 +33,25 @@ matrices supports moved by at most 6.1e-16 max(1, ||T||) and points by
 shift's support column now prints exactly 1 in 351 of its 360 rows,
 against 17 before. The SVG digests are again unchanged.
 
+The three `verify --suite all` digests (all-text, all-json and
+all-text-200-42) and the numerical_radii kernel digest were recorded
+again when the radius search took its 16 coarse samples from eigensolves
+at 8 angles (h(theta + pi) = -lambda_min(H(theta))) and formed H'x with
+one batched product per Newton step. Radii at n = 2 kept their bits; 197
+of the 2065 kernel radii moved, by at most 1.2e-15 relative. In the
+reports only two worst_residual values moved: berger-stampfli at
+(200, 42) by 2.2e-16 and region-s at (50, 3) by 2.8e-16 (the value
+test_cli's q-form report pin prints); every failure count, retry count
+and witness is unchanged.
+
+The eight teardrop digests of the four alphas off the unit disk were
+recorded again when teardrop_boundary stopped walking the tangent
+segment at psi + delta backwards. That segment now runs from the small
+circle to the unit circle, so the curve no longer retraces it (20
+backward steps per alpha; the CSV's perimeter at alpha = 0.5 fell from
+7.49 to 6.62). The rows are the same set as before and the phi column is
+unchanged; only the order of the 21 points of that segment is reversed.
+
 Reports for a fixed seed and trial count, and the range and teardrop
 curves, are part of the CLI contract and must stay byte-identical under
 refactors. A digest that changes means an output changed; record a new one
@@ -54,12 +73,12 @@ from numrange.verify import random_matrix
 
 VERIFY = [
     (["--suite", "all", "--trials", "50", "--seed", "3"],
-     "38ff4b09d408a088c4ed6b978de2c6d1996384f5b094443f91c428d4388123a4"),
+     "d34ac159985a8de416204c6f7129c0642a637c1ad7054d50dee99129bd0e516a"),
     (["--suite", "all", "--trials", "50", "--seed", "3", "--json"],
-     "44ab9583f6d94d655c006afe9f8f70075b395b6f2ce7f8b1770f42ad593e18b0"),
+     "a9f69cbf2eedf5880195f8aa0763ea323e2a898226af03814c4859c1d9a291e5"),
     # a second seed, recorded before the radius kernel was stacked
     (["--suite", "all", "--trials", "200", "--seed", "42"],
-     "89162a7034e107b7cfae2eed92bc8f2de740bda099321c074c9f6bac0a0eba7c"),
+     "0010fba6847db997cda37d4e4b8ca437156e7d25093bb9fe87a6f2dbbb445384"),
     # region-s's sharpness table alone
     (["--suite", "region-s", "--trials", "0", "--seed", "1"],
      "dab2d324e15a93f0fc98e097f81b785f50b37912d814462f02b3c3d8f8548ba2"),
@@ -72,17 +91,17 @@ TEARDROP = {
           "8c424eab5ea31a75f6f6567caf470eab34d9425a8be7b7ed294048edbad03aa1"),
     "1e-13": ("93f2d982fde81f76b425e2133a19ba6642f1f0a20a6deefee20c23c40bdaa0b2",
               "8c424eab5ea31a75f6f6567caf470eab34d9425a8be7b7ed294048edbad03aa1"),
-    "0.5": ("7c24c2d5cb90c5918058ff62fed4ac9eb2039c6483f9f1b48068782ea03998dd",
-            "707ccf8bdbe9c92ae99420654f508ecf28e618fd2c392c6c3645dea7a283fb15"),
+    "0.5": ("43a9bdb1caf3e81eb147666193a41197778dc651a178cd32c2eaa28797b629d6",
+            "8c36eba45beafe161bc0270c581bb3918e69694bbd89e959a0d1db90e97822b6"),
     "-1": ("93f2d982fde81f76b425e2133a19ba6642f1f0a20a6deefee20c23c40bdaa0b2",
            "8c424eab5ea31a75f6f6567caf470eab34d9425a8be7b7ed294048edbad03aa1"),
-    "0.6+0.0073i": ("62e7c898af720ca3d5fe00806c83f3d211adcad8c33d8aa4cc0286de6117cff5",
-                    "b0361b169b5f4b81ea8341923ecb2ccf485b5b326bdfa9a3cd4c917b6437a511"),
+    "0.6+0.0073i": ("cc964f804a00949b15232c688506d5e3c8c15ee5d2954334f79e798ef0c620de",
+                    "2a923ae9dac763173639160e121667a43f91f7422538136ab0721b738c374439"),
     "0.53976200356227166+0.84062951382308859i": (
-        "20eb91d03327c519fe0b89ae7176749107fafa53a8ff1f55b5ce133a0e03e0db",
-        "3113b91134da04dd8fa2485298318bb7a91d1dc9350623cb7e17925a0421accf"),
-    "0.3+0.4i": ("b3352acd11e44972bb211c9f69e59ddc26cd07537c64c7c063e61244c48e34fc",
-                 "41294df47a1866f67fc5e0c096c0e621ded6f1c6dd0185e33ba809ad4f21c1e0"),
+        "dc32892e22f09f7631496acaa93273216ea71536b8091d5fb32ec98cafb00462",
+        "c682ff7b71d8b3a2919e775ef436bff36fa614db71f288df9bc5ddefa4af432a"),
+    "0.3+0.4i": ("e9ef5e3361d668414044f5ecbe0ff1998414aa11a3014d014aa24c4e05d3f569",
+                 "6005786a22a3aa27ee09fdc8c6f7f438fed8da8cca70edccbae157bf78b3b2d7"),
 }
 
 # matrix -> (csv digest, svg digest) of `range --angles 360`
@@ -129,7 +148,7 @@ def test_range_curve(capsys, tmp_path, name, fmt):
 
 
 KERNEL = {
-    "numerical_radii": "03807c6e1be170abd38cfb16dda29158cd57765635baa7348b82c69d3ca0f39d",
+    "numerical_radii": "7fc06b4312ee70c8a4960b5cd1e581f92f3ec3ec11ed56ead73cc89c98957233",
     "support_values": "c918e21d1cf40c6a5c99703ce12e43887f2074a5ff4ea20e4b6240a983d9ec8f",
     "boundary-16": "cff7c49d21f2eb5e2c62dabc21b9beb7c7041bd3561b26a8eecddcd475565145",
     "boundary-64": "8579baec0c87e23daec19b4a636e8e32d712546c2a9cba4db6955395eb79c5e7",

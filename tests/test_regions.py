@@ -105,6 +105,13 @@ class TestTeardropContains:
             dist = teardrop_distance(alpha, points)
             assert np.abs(dist).max() <= 1e-12, alpha
             assert np.all(np.diff(phis) >= 0)
+            # seen from alpha/2, inside td(alpha), the samples go once around
+            # and turn one way only: the tangent segment at psi + delta was
+            # walked from the unit circle, so the curve retraced it. The
+            # tolerance allows a segment end that repeats a grid sample
+            turn = np.diff(np.unwrap(np.angle(points - alpha / 2)))
+            assert turn.min() >= -1e-12, alpha
+            assert turn.sum() == pytest.approx(2 * np.pi, abs=0.02), alpha
             # the unit disk has no tangent segments; otherwise 2 x 21 points
             unit_disk = abs(alpha) < 1e-12 or 1 - abs(alpha) ** 2 < 1e-12
             assert len(phis) == len(points) == (720 if unit_disk else 762), alpha
