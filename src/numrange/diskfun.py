@@ -5,6 +5,16 @@ maps (a + b z)/(c + d z), finite Blaschke products, compositions, and
 radial scalings z -> f(rho z). Matrix evaluation replaces z by a square
 matrix T; every division becomes a resolvent solve, which raises
 PolesNearSpectrumError when the required system is numerically singular.
+
+eval_matrices evaluates many pairs (f, T) at once. Each function's matrix
+evaluation is a generator (_matrix) that yields the linear systems of one
+level of its expression tree, every factor of a Blaschke product or the
+one of a Mobius map, and is sent their solutions; the pairs advance in
+lockstep, and each wave solves every system of every pair as one stack per
+size (one linalg.solve call). A Compose evaluates its inner function, then
+its outer one, and every product is formed in factor order, so each f(T)
+is the same to the bit as when it is evaluated alone. eval_matrix is the
+one-pair case.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, lockstep
 from .blaschke import BlaschkeProduct
 from .errors import PoleHitError, PolesNearSpectrumError, SingularError
 
@@ -24,7 +34,9 @@ class DiskFunction:
     def at(self, z: complex) -> complex:
         raise NotImplementedError
 
-    def of_matrix(self, T: np.ndarray) -> np.ndarray:
+    def _matrix(self, T: np.ndarray):
+        """f(T) as a generator: it yields lists of linear systems (A, B),
+        is sent the list of their solutions A^-1 B, and returns f(T)."""
         raise NotImplementedError
 
     def __call__(self, z):
@@ -36,14 +48,63 @@ def eval_scalar(f: DiskFunction, z: complex) -> complex:
 
 
 def eval_matrix(f: DiskFunction, T) -> np.ndarray:
-    return f.of_matrix(linalg.as_matrix(T))
+    """f(T); PolesNearSpectrumError if a resolvent solve is singular."""
+    [FT] = eval_matrices([(f, T)])
+    if isinstance(FT, PolesNearSpectrumError):
+        raise FT
+    return FT
 
 
-def _matrix_solve(A, B):
+def eval_matrices(pairs) -> list:
+    """f(T) for each pair (f, T), with one linalg.solve call per size for
+    each level of the expression trees (see the module docstring). A pair
+    whose resolvent is singular gets its PolesNearSpectrumError in place of
+    a matrix, so that it fails alone."""
+    return lockstep.run([_caught(f._matrix(linalg.as_matrix(T))) for f, T in pairs],
+                        {list: _solve_systems})
+
+
+def _caught(steps):
+    """The body steps, returning its PolesNearSpectrumError rather than
+    raising it."""
+    try:
+        return (yield from steps)
+    except PolesNearSpectrumError as exc:
+        return exc
+
+
+def _solve_systems(asks) -> list:
+    """Answer each ask, a list of systems (A, B), with the list of their
+    solutions, or with a PolesNearSpectrumError if one of them is singular:
+    one linalg.solve call for all systems of a size. If that call finds a
+    singular member, the systems of that size are solved one by one, so
+    that only the asks with a singular system fail."""
+    systems = [system for ask in asks for system in ask]
+    solved = [None] * len(systems)
+    sizes = {}
+    for i, (A, _) in enumerate(systems):
+        sizes.setdefault(len(A), []).append(i)
+    for run in sizes.values():
+        A, B = (np.stack([systems[i][j] for i in run]) for j in (0, 1))
+        try:
+            X = linalg.solve(A, B)
+        except SingularError:
+            X = [_solve_one(a, b) for a, b in zip(A, B)]
+        for i, x in zip(run, X):
+            solved[i] = x
+    answers, solutions = [], iter(solved)
+    for ask in asks:
+        xs = [next(solutions) for _ in ask]
+        answers.append(next((x for x in xs if isinstance(x, Exception)), xs))
+    return answers
+
+
+def _solve_one(A, B):
+    """linalg.solve(A, B), or the PolesNearSpectrumError for a singular A."""
     try:
         return linalg.solve(A, B)
     except SingularError as exc:
-        raise PolesNearSpectrumError(str(exc)) from exc
+        return PolesNearSpectrumError(str(exc))
 
 
 @dataclass(frozen=True)
@@ -64,7 +125,8 @@ class Polynomial(DiskFunction):
             result = result * z + c
         return result
 
-    def of_matrix(self, T):
+    def _matrix(self, T):
+        yield from ()  # no system to solve
         n = T.shape[0]
         eye = np.eye(n, dtype=complex)
         result = self.coefficients[-1] * eye
@@ -94,13 +156,14 @@ class Mobius(DiskFunction):
             raise PoleHitError(f"Mobius denominator vanishes at z = {z!r}")
         return (self.a + self.b * z) / denom
 
-    def of_matrix(self, T):
+    def _matrix(self, T):
         n = T.shape[0]
         eye = np.eye(n, dtype=complex)
         numer = self.a * eye + self.b * T
         if self.d == 0:
             return numer / self.c
-        return _matrix_solve(self.c * eye + self.d * T, numer)
+        [X] = yield [(self.c * eye + self.d * T, numer)]
+        return X
 
 
 @dataclass(frozen=True)
@@ -110,12 +173,12 @@ class Blaschke(DiskFunction):
     def at(self, z):
         return self.product(z)
 
-    def of_matrix(self, T):
+    def _matrix(self, T):
         n = T.shape[0]
         eye = np.eye(n, dtype=complex)
+        factors = yield [(eye - np.conj(a) * T, a * eye - T) for a in self.product.zeros]
         result = self.product.constant * eye
-        for a in self.product.zeros:
-            factor = _matrix_solve(eye - np.conj(a) * T, a * eye - T)
+        for factor in factors:
             result = result @ factor
         return result
 
@@ -128,8 +191,8 @@ class Compose(DiskFunction):
     def at(self, z):
         return self.outer.at(self.inner.at(z))
 
-    def of_matrix(self, T):
-        return self.outer.of_matrix(self.inner.of_matrix(T))
+    def _matrix(self, T):
+        return (yield from self.outer._matrix((yield from self.inner._matrix(T))))
 
 
 @dataclass(frozen=True)
@@ -148,8 +211,8 @@ class Scale(DiskFunction):
     def at(self, z):
         return self.inner.at(self.rho * z)
 
-    def of_matrix(self, T):
-        return self.inner.of_matrix(self.rho * T)
+    def _matrix(self, T):
+        return (yield from self.inner._matrix(self.rho * T))
 
 
 def mobius_automorphism(alpha: complex) -> Mobius:

@@ -577,6 +577,8 @@ def _shifts(S: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sv = np.linalg.svd(S, compute_uv=False)
     beta, band = np.zeros(len(S), dtype=complex), np.full(len(S), _CUT_TOL)
     todo = np.flatnonzero(sv[:, -1] * _COND_LIMIT <= sv[:, 0])
+    if not todo.size:
+        return beta, band
     L0 = _shifted(S[todo, None], c[todo, None], _SHIFTS[:, None, None])[0]
     sv = np.linalg.svd(L0, compute_uv=False)
     rcond = sv[..., -1] / np.maximum(sv[..., 0], np.finfo(float).tiny)
@@ -589,9 +591,12 @@ def _shifted(S: np.ndarray, c, beta):
     """(L0, -L1) for the stack S at levels c after the shift beta, both
     broadcast against S: L0 = P(beta) = beta^2 S* - 2c beta I + S and the
     Hermitian L1 = 2(beta S* + conj(beta) S) - 2c(1 + |beta|^2) I. At
-    beta = 0 they are S and 2cI exactly, zeros' signs included."""
-    SH, eye = S.conj().swapaxes(-1, -2), np.eye(S.shape[-1])
-    flat = beta == 0
+    beta = 0 they are S and 2cI exactly, zeros' signs included, and where
+    every beta is 0 they are formed as such."""
+    flat, eye = beta == 0, np.eye(S.shape[-1])
+    if flat.all():
+        return S, 2.0 * c * eye
+    SH = S.conj().swapaxes(-1, -2)
     L0 = np.where(flat, S, beta * (beta * SH - 2.0 * c * eye) + S)
     R = np.where(flat, 2.0 * c * eye,
                  2.0 * c * (1.0 + abs(beta) ** 2) * eye - 2.0 * (beta * SH + np.conj(beta) * S))

@@ -4,6 +4,7 @@ All routines work on square complex numpy arrays and are pure functions.
 Hermitian eigenvalues are delegated to LAPACK (numpy.linalg.eigvalsh), and
 linear systems to numpy.linalg.solve after a singular-value check, so that
 near-singular systems raise SingularError instead of returning garbage.
+Both take a (k, n, n) stack of matrices as well as one matrix.
 Nothing here needs scipy.
 """
 
@@ -63,24 +64,31 @@ def _check_hermitian(H: np.ndarray, tol: float, who: str) -> np.ndarray:
 
 
 def solve(A, B) -> np.ndarray:
-    """Solve AX = B by numpy.linalg.solve (LU with partial pivoting).
+    """Solve AX = B by numpy.linalg.solve (LU with partial pivoting), for
+    one matrix A or for each matrix of a (k, n, n) stack A with B of shape
+    (k, n, m): one stacked svd and one numpy.linalg.solve call either way,
+    and numpy solves each member of a stack on its own, so its X is the
+    one-matrix call's to the bit.
 
-    Raises SingularError when sigma_min(A) <= n^(3/2) PIVOT_RTOL sigma_max(A).
+    Raises SingularError when sigma_min(A) <= n^(3/2) PIVOT_RTOL sigma_max(A),
+    for a stack when any member's does, naming those members.
     As sigma_min <= ||L||_2 min|u_kk| <= n min|u_kk| and
     ||A||_F <= sqrt(n) sigma_max, this flags every A with an LU pivot at most
     PIVOT_RTOL ||A||_F, and also a near-singular A that partial pivoting
     hides behind large pivots.
     """
-    A = as_matrix(A)
+    A = _as_square(A)
     B = np.asarray(B, dtype=complex)
-    if B.shape[0] != A.shape[0]:
+    if B.shape[:A.ndim - 1] != A.shape[:-1] or B.ndim not in ((1, 2) if A.ndim == 2 else (3,)):
         raise ValueError(f"shape mismatch: A is {A.shape}, B is {B.shape}")
     sv = np.linalg.svd(A, compute_uv=False)
-    threshold = len(A) ** 1.5 * PIVOT_RTOL * max(sv[0], np.finfo(float).tiny)
-    if sv[-1] <= threshold:
-        raise SingularError(
-            f"smallest singular value {sv[-1]:.3e} below threshold {threshold:.3e}"
-        )
+    threshold = A.shape[-1] ** 1.5 * PIVOT_RTOL * np.maximum(sv[..., 0], np.finfo(float).tiny)
+    low = np.flatnonzero(sv[..., -1] <= threshold)
+    if low.size:
+        i = low[0]
+        where = f"members {low.tolist()}: " if A.ndim == 3 else ""
+        raise SingularError(f"{where}smallest singular value {sv[..., -1].flat[i]:.3e} "
+                            f"below threshold {threshold.flat[i]:.3e}")
     try:
         return np.linalg.solve(A, B)
     except np.linalg.LinAlgError as exc:  # an exact zero pivot

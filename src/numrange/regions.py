@@ -141,19 +141,22 @@ def region_S_contains(t: float, s: float) -> bool:
 def q_form(T, t, s) -> np.ndarray:
     """Hermitian matrix I + t(T + T*) + s T*T.
 
-    Scalar t and s give one (n, n) matrix. Arrays t and s of equal shape
-    (k,) give the (k, n, n) stack of Q(T, t[j], s[j]); each member is
-    bitwise the matrix that the scalar call makes, so that a stack can go
-    to linalg.min_eigenvalue in one call.
+    T is one (n, n) matrix or an (m, n, n) stack. Scalar t and s give one
+    (n, n) matrix per T. Arrays t and s of equal shape (k,) give the
+    (k, n, n) stack of Q(T, t[j], s[j]) per T, so (m, k, n, n) for a stack.
+    Each member is bitwise the matrix that the scalar call on one T makes,
+    so that a stack can go to linalg.min_eigenvalue in one call.
     """
-    T = linalg.as_matrix(T)
+    T = linalg.as_stack(T) if np.ndim(T) == 3 else linalg.as_matrix(T)
     t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
     if t.shape != s.shape or t.ndim > 1:
         raise ValueError(f"t and s must be scalars or equal-shape 1-D arrays, "
                          f"got shapes {t.shape} and {s.shape}")
-    n = T.shape[0]
+    if t.ndim:
+        T = T[..., None, :, :]
+    TH = T.conj().swapaxes(-1, -2)
     t, s = t[..., None, None], s[..., None, None]
-    Q = np.eye(n, dtype=complex) + t * (T + T.conj().T) + s * (T.conj().T @ T)
+    Q = np.eye(T.shape[-1], dtype=complex) + t * (T + TH) + s * (TH @ T)
     return (Q + Q.conj().swapaxes(-1, -2)) / 2.0
 
 

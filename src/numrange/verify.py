@@ -12,19 +12,23 @@ rng = _trial_rng(seed, suite, i), and normalizes them all as one stack
 (normalize_radii, one numerical_radii call). Then it calls the suite's
 body trial(rng, T, rec) for each trial, with a _Recorder of that trial.
 The body draws the rest of its data from rng, evaluates f(T) through
-rec.eval_matrix, which counts scale retries, and passes each residual to
-rec.record(residual, tol, witness_fn), which keeps the trial's first
-witness with residual > tol, tagged with "trial": i.
+yield from rec.eval_matrix, which counts scale retries, and passes each
+residual to rec.record(residual, tol, witness_fn), which keeps the trial's
+first witness with residual > tol, tagged with "trial": i.
 
-A body that needs the fov kernels is a generator, and each value it
-yields is a request: a list [F, ...] receives the radii w(F), ... ;
-_Arcs([(F, c), ...]) receives the arc midpoints of those level pairs
-(arc_midpoints); _Samples((F, thetas)) receives h_F at thetas. The bodies
-advance in lockstep, and each wave of requests from all live trials is
-answered kind by kind, one call per kind: one numerical_radii call, one
-level_cuts call (one stacked eigenvalue call per size) and one
-support_samples sweep, so the kernels run on stacks instead of one matrix
-at a time. Each trial draws from its own rng and records into its own
+A body that needs a kernel is a generator, and each value it yields is a
+request: a list [F, ...] receives the radii w(F), ... ; _Arcs([(F, c),
+...]) receives the arc midpoints of those level pairs (arc_midpoints);
+_Samples((F, thetas)) receives h_F at thetas; _Eval((f, T)) receives
+f(T), or has its PolesNearSpectrumError raised at the yield; _Psd((T, ts,
+ss)) receives the smallest eigenvalue of Q(T, ts[j], ss[j]) for each j.
+The bodies advance in lockstep (lockstep.run), and each wave of requests
+from all live trials is answered kind by kind, one call per kind: one
+numerical_radii call, one level_cuts call (one stacked eigenvalue call per
+size), one support_samples sweep, one eval_matrices call (one stacked
+solve per size and level) and one stacked eigensolve per size for the
+Q-form grids, so the kernels run on stacks instead of one matrix at a
+time. Each trial draws from its own rng and records into its own
 recorder, so the order in which trials advance changes nothing: the report
 sums failures and retries, takes the worst residual, and keeps the witness
 of the lowest failing trial.
@@ -38,13 +42,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import regions
+from . import lockstep, regions
 from .blaschke import BlaschkeProduct
 from .diskfun import (
     Blaschke,
     Compose,
     DiskFunction,
     Scale,
+    eval_matrices,
     eval_matrix,
     mobius_automorphism,
 )
@@ -136,13 +141,14 @@ class _Recorder:
                 if self.trial is not None:
                     self.witness["trial"] = self.trial
 
-    def eval_matrix(self, f: DiskFunction, T: np.ndarray) -> np.ndarray:
-        """eval_matrix, falling back to f(0.999 z) when a resolvent is singular."""
+    def eval_matrix(self, f: DiskFunction, T: np.ndarray):
+        """A body's steps (yield from) for f(T): the _Eval request, and the
+        one of f(0.999 z) when a resolvent of f(T) is singular."""
         try:
-            return eval_matrix(f, T)
+            return (yield _Eval((f, T)))
         except PolesNearSpectrumError:
             self.retries += 1
-            return eval_matrix(Scale(0.999, f), T)
+            return (yield _Eval((Scale(0.999, f), T)))
 
 
 def _trial_rng(seed: int, suite: str, index: int) -> np.random.Generator:
@@ -158,7 +164,7 @@ def _run(suite: str, trials: int | range, seed: int, tol: float, trial,
     rngs = [_trial_rng(seed, suite, i) for i in indices]
     recs = [_Recorder(i) for i in indices]
     Ts = normalize_radii([random_matrix(rng) for rng in rngs])
-    _lockstep([trial(rng, T, rec) for rng, T, rec in zip(rngs, Ts, recs)])
+    lockstep.run([trial(rng, T, rec) for rng, T, rec in zip(rngs, Ts, recs)], _ANSWERS)
     if after is not None:
         recs.append(_Recorder())
         after(recs[-1])
@@ -176,6 +182,16 @@ class _Samples(tuple):
     """A lockstep request (T, thetas) for support_values(T, thetas)."""
 
 
+class _Eval(tuple):
+    """A lockstep request (f, T) for eval_matrix(f, T); a singular
+    resolvent raises its PolesNearSpectrumError in the body that asked."""
+
+
+class _Psd(tuple):
+    """A lockstep request (T, ts, ss) for the smallest eigenvalues of
+    regions.q_form(T, ts, ss)."""
+
+
 def _radii(asks):
     radii = iter(numerical_radii([M for ask in asks for M in ask]).tolist())
     return [[next(radii) for _ in ask] for ask in asks]
@@ -186,36 +202,26 @@ def _arcs(asks):
     return [cut_midpoints([next(cuts) for _ in ask]) for ask in asks]
 
 
-# what a body may yield, and how a wave's requests of that kind are
-# answered, all with one call
-_ANSWERS = {list: _radii, _Arcs: _arcs, _Samples: support_samples}
+def _psds(asks):
+    """Per size of T and grid (ts, ss): one q_form stack and one
+    min_eigenvalue call for the whole grid of every T."""
+    lams = [None] * len(asks)
+    groups = {}
+    for i, (T, ts, ss) in enumerate(asks):
+        groups.setdefault((T.shape, ts.tobytes(), ss.tobytes()), []).append(i)
+    for run in groups.values():
+        _, ts, ss = asks[run[0]]
+        Q = regions.q_form(np.stack([asks[i][0] for i in run]), ts, ss)
+        n = Q.shape[-1]
+        for i, row in zip(run, min_eigenvalue(Q.reshape(-1, n, n)).reshape(len(run), -1)):
+            lams[i] = row
+    return lams
 
 
-def _lockstep(bodies) -> list:
-    """Advance the generator bodies (plain bodies return None and are
-    skipped) side by side, and return what each body returns. In each
-    wave, the requests of every kind in _ANSWERS that the bodies yield are
-    answered together, and each body is sent its own answer."""
-    results = [None] * len(bodies)
-    live = [(k, body) for k, body in enumerate(bodies) if body is not None]
-    sent = [None] * len(live)
-    while live:
-        asks, waiting = [], []
-        for (k, body), answer in zip(live, sent):
-            try:
-                asks.append(body.send(answer))
-            except StopIteration as stop:
-                results[k] = stop.value
-                continue
-            waiting.append((k, body))
-        sent = [None] * len(asks)
-        for kind, answer in _ANSWERS.items():
-            picked = [i for i, ask in enumerate(asks) if type(ask) is kind]
-            if picked:
-                for i, value in zip(picked, answer([asks[i] for i in picked])):
-                    sent[i] = value
-        live = waiting
-    return results
+# what a body may yield (lockstep.run), and how a wave's requests of that
+# kind are answered, all with one call
+_ANSWERS = {list: _radii, _Arcs: _arcs, _Samples: support_samples,
+            _Eval: eval_matrices, _Psd: _psds}
 
 
 def random_matrix(rng: np.random.Generator, dim: int | None = None) -> np.ndarray:
@@ -268,7 +274,8 @@ def check_berger_stampfli(trials: int | range, seed: int = 42) -> VerifyReport:
     tol = 1e-7
     def trial(rng, T, rec):
         B = random_blaschke(rng, max_degree=5)
-        [value] = yield [rec.eval_matrix(Blaschke(B), T)]
+        FT = yield from rec.eval_matrix(Blaschke(B), T)
+        [value] = yield [FT]
         rec.record(value - 1.0, tol, lambda: _matrix_witness(
             T, constant=format_complex(B.constant),
             zeros=[format_complex(a) for a in B.zeros], value=value))
@@ -329,11 +336,12 @@ def check_props52(trials: int | range, seed: int = 42) -> VerifyReport:
 
 
 def _psd_grid(ts: np.ndarray, ss: np.ndarray, tol: float):
-    """Trial body: Q(T, ts[j], ss[j]) >= 0 at every grid point, from one
-    stacked eigensolve per trial, recorded in grid order."""
+    """Trial body: Q(T, ts[j], ss[j]) >= 0 at every grid point, from the
+    _Psd request that one stacked eigensolve per size answers for every
+    trial of a wave, recorded in grid order."""
     points = list(zip(ts.tolist(), ss.tolist()))
     def trial(rng, T, rec):
-        lams = min_eigenvalue(regions.q_form(T, ts, ss)).tolist()
+        lams = (yield _Psd((T, ts, ss))).tolist()
         for (t, s), lam in zip(points, lams):
             rec.record(-lam, tol, lambda: _matrix_witness(T, t=t, s=s, lam_min=lam))
     return trial
@@ -362,7 +370,7 @@ def _teardrop_excess(F: np.ndarray, alpha: complex, tol: float) -> tuple[float, 
     does at an arc midpoint of both level cuts. The samples are those
     midpoints and the two tangent directions arg alpha -+ arccos|alpha|.
     """
-    [result] = _lockstep([_excess_body(F, alpha, tol)])
+    [result] = lockstep.run([_excess_body(F, alpha, tol)], _ANSWERS)
     return result
 
 
@@ -383,15 +391,15 @@ def check_drury(trials: int | range, seed: int = 42) -> VerifyReport:
 
     The containment residual is _teardrop_excess, which certifies the whole
     circle of directions; a failing witness names its theta and excess.
-    Each trial's waves ask for its level cuts, its support samples and
-    w(f(T)) in turn.
+    Each trial's waves ask for f(T), its level cuts, its support samples
+    and w(f(T)) in turn.
     """
     tol = 1e-6
     def trial(rng, T, rec):
         r = 0.95 * math.sqrt(rng.uniform())
         alpha = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         B = random_blaschke(rng, max_degree=4)
-        FT = rec.eval_matrix(Compose(mobius_automorphism(alpha), Blaschke(B)), T)
+        FT = yield from rec.eval_matrix(Compose(mobius_automorphism(alpha), Blaschke(B)), T)
         theta, excess = yield from _excess_body(FT, alpha, tol)
         rec.record(excess, tol, lambda: _matrix_witness(
             T, alpha=format_complex(alpha), constant=format_complex(B.constant),

@@ -278,7 +278,7 @@ class TestVerify:
     @pytest.mark.parametrize("suite, worst", [
         ("operator-ineq", "-0.0030636572680443064"),
         ("region-s", "-3.6183655789167194e-06"),
-    ])
+    ], ids=["operator-ineq", "region-s"])
     def test_q_form_suite_reports_are_pinned(self, capsys, suite, worst):
         # these bits must survive any batching or reordering of the solves
         assert main(["verify", "--suite", suite, "--trials", "50", "--seed", "3"]) == 0

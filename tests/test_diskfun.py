@@ -9,11 +9,13 @@ from numrange.diskfun import (
     Mobius,
     Polynomial,
     Scale,
+    eval_matrices,
     eval_matrix,
     eval_scalar,
     mobius_automorphism,
 )
 from numrange.errors import PolesNearSpectrumError
+from numrange.linalg import solve
 
 SHIFT2 = np.array([[0, 2], [0, 0]], dtype=complex)
 CIRCLE = np.exp(1j * np.linspace(0, 2 * np.pi, 360, endpoint=False))
@@ -102,3 +104,97 @@ class TestMatrix:
         lhs = eval_matrix(Scale(0.7, f), T)
         rhs = eval_matrix(f, 0.7 * T)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def reference_eval(f, T):
+    """f(T) one factor at a time, with one linalg.solve per Blaschke or
+    Mobius factor, in factor order: the loop that eval_matrices stacks."""
+    eye = np.eye(len(T), dtype=complex)
+    if isinstance(f, Polynomial):
+        result = f.coefficients[-1] * eye
+        for c in reversed(f.coefficients[:-1]):
+            result = result @ T + c * eye
+        return result
+    if isinstance(f, Mobius):
+        numer = f.a * eye + f.b * T
+        return numer / f.c if f.d == 0 else solve(f.c * eye + f.d * T, numer)
+    if isinstance(f, Blaschke):
+        result = f.product.constant * eye
+        for a in f.product.zeros:
+            result = result @ solve(eye - np.conj(a) * T, a * eye - T)
+        return result
+    if isinstance(f, Compose):
+        return reference_eval(f.outer, reference_eval(f.inner, T))
+    return reference_eval(f.inner, f.rho * T)
+
+
+def mixed_pairs(seed, count):
+    """count pairs (f, T) with n = 1..8 and every DiskFunction kind, nested
+    up to two levels deep."""
+    rng = np.random.default_rng(seed)
+
+    def point(r=0.9):
+        return r * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+
+    def leaf():
+        kind = rng.integers(4)
+        if kind == 0:
+            return Polynomial(tuple(point(1.0) for _ in range(rng.integers(1, 5))))
+        if kind == 1:
+            return mobius_automorphism(point())
+        if kind == 2:
+            return Mobius(point(), point(), 2.0, 0)
+        zeros = tuple(point() for _ in range(rng.integers(1, 6)))
+        return Blaschke(BlaschkeProduct(np.exp(2j * np.pi * rng.uniform()), zeros))
+
+    pairs = []
+    for k in range(count):
+        f = leaf()
+        if k % 3 == 1:
+            f = Compose(leaf(), Scale(0.8, leaf()))
+        elif k % 3 == 2:
+            f = Scale(0.9, Compose(f, leaf()))
+        n = int(rng.integers(1, 9))
+        T = 0.6 * (rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))) / n
+        pairs.append((f, T))
+    return pairs
+
+
+class TestEvalMatrices:
+    def test_stack_matches_one_by_one_bitwise(self):
+        pairs = mixed_pairs(31, 120)
+        got = eval_matrices(pairs)
+        for (f, T), FT in zip(pairs, got):
+            want = reference_eval(f, T)
+            assert FT.shape == want.shape and FT.tobytes() == want.tobytes()
+            assert eval_matrix(f, T).tobytes() == want.tobytes()
+
+    def test_one_solve_per_size_per_level(self, monkeypatch):
+        # Compose(Mobius, Blaschke) at n = 2, 3, 2: the Blaschke factors of
+        # one level (2 + 1 + 2), then the Mobius maps, stacked by size
+        shapes = []
+        real = np.linalg.solve
+
+        def counted(a, b):
+            shapes.append(a.shape)
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        f = Compose(mobius_automorphism(0.3), Blaschke(BlaschkeProduct(1.0, (0j, 0.5))))
+        g = Compose(mobius_automorphism(-0.2j), Blaschke(BlaschkeProduct(1j, (0.1,))))
+        eval_matrices([(f, np.eye(2) / 3), (g, np.eye(3) / 4), (f, np.eye(2) / 5)])
+        assert shapes == [(4, 2, 2), (1, 3, 3), (2, 2, 2), (1, 3, 3)]
+
+    def test_singular_member_fails_alone(self):
+        # z/(1 - z) has its pole at the eigenvalue 1 of I; the other pairs,
+        # of both sizes, keep their bits
+        pairs = mixed_pairs(32, 12)
+        pole = (Compose(Mobius(0, 1, 1, -1), Polynomial((0, 1))), np.eye(len(pairs[4][1])))
+        got = eval_matrices(pairs[:5] + [pole] + pairs[5:])
+        assert isinstance(got[5], PolesNearSpectrumError)
+        assert "singular value" in str(got[5])
+        for (f, T), FT in zip(pairs, got[:5] + got[6:]):
+            assert FT.tobytes() == reference_eval(f, T).tobytes()
+
+    def test_empty(self):
+        assert eval_matrices([]) == []

@@ -56,6 +56,28 @@ class TestSolve:
             assert np.abs(A @ X - np.eye(n)).max() <= 1e-12 * np.abs(X).max()
 
 
+    def test_stack_members_equal_one_matrix_calls(self):
+        rng = np.random.default_rng(12)
+        for n in range(1, 9):
+            A = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
+            B = rng.normal(size=(6, n, 2)) + 1j * rng.normal(size=(6, n, 2))
+            X = solve(A, B)
+            assert X.shape == (6, n, 2)
+            for k in range(6):
+                assert X[k].tobytes() == solve(A[k], B[k]).tobytes()
+
+    def test_stack_names_its_singular_members(self):
+        A = np.stack([np.eye(3), np.ones((3, 3)), 2 * np.eye(3), np.zeros((3, 3))])
+        with pytest.raises(SingularError, match=r"members \[1, 3\]"):
+            solve(A, np.ones((4, 3, 1)))
+
+    def test_stack_shape_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            solve(np.stack([np.eye(2)] * 3), np.ones((3, 2)))
+        with pytest.raises(ValueError):
+            solve(np.stack([np.eye(2)] * 3), np.ones((2, 2, 1)))
+
+
 class TestIsPsd:
     def test_identity(self):
         ok, lam = is_psd(np.eye(4))

@@ -246,6 +246,17 @@ class TestQForm:
         lams = min_eigenvalue(q_form(T, ts, ss))
         assert np.array_equal(lams, [min_eigenvalue(q_form(T, t, s)) for t, s in zip(ts, ss)])
 
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_stack_of_matrices_equals_one_matrix_calls(self, grid):
+        ts = np.linspace(0.0, 2.0, 63) if grid else 0.7
+        ss = region_S_boundary(ts)
+        for n in range(1, 9):
+            Ts = np.stack([normalized_random(200 + 10 * n + j, n) for j in range(5)])
+            Q = q_form(Ts, ts, ss)
+            assert Q.shape == Ts.shape[:1] + np.shape(ts) + (n, n)
+            for T, member in zip(Ts, Q):
+                assert member.tobytes() == q_form(T, ts, ss).tobytes()
+
     def test_scalar_t_s_give_matrix(self):
         assert q_form(SHIFT2, 0.3, -0.1).shape == (2, 2)
 

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -92,21 +93,47 @@ class TestSuitesPass:
 
     def test_scale_retry_fallback(self, monkeypatch):
         # the first evaluation hits a pole; the retry evaluates f(0.999 z)
-        real = verify.eval_matrix
-        calls = []
+        real = verify._ANSWERS[verify._Eval]
+        waves = []
 
-        def pole_once(f, T):
-            calls.append(f)
-            if len(calls) == 1:
-                raise PolesNearSpectrumError("forced pole near the spectrum")
-            return real(f, T)
+        def pole_once(asks):
+            waves.append([f for f, _ in asks])
+            got = real(asks)
+            if len(waves) == 1:
+                got[0] = PolesNearSpectrumError("forced pole near the spectrum")
+            return got
 
-        monkeypatch.setattr(verify, "eval_matrix", pole_once)
+        monkeypatch.setitem(verify._ANSWERS, verify._Eval, pole_once)
         report = check_berger_stampfli(3, seed=1)
         assert report.retries == 1
         assert report.failures == 0
-        assert calls[1] == Scale(0.999, calls[0])
-        assert len(calls) == 4
+        assert [len(wave) for wave in waves] == [3, 1]
+        assert waves[1][0] == Scale(0.999, waves[0][0])
+
+    def test_singular_trial_of_a_wave_retries_alone(self, monkeypatch):
+        # trial 2 of a stacked wave is singular: it alone asks again, with
+        # Scale(0.999, f), and the other trials' f(T) keep their bits
+        real = verify._ANSWERS[verify._Eval]
+
+        def recorded(force):
+            waves = []
+
+            def answer(asks):
+                got = real(asks)
+                if force and not waves:
+                    got[2] = PolesNearSpectrumError("forced pole near the spectrum")
+                waves.append(([f for f, _ in asks], got))
+                return got
+            monkeypatch.setitem(verify._ANSWERS, verify._Eval, answer)
+            return waves, check_drury(6, seed=4)
+
+        clean, _ = recorded(False)
+        forced, report = recorded(True)
+        assert (report.retries, report.failures) == (1, 0)
+        assert [len(fs) for fs, _ in forced] == [6, 1]
+        assert forced[1][0] == [Scale(0.999, forced[0][0][2])]
+        for k in (0, 1, 3, 4, 5):
+            assert forced[0][1][k].tobytes() == clean[0][1][k].tobytes()
 
 
 class TestQFormSuites:
@@ -128,11 +155,13 @@ class TestQFormSuites:
                      if -min_eigenvalue(q_form(T, t, t * t - 0.25)) > report.tolerance)
         assert (w["t"], w["s"]) == (first, first * first - 0.25)
 
-    @pytest.mark.parametrize("check, stack_sizes", [
-        (check_operator_inequality, [21] * 5),
-        (check_region_S, [63] * 6),  # five trials and the sharpness table
-    ])
-    def test_one_eigensolve_call_per_trial(self, monkeypatch, check, stack_sizes):
+    @pytest.mark.parametrize("suite, points, extra", [
+        ("operator-ineq", 21, []),
+        ("region-s", 63, [63]),  # and the sharpness table
+    ], ids=["operator-ineq", "region-s"])
+    def test_one_eigensolve_call_per_size(self, monkeypatch, suite, points, extra):
+        # the 20 trials' grids in one stacked call per size of T, in the
+        # order of the first trial of each size
         calls = []
 
         def counted(H, *args):
@@ -140,8 +169,10 @@ class TestQFormSuites:
             return min_eigenvalue(H, *args)
 
         monkeypatch.setattr(verify, "min_eigenvalue", counted)
-        assert check(5, seed=1).passed
-        assert calls == stack_sizes
+        assert verify.SUITES[suite](20, seed=1).passed
+        sizes = Counter(len(random_matrix(_trial_rng(1, suite, i))) for i in range(20))
+        assert len(sizes) == 7
+        assert calls == [points * count for count in sizes.values()] + extra
 
     def test_sharpness_table_q_form_calls(self, monkeypatch):
         # one stacked call for each fixed counterexample (2 x shift, -I);
@@ -210,8 +241,8 @@ class TestDrury:
         assert stacks == [(2, 4, 4), (2, 10, 10), (2, 12, 12), (2, 14, 14), (2, 16, 16)]
 
     def test_waves_ask_levels_then_samples_then_radii(self, monkeypatch):
-        # three waves after the normalization, each answered by one call for
-        # all 20 trials: the level cuts, the support samples, the radii
+        # four waves after the normalization, each answered by one call for
+        # all 20 trials: f(T), the level cuts, the support samples, the radii
         calls = []
 
         def counted(kind, answer):
@@ -223,7 +254,7 @@ class TestDrury:
         for kind, answer in list(verify._ANSWERS.items()):
             monkeypatch.setitem(verify._ANSWERS, kind, counted(kind, answer))
         assert check_drury(20, seed=3).passed
-        assert calls == [("_Arcs", 20), ("_Samples", 20), ("list", 20)]
+        assert calls == [("_Eval", 20), ("_Arcs", 20), ("_Samples", 20), ("list", 20)]
 
 
 class TestLockstep:
@@ -245,6 +276,37 @@ class TestLockstep:
         assert check_power_inequality(20, seed=1).passed
         assert sum(matrices) == 1447
         assert len(calls) <= 138
+
+    @pytest.mark.parametrize("suite, degree", [
+        ("berger-stampfli", 5),  # the Blaschke factors
+        ("drury", 4),  # the Blaschke factors, then phi_alpha
+    ], ids=["berger-stampfli", "drury"])
+    def test_one_resolvent_solve_per_size_per_wave(self, monkeypatch, suite, degree):
+        # every factor of every trial of a wave in one np.linalg.solve call
+        # per size; drury's level cuts solve (k, n, 2n) right-hand sides
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            if b.shape[-1] == a.shape[-1]:
+                calls.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        assert verify.SUITES[suite](20, seed=1).passed
+        factors, trials = Counter(), Counter()
+        for i in range(20):
+            rng = _trial_rng(1, suite, i)
+            n = len(random_matrix(rng))
+            if suite == "drury":
+                rng.uniform(size=2)  # alpha
+            factors[n] += len(random_blaschke(rng, degree).zeros)
+            trials[n] += 1
+        assert len(factors) == 7
+        want = [(k, n, n) for n, k in factors.items()]
+        if suite == "drury":
+            want += [(k, n, n) for n, k in trials.items()]
+        assert calls == want
 
     def test_zero_trials(self):
         report = check_power_inequality(0, seed=1)
