@@ -31,7 +31,9 @@ _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 # is a `j`; a matrix row is whitespace-separated literals
 _TOKEN = rf"[+-]?{_NUM}(?:[+-]{_NUM}i)?"
 _TOKEN_RE = re.compile(_TOKEN)
-_ROW_RE = re.compile(rf"\s*{_TOKEN}(?:\s+{_TOKEN})*\s*")
+# the grammar treats every digit alike, so a literal is valid exactly when
+# its shape, with the digits 1-9 read as 0, is
+_SHAPE = str.maketrans("123456789", "000000000")
 
 
 def format_complex(z: complex) -> str:
@@ -56,9 +58,11 @@ def serialize_matrix(T) -> str:
 def parse_matrix(text: str) -> np.ndarray:
     """Parse the MatrixFile format; errors carry line/column positions.
 
-    Each row is checked by one regular expression, built from the literal
-    grammar of parse_complex, and only then are its tokens converted by
-    complex(), as parse_complex converts one literal."""
+    The literal grammar of parse_complex checks each distinct shape of
+    literal once (_SHAPE: a 64x64 file holds about a hundred), and one
+    pass of complex() converts every entry, as parse_complex converts one
+    literal. A file that fails either check is read again row by row, for
+    the line and column of its first error."""
     lines = text.splitlines()
     if not lines:
         raise MatrixFileError("line 1: empty input, expected 'dim n'")
@@ -74,28 +78,29 @@ def parse_matrix(text: str) -> np.ndarray:
     rows = [(number, line) for number, line in enumerate(lines[1:], start=2) if line.strip()]
     if len(rows) != n:
         raise MatrixFileError(f"expected {n} matrix rows, found {len(rows)}")
-    tokens = []
-    for number, line in rows:
-        row = line.split()
-        if len(row) != n:
-            raise MatrixFileError(f"line {number}: expected {n} entries, found {len(row)}")
-        if not _ROW_RE.fullmatch(line):
-            _raise_bad_entry(number, line)
-        tokens += row
-    T = np.array([complex(tok.replace("i", "j")) for tok in tokens]).reshape(n, n)
+    body = "\n".join(line for _, line in rows)
+    if (any(len(line.split()) != n for _, line in rows)
+            or not all(map(_TOKEN_RE.fullmatch, set(body.translate(_SHAPE).split())))):
+        _raise_first_error(rows, n)
+    T = np.array(list(map(complex, body.replace("i", "j").split()))).reshape(n, n)
     if not np.all(np.isfinite(T)):
         raise MatrixFileError("matrix has non-finite entries")
     return T
 
 
-def _raise_bad_entry(number: int, line: str):
-    """MatrixFileError at the line and column of the first token of line
-    that is not a complex literal."""
-    for token in re.finditer(r"\S+", line):
-        try:
-            parse_complex(token.group())
-        except ValueError as exc:
-            raise MatrixFileError(f"line {number}, column {token.start() + 1}: {exc}") from None
+def _raise_first_error(rows, n: int):
+    """MatrixFileError for the first row, in file order, that does not hold
+    n entries or holds a token that is not a complex literal, at the line
+    and column of that token."""
+    for number, line in rows:
+        count = len(line.split())
+        if count != n:
+            raise MatrixFileError(f"line {number}: expected {n} entries, found {count}")
+        for token in re.finditer(r"\S+", line):
+            try:
+                parse_complex(token.group())
+            except ValueError as exc:
+                raise MatrixFileError(f"line {number}, column {token.start() + 1}: {exc}") from None
 
 
 def _parse_real(token: str, what: str) -> float:

@@ -6,8 +6,8 @@ H(theta) = (e^{-i theta} T + e^{i theta} T*)/2.
 Every result here is read off one kernel for h (_supports), which serves
 a list of matrices of mixed sizes in one eigensolve call per size and
 answers three orders of query: h, at theta or at theta and theta + pi; h
-and h' at theta and theta + pi; and h, h', h''. For a unit top
-eigenvector x, h' = Im(e^{-i theta}<Tx,x>), so
+and h' at theta and theta + pi; and h, h', h'', at theta or at theta and
+theta + pi. For a unit top eigenvector x, h' = Im(e^{-i theta}<Tx,x>), so
 <Tx, x> = e^{i theta}(h + i h') is a boundary point (C. R. Johnson,
 "Numerical determination of the field of values of a general complex
 matrix", SIAM J. Numer. Anal. 1978): boundary is the order-1 query on an
@@ -22,9 +22,14 @@ best value found (Uhlig, "Geometric computation of the numerical radius
 of a matrix", 2009) and refines them by safeguarded Newton steps on h'
 (Watson, "Computing the numerical radius", 1996) until a step can change
 h by no more than rounding; that is the only stop rule, with no angle
-tolerance. numerical_radii runs this search for many matrices at once,
-and support_values samples h. Every entry point, the level cuts and
-hermitian_part included, scales T by 2^-e, with e from its largest entry
+tolerance. Where a cell and its antipodal cell (half a turn away) are
+both still live, one eigensolve at the first's angle serves both, its
+bottom eigenpair giving h, h' and h'' at the angle + pi: this halves the
+search's eigensolves for T unitarily similar to -T, such as weighted
+shifts, Jordan blocks and bipartite [[0, A], [B, 0]], whose W is
+symmetric about 0. numerical_radii runs this search for many matrices
+at once, and support_values samples h. Every entry point, the level cuts
+and hermitian_part included, scales T by 2^-e, with e from its largest entry
 (_prescaled), and scales the result back: that is exact, and H(theta) can
 no longer overflow. A value that is still not finite raises NumericError
 (_finite).
@@ -247,26 +252,44 @@ def _runs(j: np.ndarray):
     return zip([0] + cuts, cuts + [len(j)])
 
 
-def _top_eigh(A: np.ndarray, B: np.ndarray, j: np.ndarray, thetas: np.ndarray):
+def _top_eigh(A: np.ndarray, B: np.ndarray, j: np.ndarray, thetas: np.ndarray,
+              paired: bool = False):
     """h, h', h'' of h(theta) = lambda_max(H_j(theta)) for matrix j[c] of the
-    stacks A, B at thetas[c].
+    stacks A, B at thetas[c]; paired, each with columns theta and theta + pi.
 
     h' = x* H' x for a unit top eigenvector x, which is Im(e^{-i theta}<Tx,x>),
     and h'' = -h + 2 sum_j |y_j* H' x|^2 / (h - lambda_j) over the other
-    eigenpairs (lambda_j, y_j), since H'' = -H. H'x = cos B x - sin A x takes
-    one batched product over the gathered A[j] and one over B[j], for all
-    cells, so each cell's bits do not depend on which cells share the call.
-    A[j] and B[j] are gathered again for it, not kept through the
-    eigensolve, so that a step's peak memory stays that of _rotated.
+    eigenpairs (lambda_j, y_j), since H'' = -H (_derivatives). The theta + pi
+    column reads the bottom eigenpair (lambda_min, y) of the same eigh, as
+    the top pair of H(theta + pi) = -H(theta), whose derivative is
+    -H'(theta): h = -lambda_min, h' = -y* H' y and h'' = lambda_min +
+    2 sum_j |y_j* H' y|^2 / (lambda_j - lambda_min).
     """
     vals, vecs = np.linalg.eigh(_rotated(A, B, j, thetas))
-    h, x = vals[:, -1], vecs[:, :, -1:]
     cos, sin = np.cos(thetas)[:, None, None], np.sin(thetas)[:, None, None]
+    top = _derivatives(A, B, j, cos, sin, vals[:, -1], vecs[:, :, -1:],
+                       vals[:, :-1], vecs[:, :, :-1])
+    if not paired:
+        return top
+    # H(theta + pi) = -cos A - sin B = -H(theta), whose top pair is the bottom one
+    bottom = _derivatives(A, B, j, -cos, -sin, -vals[:, 0], vecs[:, :, :1],
+                          -vals[:, 1:], vecs[:, :, 1:])
+    return tuple(np.stack(v, axis=1) for v in zip(top, bottom))
+
+
+def _derivatives(A, B, j, cos, sin, h, x, vals, vecs):
+    """(h, h', h'') at the top eigenpair (h, x) of cos A[j] + sin B[j], whose
+    other eigenpairs are (vals, vecs), x and vecs as (k, n, 1) and
+    (k, n, n - 1) stacks. H'x = cos B x - sin A x takes one batched product
+    over the gathered A[j] and one over B[j], for all cells, so each cell's
+    bits do not depend on which cells share the call. A[j] and B[j] are
+    gathered again for it, not kept through the eigensolve, so that a
+    step's peak memory stays that of _rotated."""
     dx = (cos * (B[j] @ x) - sin * (A[j] @ x))[:, :, 0]
     x = x[:, :, 0]
     d1 = np.einsum("ki,ki->k", x.conj(), dx).real
-    coef = np.einsum("kji,kj->ki", vecs[:, :, :-1].conj(), dx)
-    gaps = h[:, None] - vals[:, :-1]
+    coef = np.einsum("kji,kj->ki", vecs.conj(), dx)
+    gaps = h[:, None] - vals
     d2 = 2.0 * np.sum((coef * coef.conj()).real / gaps, axis=1) - h
     return h, d1, d2
 
@@ -318,7 +341,8 @@ def _support_kernels(Ts: np.ndarray) -> dict:
         return {(0, False): lambda j, thetas: _top_2x2(P[j], thetas, order=0),
                 (0, True): functools.partial(pairs, order=0),
                 (1, True): functools.partial(pairs, order=1),
-                (2, False): lambda j, thetas: _top_2x2(P[j], thetas)}
+                (2, False): lambda j, thetas: _top_2x2(P[j], thetas),
+                (2, True): functools.partial(pairs, order=2)}
     A, B = _cartesian_parts(Ts)
     def sample(j, thetas):
         return np.linalg.eigvalsh(_rotated(A, B, j, thetas))[:, -1]
@@ -329,7 +353,8 @@ def _support_kernels(Ts: np.ndarray) -> dict:
         runs = [_extreme_pairs(Ts[j[a]], thetas[a:b]) for a, b in _runs(j)]
         return tuple(np.concatenate(p) for p in zip(*runs))
     return {(0, False): sample, (0, True): sample_pairs, (1, True): pairs,
-            (2, False): functools.partial(_top_eigh, A, B)}
+            (2, False): functools.partial(_top_eigh, A, B),
+            (2, True): functools.partial(_top_eigh, A, B, paired=True)}
 
 
 def _supports(mats):
@@ -340,7 +365,8 @@ def _supports(mats):
     slot[c] at thetas[c], in one kernel call per distinct n for a sorted
     slot: order 0 gives h; order 1, which is always paired, gives (h, h');
     order 2 gives (h, h', h''). A paired query gives each value with
-    columns theta and theta + pi, from the same eigensolves as theta alone.
+    columns theta and theta + pi, from the same eigensolves as theta alone,
+    and its theta column has the bits of the query that is not paired.
     scale_back(slot, values, what) takes values of slot back to the units
     of mats and checks them (_finite).
     """
@@ -414,6 +440,17 @@ def numerical_radii(mats) -> np.ndarray:
     meets this rule before any angle tolerance would. Each result is the
     largest h attained, so it never exceeds w(T) by more than rounding.
 
+    The halvings and the first Newton step solve one cell of each pair of
+    antipodal cells (theta and theta + pi on the same grid) that are both
+    still live for one matrix: the second cell takes the first's angle +
+    pi, and its values come from the bottom eigenpair of the same
+    H(theta) = -H(theta + pi). A T unitarily similar to -T, such as a
+    weighted shift, a Jordan block or a bipartite [[0, A], [B, 0]], keeps
+    every such pair live (W is symmetric about 0), and its search takes
+    half the eigensolves: 32 eigvalsh and 32 eigh matrices for a rotated
+    c J_n, against 56 and 64 with one solve per cell. A matrix without a
+    live pair keeps its bits and its cost.
+
     The search runs on the kernel _supports, for all matrices at once, and
     each matrix's cells go through the same products whichever matrices
     share the call, so a radius keeps its bits alone or in a stack. A w
@@ -433,8 +470,8 @@ def numerical_radii(mats) -> np.ndarray:
 def _cell_search(sweep, k: int) -> np.ndarray:
     """The largest h reached by the search of numerical_radii for each of k
     slots; sweep(slot, thetas) samples h of matrix slot[c] at thetas[c],
-    sweep(slot, thetas, paired=True) also at thetas[c] + pi, and
-    sweep(slot, thetas, order=2) gives h, h', h''."""
+    sweep(slot, thetas, order=2) gives h, h', h'', and paired=True answers
+    each query at thetas[c] + pi too."""
     width = 2.0 * np.pi / _COARSE_ANGLES
     ends = width * np.arange(_COARSE_ANGLES + 1)
     # ends[k] + pi is ends[k + half] to the bit, so the paired samples at
@@ -443,6 +480,9 @@ def _cell_search(sweep, k: int) -> np.ndarray:
     values = sweep(np.repeat(np.arange(k), half), np.tile(ends[:half], k), paired=True)
     values = values.reshape(k, half, 2).transpose(0, 2, 1).reshape(k, _COARSE_ANGLES)
     slot = np.repeat(np.arange(k), _COARSE_ANGLES)
+    # each cell's index on the grid of `cells` cells of this width; cell i
+    # splits into cells 2i and 2i + 1 of the next grid
+    cells, idx = _COARSE_ANGLES, np.tile(np.arange(_COARSE_ANGLES), k)
     lo, hi = np.tile(ends[:-1], k), np.tile(ends[1:], k)
     best = values.max(axis=1)
     gain_tol = 4.0 * np.finfo(float).eps * best
@@ -450,26 +490,36 @@ def _cell_search(sweep, k: int) -> np.ndarray:
     vertex = lo  # where each cell's Newton refinement starts, set by the halvings
     for halving in range(_HALVINGS + 1):
         keep = _cell_bounds(lo, hi, h_lo, h_hi) > best[slot]
-        slot, lo, hi, h_lo, h_hi, vertex = (
-            v[keep] for v in (slot, lo, hi, h_lo, h_hi, vertex))
+        slot, idx, lo, hi, h_lo, h_hi, vertex = (
+            v[keep] for v in (slot, idx, lo, hi, h_lo, h_hi, vertex))
         if halving == _HALVINGS or not slot.size:
             break
         mid = (lo + hi) / 2.0
-        h_mid = sweep(slot, mid)
+        # a follower splits at its leader's midpoint + pi, which is its own
+        # midpoint to the bit on the coarse grid and at most an ulp off it on
+        # the next; so each follower's ends stay its leader's ends + pi
+        h_mid = _paired_sweep(sweep, slot, mid, *_antipodes(slot, idx, cells))
         np.maximum.at(best, slot, h_mid)
         width /= 2.0
         bend = h_lo - 2.0 * h_mid + h_hi
         vertex = np.where(bend < 0, mid + 0.5 * width * (h_lo - h_hi) / bend, mid)
         # each cell splits into [lo, mid] and [mid, hi]
-        slot, lo, hi, h_lo, h_hi, vertex = (
-            np.repeat(v, 2) for v in (slot, lo, hi, h_lo, h_hi, vertex))
+        slot, idx, lo, hi, h_lo, h_hi, vertex = (
+            np.repeat(v, 2) for v in (slot, idx, lo, hi, h_lo, h_hi, vertex))
         lo[1::2], hi[0::2], h_lo[1::2], h_hi[0::2] = mid, mid, h_mid, h_mid
+        cells, idx = 2 * cells, 2 * idx
+        idx[1::2] += 1
     theta = np.minimum(np.maximum(vertex, lo), hi)
+    # a follower starts at its leader's start + pi, inside its own cell as
+    # its ends are its leader's + pi; only this first sweep is paired, as
+    # the two cells' later iterates differ
+    lead, follow = _antipodes(slot, idx, cells)
 
     for _ in range(_MAX_STEPS):
         if not slot.size:
             break
-        h, d1, d2 = sweep(slot, theta, order=2)
+        h, d1, d2 = _paired_sweep(sweep, slot, theta, lead, follow, order=2)
+        lead = follow = lead[:0]
         np.maximum.at(best, slot, h)
         rising, falling = d1 > 0, d1 < 0
         lo, h_lo = np.where(rising, theta, lo), np.where(rising, h, h_lo)
@@ -481,6 +531,37 @@ def _cell_search(sweep, k: int) -> np.ndarray:
         slot, lo, hi, h_lo, h_hi, theta = (
             v[keep] for v in (slot, lo, hi, h_lo, h_hi, nxt))
     return best
+
+
+def _antipodes(slot: np.ndarray, idx: np.ndarray, cells: int):
+    """(lead, follow): the positions of the live cells i < cells/2 whose
+    antipodal cell i + cells/2 of the same slot is live too, and of those
+    antipodes, for cells sorted by (slot, idx) on a grid of `cells` cells."""
+    # the keys leave a gap of `cells` after each slot, so that no cell is
+    # half a turn past a cell of the next slot
+    key = slot * (2 * cells) + idx
+    far = key + cells // 2
+    at = np.minimum(key.searchsorted(far), len(key) - 1)
+    lead = (key[at] == far).nonzero()[0]
+    return lead, at[lead]
+
+
+def _paired_sweep(sweep, slot, thetas, lead, follow, order: int = 0):
+    """sweep(slot, thetas, order) after each cell follow[c] is moved to
+    thetas[lead[c]] + pi, in thetas: each leader takes the paired query,
+    whose theta + pi column answers its follower from the same eigensolve,
+    and every other cell the query that is not paired."""
+    if not lead.size:
+        return sweep(slot, thetas, order)
+    thetas[follow] = thetas[lead] + np.pi
+    values = np.empty((order + 1, len(slot)))
+    solo = np.ones(len(slot), dtype=bool)
+    solo[lead] = solo[follow] = False
+    if solo.any():
+        values[:, solo] = sweep(slot[solo], thetas[solo], order)
+    both = np.reshape(sweep(slot[lead], thetas[lead], order, paired=True), (order + 1, -1, 2))
+    values[:, lead], values[:, follow] = both[..., 0], both[..., 1]
+    return values if order else values[0]
 
 
 def _prescaled(Ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

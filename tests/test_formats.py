@@ -115,6 +115,26 @@ class TestMatrixFiles:
         with pytest.raises(MatrixFileError, match="line 2"):
             parse_matrix("dim 2\n1+0i\n0+0i 1+0i\n")
 
+    def test_first_error_in_file_order(self):
+        # the whole file is checked at once, by literal shape and by row
+        # length; the error reported is still that of the first bad row
+        rows = ["1+0i 0+0i 0+0i 0+0i 0+0i"] * 5
+        rows[2] = "0+0i 1.5-2i  3+4j 0 0"
+        rows[4] = "1+0i 2+0i"
+        text = "dim 5\n" + "\n".join(rows) + "\n"
+        with pytest.raises(MatrixFileError) as err:
+            parse_matrix(text)
+        assert str(err.value) == "line 4, column 14: not a complex literal: '3+4j'"
+        rows[2] = "0+0i 1.5-2i  3+4i 0 0"
+        with pytest.raises(MatrixFileError, match="^line 6: expected 5 entries, found 2$"):
+            parse_matrix("dim 5\n" + "\n".join(rows) + "\n")
+
+    def test_every_digit_checked_alike(self):
+        # literals of one shape (digits 1-9 read as 0) are all valid or all
+        # not, and each keeps its own value
+        T = parse_matrix("dim 2\n1.5e-3+2i 9.25e+7-1i\n-4 .5\n")
+        assert T.tolist() == [[1.5e-3 + 2j, 9.25e7 - 1j], [-4, 0.5]]
+
 
 class TestFunctionExpressions:
     def test_poly(self):

@@ -33,6 +33,39 @@ def random_complex(rng, n):
 JORDAN_C = 1.5 * (0.6 + 0.8j)
 
 
+def rotated_jordan(rng, n):
+    """(U (c J_n) U*, |c| cos(pi/(n+1))) for a random unitary U and c: W is
+    the disk of that radius about 0 (Haagerup and de la Harpe, 1992)."""
+    U = np.linalg.qr(random_complex(rng, n))[0]
+    c = rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
+    return U @ (c * np.eye(n, k=1)) @ U.conj().T, abs(c) * math.cos(math.pi / (n + 1))
+
+
+def bipartite(rng, n):
+    """[[0, A], [B, 0]], unitarily similar to its negative (by diag(I, -I)),
+    so that W is symmetric about 0 without being a disk."""
+    p = n // 2
+    T = np.zeros((n, n), dtype=complex)
+    T[:p, p:], T[p:, :p] = random_complex(rng, n)[:p, p:], random_complex(rng, n)[p:, :p]
+    return T
+
+
+def solve_counter(monkeypatch) -> dict:
+    """Counts of the matrices that np.linalg.eigvalsh and eigh solve from
+    here on, by function name."""
+    counts = {"eigvalsh": 0, "eigh": 0}
+
+    def counted(solve):
+        def solve_counted(a, *args, **kwargs):
+            counts[solve.__name__] += len(a) if np.ndim(a) == 3 else 1
+            return solve(a, *args, **kwargs)
+        return solve_counted
+
+    for solve in (np.linalg.eigvalsh, np.linalg.eigh):
+        monkeypatch.setattr(np.linalg, solve.__name__, counted(solve))
+    return counts
+
+
 def _extreme_pair_inputs() -> dict:
     """Inputs whose H(theta) has tied or near-tied extreme eigenvalues, a
     flat or polygonal W(T), no off-diagonal or an extreme scale."""
@@ -247,10 +280,14 @@ class TestNumericalRadius:
     def test_jordan_block_disk(self):
         # W(J_n) is the disk of radius cos(pi/(n+1)) (Haagerup and de la
         # Harpe, Proc. AMS 1992): the support function is flat, so every
-        # cell stays a candidate, and half the coarse samples are -lambda_min
+        # cell and its antipode stay candidates, and half of all samples
+        # are -lambda_min; forming U (c J_n) U* itself rounds by about n eps
         ns = np.arange(2, 65)
         radii = numerical_radii([np.eye(n, k=1, dtype=complex) for n in ns])
         assert np.abs(radii - np.cos(np.pi / (ns + 1))).max() <= 1e-15
+        rng = np.random.default_rng(92)
+        mats, radii = zip(*(rotated_jordan(rng, n) for n in ns))
+        assert np.abs(numerical_radii(mats) / radii - 1).max() <= 4e-15
 
     def test_two_by_two_matches_zero_padded(self):
         # W(T + 0) is the convex hull of W(T) and 0, so the radius is the
@@ -301,6 +338,9 @@ class TestNumericalRadii:
         # H'x is one batched product over all cells, at the cli-matrix sizes too
         mats += [random_complex(rng, n) for n in (16, 32, 64) for _ in range(3)]
         mats += [np.zeros((3, 3)), np.array([[0.3 - 0.4j]]), np.array([[-2.0 + 1e-3j]])]
+        # W symmetric about 0: their eigensolves answer pairs of antipodal cells
+        mats += [rotated_jordan(rng, n)[0] for n in (8, 32, 64)]
+        mats += [bipartite(rng, n) for n in (8, 32, 64)]
         mats = [mats[i] for i in rng.permutation(len(mats))]
         radii = numerical_radii(mats)
         assert radii.shape == (len(mats),)
@@ -325,6 +365,40 @@ class TestNumericalRadii:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         numerical_radius(random_complex(np.random.default_rng(n), n))
         assert sizes[0] == 8
+
+    @pytest.mark.parametrize("n", [3, 8, 16, 64])
+    def test_antipodal_cells_share_eigensolves(self, monkeypatch, n):
+        # W(U (c J_n) U*) is a disk about 0, so every cell stays live and
+        # every cell's antipode too: one eigensolve answers both, 8 + 8 + 16
+        # eigvalsh and 32 eigh matrices, against 8 + 16 + 32 and 64 for one
+        # solve per cell
+        T, _ = rotated_jordan(np.random.default_rng(n), n)
+        counts = solve_counter(monkeypatch)
+        numerical_radius(T)
+        assert counts == {"eigvalsh": 32, "eigh": 32}
+
+    @pytest.mark.parametrize("n, eigvalsh, eigh", [(3, 10, 2), (8, 12, 4), (16, 12, 4)])
+    def test_generic_draws_keep_their_solves(self, monkeypatch, n, eigvalsh, eigh):
+        # no live antipodal pair after the coarse stage: one solve per cell
+        rng = np.random.default_rng(n)
+        T = random_complex(rng, n)
+        counts = solve_counter(monkeypatch)
+        numerical_radius(T)
+        assert counts == {"eigvalsh": eigvalsh, "eigh": eigh}
+
+    def test_paired_newton_query_matches_reflected(self):
+        # the theta + pi column of the paired order-2 query is h, h', h'' of
+        # the top pair at theta + pi, and its theta column keeps its bits
+        rng = np.random.default_rng(37)
+        slots, sweep, _ = fov._supports([random_complex(rng, n) for n in (2, 3, 5, 16)])
+        slot = np.repeat(slots, 4)
+        thetas = rng.uniform(0, np.pi, slot.size)
+        paired = sweep(slot, thetas, order=2, paired=True)
+        top = sweep(slot, thetas, order=2)
+        reflected = sweep(slot, thetas + np.pi, order=2)
+        for col, at, at_pi in zip(paired, top, reflected):
+            assert col[:, 0].tobytes() == at.tobytes()
+            assert np.abs(col[:, 1] - at_pi).max() <= 1e-12 * max(1, np.abs(at_pi).max())
 
     def test_newton_derivatives_match_differences(self):
         # h' and h'' of the order-2 query, whose H'x is one batched product

@@ -44,6 +44,17 @@ reports only two worst_residual values moved: berger-stampfli at
 test_cli's q-form report pin prints); every failure count, retry count
 and witness is unchanged.
 
+The numerical_radii kernel digest was recorded again when one eigensolve
+after the coarse stage began to answer both cells of an antipodal pair
+that is live in the same slot: the follower's h (and, in the first Newton
+sweep, its h' and h'') comes from the bottom eigenpair of H at its
+leader's angle, not from a solve of its own. Only matrices with such a
+pair can move: 7 of the 2065 kernel radii did, by at most 3.6e-16
+relative. Six are Jordan blocks (J_7, J_8, J_10, J_11, J_14, J_16; W is
+a disk about 0, so every cell and its antipode stay live) and one is a
+3x3 draw with a live pair. The verify, range and teardrop digests are
+unchanged.
+
 The eight teardrop digests of the four alphas off the unit disk were
 recorded again when teardrop_boundary stopped walking the tangent
 segment at psi + delta backwards. That segment now runs from the small
@@ -148,7 +159,7 @@ def test_range_curve(capsys, tmp_path, name, fmt):
 
 
 KERNEL = {
-    "numerical_radii": "7fc06b4312ee70c8a4960b5cd1e581f92f3ec3ec11ed56ead73cc89c98957233",
+    "numerical_radii": "d91d7af2894c60dac982dc64694523c42b4c1494f2fd26eb4e83ac2b74208007",
     "support_values": "c918e21d1cf40c6a5c99703ce12e43887f2074a5ff4ea20e4b6240a983d9ec8f",
     "boundary-16": "cff7c49d21f2eb5e2c62dabc21b9beb7c7041bd3561b26a8eecddcd475565145",
     "boundary-64": "8579baec0c87e23daec19b4a636e8e32d712546c2a9cba4db6955395eb79c5e7",
