@@ -7,14 +7,14 @@ matrix T; every division becomes a resolvent solve, which raises
 PolesNearSpectrumError when the required system is numerically singular.
 
 eval_matrices evaluates many pairs (f, T) at once. Each function's matrix
-evaluation is a generator (_matrix) that yields the linear systems of one
-level of its expression tree, every factor of a Blaschke product or the
-one of a Mobius map, and is sent their solutions; the pairs advance in
-lockstep, and each wave solves every system of every pair as one stack per
-size (one linalg.solve call). A Compose evaluates its inner function, then
-its outer one, and every product is formed in factor order, so each f(T)
-is the same to the bit as when it is evaluated alone. eval_matrix is the
-one-pair case.
+evaluation is a generator (_matrix) that yields the request
+(_solve_systems, systems) for the linear systems of one level of its
+expression tree, every factor of a Blaschke product or the one of a Mobius
+map, and is sent their solutions; the pairs advance in lockstep, and each
+wave solves every system of every pair as one stack per size (one
+linalg.solve call). A Compose evaluates its inner function, then its outer
+one, and every product is formed in factor order, so each f(T) is the same
+to the bit as when it is evaluated alone. eval_matrix is the one-pair case.
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ class DiskFunction:
         raise NotImplementedError
 
     def _matrix(self, T: np.ndarray):
-        """f(T) as a generator: it yields lists of linear systems (A, B),
-        is sent the list of their solutions A^-1 B, and returns f(T)."""
+        """f(T) as a generator: it yields requests (_solve_systems,
+        systems) for lists of linear systems (A, B), is sent the list of
+        their solutions A^-1 B, and returns f(T)."""
         raise NotImplementedError
 
     def __call__(self, z):
@@ -60,8 +61,7 @@ def eval_matrices(pairs) -> list:
     each level of the expression trees (see the module docstring). A pair
     whose resolvent is singular gets its PolesNearSpectrumError in place of
     a matrix, so that it fails alone."""
-    return lockstep.run([_caught(f._matrix(linalg.as_matrix(T))) for f, T in pairs],
-                        {list: _solve_systems})
+    return lockstep.run([_caught(f._matrix(linalg.as_matrix(T))) for f, T in pairs])
 
 
 def _caught(steps):
@@ -162,7 +162,7 @@ class Mobius(DiskFunction):
         numer = self.a * eye + self.b * T
         if self.d == 0:
             return numer / self.c
-        [X] = yield [(self.c * eye + self.d * T, numer)]
+        [X] = yield _solve_systems, [(self.c * eye + self.d * T, numer)]
         return X
 
 
@@ -176,7 +176,8 @@ class Blaschke(DiskFunction):
     def _matrix(self, T):
         n = T.shape[0]
         eye = np.eye(n, dtype=complex)
-        factors = yield [(eye - np.conj(a) * T, a * eye - T) for a in self.product.zeros]
+        factors = yield _solve_systems, [(eye - np.conj(a) * T, a * eye - T)
+                                         for a in self.product.zeros]
         result = self.product.constant * eye
         for factor in factors:
             result = result @ factor

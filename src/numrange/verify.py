@@ -17,21 +17,22 @@ residual to rec.record(residual, tol, witness_fn), which keeps the trial's
 first witness with residual > tol, tagged with "trial": i.
 
 A body that needs a kernel is a generator, and each value it yields is a
-request: a list [F, ...] receives the radii w(F), ... ; _Arcs([(F, c),
-...]) receives the arc midpoints of those level pairs (arc_midpoints);
-_Samples((F, thetas)) receives h_F at thetas; _Eval((f, T)) receives
-f(T), or has its PolesNearSpectrumError raised at the yield; _Psd((T, ts,
-ss)) receives the smallest eigenvalue of Q(T, ts[j], ss[j]) for each j.
-The bodies advance in lockstep (lockstep.run), and each wave of requests
-from all live trials is answered kind by kind, one call per kind: one
-numerical_radii call, one level_cuts call (one stacked eigenvalue call per
-size), one support_samples sweep, one eval_matrices call (one stacked
-solve per size and level) and one stacked eigensolve per size for the
-Q-form grids, so the kernels run on stacks instead of one matrix at a
-time. Each trial draws from its own rng and records into its own
-recorder, so the order in which trials advance changes nothing: the report
-sums failures and retries, takes the worst residual, and keeps the witness
-of the lowest failing trial.
+request (answer, item), answered by one call answer([item, ...]) for all
+trials of a wave that name that answer: (_radii, [F, ...]) receives the
+radii w(F), ... ; (_arcs, [(F, c), ...]) the arc midpoints of those level
+pairs (arc_midpoints); (support_samples, (F, thetas)) h_F at thetas;
+(eval_matrices, (f, T)) f(T), or has its PolesNearSpectrumError raised at
+the yield; (_psds, (T, ts, ss)) the smallest eigenvalue of Q(T, ts[j],
+ss[j]) for each j. The bodies advance in lockstep (lockstep.run), so each
+wave of requests from all live trials costs one numerical_radii call, one
+level_cuts call (one stacked eigenvalue call per size), one
+support_samples sweep, one eval_matrices call (one stacked solve per size
+and level) and one stacked eigensolve per size for the Q-form grids: the
+kernels run on stacks instead of one matrix at a time. Each trial draws
+from its own rng and records into its own recorder, so the order in which
+trials advance changes nothing: the report sums failures and retries,
+takes the worst residual, and keeps the witness of the lowest failing
+trial.
 """
 
 from __future__ import annotations
@@ -142,13 +143,13 @@ class _Recorder:
                     self.witness["trial"] = self.trial
 
     def eval_matrix(self, f: DiskFunction, T: np.ndarray):
-        """A body's steps (yield from) for f(T): the _Eval request, and the
-        one of f(0.999 z) when a resolvent of f(T) is singular."""
+        """A body's steps (yield from) for f(T): the eval_matrices request,
+        and the one for f(0.999 z) when a resolvent of f(T) is singular."""
         try:
-            return (yield _Eval((f, T)))
+            return (yield eval_matrices, (f, T))
         except PolesNearSpectrumError:
             self.retries += 1
-            return (yield _Eval((Scale(0.999, f), T)))
+            return (yield eval_matrices, (Scale(0.999, f), T))
 
 
 def _trial_rng(seed: int, suite: str, index: int) -> np.random.Generator:
@@ -164,7 +165,7 @@ def _run(suite: str, trials: int | range, seed: int, tol: float, trial,
     rngs = [_trial_rng(seed, suite, i) for i in indices]
     recs = [_Recorder(i) for i in indices]
     Ts = normalize_radii([random_matrix(rng) for rng in rngs])
-    lockstep.run([trial(rng, T, rec) for rng, T, rec in zip(rngs, Ts, recs)], _ANSWERS)
+    lockstep.run([trial(rng, T, rec) for rng, T, rec in zip(rngs, Ts, recs)])
     if after is not None:
         recs.append(_Recorder())
         after(recs[-1])
@@ -172,24 +173,6 @@ def _run(suite: str, trials: int | range, seed: int, tol: float, trial,
                         max((r.worst for r in recs), default=-math.inf), tol, seed,
                         sum(r.retries for r in recs),
                         next((r.witness for r in recs if r.witness is not None), None))
-
-
-class _Arcs(tuple):
-    """A lockstep request for arc_midpoints of its level pairs (T, c)."""
-
-
-class _Samples(tuple):
-    """A lockstep request (T, thetas) for support_values(T, thetas)."""
-
-
-class _Eval(tuple):
-    """A lockstep request (f, T) for eval_matrix(f, T); a singular
-    resolvent raises its PolesNearSpectrumError in the body that asked."""
-
-
-class _Psd(tuple):
-    """A lockstep request (T, ts, ss) for the smallest eigenvalues of
-    regions.q_form(T, ts, ss)."""
 
 
 def _radii(asks):
@@ -216,12 +199,6 @@ def _psds(asks):
         for i, row in zip(run, min_eigenvalue(Q.reshape(-1, n, n)).reshape(len(run), -1)):
             lams[i] = row
     return lams
-
-
-# what a body may yield (lockstep.run), and how a wave's requests of that
-# kind are answered, all with one call
-_ANSWERS = {list: _radii, _Arcs: _arcs, _Samples: support_samples,
-            _Eval: eval_matrices, _Psd: _psds}
 
 
 def random_matrix(rng: np.random.Generator, dim: int | None = None) -> np.ndarray:
@@ -275,7 +252,7 @@ def check_berger_stampfli(trials: int | range, seed: int = 42) -> VerifyReport:
     def trial(rng, T, rec):
         B = random_blaschke(rng, max_degree=5)
         FT = yield from rec.eval_matrix(Blaschke(B), T)
-        [value] = yield [FT]
+        [value] = yield _radii, [FT]
         rec.record(value - 1.0, tol, lambda: _matrix_witness(
             T, constant=format_complex(B.constant),
             zeros=[format_complex(a) for a in B.zeros], value=value))
@@ -289,7 +266,7 @@ def check_power_inequality(trials: int | range, seed: int = 42) -> VerifyReport:
         powers = [T]
         for _ in range(2, 7):
             powers.append(powers[-1] @ T)
-        values = yield powers[1:]
+        values = yield _radii, powers[1:]
         for n, value in zip(range(2, 7), values):
             rec.record(value - 1.0, tol,
                        lambda: _matrix_witness(T, power=n, value=value))
@@ -327,7 +304,7 @@ def check_props52(trials: int | range, seed: int = 42) -> VerifyReport:
             bound = max(2.0 * math.sqrt(1.0 - cos_a ** 2), math.sqrt(2.0))
             rec.record(norm_tx - bound, tol, witness)
         M = random_matrix(rng, dim=2)
-        [w] = yield [M]
+        [w] = yield _radii, [M]
         M = _normalized(M, w)
         a, c = complex(M[0, 0]), complex(M[1, 0])
         rec.record(abs(c) - (1.0 + math.sqrt(max(0.0, 1.0 - abs(a) ** 2))), tol,
@@ -337,11 +314,11 @@ def check_props52(trials: int | range, seed: int = 42) -> VerifyReport:
 
 def _psd_grid(ts: np.ndarray, ss: np.ndarray, tol: float):
     """Trial body: Q(T, ts[j], ss[j]) >= 0 at every grid point, from the
-    _Psd request that one stacked eigensolve per size answers for every
+    _psds request that one stacked eigensolve per size answers for every
     trial of a wave, recorded in grid order."""
     points = list(zip(ts.tolist(), ss.tolist()))
     def trial(rng, T, rec):
-        lams = (yield _Psd((T, ts, ss))).tolist()
+        lams = (yield _psds, (T, ts, ss)).tolist()
         for (t, s), lam in zip(points, lams):
             rec.record(-lam, tol, lambda: _matrix_witness(T, t=t, s=s, lam_min=lam))
     return trial
@@ -370,18 +347,18 @@ def _teardrop_excess(F: np.ndarray, alpha: complex, tol: float) -> tuple[float, 
     does at an arc midpoint of both level cuts. The samples are those
     midpoints and the two tangent directions arg alpha -+ arccos|alpha|.
     """
-    [result] = lockstep.run([_excess_body(F, alpha, tol)], _ANSWERS)
+    [result] = lockstep.run([_excess_body(F, alpha, tol)])
     return result
 
 
 def _excess_body(F: np.ndarray, alpha: complex, tol: float):
     """_teardrop_excess as a lockstep body: it yields the two level pairs,
     then the support samples, and returns (theta, excess)."""
-    arcs = yield _Arcs([(F, 1.0 + tol),
-                        (F - alpha * np.eye(len(F)), 1.0 - abs(alpha) ** 2 + tol)])
+    arcs = yield _arcs, [(F, 1.0 + tol),
+                         (F - alpha * np.eye(len(F)), 1.0 - abs(alpha) ** 2 + tol)]
     psi, delta = np.angle(alpha), math.acos(abs(alpha))
     thetas = np.append(arcs, [psi - delta, psi + delta])
-    excess = (yield _Samples((F, thetas))) - regions.teardrop_support(alpha, thetas)
+    excess = (yield support_samples, (F, thetas)) - regions.teardrop_support(alpha, thetas)
     k = int(np.argmax(excess))
     return float(thetas[k]), float(excess[k])
 
@@ -404,7 +381,7 @@ def check_drury(trials: int | range, seed: int = 42) -> VerifyReport:
         rec.record(excess, tol, lambda: _matrix_witness(
             T, alpha=format_complex(alpha), constant=format_complex(B.constant),
             zeros=[format_complex(a) for a in B.zeros], theta=theta, excess=excess))
-        [value] = yield [FT]
+        [value] = yield _radii, [FT]
         bound = 1.0 + abs(alpha) - abs(alpha) ** 2
         rec.record(value - bound, tol, lambda: _matrix_witness(
             T, alpha=format_complex(alpha), value=value))

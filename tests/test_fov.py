@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numrange import fov, verify
+from numrange.blaschke import BlaschkeProduct, _clark_unitary, level_set
 from numrange.errors import NoConvergenceError, NumericError
 from numrange.fov import (
     arc_midpoints,
@@ -493,13 +494,10 @@ def _drury_levels(trials: int, seed: int) -> list:
         pairs.extend(pair for ask in asks for pair in ask)
         raise _LevelsDrawn
 
-    arcs = verify._ANSWERS[verify._Arcs]
-    verify._ANSWERS[verify._Arcs] = capture
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_arcs", capture)
         with pytest.raises(_LevelsDrawn):
             verify.check_drury(trials, seed=seed)
-    finally:
-        verify._ANSWERS[verify._Arcs] = arcs
     return pairs
 
 
@@ -687,6 +685,36 @@ class TestContains:
         assert contains(T, z, tol=1e-9) is inside
 
 
+class TestPonceletPolygons:
+    def test_edges_touch_the_compressed_shift(self):
+        # S_B, the compressed shift of B with zeros a_1..a_n, has W(S_B)
+        # inscribed in every (n+1)-gon whose vertices solve z B(z) = gamma,
+        # |gamma| = 1, touching each edge (Gau and Wu, 1998). An edge with
+        # angular gap g between its vertices has its normal at the mid
+        # angle phi, and h(phi) = cos(g/2) exactly: a support value that
+        # errs low fails here, as no one-sided suite bound can show
+        rng = np.random.default_rng(26)
+        for n in list(range(2, 17)) * 4 + [32, 64]:
+            zeros = tuple(0.95 * np.sqrt(rng.uniform(size=n))
+                          * np.exp(2j * np.pi * rng.uniform(size=n)))
+            S = _clark_unitary(zeros, 0.0)
+            gamma = np.exp(2j * np.pi * rng.uniform())
+            vertices = np.mod(np.angle(level_set(BlaschkeProduct(1, (0j,) + zeros), gamma)),
+                              2 * np.pi)
+            gaps = np.diff(np.append(vertices, vertices[0] + 2 * np.pi))
+            phis = vertices + gaps / 2
+            assert np.abs(support_values(S, phis) - np.cos(gaps / 2)).max() <= 1e-14
+            # one edge per draw: its tangency point lies on the edge, and a
+            # point 1e-6 past the edge is outside W(S_B)
+            k = int(rng.integers(n + 1))
+            rotated = np.exp(-1j * phis[k]) * S
+            touch = boundary(rotated, 8).points[0]
+            assert abs(touch.real - math.cos(gaps[k] / 2)) <= 1e-14
+            assert abs(touch.imag) <= math.sin(gaps[k] / 2)
+            assert contains(rotated, touch)
+            assert not contains(rotated, touch + 1e-6)
+
+
 class TestInvariants:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 9))
@@ -717,3 +745,25 @@ class TestInvariants:
         U = np.linalg.qr(random_complex(rng, n))[0]
         assert numerical_radius(U.conj().T @ T @ U) == pytest.approx(
             numerical_radius(T), abs=1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 9), st.sampled_from(["gaussian", "jordan", "tied"]),
+           st.integers(2, 8), st.integers(-600, 600))
+    def test_power_of_two_scales_by_structure(self, seed, structure, n, k):
+        # a Gaussian draw, a rotated c J_n (W a disk, every cell a peak) or a
+        # normal matrix whose 2 or 3 largest moduli agree within 1e-5 (the
+        # near-tie family); 2^k T has w and h scaled by 2^k to the bit
+        rng = np.random.default_rng(seed)
+        if structure == "gaussian":
+            T = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        elif structure == "jordan":
+            T, _ = rotated_jordan(rng, n)
+        else:
+            tied = int(rng.integers(2, min(3, n) + 1))
+            moduli = np.append(1.0 - rng.uniform(0, 1e-5, tied), rng.uniform(0, 0.9, n - tied))
+            U = np.linalg.qr(random_complex(rng, n))[0]
+            T = U @ np.diag(moduli * np.exp(2j * np.pi * rng.uniform(size=n))) @ U.conj().T
+        S = T * 2.0 ** k
+        assert numerical_radius(S) == math.ldexp(numerical_radius(T), k)
+        thetas = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+        assert support_values(S, thetas).tolist() == np.ldexp(support_values(T, thetas), k).tolist()

@@ -19,7 +19,7 @@ from numrange.formats import parse_complex, parse_matrix
 from numrange.fov import boundary, support_values
 from numrange.linalg import min_eigenvalue
 from numrange.regions import q_form, teardrop_distance, teardrop_support
-from numrange import fov, verify
+from numrange import fov, lockstep, verify
 from numrange.cli import main
 from numrange.verify import (
     VerifyReport,
@@ -93,7 +93,7 @@ class TestSuitesPass:
 
     def test_scale_retry_fallback(self, monkeypatch):
         # the first evaluation hits a pole; the retry evaluates f(0.999 z)
-        real = verify._ANSWERS[verify._Eval]
+        real = verify.eval_matrices
         waves = []
 
         def pole_once(asks):
@@ -103,7 +103,7 @@ class TestSuitesPass:
                 got[0] = PolesNearSpectrumError("forced pole near the spectrum")
             return got
 
-        monkeypatch.setitem(verify._ANSWERS, verify._Eval, pole_once)
+        monkeypatch.setattr(verify, "eval_matrices", pole_once)
         report = check_berger_stampfli(3, seed=1)
         assert report.retries == 1
         assert report.failures == 0
@@ -113,7 +113,7 @@ class TestSuitesPass:
     def test_singular_trial_of_a_wave_retries_alone(self, monkeypatch):
         # trial 2 of a stacked wave is singular: it alone asks again, with
         # Scale(0.999, f), and the other trials' f(T) keep their bits
-        real = verify._ANSWERS[verify._Eval]
+        real = verify.eval_matrices
 
         def recorded(force):
             waves = []
@@ -124,7 +124,7 @@ class TestSuitesPass:
                     got[2] = PolesNearSpectrumError("forced pole near the spectrum")
                 waves.append(([f for f, _ in asks], got))
                 return got
-            monkeypatch.setitem(verify._ANSWERS, verify._Eval, answer)
+            monkeypatch.setattr(verify, "eval_matrices", answer)
             return waves, check_drury(6, seed=4)
 
         clean, _ = recorded(False)
@@ -240,22 +240,6 @@ class TestDrury:
         assert sweeps == []
         assert stacks == [(2, 4, 4), (2, 10, 10), (2, 12, 12), (2, 14, 14), (2, 16, 16)]
 
-    def test_waves_ask_levels_then_samples_then_radii(self, monkeypatch):
-        # four waves after the normalization, each answered by one call for
-        # all 20 trials: f(T), the level cuts, the support samples, the radii
-        calls = []
-
-        def counted(kind, answer):
-            def wrapped(asks):
-                calls.append((kind.__name__, len(asks)))
-                return answer(asks)
-            return wrapped
-
-        for kind, answer in list(verify._ANSWERS.items()):
-            monkeypatch.setitem(verify._ANSWERS, kind, counted(kind, answer))
-        assert check_drury(20, seed=3).passed
-        assert calls == [("_Eval", 20), ("_Arcs", 20), ("_Samples", 20), ("list", 20)]
-
 
 class TestLockstep:
     def test_power_stacks_radii_across_trials(self, monkeypatch):
@@ -308,6 +292,59 @@ class TestLockstep:
         if suite == "drury":
             want += [(k, n, n) for n, k in trials.items()]
         assert calls == want
+
+    WAVES = {
+        "berger-stampfli": ["eval_matrices", "_radii"],
+        "power": ["_radii"],
+        "local-ineq": [],
+        "operator-ineq": ["_psds"],
+        "region-s": ["_psds"],
+        "drury": ["eval_matrices", "_arcs", "support_samples", "_radii"],
+        "props52": ["_radii"],
+    }
+
+    @pytest.mark.parametrize("suite", list(verify.SUITES))
+    def test_each_wave_is_one_call_per_answer(self, monkeypatch, suite):
+        # the waves after the normalization (drury's ask for f(T), the level
+        # cuts, the support samples, then the radii), each answered by one
+        # call for all 20 trials; a suite that answered its trials one at a
+        # time would show 20 calls of one request each
+        calls = []
+
+        def counted(answer):
+            def wrapped(asks):
+                calls.append((answer.__name__, len(asks)))
+                return answer(asks)
+            return wrapped
+
+        for name in ("eval_matrices", "_arcs", "support_samples", "_radii", "_psds"):
+            monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
+        assert verify.SUITES[suite](20, seed=3).passed
+        assert calls == [(name, 20) for name in self.WAVES[suite]]
+
+    def test_requests_group_by_answer_function(self):
+        calls = []
+
+        def double(items):
+            calls.append(("double", items))
+            return [2 * x for x in items]
+
+        def odd_fails(items):
+            calls.append(("odd_fails", items))
+            return [ValueError(x) if x % 2 else x for x in items]
+
+        def body(answer, item):
+            try:
+                got = yield answer, item
+            except ValueError as exc:
+                return "raised", exc.args[0]
+            return "answered", (yield double, got)
+
+        bodies = [body(odd_fails, 1), body(double, 2), None, body(odd_fails, 2)]
+        assert lockstep.run(bodies) == [("raised", 1), ("answered", 8), None,
+                                        ("answered", 4)]
+        # one call per answer function and wave, in order of first appearance
+        assert calls == [("odd_fails", [1, 2]), ("double", [2]), ("double", [4, 2])]
 
     def test_zero_trials(self):
         report = check_power_inequality(0, seed=1)
