@@ -11,8 +11,9 @@ trial i of the --trials run with the same seed, so a witness's "trial"
 replays with one command.
 
 main(argv) may be called many times in one process. The argument parser
-is built on the first call, not at import, and kept; NUMRANGE_SEED is read
-on every call.
+is built on the first call, not at import, and kept, as is the text of the
+unit-circle rows that every teardrop CSV shares, built on the first
+teardrop --out csv; NUMRANGE_SEED is read on every call.
 """
 
 from __future__ import annotations
@@ -68,15 +69,31 @@ def _px(points: np.ndarray) -> np.ndarray:
     return xy
 
 
-def _write_curve(args, header: str, columns, points: np.ndarray, color: str):
+def _csv_rows(table: np.ndarray, known: np.ndarray | None = None) -> str:
+    """The rows of table as CSV text, every value %.17g. known, if given,
+    is an object array with one entry per row: that row's text, taken as it
+    is, or None for a row to format. The rows to format are formatted in
+    one % pass (%-formatting a float gives str.format's bytes)."""
+    if known is None:
+        row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
+        return (row_format * len(table)) % tuple(table.ravel().tolist())
+    todo = np.equal(known, None)
+    rows = known.copy()
+    rows[todo] = _csv_rows(table[todo]).splitlines(keepends=True)
+    return "".join(rows.tolist())
+
+
+def _write_curve(args, header: str, columns, points: np.ndarray, color: str,
+                 known: np.ndarray | None = None):
     """Write a closed curve as CSV rows (the columns, then the real and
     imaginary parts of points, every value %.17g) or as an 800x800 SVG
-    polygon over the square [-2,2]^2 with the unit circle."""
-    # one % pass over all values; %-formatting a float gives str.format's bytes
+    polygon over the square [-2,2]^2 with the unit circle. A CSV row whose
+    text known holds is taken from it (see _csv_rows): teardrop passes its
+    unit-circle rows, formatted once per process and reused only where a
+    row's bits match them."""
     if args.out == "csv":
         table = np.column_stack((*columns, points.real, points.imag))
-        row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
-        text = header + "\n" + (row_format * len(table)) % tuple(table.ravel().tolist())
+        text = header + "\n" + _csv_rows(table, known)
     else:
         xy = _px(points).ravel().tolist()
         coords = " ".join(["%.3f,%.3f"] * len(points)) % tuple(xy)
@@ -133,9 +150,35 @@ def cmd_clark(args) -> int:
     return 0
 
 
+@functools.cache
+def _unit_circle_rows() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(phis, bits, texts) of teardrop_boundary(0): the grid angles, the
+    int64 view of each row's phi, re and im, and each row's CSV text. Built
+    once per process, on the first teardrop --out csv, not at import."""
+    phis, points = regions.teardrop_boundary(0.0)
+    table = np.column_stack((phis, points.real, points.imag))
+    texts = np.array(_csv_rows(table).splitlines(keepends=True), dtype=object)
+    return phis, table.view(np.int64), texts
+
+
+def _unit_circle_known(phis: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """For each row of a teardrop CSV, the text of the teardrop_boundary(0)
+    row at the same grid index where phi, re and im are bitwise that row's
+    (so -0.0 and 0.0 differ), else None."""
+    grid, bits, texts = _unit_circle_rows()
+    k = np.minimum(np.searchsorted(grid, phis), len(grid) - 1)
+    rows = np.column_stack((phis, points.real, points.imag)).view(np.int64)
+    return np.where((rows == bits[k]).all(axis=1), texts[k], None)
+
+
 def cmd_teardrop(args) -> int:
+    """Print the td(alpha) boundary. Most CSV rows lie on the unit circle
+    at the fixed grid angles whatever alpha is; those take their text from
+    a table formatted once per process, and only where their bits match
+    it, so the output is the bytes of formatting every row."""
     phis, points = regions.teardrop_boundary(formats.parse_complex(args.alpha))
-    _write_curve(args, "phi,re,im", (phis,), points, "#2040c0")
+    known = _unit_circle_known(phis, points) if args.out == "csv" else None
+    _write_curve(args, "phi,re,im", (phis,), points, "#2040c0", known)
     return 0
 
 

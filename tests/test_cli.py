@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 import scipy.linalg.lapack
 
+from numrange import cli
 from numrange.cli import _write_curve, build_parser, main
-from numrange.formats import parse_matrix, serialize_matrix
+from numrange.formats import format_complex, parse_complex, parse_matrix, serialize_matrix
+from numrange.regions import teardrop_boundary
 
 SHIFT2 = np.array([[0, 2], [0, 0]], dtype=complex)
 
@@ -461,6 +463,49 @@ def test_curve_csv_matches_per_value_format(capsys, header, m):
     assert capsys.readouterr().out == _old_csv(header, table.tolist())
 
 
+def _teardrop_alphas() -> list[str]:
+    """About 300 seeded alpha literals: the benchmark's |alpha| <= 0.95,
+    moduli up to 1 - 1e-13 (past it td(alpha) is the unit disk), both axes
+    with either sign of zero, and four fixed cases."""
+    rng = np.random.default_rng(27)
+    unit = np.exp(2j * np.pi * rng.uniform(size=240))
+    moduli = np.concatenate((0.95 * np.sqrt(rng.uniform(size=200)),
+                             1.0 - np.geomspace(1e-2, 1e-13, 40)))
+    axis = rng.uniform(-1.0, 1.0, 14)
+    alphas = [complex(m * u) for m, u in zip(moduli, unit)]
+    alphas += [complex(sign, x) for x in axis for sign in (0.0, -0.0)]
+    alphas += [complex(x, sign) for x in axis for sign in (0.0, -0.0)]
+    alphas += [complex(0.5, 0.0), complex(0.0, -1.0), complex(1.0, 0.0)]
+    return ["0", "-0-0i", "1e-13", "-1"] + [format_complex(a) for a in alphas]
+
+
+def test_teardrop_csv_matches_per_value_format(capsys):
+    # the unit-circle rows come from a table; each row must still be the
+    # bytes of formatting its own values
+    for alpha in _teardrop_alphas():
+        assert main(["teardrop", f"--alpha={alpha}", "--out", "csv"]) == 0
+        phis, points = teardrop_boundary(parse_complex(alpha))
+        rows = np.column_stack((phis, points.real, points.imag)).tolist()
+        assert capsys.readouterr().out == _old_csv("phi,re,im", rows), alpha
+
+
+def test_teardrop_csv_takes_unit_circle_rows_from_the_table(capsys, monkeypatch):
+    seen = []
+    csv_rows = cli._csv_rows
+
+    def spy(table, known=None):
+        seen.append((len(table), known))
+        return csv_rows(table, known)
+
+    monkeypatch.setattr(cli, "_csv_rows", spy)
+    assert main(["teardrop", "--alpha=0.5", "--out", "csv"]) == 0
+    # 479 of the 762 rows come from the table; the other 283 (the small
+    # circle and the tangent segments) are formatted in one pass
+    (rows, known), (formatted, none) = seen
+    assert (rows, formatted, none) == (762, 283, None)
+    assert np.not_equal(known, None).sum() == 479
+
+
 def _run_fresh(tmp_path, *args) -> str:
     """Run the interpreter with args in a fresh process that imports numrange
     from src/; return its stdout."""
@@ -477,18 +522,24 @@ def test_scipy_is_imported_only_where_it_is_used(tmp_path):
         (tmp_path / f"{name}.mat").write_text(serialize_matrix(np.array(T, dtype=complex)))
     for argvs in ([["radius", "three.mat"], ["range", "two.mat"], ["range", "one.mat"],
                    ["clark", "blaschke 1 0 0.5", "--gamma", "1+0i"],
-                   ["teardrop", "--alpha", "0.3+0.2i"]],
+                   ["teardrop", "--alpha", "0.3+0.2i"], ["teardrop", "--alpha=-0.5-0.1i"]],
                   [["verify", "--suite", "all", "--trials", "2"]],
                   [["search", "blaschke 1 0.5", "--iters", "5", "--seed", "3"]]):
+        # the teardrop table is built by the first teardrop CSV, not at
+        # import, and the second one reuses it
+        tables = (1, 1) if any(argv[0] == "teardrop" for argv in argvs) else (0, 0)
         _run_fresh(tmp_path, "-c", textwrap.dedent(f"""
             import sys
             import numrange
             import numrange.cli
             assert numrange.cli.build_parser.cache_info().currsize == 0
+            assert numrange.cli._unit_circle_rows.cache_info().currsize == 0
             for argv in {argvs!r}:
                 assert numrange.cli.main(argv) == 0, argv
             loaded = [m for m in ("scipy", "scipy.linalg") if m in sys.modules]
             assert not loaded, loaded
+            built = numrange.cli._unit_circle_rows.cache_info()
+            assert (built.misses, built.hits) == {tables!r}, built
         """))
     # range at n >= 3 takes its eigenpairs from LAPACK through scipy, on first use
     _run_fresh(tmp_path, "-c", textwrap.dedent("""

@@ -63,8 +63,14 @@ backward steps per alpha; the CSV's perimeter at alpha = 0.5 fell from
 7.49 to 6.62). The rows are the same set as before and the phi column is
 unchanged; only the order of the 21 points of that segment is reversed.
 
-Reports for a fixed seed and trial count, and the range and teardrop
-curves, are part of the CLI contract and must stay byte-identical under
+The four clark digests were recorded at commit 5130eb7, the parent of
+the change that formats the teardrop CSV's unit-circle rows once per
+process; that change leaves clark alone. The Clark weights' last bits
+follow numpy's scalar abs, so a change to how they are computed can move
+these digests and must explain it.
+
+Reports for a fixed seed and trial count, the clark decompositions, and
+the range and teardrop curves, are part of the CLI contract and must stay byte-identical under
 refactors. A digest that changes means an output changed; record a new one
 only with a change that means to alter that output, and say so. The verify
 cases carry fixed ids, so recording a digest again keeps the test's name.
@@ -115,6 +121,23 @@ TEARDROP = {
                  "6005786a22a3aa27ee09fdc8c6f7f438fed8da8cca70edccbae157bf78b3b2d7"),
 }
 
+# case -> (clark argv, stdout digest): degree 2; degree 5 with interior
+# zeros; degree 10 with one zero of modulus 0.999 (0.999 e^{2i}); gamma = -1
+CLARK = {
+    "degree-2": (["blaschke 1 0 0.5", "--gamma=1+0i"],
+                 "17516148f756df0b1287d9760d3fe1ad457c7cfd36cea468209b758b0fbb4f36"),
+    "degree-5": (["blaschke 0.6+0.8i 0 0.3+0.2i -0.5 0.1-0.7i 0+0.6i",
+                  "--gamma=0.7648421872844885+0.64421768723769102i"],
+                 "d1f9f8a42633c921b115fa5bd0c4f9cbaff275d1c71634980c0d93b0dae7579d"),
+    "degree-10-near-circle": (
+        ["blaschke -1 0 -0.41573068971059529+0.90838812939885605i 0.5 -0.2+0.3i 0+0.4i "
+         "-0.6-0.1i 0.1+0.1i 0.7-0.2i -0.3-0.6i 0.25",
+         "--gamma=0.54030230586813977+0.8414709848078965i"],
+        "d9efc21b473b852dadd21936fbbda1387594ffc3540c992d2edc7ac0a51ebc06"),
+    "gamma-minus-one": (["blaschke 1 0 0+0.5i -0.4 0.2+0.6i", "--gamma=-1+0i"],
+                        "edb985be3ec92e0c4c91b669af25ef53104e83318f10ce95a74a91667984f270"),
+}
+
 # matrix -> (csv digest, svg digest) of `range --angles 360`
 RANGE = {
     "shift2": ("16111e77920de904b9a309827c74a270b17cc91dc5add9a12de5ce40b7887c21",
@@ -147,6 +170,12 @@ def test_verify_report(capsys, args, expected):
 def test_teardrop_curve(capsys, alpha, fmt):
     expected = TEARDROP[alpha][fmt == "svg"]
     assert _digest(capsys, ["teardrop", f"--alpha={alpha}", "--out", fmt]) == expected
+
+
+@pytest.mark.parametrize("case", CLARK)
+def test_clark_decomposition(capsys, case):
+    argv, expected = CLARK[case]
+    assert _digest(capsys, ["clark"] + argv) == expected
 
 
 @pytest.mark.parametrize("name", RANGE)
