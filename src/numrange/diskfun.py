@@ -6,15 +6,17 @@ radial scalings z -> f(rho z). Matrix evaluation replaces z by a square
 matrix T; every division becomes a resolvent solve, which raises
 PolesNearSpectrumError when the required system is numerically singular.
 
-eval_matrices evaluates many pairs (f, T) at once. Each function's matrix
-evaluation is a generator (_matrix) that yields the request
-(_solve_systems, systems) for the linear systems of one level of its
-expression tree, every factor of a Blaschke product or the one of a Mobius
-map, and is sent their solutions; the pairs advance in lockstep, and each
-wave solves every system of every pair as one stack per size (one
-linalg.solve call). A Compose evaluates its inner function, then its outer
-one, and every product is formed in factor order, so each f(T) is the same
-to the bit as when it is evaluated alone. eval_matrix is the one-pair case.
+f.steps(T) is f(T) as a lockstep body (numrange.lockstep): it yields the
+request (_solve_systems, systems) for the linear systems of one level of
+its expression tree, every factor of a Blaschke product or the one of a
+Mobius map, and is sent their solutions, or has the
+PolesNearSpectrumError of a singular system raised at the yield. Bodies
+that run side by side have each wave's systems solved as one stack per
+size (one linalg.solve call); the verify suites step through f(T) this
+way inside their trials. A Compose evaluates its inner function, then its
+outer one, and every product is formed in factor order, so each f(T) is
+the same to the bit as when it is evaluated alone. eval_matrix runs one
+such body.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ class DiskFunction:
     def at(self, z: complex) -> complex:
         raise NotImplementedError
 
-    def _matrix(self, T: np.ndarray):
+    def steps(self, T: np.ndarray):
         """f(T) as a generator: it yields requests (_solve_systems,
         systems) for lists of linear systems (A, B), is sent the list of
         their solutions A^-1 B, and returns f(T)."""
@@ -50,35 +52,15 @@ def eval_scalar(f: DiskFunction, z: complex) -> complex:
 
 def eval_matrix(f: DiskFunction, T) -> np.ndarray:
     """f(T); PolesNearSpectrumError if a resolvent solve is singular."""
-    [FT] = eval_matrices([(f, T)])
-    if isinstance(FT, PolesNearSpectrumError):
-        raise FT
+    [FT] = lockstep.run([f.steps(linalg.as_matrix(T))])
     return FT
-
-
-def eval_matrices(pairs) -> list:
-    """f(T) for each pair (f, T), with one linalg.solve call per size for
-    each level of the expression trees (see the module docstring). A pair
-    whose resolvent is singular gets its PolesNearSpectrumError in place of
-    a matrix, so that it fails alone."""
-    return lockstep.run([_caught(f._matrix(linalg.as_matrix(T))) for f, T in pairs])
-
-
-def _caught(steps):
-    """The body steps, returning its PolesNearSpectrumError rather than
-    raising it."""
-    try:
-        return (yield from steps)
-    except PolesNearSpectrumError as exc:
-        return exc
 
 
 def _solve_systems(asks) -> list:
     """Answer each ask, a list of systems (A, B), with the list of their
-    solutions, or with a PolesNearSpectrumError if one of them is singular:
-    one linalg.solve call for all systems of a size. If that call finds a
-    singular member, the systems of that size are solved one by one, so
-    that only the asks with a singular system fail."""
+    solutions: one linalg.solve call for all systems of a size.
+    PolesNearSpectrumError if one of them is singular; lockstep then asks
+    each ask alone, so that only the asks with a singular system fail."""
     systems = [system for ask in asks for system in ask]
     solved = [None] * len(systems)
     sizes = {}
@@ -88,23 +70,12 @@ def _solve_systems(asks) -> list:
         A, B = (np.stack([systems[i][j] for i in run]) for j in (0, 1))
         try:
             X = linalg.solve(A, B)
-        except SingularError:
-            X = [_solve_one(a, b) for a, b in zip(A, B)]
+        except SingularError as exc:
+            raise PolesNearSpectrumError(str(exc)) from exc
         for i, x in zip(run, X):
             solved[i] = x
-    answers, solutions = [], iter(solved)
-    for ask in asks:
-        xs = [next(solutions) for _ in ask]
-        answers.append(next((x for x in xs if isinstance(x, Exception)), xs))
-    return answers
-
-
-def _solve_one(A, B):
-    """linalg.solve(A, B), or the PolesNearSpectrumError for a singular A."""
-    try:
-        return linalg.solve(A, B)
-    except SingularError as exc:
-        return PolesNearSpectrumError(str(exc))
+    solutions = iter(solved)
+    return [[next(solutions) for _ in ask] for ask in asks]
 
 
 @dataclass(frozen=True)
@@ -125,7 +96,7 @@ class Polynomial(DiskFunction):
             result = result * z + c
         return result
 
-    def _matrix(self, T):
+    def steps(self, T):
         yield from ()  # no system to solve
         n = T.shape[0]
         eye = np.eye(n, dtype=complex)
@@ -156,7 +127,7 @@ class Mobius(DiskFunction):
             raise PoleHitError(f"Mobius denominator vanishes at z = {z!r}")
         return (self.a + self.b * z) / denom
 
-    def _matrix(self, T):
+    def steps(self, T):
         n = T.shape[0]
         eye = np.eye(n, dtype=complex)
         numer = self.a * eye + self.b * T
@@ -173,7 +144,7 @@ class Blaschke(DiskFunction):
     def at(self, z):
         return self.product(z)
 
-    def _matrix(self, T):
+    def steps(self, T):
         n = T.shape[0]
         eye = np.eye(n, dtype=complex)
         factors = yield _solve_systems, [(eye - np.conj(a) * T, a * eye - T)
@@ -192,8 +163,8 @@ class Compose(DiskFunction):
     def at(self, z):
         return self.outer.at(self.inner.at(z))
 
-    def _matrix(self, T):
-        return (yield from self.outer._matrix((yield from self.inner._matrix(T))))
+    def steps(self, T):
+        return (yield from self.outer.steps((yield from self.inner.steps(T))))
 
 
 @dataclass(frozen=True)
@@ -212,8 +183,8 @@ class Scale(DiskFunction):
     def at(self, z):
         return self.inner.at(self.rho * z)
 
-    def _matrix(self, T):
-        return (yield from self.inner._matrix(self.rho * T))
+    def steps(self, T):
+        return (yield from self.inner.steps(self.rho * T))
 
 
 def mobius_automorphism(alpha: complex) -> Mobius:

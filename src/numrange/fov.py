@@ -246,12 +246,6 @@ def _rotated(A: np.ndarray, B: np.ndarray, j, thetas: np.ndarray) -> np.ndarray:
     return H
 
 
-def _runs(j: np.ndarray):
-    """(start, stop) of each run of equal values in the sorted array j."""
-    cuts = (np.flatnonzero(j[1:] != j[:-1]) + 1).tolist()
-    return zip([0] + cuts, cuts + [len(j)])
-
-
 def _top_eigh(A: np.ndarray, B: np.ndarray, j: np.ndarray, thetas: np.ndarray,
               paired: bool = False):
     """h, h', h'' of h(theta) = lambda_max(H_j(theta)) for matrix j[c] of the
@@ -350,8 +344,7 @@ def _support_kernels(Ts: np.ndarray) -> dict:
         # H(theta + pi) = -H(theta), whose top eigenvalue is -lambda_min(H(theta))
         return np.linalg.eigvalsh(_rotated(A, B, j, thetas))[:, [-1, 0]] * [1, -1]
     def pairs(j, thetas):
-        runs = [_extreme_pairs(Ts[j[a]], thetas[a:b]) for a, b in _runs(j)]
-        return tuple(np.concatenate(p) for p in zip(*runs))
+        return _extreme_pairs(Ts[j[0]], thetas)
     return {(0, False): sample, (0, True): sample_pairs, (1, True): pairs,
             (2, False): functools.partial(_top_eigh, A, B),
             (2, True): functools.partial(_top_eigh, A, B, paired=True)}
@@ -363,10 +356,11 @@ def _supports(mats):
     same W. Slots hold the prescaled matrices in (n, index) order, and
     mats[i] is in slots[i]. sweep(slot, thetas, order, paired) answers for
     slot[c] at thetas[c], in one kernel call per distinct n for a sorted
-    slot: order 0 gives h; order 1, which is always paired, gives (h, h');
-    order 2 gives (h, h', h''). A paired query gives each value with
-    columns theta and theta + pi, from the same eigensolves as theta alone,
-    and its theta column has the bits of the query that is not paired.
+    slot: order 0 gives h; order 1, which is always paired and asks about
+    one matrix, gives (h, h'); order 2 gives (h, h', h''). A paired query
+    gives each value with columns theta and theta + pi, from the same
+    eigensolves as theta alone, and its theta column has the bits of the
+    query that is not paired.
     scale_back(slot, values, what) takes values of slot back to the units
     of mats and checks them (_finite).
     """

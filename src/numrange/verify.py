@@ -11,7 +11,7 @@ matrix random_matrix(rng) of every trial i, each from its own
 rng = _trial_rng(seed, suite, i), and normalizes them all as one stack
 (normalize_radii, one numerical_radii call). Then it calls the suite's
 body trial(rng, T, rec) for each trial, with a _Recorder of that trial.
-The body draws the rest of its data from rng, evaluates f(T) through
+The body draws the rest of its data from rng, steps through f(T) with
 yield from rec.eval_matrix, which counts scale retries, and passes each
 residual to rec.record(residual, tol, witness_fn), which keeps the trial's
 first witness with residual > tol, tagged with "trial": i.
@@ -21,18 +21,19 @@ request (answer, item), answered by one call answer([item, ...]) for all
 trials of a wave that name that answer: (_radii, [F, ...]) receives the
 radii w(F), ... ; (_arcs, [(F, c), ...]) the arc midpoints of those level
 pairs (arc_midpoints); (support_samples, (F, thetas)) h_F at thetas;
-(eval_matrices, (f, T)) f(T), or has its PolesNearSpectrumError raised at
-the yield; (_psds, (T, ts, ss)) the smallest eigenvalue of Q(T, ts[j],
-ss[j]) for each j. The bodies advance in lockstep (lockstep.run), so each
-wave of requests from all live trials costs one numerical_radii call, one
-level_cuts call (one stacked eigenvalue call per size), one
-support_samples sweep, one eval_matrices call (one stacked solve per size
-and level) and one stacked eigensolve per size for the Q-form grids: the
-kernels run on stacks instead of one matrix at a time. Each trial draws
-from its own rng and records into its own recorder, so the order in which
-trials advance changes nothing: the report sums failures and retries,
-takes the worst residual, and keeps the witness of the lowest failing
-trial.
+(_psds, (T, ts, ss)) the smallest eigenvalue of Q(T, ts[j], ss[j]) for
+each j; and f's own requests (diskfun._solve_systems, systems), one per
+level of its expression tree, the solutions of those resolvent systems,
+or a PolesNearSpectrumError raised at the yield. The bodies advance in
+lockstep (one lockstep.run per suite call), so each wave of requests from
+all live trials costs one numerical_radii call, one level_cuts call (one
+stacked eigenvalue call per size), one support_samples sweep, one stacked
+solve per size for the resolvents and one stacked eigensolve per size for
+the Q-form grids: the kernels run on stacks instead of one matrix at a
+time. Each trial draws from its own rng and records into its own recorder,
+so the order in which trials advance changes nothing: the report sums
+failures and retries, takes the worst residual, and keeps the witness of
+the lowest failing trial.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .diskfun import (
     Compose,
     DiskFunction,
     Scale,
-    eval_matrices,
     eval_matrix,
     mobius_automorphism,
 )
@@ -143,13 +143,13 @@ class _Recorder:
                     self.witness["trial"] = self.trial
 
     def eval_matrix(self, f: DiskFunction, T: np.ndarray):
-        """A body's steps (yield from) for f(T): the eval_matrices request,
-        and the one for f(0.999 z) when a resolvent of f(T) is singular."""
+        """A body's steps (yield from) for f(T): those of f.steps(T), and
+        those of f(0.999 z) when a resolvent of f(T) is singular."""
         try:
-            return (yield eval_matrices, (f, T))
+            return (yield from f.steps(T))
         except PolesNearSpectrumError:
             self.retries += 1
-            return (yield eval_matrices, (Scale(0.999, f), T))
+            return (yield from Scale(0.999, f).steps(T))
 
 
 def _trial_rng(seed: int, suite: str, index: int) -> np.random.Generator:
@@ -338,22 +338,17 @@ def check_operator_inequality(trials: int | range, seed: int = 42) -> VerifyRepo
                 _psd_grid(*_boundary_points((0.0, 0.5)), tol))
 
 
-def _teardrop_excess(F: np.ndarray, alpha: complex, tol: float) -> tuple[float, float]:
-    """(theta, excess) at the largest sampled excess of h_F over td(alpha)'s
-    support, excess(theta) = h_F(theta) - teardrop_support(alpha, theta).
+def _excess_body(F: np.ndarray, alpha: complex, tol: float):
+    """A lockstep body that returns (theta, excess) at the largest sampled
+    excess of h_F over td(alpha)'s support, excess(theta) = h_F(theta) -
+    teardrop_support(alpha, theta): it yields the two level pairs, then the
+    support samples.
 
     That excess passes tol exactly where h_F > 1 + tol and
     h_{F - alpha I} > 1 - |alpha|^2 + tol, so it passes tol somewhere iff it
     does at an arc midpoint of both level cuts. The samples are those
     midpoints and the two tangent directions arg alpha -+ arccos|alpha|.
     """
-    [result] = lockstep.run([_excess_body(F, alpha, tol)])
-    return result
-
-
-def _excess_body(F: np.ndarray, alpha: complex, tol: float):
-    """_teardrop_excess as a lockstep body: it yields the two level pairs,
-    then the support samples, and returns (theta, excess)."""
     arcs = yield _arcs, [(F, 1.0 + tol),
                          (F - alpha * np.eye(len(F)), 1.0 - abs(alpha) ** 2 + tol)]
     psi, delta = np.angle(alpha), math.acos(abs(alpha))
@@ -366,10 +361,11 @@ def _excess_body(F: np.ndarray, alpha: complex, tol: float):
 def check_drury(trials: int | range, seed: int = 42) -> VerifyReport:
     """W(f(T)) inside td(f(0)) and w(f(T)) <= 1 + |f(0)| - |f(0)|^2.
 
-    The containment residual is _teardrop_excess, which certifies the whole
+    The containment residual is _excess_body's, which certifies the whole
     circle of directions; a failing witness names its theta and excess.
-    Each trial's waves ask for f(T), its level cuts, its support samples
-    and w(f(T)) in turn.
+    Each trial's waves ask for the resolvent solves of B(T), then of
+    phi_alpha(B(T)), its level cuts, its support samples and w(f(T)) in
+    turn.
     """
     tol = 1e-6
     def trial(rng, T, rec):

@@ -9,13 +9,13 @@ from numrange.diskfun import (
     Mobius,
     Polynomial,
     Scale,
-    eval_matrices,
     eval_matrix,
     eval_scalar,
     mobius_automorphism,
 )
+from numrange import lockstep
 from numrange.errors import PolesNearSpectrumError
-from numrange.linalg import solve
+from numrange.linalg import as_matrix, solve
 
 SHIFT2 = np.array([[0, 2], [0, 0]], dtype=complex)
 CIRCLE = np.exp(1j * np.linspace(0, 2 * np.pi, 360, endpoint=False))
@@ -108,7 +108,7 @@ class TestMatrix:
 
 def reference_eval(f, T):
     """f(T) one factor at a time, with one linalg.solve per Blaschke or
-    Mobius factor, in factor order: the loop that eval_matrices stacks."""
+    Mobius factor, in factor order: the loop that f.steps stacks."""
     eye = np.eye(len(T), dtype=complex)
     if isinstance(f, Polynomial):
         result = f.coefficients[-1] * eye
@@ -160,10 +160,24 @@ def mixed_pairs(seed, count):
     return pairs
 
 
+def eval_pairs(pairs) -> list:
+    """f(T) for each pair (f, T), with the bodies f.steps(T) run side by
+    side; a pair whose resolvent is singular gets its error in place of a
+    matrix."""
+    def caught(steps):
+        try:
+            return (yield from steps)
+        except PolesNearSpectrumError as exc:
+            return exc
+    return lockstep.run([caught(f.steps(as_matrix(T))) for f, T in pairs])
+
+
 class TestEvalMatrices:
+    """Many f(T) at once: lockstep.run over the step bodies f.steps(T)."""
+
     def test_stack_matches_one_by_one_bitwise(self):
         pairs = mixed_pairs(31, 120)
-        got = eval_matrices(pairs)
+        got = eval_pairs(pairs)
         for (f, T), FT in zip(pairs, got):
             want = reference_eval(f, T)
             assert FT.shape == want.shape and FT.tobytes() == want.tobytes()
@@ -182,7 +196,7 @@ class TestEvalMatrices:
         monkeypatch.setattr(np.linalg, "solve", counted)
         f = Compose(mobius_automorphism(0.3), Blaschke(BlaschkeProduct(1.0, (0j, 0.5))))
         g = Compose(mobius_automorphism(-0.2j), Blaschke(BlaschkeProduct(1j, (0.1,))))
-        eval_matrices([(f, np.eye(2) / 3), (g, np.eye(3) / 4), (f, np.eye(2) / 5)])
+        eval_pairs([(f, np.eye(2) / 3), (g, np.eye(3) / 4), (f, np.eye(2) / 5)])
         assert shapes == [(4, 2, 2), (1, 3, 3), (2, 2, 2), (1, 3, 3)]
 
     def test_singular_member_fails_alone(self):
@@ -190,11 +204,11 @@ class TestEvalMatrices:
         # of both sizes, keep their bits
         pairs = mixed_pairs(32, 12)
         pole = (Compose(Mobius(0, 1, 1, -1), Polynomial((0, 1))), np.eye(len(pairs[4][1])))
-        got = eval_matrices(pairs[:5] + [pole] + pairs[5:])
+        got = eval_pairs(pairs[:5] + [pole] + pairs[5:])
         assert isinstance(got[5], PolesNearSpectrumError)
         assert "singular value" in str(got[5])
         for (f, T), FT in zip(pairs, got[:5] + got[6:]):
             assert FT.tobytes() == reference_eval(f, T).tobytes()
 
     def test_empty(self):
-        assert eval_matrices([]) == []
+        assert eval_pairs([]) == []

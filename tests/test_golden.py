@@ -63,6 +63,11 @@ backward steps per alpha; the CSV's perimeter at alpha = 0.5 fell from
 7.49 to 6.62). The rows are the same set as before and the phi column is
 unchanged; only the order of the 21 points of that segment is reversed.
 
+The all-text-500-7 digest (`verify --suite all --trials 500 --seed 7`)
+was recorded at commit ab7adce, the parent of the change that moved f(T)'s
+resolvent solves into the verify trials' own lockstep; that change keeps
+every report's bytes.
+
 The four clark digests were recorded at commit 5130eb7, the parent of
 the change that formats the teardrop CSV's unit-circle rows once per
 process; that change leaves clark alone. The Clark weights' last bits
@@ -99,6 +104,9 @@ VERIFY = [
     # region-s's sharpness table alone
     (["--suite", "region-s", "--trials", "0", "--seed", "1"],
      "dab2d324e15a93f0fc98e097f81b785f50b37912d814462f02b3c3d8f8548ba2"),
+    # a third seed, recorded at commit ab7adce
+    (["--suite", "all", "--trials", "500", "--seed", "7"],
+     "c3f6a61a5cc03c556197d242bf3ab84a624ba242955589a74a84e4f0b62d3443"),
 ]
 
 # alpha -> (csv digest, svg digest); 0 and 1e-13 are the unit disk, -1 is on
@@ -160,7 +168,8 @@ def _digest(capsys, argv) -> str:
 
 
 @pytest.mark.parametrize("args, expected", VERIFY,
-                         ids=["all-text", "all-json", "all-text-200-42", "region-s-sharpness"])
+                         ids=["all-text", "all-json", "all-text-200-42", "region-s-sharpness",
+                              "all-text-500-7"])
 def test_verify_report(capsys, args, expected):
     assert _digest(capsys, ["verify"] + args) == expected
 

@@ -13,13 +13,13 @@ from numrange.diskfun import (
     eval_matrix,
     mobius_automorphism,
 )
-from numrange.errors import PolesNearSpectrumError
+from numrange.errors import NumericError, PolesNearSpectrumError
 from numrange.blaschke import BlaschkeProduct
 from numrange.formats import parse_complex, parse_matrix
 from numrange.fov import boundary, support_values
 from numrange.linalg import min_eigenvalue
 from numrange.regions import q_form, teardrop_distance, teardrop_support
-from numrange import fov, lockstep, verify
+from numrange import diskfun, fov, lockstep, verify
 from numrange.cli import main
 from numrange.verify import (
     VerifyReport,
@@ -40,6 +40,33 @@ from numrange.verify import (
 
 SHARP = Mobius(1, -2, 2, -1)
 SHIFT2 = np.array([[0, 2], [0, 0]], dtype=complex)
+
+
+def traced_suite(monkeypatch, check, trials, seed, force=None):
+    """check(trials, seed) with its resolvent solves counted: (report, the
+    number of asks of each diskfun._solve_systems call, {trial: (f, T, f(T))}
+    from the trials' rec.eval_matrix). With force, ask number force of the
+    first call raises PolesNearSpectrumError whenever it is asked."""
+    real, real_eval = diskfun._solve_systems, verify._Recorder.eval_matrix
+    calls, forced, evals = [], [], {}
+
+    def answer(asks):
+        if force is not None and not calls:
+            forced.append(asks[force])
+        calls.append(len(asks))
+        if any(ask is bad for ask in asks for bad in forced):
+            raise PolesNearSpectrumError("forced pole near the spectrum")
+        return real(asks)
+
+    def recorded(rec, f, T):
+        FT = yield from real_eval(rec, f, T)
+        evals[rec.trial] = (f, T, FT)
+        return FT
+
+    with monkeypatch.context() as m:
+        m.setattr(diskfun, "_solve_systems", answer)
+        m.setattr(verify._Recorder, "eval_matrix", recorded)
+        return check(trials, seed), calls, evals
 
 
 class TestSamplers:
@@ -92,48 +119,28 @@ class TestSuitesPass:
         assert report.worst_residual <= report.tolerance
 
     def test_scale_retry_fallback(self, monkeypatch):
-        # the first evaluation hits a pole; the retry evaluates f(0.999 z)
-        real = verify.eval_matrices
-        waves = []
-
-        def pole_once(asks):
-            waves.append([f for f, _ in asks])
-            got = real(asks)
-            if len(waves) == 1:
-                got[0] = PolesNearSpectrumError("forced pole near the spectrum")
-            return got
-
-        monkeypatch.setattr(verify, "eval_matrices", pole_once)
-        report = check_berger_stampfli(3, seed=1)
+        # the first evaluation hits a pole: the stack of three fails, each
+        # ask is asked alone, and trial 0 alone evaluates f(0.999 z)
+        report, calls, evals = traced_suite(monkeypatch, check_berger_stampfli, 3, 1,
+                                            force=0)
         assert report.retries == 1
         assert report.failures == 0
-        assert [len(wave) for wave in waves] == [3, 1]
-        assert waves[1][0] == Scale(0.999, waves[0][0])
+        assert calls == [3, 1, 1, 1, 1]
+        f, T, FT = evals[0]
+        assert FT.tobytes() == eval_matrix(Scale(0.999, f), T).tobytes()
 
     def test_singular_trial_of_a_wave_retries_alone(self, monkeypatch):
         # trial 2 of a stacked wave is singular: it alone asks again, with
-        # Scale(0.999, f), and the other trials' f(T) keep their bits
-        real = verify.eval_matrices
-
-        def recorded(force):
-            waves = []
-
-            def answer(asks):
-                got = real(asks)
-                if force and not waves:
-                    got[2] = PolesNearSpectrumError("forced pole near the spectrum")
-                waves.append(([f for f, _ in asks], got))
-                return got
-            monkeypatch.setattr(verify, "eval_matrices", answer)
-            return waves, check_drury(6, seed=4)
-
-        clean, _ = recorded(False)
-        forced, report = recorded(True)
+        # Scale(0.999, f), whose Blaschke level joins the others' Mobius
+        # level, and the other trials' f(T) keep their bits
+        _, _, clean = traced_suite(monkeypatch, check_drury, 6, 4)
+        report, calls, forced = traced_suite(monkeypatch, check_drury, 6, 4, force=2)
         assert (report.retries, report.failures) == (1, 0)
-        assert [len(fs) for fs, _ in forced] == [6, 1]
-        assert forced[1][0] == [Scale(0.999, forced[0][0][2])]
+        assert calls == [6] + [1] * 6 + [6, 1]
+        f, T, FT = forced[2]
+        assert FT.tobytes() == eval_matrix(Scale(0.999, f), T).tobytes()
         for k in (0, 1, 3, 4, 5):
-            assert forced[0][1][k].tobytes() == clean[0][1][k].tobytes()
+            assert forced[k][2].tobytes() == clean[k][2].tobytes()
 
 
 class TestQFormSuites:
@@ -198,7 +205,7 @@ class TestDrury:
         normal = np.exp(1j * (np.pi / 360 + np.pi / 3))
         F = (0.5 + 1e-5) * normal * np.eye(2) + np.array([[0, 1], [0, 0]])
         assert teardrop_distance(alpha, boundary(F, 360).points).max() < tol
-        theta, excess = verify._teardrop_excess(F, alpha, tol)
+        [(theta, excess)] = lockstep.run([verify._excess_body(F, alpha, tol)])
         assert excess == pytest.approx(1e-5, rel=1e-6)
         assert support_values(F, [theta])[0] - teardrop_support(alpha, theta) == excess
 
@@ -294,21 +301,22 @@ class TestLockstep:
         assert calls == want
 
     WAVES = {
-        "berger-stampfli": ["eval_matrices", "_radii"],
+        "berger-stampfli": ["_solve_systems", "_radii"],
         "power": ["_radii"],
         "local-ineq": [],
         "operator-ineq": ["_psds"],
         "region-s": ["_psds"],
-        "drury": ["eval_matrices", "_arcs", "support_samples", "_radii"],
+        "drury": ["_solve_systems", "_solve_systems", "_arcs", "support_samples", "_radii"],
         "props52": ["_radii"],
     }
 
     @pytest.mark.parametrize("suite", list(verify.SUITES))
     def test_each_wave_is_one_call_per_answer(self, monkeypatch, suite):
-        # the waves after the normalization (drury's ask for f(T), the level
-        # cuts, the support samples, then the radii), each answered by one
-        # call for all 20 trials; a suite that answered its trials one at a
-        # time would show 20 calls of one request each
+        # the waves after the normalization (drury's resolvent solves for
+        # B(T) and then for phi_alpha(B(T)), the level cuts, the support
+        # samples, then the radii), each answered by one call for all 20
+        # trials; a suite that answered its trials one at a time would show
+        # 20 calls of one request each
         calls = []
 
         def counted(answer):
@@ -317,10 +325,26 @@ class TestLockstep:
                 return answer(asks)
             return wrapped
 
-        for name in ("eval_matrices", "_arcs", "support_samples", "_radii", "_psds"):
+        for name in ("_arcs", "support_samples", "_radii", "_psds"):
             monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
+        monkeypatch.setattr(diskfun, "_solve_systems", counted(diskfun._solve_systems))
         assert verify.SUITES[suite](20, seed=3).passed
         assert calls == [(name, 20) for name in self.WAVES[suite]]
+
+    @pytest.mark.parametrize("suite", list(verify.SUITES))
+    def test_one_lockstep_run_per_suite_call(self, monkeypatch, suite):
+        # f(T)'s resolvent solves are steps of the trials' own bodies, so
+        # no kernel call runs a lockstep of its own
+        runs = []
+        real = lockstep.run
+
+        def counted(bodies):
+            runs.append(len(bodies))
+            return real(bodies)
+
+        monkeypatch.setattr(lockstep, "run", counted)
+        assert verify.SUITES[suite](20, seed=3).passed
+        assert runs == [20]
 
     def test_requests_group_by_answer_function(self):
         calls = []
@@ -331,20 +355,67 @@ class TestLockstep:
 
         def odd_fails(items):
             calls.append(("odd_fails", items))
-            return [ValueError(x) if x % 2 else x for x in items]
+            odd = [x for x in items if x % 2]
+            if odd:
+                raise NumericError(odd[0])
+            return items
 
         def body(answer, item):
             try:
                 got = yield answer, item
-            except ValueError as exc:
+            except NumericError as exc:
                 return "raised", exc.args[0]
             return "answered", (yield double, got)
 
         bodies = [body(odd_fails, 1), body(double, 2), None, body(odd_fails, 2)]
         assert lockstep.run(bodies) == [("raised", 1), ("answered", 8), None,
                                         ("answered", 4)]
-        # one call per answer function and wave, in order of first appearance
-        assert calls == [("odd_fails", [1, 2]), ("double", [2]), ("double", [4, 2])]
+        # one call per answer function and wave, in order of first appearance;
+        # the odd_fails stack raised, so each of its items was asked alone
+        assert calls == [("odd_fails", [1, 2]), ("odd_fails", [1]), ("odd_fails", [2]),
+                         ("double", [2]), ("double", [4, 2])]
+
+    def test_a_raising_stack_is_asked_again_item_by_item(self):
+        calls = []
+
+        def answer(items):
+            calls.append(list(items))
+            if "bad" in items:
+                raise NumericError(f"bad among {len(items)}")
+            return [x.upper() for x in items]
+
+        def body(item):
+            try:
+                return (yield answer, item)
+            except NumericError as exc:
+                return str(exc)
+
+        # one call for the stack, then one per item; the bad body gets its
+        # own error at its yield and the others their answers
+        assert lockstep.run([body("a"), body("bad"), body("c")]) == ["A", "bad among 1", "C"]
+        assert calls == [["a", "bad", "c"], ["a"], ["bad"], ["c"]]
+        calls.clear()
+        assert lockstep.run([body("a"), body("c")]) == ["A", "C"]
+        assert calls == [["a", "c"]]
+
+    def test_other_exceptions_propagate_at_once(self):
+        calls, thrown = [], []
+
+        def answer(items):
+            calls.append(list(items))
+            raise KeyError("not a numrange error")
+
+        def body(item):
+            try:
+                return (yield answer, item)
+            except Exception as exc:
+                thrown.append(exc)
+                raise
+
+        with pytest.raises(KeyError):
+            lockstep.run([body(1), body(2)])
+        assert calls == [[1, 2]]
+        assert thrown == []
 
     def test_zero_trials(self):
         report = check_power_inequality(0, seed=1)
