@@ -28,7 +28,12 @@ bottom eigenpair giving h, h' and h'' at the angle + pi: this halves the
 search's eigensolves for T unitarily similar to -T, such as weighted
 shifts, Jordan blocks and bipartite [[0, A], [B, 0]], whose W is
 symmetric about 0. numerical_radii runs this search for many matrices
-at once, and support_values samples h. Every entry point, the level cuts
+at once, and support_values samples h. A caller that only compares each
+w with a bound, and wants the largest excess w - bound, passes
+(bound, tol) per matrix: a matrix then stops at the end of a coarse or
+halving stage once the outer-polygon bounds of its cells show that it
+passes and cannot be the largest excess, and returns a value at most its
+w that keeps both answers. Every entry point, the level cuts
 and hermitian_part included, scales T by 2^-e, with e from its largest entry
 (_prescaled), and scales the result back: that is exact, and H(theta) can
 no longer overflow. A value that is still not finite raises NumericError
@@ -74,6 +79,12 @@ _HALVINGS = 2
 # cap on the lockstep Newton/bisection steps: bisection from one 2 pi / 64
 # cell reaches 1e-16 in about 50
 _MAX_STEPS = 64
+
+# with checks, a matrix stops only where its upper bound u on w passes, and
+# stays below the call's largest excess, by _STOP_MARGIN max(1, |u|): many
+# times the rounding of its h samples (about n eps ||T||, with ||T|| <= 2w)
+# and of the cell bounds formed from them
+_STOP_MARGIN = 1e-12
 
 # a pencil eigenvalue z within this of the unit circle is a cut at arg z. A
 # true crossing lies within rounding of the circle, and a level that h only
@@ -362,7 +373,7 @@ def _supports(mats):
     eigensolves as theta alone, and its theta column has the bits of the
     query that is not paired.
     scale_back(slot, values, what) takes values of slot back to the units
-    of mats and checks them (_finite).
+    of mats and checks them (_finite); without what it leaves them unchecked.
     """
     mats = [np.asarray(T, dtype=complex) for T in mats]
     # a non-finite 1x1 [t] gives nan here, which _size_groups rejects
@@ -387,9 +398,10 @@ def _supports(mats):
             return tuple(np.concatenate(p) for p in zip(*parts))
         return np.concatenate(parts)
 
-    def scale_back(slot, values, what):
+    def scale_back(slot, values, what=None):
         with np.errstate(over="ignore"):
-            return _finite(np.ldexp(values, exps[slot]), what)
+            values = np.ldexp(values, exps[slot])
+        return values if what is None else _finite(values, what)
 
     return slots, sweep, scale_back
 
@@ -402,7 +414,8 @@ def _cell_bounds(lo, hi, h_lo, h_hi) -> np.ndarray:
     two lines, and so W(T), has support at most its modulus there; else the
     wedge's largest support in those directions is an end value, which is
     also the bound of a cell of zero width. The bound only decides which
-    cells are kept; it is never a reported value."""
+    cells are kept and which checked matrices stop; it is never a reported
+    value."""
     cos_w, sin_w = np.cos(hi - lo), np.sin(hi - lo)
     c = (h_hi - h_lo * cos_w) / sin_w
     vertex = (c > 0) & (h_lo > h_hi * cos_w)
@@ -414,7 +427,7 @@ def numerical_radius(T) -> float:
     return float(numerical_radii([T])[0])
 
 
-def numerical_radii(mats) -> np.ndarray:
+def numerical_radii(mats, checks=None) -> np.ndarray:
     """w(T) for each square matrix T of mats, which may mix sizes.
 
     For each T, h is sampled at 16 angles, from eigensolves at the first 8:
@@ -445,45 +458,98 @@ def numerical_radii(mats) -> np.ndarray:
     c J_n, against 56 and 64 with one solve per cell. A matrix without a
     live pair keeps its bits and its cost.
 
+    checks, if given, holds a pair (bound, tol) for each matrix, for a
+    caller that asks only whether w(T) - bound <= tol and which matrix has
+    the largest w(T) - bound. The search then stops a matrix, and returns
+    the largest h it reached, once a rigorous upper bound u on its w shows
+    that u - bound <= tol and that u - bound is below the largest
+    best - bound of the call, where best is the largest h each matrix has
+    reached (both in the input's units, with a margin of _STOP_MARGIN
+    max(1, |u|) for the rounding of the samples). u is the largest of best and the
+    bounds of the live cells, and it bounds w because every dropped cell's
+    bound is at most best. The stop points are the only places where the
+    live and dropped cells cover the circle with a bound each: after the
+    coarse samples at the even half of the grid (4 eigensolves, 8 samples,
+    cells of 2 pi / 8), whose odd half is then solved only for the
+    matrices still live; after all 16 samples; and after each halving. The
+    Newton steps drop bracket pieces without a bound, so no matrix stops
+    there. A matrix that stops passes its check, and its value is at most
+    its w and lies below the largest value - bound of the call, which a
+    matrix that does not stop attains with the bits of the exact search:
+    the verdicts and the largest value - bound are those of exact radii.
+    An exact call (no checks) solves the 8 coarse angles at once.
+
     The search runs on the kernel _supports, for all matrices at once, and
     each matrix's cells go through the same products whichever matrices
-    share the call, so a radius keeps its bits alone or in a stack. A w
-    that is not finite raises NumericError, and [] gives an empty array.
+    share the call, so a radius keeps its bits alone or in a stack, and a
+    matrix that does not stop keeps the bits of its exact radius. A w that
+    is not finite raises NumericError, and [] gives an empty array.
     """
     mats = list(mats)
     if not mats:
         return np.zeros(0)
     slots, sweep, scale_back = _supports(mats)
+    settled = None
+    if checks is not None:
+        bound, tol = np.empty((2, len(mats)))
+        bound[slots], tol[slots] = np.asarray(checks, dtype=float).T
+        every = np.arange(len(mats))
+
+        def settled(best, upper):
+            # in the input's units: upper - bound passes tol and is below the
+            # call's largest best - bound, both by the margin
+            upper = scale_back(every, upper)
+            excess = upper - bound + _STOP_MARGIN * np.maximum(1.0, np.abs(upper))
+            return (excess <= tol) & (excess < np.max(scale_back(every, best) - bound))
     # _cell_search meets non-finite h'' (a repeated top eigenvalue) and
     # zero-width cells; the comparisons it makes fail for such values
     with np.errstate(all="ignore"):
-        best = _cell_search(sweep, len(mats))
+        best = _cell_search(sweep, len(mats), settled)
     return scale_back(slots, best[slots], "numerical radius of matrix")
 
 
-def _cell_search(sweep, k: int) -> np.ndarray:
+def _cell_search(sweep, k: int, settled=None) -> np.ndarray:
     """The largest h reached by the search of numerical_radii for each of k
     slots; sweep(slot, thetas) samples h of matrix slot[c] at thetas[c],
     sweep(slot, thetas, order=2) gives h, h', h'', and paired=True answers
-    each query at thetas[c] + pi too."""
+    each query at thetas[c] + pi too. settled(best, upper), if given, names
+    the slots whose search stops, from the best h and an upper bound on
+    max h of each slot; it is asked at the stop points of numerical_radii."""
     width = 2.0 * np.pi / _COARSE_ANGLES
     ends = width * np.arange(_COARSE_ANGLES + 1)
     # ends[k] + pi is ends[k + half] to the bit, so the paired samples at
     # the first half of the grid are the samples at all of it
     half = _COARSE_ANGLES // 2
-    values = sweep(np.repeat(np.arange(k), half), np.tile(ends[:half], k), paired=True)
-    values = values.reshape(k, half, 2).transpose(0, 2, 1).reshape(k, _COARSE_ANGLES)
-    slot = np.repeat(np.arange(k), _COARSE_ANGLES)
+    live = np.arange(k)
+    if settled is None:
+        values = _coarse(sweep, live, ends[:half])
+        best = values.max(axis=1)
+    else:
+        # the even half of the grid first, which bounds h on cells of
+        # 2 pi / 8; the odd half only for the slots still live
+        even = _coarse(sweep, live, ends[:half:2])
+        best = even.max(axis=1)
+        bounds = _cell_bounds(ends[:-1:2], ends[2::2], even, np.roll(even, -1, axis=1))
+        live = np.flatnonzero(~settled(best, np.maximum(best, bounds.max(axis=1))))
+        values = np.empty((live.size, _COARSE_ANGLES))
+        values[:, 0::2], values[:, 1::2] = even[live], _coarse(sweep, live, ends[1:half:2])
+        best[live] = values.max(axis=1)
+    slot = np.repeat(live, _COARSE_ANGLES)
     # each cell's index on the grid of `cells` cells of this width; cell i
     # splits into cells 2i and 2i + 1 of the next grid
-    cells, idx = _COARSE_ANGLES, np.tile(np.arange(_COARSE_ANGLES), k)
-    lo, hi = np.tile(ends[:-1], k), np.tile(ends[1:], k)
-    best = values.max(axis=1)
+    cells, idx = _COARSE_ANGLES, np.tile(np.arange(_COARSE_ANGLES), live.size)
+    lo, hi = np.tile(ends[:-1], live.size), np.tile(ends[1:], live.size)
     gain_tol = 4.0 * np.finfo(float).eps * best
     h_lo, h_hi = values.ravel(), np.roll(values, -1, axis=1).ravel()
     vertex = lo  # where each cell's Newton refinement starts, set by the halvings
     for halving in range(_HALVINGS + 1):
-        keep = _cell_bounds(lo, hi, h_lo, h_hi) > best[slot]
+        bounds = _cell_bounds(lo, hi, h_lo, h_hi)
+        keep = bounds > best[slot]
+        if settled is not None:
+            # the dropped cells' bounds are at most best, so this is a bound on w
+            upper = best.copy()
+            np.maximum.at(upper, slot, bounds)
+            keep &= ~settled(best, upper)[slot]
         slot, idx, lo, hi, h_lo, h_hi, vertex = (
             v[keep] for v in (slot, idx, lo, hi, h_lo, h_hi, vertex))
         if halving == _HALVINGS or not slot.size:
@@ -525,6 +591,13 @@ def _cell_search(sweep, k: int) -> np.ndarray:
         slot, lo, hi, h_lo, h_hi, theta = (
             v[keep] for v in (slot, lo, hi, h_lo, h_hi, nxt))
     return best
+
+
+def _coarse(sweep, slots, angles) -> np.ndarray:
+    """h of each of slots at angles and then at angles + pi, one row per
+    slot, from the paired query at angles."""
+    h = sweep(np.repeat(slots, len(angles)), np.tile(angles, len(slots)), paired=True)
+    return h.reshape(len(slots), len(angles), 2).transpose(0, 2, 1).reshape(len(slots), -1)
 
 
 def _antipodes(slot: np.ndarray, idx: np.ndarray, cells: int):

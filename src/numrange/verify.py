@@ -19,10 +19,15 @@ first witness with residual > tol, tagged with "trial": i.
 A body that needs a kernel is a generator, and each value it yields is a
 request (answer, item), answered by one call answer([item, ...]) for all
 trials of a wave that name that answer: (_radii, [F, ...]) receives the
-radii w(F), ... ; (_arcs, [(F, c), ...]) the arc midpoints of those level
-pairs (arc_midpoints); (support_samples, (F, thetas)) h_F at thetas;
-(_psds, (T, ts, ss)) the smallest eigenvalue of Q(T, ts[j], ss[j]) for
-each j; and f's own requests (diskfun._solve_systems, systems), one per
+radii w(F), ... ; (_checked_radii, [(F, bound, tol), ...]), the request of
+the radius checks w(F) - bound <= tol of berger-stampfli, power and drury,
+receives one value per F, which is w(F) wherever w(F) - bound may exceed
+tol or be the largest of the call, and elsewhere a value at most w(F)
+whose excess over bound also passes tol and stays below that largest one
+(numerical_radii with checks); (_arcs, [(F, c), ...]) the arc midpoints of
+those level pairs (arc_midpoints); (support_samples, (F, thetas)) h_F at
+thetas; (_psds, (T, ts, ss)) the smallest eigenvalue of Q(T, ts[j],
+ss[j]) for each j; and f's own requests (diskfun._solve_systems, systems), one per
 level of its expression tree, the solutions of those resolvent systems,
 or a PolesNearSpectrumError raised at the yield. The bodies advance in
 lockstep (one lockstep.run per suite call), so each wave of requests from
@@ -33,7 +38,11 @@ the Q-form grids: the kernels run on stacks instead of one matrix at a
 time. Each trial draws from its own rng and records into its own recorder,
 so the order in which trials advance changes nothing: the report sums
 failures and retries, takes the worst residual, and keeps the witness of
-the lowest failing trial.
+the lowest failing trial. A trial whose radius check stops early passes
+either way, and its residual stays below one that another trial of the
+same call records, so the report is the one exact radii give. A residual
+that is not a finite number raises NumericError (exit 3), as no comparison
+with tol could count it.
 """
 
 from __future__ import annotations
@@ -134,6 +143,11 @@ class _Recorder:
         self.trial = trial
 
     def record(self, residual: float, tol: float, witness_fn):
+        """Count residual as a failure above tol and keep the largest;
+        NumericError if it is not a finite number, which no comparison
+        would count."""
+        if not math.isfinite(residual):
+            raise NumericError(f"residual {residual} is not a finite number")
         self.worst = max(self.worst, float(residual))  # not np.float64(...) in reports
         if residual > tol:
             self.failures += 1
@@ -177,6 +191,17 @@ def _run(suite: str, trials: int | range, seed: int, tol: float, trial,
 
 def _radii(asks):
     radii = iter(numerical_radii([M for ask in asks for M in ask]).tolist())
+    return [[next(radii) for _ in ask] for ask in asks]
+
+
+def _checked_radii(asks):
+    """A value for each (F, bound, tol) of each ask, from one
+    numerical_radii call with those checks: w(F) where w(F) - bound may
+    exceed tol or be the call's largest, else a value at most w(F) whose
+    excess over bound is below that largest one."""
+    items = [item for ask in asks for item in ask]
+    radii = iter(numerical_radii([F for F, _, _ in items],
+                                 [(bound, tol) for _, bound, tol in items]).tolist())
     return [[next(radii) for _ in ask] for ask in asks]
 
 
@@ -252,7 +277,7 @@ def check_berger_stampfli(trials: int | range, seed: int = 42) -> VerifyReport:
     def trial(rng, T, rec):
         B = random_blaschke(rng, max_degree=5)
         FT = yield from rec.eval_matrix(Blaschke(B), T)
-        [value] = yield _radii, [FT]
+        [value] = yield _checked_radii, [(FT, 1.0, tol)]
         rec.record(value - 1.0, tol, lambda: _matrix_witness(
             T, constant=format_complex(B.constant),
             zeros=[format_complex(a) for a in B.zeros], value=value))
@@ -266,7 +291,7 @@ def check_power_inequality(trials: int | range, seed: int = 42) -> VerifyReport:
         powers = [T]
         for _ in range(2, 7):
             powers.append(powers[-1] @ T)
-        values = yield _radii, powers[1:]
+        values = yield _checked_radii, [(F, 1.0, tol) for F in powers[1:]]
         for n, value in zip(range(2, 7), values):
             rec.record(value - 1.0, tol,
                        lambda: _matrix_witness(T, power=n, value=value))
@@ -377,8 +402,8 @@ def check_drury(trials: int | range, seed: int = 42) -> VerifyReport:
         rec.record(excess, tol, lambda: _matrix_witness(
             T, alpha=format_complex(alpha), constant=format_complex(B.constant),
             zeros=[format_complex(a) for a in B.zeros], theta=theta, excess=excess))
-        [value] = yield _radii, [FT]
         bound = 1.0 + abs(alpha) - abs(alpha) ** 2
+        [value] = yield _checked_radii, [(FT, bound, tol)]
         rec.record(value - bound, tol, lambda: _matrix_witness(
             T, alpha=format_complex(alpha), value=value))
     return _run("drury", trials, seed, tol, trial)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg.lapack
 
-from numrange import cli
+from numrange import cli, verify
 from numrange.cli import _write_curve, build_parser, main
 from numrange.formats import format_complex, parse_complex, parse_matrix, serialize_matrix
 from numrange.regions import teardrop_boundary
@@ -368,6 +368,21 @@ class TestVerify:
         with pytest.raises(SystemExit) as e:
             main(["verify", "--suite", "nope"])
         assert e.value.code == 2
+
+    @pytest.mark.parametrize("suite", ["berger-stampfli", "power", "drury"])
+    def test_nan_residual_is_numeric_error(self, capsys, monkeypatch, suite):
+        # every radius answer gives NaN: a NaN residual compared false with
+        # tol and was dropped from the worst, so berger-stampfli's report
+        # read "failures: 0" and "worst_residual: -inf", and passed
+        def nan_radii(asks):
+            return [[float("nan")] * len(ask) for ask in asks]
+
+        monkeypatch.setattr(verify, "_radii", nan_radii)
+        monkeypatch.setattr(verify, "_checked_radii", nan_radii)
+        assert main(["verify", "--suite", suite, "--trials", "5", "--seed", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "residual nan is not a finite number" in captured.err
 
 
 class TestSearch:

@@ -442,6 +442,58 @@ class TestNumericalRadii:
             numerical_radii([SHIFT2, T])
 
 
+def _checked_stack(seed: int) -> list[np.ndarray]:
+    """Seeded draws at n = 2..8, a few at n = 16/32/64, cubed draws (whose
+    prescale exponent is not zero), the near-tie family and rotated Jordan
+    blocks, shuffled."""
+    rng = np.random.default_rng(seed)
+    mats = [random_matrix(rng, n) for n in range(2, 9) for _ in range(4)]
+    mats += [random_complex(rng, n) for n in (16, 32, 64)]
+    mats += [np.linalg.matrix_power(random_matrix(rng), 3) for _ in range(6)]
+    mats += [np.diag([np.exp(1j * phi), (1 - 1e-6) * np.exp(1j * (phi + g)), 0.3])
+             for phi, g in zip(rng.uniform(0, 2 * np.pi, 6), np.geomspace(1e-3, 0.3, 6))]
+    mats += [rotated_jordan(rng, n)[0] for n in (3, 8, 16)]
+    return [mats[i] for i in rng.permutation(len(mats))]
+
+
+class TestChecks:
+    # numerical_radii(mats, checks) may stop a matrix that passes its
+    # check (bound, tol) and cannot set the largest value - bound; every
+    # verdict and that largest value must be those of the exact radii
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("case", ["passing", "failing", "at-tolerance"])
+    def test_checks_keep_verdicts_and_the_worst(self, seed, case):
+        mats = _checked_stack(seed)
+        exact = numerical_radii(mats)
+        rng = np.random.default_rng([seed, 7])
+        tol = 1e-7
+        if case == "passing":
+            bounds = exact * rng.uniform(1.0, 1.5, len(mats))
+        elif case == "failing":
+            bounds = exact * rng.uniform(0.95, 1.05, len(mats))
+        else:
+            bounds = exact * rng.uniform(1.1, 1.5, len(mats))
+            bounds[::5] = exact[::5] - tol
+        values = numerical_radii(mats, [(b, tol) for b in bounds.tolist()])
+        assert np.all(values <= exact)
+        assert (values - bounds).max().tobytes() == (exact - bounds).max().tobytes()
+        assert np.array_equal(np.flatnonzero(values - bounds > tol),
+                              np.flatnonzero(exact - bounds > tol))
+        assert np.any(values < exact)
+
+    def test_one_matrix_never_stops(self, monkeypatch):
+        # its own excess is the largest of the call, so it keeps its bits
+        # and its solves
+        T = random_complex(np.random.default_rng(3), 5)
+        counts = solve_counter(monkeypatch)
+        w = numerical_radius(T)
+        exact = dict(counts)
+        counts.update(eigvalsh=0, eigh=0)
+        assert numerical_radii([T], [(10.0, 1e-7)]).tolist() == [w]
+        # the coarse stage takes its 8 solves in two halves of 4
+        assert counts == exact
+
+
 class TestPrescale:
     def test_entry_points_scale_exactly(self):
         # support_values, boundary and the level cuts formed H(theta) and the

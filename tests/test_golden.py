@@ -68,6 +68,13 @@ was recorded at commit ab7adce, the parent of the change that moved f(T)'s
 resolvent solves into the verify trials' own lockstep; that change keeps
 every report's bytes.
 
+The three 20-trial single-suite digests (berger-stampfli, power and
+drury at seed 1, the shape of the benchmark's verify requests) were
+recorded at commit fac8426, the parent of the change that lets those
+suites' radius checks stop the trials that provably pass and cannot set
+the worst residual; which trials stop depends on which trials share a
+call, and that change keeps every report's bytes.
+
 The four clark digests were recorded at commit 5130eb7, the parent of
 the change that formats the teardrop CSV's unit-circle rows once per
 process; that change leaves clark alone. The Clark weights' last bits
@@ -107,6 +114,14 @@ VERIFY = [
     # a third seed, recorded at commit ab7adce
     (["--suite", "all", "--trials", "500", "--seed", "7"],
      "c3f6a61a5cc03c556197d242bf3ab84a624ba242955589a74a84e4f0b62d3443"),
+    # the benchmark's request shape, 20-trial single-suite calls, for the
+    # suites whose radius checks stop trials; recorded at commit fac8426
+    (["--suite", "berger-stampfli", "--trials", "20", "--seed", "1"],
+     "ee15a34183e88959e6c6abe5f0b7080e1db9ba30d541b4d8ebd269166c385229"),
+    (["--suite", "power", "--trials", "20", "--seed", "1"],
+     "8b770c3b5fc54c098c201e073fdadabb7441d3abfabbb35d36e873c7884a310c"),
+    (["--suite", "drury", "--trials", "20", "--seed", "1"],
+     "fcb368c82b3588b254cf874dc2423fe4d0b2e1c639e6bc01ee9eff547acebceb"),
 ]
 
 # alpha -> (csv digest, svg digest); 0 and 1e-13 are the unit disk, -1 is on
@@ -169,7 +184,8 @@ def _digest(capsys, argv) -> str:
 
 @pytest.mark.parametrize("args, expected", VERIFY,
                          ids=["all-text", "all-json", "all-text-200-42", "region-s-sharpness",
-                              "all-text-500-7"])
+                              "all-text-500-7", "berger-stampfli-20-1", "power-20-1",
+                              "drury-20-1"])
 def test_verify_report(capsys, args, expected):
     assert _digest(capsys, ["verify"] + args) == expected
 

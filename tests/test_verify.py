@@ -253,7 +253,10 @@ class TestLockstep:
         # the same Hermitian matrices as one radius call per power per trial
         # (553 calls), in a quarter of the calls or fewer; the coarse stage
         # solves 8 angles per matrix for its 16 samples, and one cell of a
-        # live antipodal pair reads the other's solve (1447 matrices before)
+        # live antipodal pair reads the other's solve (1447 matrices before).
+        # A power stops once its cell bounds show that it passes and cannot
+        # be the worst (1446 matrices and 58 calls when every power was
+        # refined to rounding)
         calls, matrices = [], []
 
         def counted(solve):
@@ -266,8 +269,8 @@ class TestLockstep:
         monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
         assert check_power_inequality(20, seed=1).passed
-        assert sum(matrices) == 1446
-        assert len(calls) <= 138
+        assert sum(matrices) == 628
+        assert len(calls) <= 39
 
     @pytest.mark.parametrize("suite, degree", [
         ("berger-stampfli", 5),  # the Blaschke factors
@@ -301,12 +304,13 @@ class TestLockstep:
         assert calls == want
 
     WAVES = {
-        "berger-stampfli": ["_solve_systems", "_radii"],
-        "power": ["_radii"],
+        "berger-stampfli": ["_solve_systems", "_checked_radii"],
+        "power": ["_checked_radii"],
         "local-ineq": [],
         "operator-ineq": ["_psds"],
         "region-s": ["_psds"],
-        "drury": ["_solve_systems", "_solve_systems", "_arcs", "support_samples", "_radii"],
+        "drury": ["_solve_systems", "_solve_systems", "_arcs", "support_samples",
+                  "_checked_radii"],
         "props52": ["_radii"],
     }
 
@@ -325,7 +329,7 @@ class TestLockstep:
                 return answer(asks)
             return wrapped
 
-        for name in ("_arcs", "support_samples", "_radii", "_psds"):
+        for name in ("_arcs", "support_samples", "_radii", "_checked_radii", "_psds"):
             monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
         monkeypatch.setattr(diskfun, "_solve_systems", counted(diskfun._solve_systems))
         assert verify.SUITES[suite](20, seed=3).passed
@@ -420,6 +424,100 @@ class TestLockstep:
     def test_zero_trials(self):
         report = check_power_inequality(0, seed=1)
         assert (report.trials, report.failures, report.witness) == (0, 0, None)
+
+
+def _exact_checked_radii(asks):
+    """The reference path for _checked_radii: the exact radii of its matrices."""
+    return verify._radii([[F for F, _, _ in ask] for ask in asks])
+
+
+class TestCheckedRadii:
+    # berger-stampfli, power and drury ask _checked_radii, whose radius
+    # search stops the matrices that pass and cannot set the worst residual:
+    # their reports must keep the bytes of the reference path
+    SUITES = ["berger-stampfli", "power", "drury"]
+
+    @staticmethod
+    def _both(monkeypatch, run):
+        """(run() as it is, run() on the reference path, whether some
+        checked answer of the first run fell below its exact radius)."""
+        real, lower = verify._checked_radii, []
+
+        def watched(asks):
+            values = real(asks)
+            exact = _exact_checked_radii(asks)
+            assert all(v <= w for ask, ref in zip(values, exact) for v, w in zip(ask, ref))
+            lower.append(values != exact)
+            return values
+
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_checked_radii", watched)
+            fast = run()
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_checked_radii", _exact_checked_radii)
+            reference = run()
+        return fast, reference, any(lower)
+
+    @pytest.mark.parametrize("suite", SUITES)
+    @pytest.mark.parametrize("seed", [0, 1, 5, 42])
+    def test_reports_keep_their_bytes(self, monkeypatch, suite, seed):
+        fast, reference, stopped = self._both(monkeypatch,
+                                              lambda: verify.SUITES[suite](20, seed))
+        assert stopped
+        assert fast.to_text() == reference.to_text()
+        assert json.dumps(fast.to_json_dict()) == json.dumps(reference.to_json_dict())
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_trial_replay_keeps_its_bytes(self, monkeypatch, capsys, suite):
+        def replay():
+            assert main(["verify", "--suite", suite, "--seed", "1", "--trial", "7",
+                         "--json"]) == 0
+            return capsys.readouterr().out
+
+        fast, reference, _ = self._both(monkeypatch, replay)
+        assert fast == reference
+
+    @pytest.mark.parametrize("suite", SUITES)
+    @pytest.mark.parametrize("scale", [1.02, 1 + 1e-7], ids=["1.02", "1+1e-7"])
+    def test_failing_reports_keep_their_bytes(self, monkeypatch, suite, scale):
+        # T scaled after normalization: at 1.02 trials of every suite fail;
+        # at 1 + 1e-7 berger-stampfli's B(z) = cz trials sit at tolerance
+        normalized = verify.normalize_radii
+        monkeypatch.setattr(verify, "normalize_radii",
+                            lambda mats: [scale * T for T in normalized(mats)])
+        failures = 0
+        for seed in range(4):
+            fast, reference, _ = self._both(monkeypatch, lambda: verify.SUITES[suite](20, seed))
+            assert fast.to_text() == reference.to_text()
+            failures += fast.failures
+        if scale == 1.02 or suite == "berger-stampfli":
+            assert failures > 0
+
+    @pytest.mark.parametrize("suite, solved, reference", [
+        ("berger-stampfli", 399, 551),
+        ("drury", 374, 549),
+    ], ids=["berger-stampfli", "drury"])
+    def test_stopped_trials_solve_fewer_matrices(self, monkeypatch, suite, solved, reference):
+        # the Hermitian matrices that eigh and eigvalsh solve in a 20-trial
+        # call, the normalization's included, and on the reference path
+        # (TestLockstep pins power's)
+        matrices = []
+
+        def counted(solve):
+            def solve_counted(a, *args, **kwargs):
+                matrices.append(len(a) if np.ndim(a) == 3 else 1)
+                return solve(a, *args, **kwargs)
+            return solve_counted
+
+        monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+        counts = []
+        for answer in (verify._checked_radii, _exact_checked_radii):
+            monkeypatch.setattr(verify, "_checked_radii", answer)
+            matrices.clear()
+            assert verify.SUITES[suite](20, seed=1).passed
+            counts.append(sum(matrices))
+        assert counts == [solved, reference]
 
 
 class TestDeterminism:
