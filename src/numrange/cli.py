@@ -13,7 +13,8 @@ replays with one command.
 main(argv) may be called many times in one process. The argument parser
 is built on the first call, not at import, and kept, as is the text of the
 unit-circle rows that every teardrop CSV shares, built on the first
-teardrop --out csv; NUMRANGE_SEED is read on every call.
+teardrop --out csv, and scipy's LAPACK extension module, loaded alone on
+the first range at n >= 3; NUMRANGE_SEED is read on every call.
 """
 
 from __future__ import annotations

@@ -53,16 +53,21 @@ consecutive cuts h - c has a single sign, so one sample per arc decides it;
 arc_midpoints gives those samples. contains(T, z) is this test for
 h_{T - zI} against -tol.
 
-Only _extreme_pairs (LAPACK's tridiagonal routines) calls scipy, and it
-imports it where it is called, so that everything but boundary at n >= 3
-runs without loading scipy.linalg.
+Only _extreme_pairs (LAPACK's tridiagonal routines) calls scipy. On its
+first call it loads scipy's LAPACK extension module alone (_lapack), not
+the scipy.linalg package around it, and everything but boundary at n >= 3
+runs without scipy.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import itertools
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import ExtensionFileLoader, PathFinder
 
 import numpy as np
 
@@ -207,8 +212,7 @@ def _extreme_pairs(S: np.ndarray, thetas: np.ndarray):
     h' = -Im(e^{-i theta}<Sy, y>) there. NoConvergenceError if a LAPACK call
     reports failure.
     """
-    import scipy.linalg.lapack
-
+    lapack = _lapack()
     n = len(S)
     # Fortran order, so that zhetrd works on H in place
     A, B = (np.asfortranarray(X) for X in _cartesian_parts(S))
@@ -219,26 +223,59 @@ def _extreme_pairs(S: np.ndarray, thetas: np.ndarray):
         Z = vecs[k].T  # the two vectors at thetas[k], as Fortran-order columns
         H = A * cos[k]
         H += B * sin[k]
-        c, d, e, tau, info = scipy.linalg.lapack.zhetrd(H, lower=1, overwrite_a=1)
+        c, d, e, tau, info = lapack.zhetrd(H, lower=1, overwrite_a=1)
         _lapack_ok("zhetrd", info)
         for col, i in enumerate((n, 1)):
             # range 2 selects eigenvalues il..iu; tolerance 0 is LAPACK's default
-            _, w, block, split, info = scipy.linalg.lapack.dstebz(d, e, 2, 0.0, 0.0, i, i,
-                                                                  0.0, "E")
+            _, w, block, split, info = lapack.dstebz(d, e, 2, 0.0, 0.0, i, i, 0.0, "E")
             _lapack_ok("dstebz", info)
-            z, info = scipy.linalg.lapack.dstein(d, e, w[:1], block, split)
+            z, info = lapack.dstein(d, e, w[:1], block, split)
             _lapack_ok("dstein", info)
             vals[k, col], Z[:, col] = w[0], z[:, 0]
-        Z[1:], _, info = scipy.linalg.lapack.zunmqr("L", "N", c[1:, :-1], tau, Z[1:], 2)
+        Z[1:], _, info = lapack.zunmqr("L", "N", c[1:, :-1], tau, Z[1:], 2)
         _lapack_ok("zunmqr", info)
     # <Sx, x> of both vectors at each angle
     forms = (vecs.conj() * (vecs @ S.T)).sum(axis=2)
-    return vals * [1, -1], (np.exp(-1j * thetas)[:, None] * forms).imag * [1, -1]
+    # -lambda_1 is -0.0 where lambda_1 = 0; + 0.0 turns only that into 0.0
+    return vals * [1, -1] + 0.0, (np.exp(-1j * thetas)[:, None] * forms).imag * [1, -1]
 
 
 def _lapack_ok(routine: str, info: int):
     if info != 0:
         raise NoConvergenceError(f"boundary eigenpairs: {routine} returned info {info}")
+
+
+@functools.cache
+def _lapack():
+    """scipy's LAPACK extension module scipy.linalg._flapack, whose
+    routines scipy.linalg.lapack exports as the same function objects.
+
+    Importing scipy.linalg.lapack runs the whole scipy.linalg package, which
+    adds about 28 MB to a fresh process's peak RSS and 0.2 s to its run
+    time (scipy 1.17, Linux x86-64); this loads the extension
+    file beside that package alone, after the light top-level scipy
+    package, which sets up the platform's shared libraries. The extension
+    registers itself in sys.modules as it loads, and a later
+    import scipy.linalg would then find it there and not set the package's
+    _flapack attribute, so the entry is removed; that import still shares
+    the routines. A scipy.linalg already loaded lends its own module, and
+    where no extension file lies beside the package, as in an editable
+    install, this imports scipy.linalg.lapack.
+    """
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    if "scipy.linalg" not in sys.modules:
+        spec = PathFinder.find_spec(name, [os.path.join(p, "linalg") for p in scipy.__path__])
+        if spec is not None and isinstance(spec.loader, ExtensionFileLoader):
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            if sys.modules.get(name) is module:
+                del sys.modules[name]
+            return module
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack._flapack
 
 
 def _cartesian_parts(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -505,7 +542,9 @@ def numerical_radii(mats, checks=None) -> np.ndarray:
     # zero-width cells; the comparisons it makes fail for such values
     with np.errstate(all="ignore"):
         best = _cell_search(sweep, len(mats), settled)
-    return scale_back(slots, best[slots], "numerical radius of matrix")
+    # best is -0.0 where some -lambda_min = -0.0 is the largest h; + 0.0
+    # turns only that into 0.0
+    return scale_back(slots, best[slots], "numerical radius of matrix") + 0.0
 
 
 def _cell_search(sweep, k: int, settled=None) -> np.ndarray:

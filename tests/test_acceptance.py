@@ -5,6 +5,8 @@ tolerance and budget, and prints a single PASS/FAIL line so the run can be
 audited from the captured output alone.
 """
 
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from numrange.blaschke import clark_decomposition, evaluate
 from numrange.cli import main
 from numrange.diskfun import Mobius, eval_matrix
+from numrange.formats import serialize_matrix
 from numrange.fov import boundary, numerical_radius
 from numrange.linalg import min_eigenvalue, operator_norm
 from numrange.regions import (
@@ -169,3 +172,26 @@ def test_full_verification_run_deterministic(tmp_path, capsys):
     with capsys.disabled():
         report("full verification: all suites, 500 trials, byte-identical rerun",
                ok, elapsed, 120.0)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_range_peak_memory(tmp_path, run_fresh):
+    # range at n >= 3 loads LAPACK's extension alone: about 5 MB, where the
+    # whole scipy.linalg package took about 28 MB. The peak is VmHWM, not
+    # ru_maxrss, which Linux carries over exec from the process that
+    # started this one: here, the test runner's own peak
+    (tmp_path / "three.mat").write_text(serialize_matrix(np.eye(3, k=1)))
+    t0 = time.perf_counter()
+    grown = float(run_fresh("-c", textwrap.dedent("""
+        from numrange.cli import main
+
+        def peak_kb():
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+        before = peak_kb()
+        assert main(["range", "three.mat", "--output", "three.csv"]) == 0
+        print((peak_kb() - before) / 1024.0)
+    """)))
+    report(f"range at n = 3 in a fresh process: peak RSS grows {grown:.1f} MB < 10 MB",
+           grown < 10.0, time.perf_counter() - t0, 30.0)

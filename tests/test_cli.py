@@ -1,15 +1,12 @@
 import argparse
-import os
-import subprocess
-import sys
+import hashlib
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
+from test_golden import RANGE, _matrix
 
-from numrange import cli, verify
+from numrange import cli, fov, verify
 from numrange.cli import _write_curve, build_parser, main
 from numrange.formats import format_complex, parse_complex, parse_matrix, serialize_matrix
 from numrange.regions import teardrop_boundary
@@ -107,6 +104,24 @@ def test_radius_and_range_of_edge_matrices(T, w, tol, tmp_path, capsys):
         assert np.all(np.abs(rows[:, 1] - w) <= tol)
 
 
+@pytest.mark.parametrize("T, radius", [(np.zeros((n, n)), "0.000000000000000") for n in (1, 2, 3)]
+                         + [(np.diag([1.0, 0.0, 0.0]), "1.000000000000000")],
+                         ids=["zero1", "zero2", "zero3", "diag100"])
+def test_zero_radius_and_supports_print_unsigned(T, radius, tmp_path, capsys):
+    # h at theta + pi is -lambda_min(H(theta)), which is -0.0 where
+    # lambda_min = 0: radius printed -0.000000000000000 for the 3x3 zero
+    # matrix, and range printed -0 in 91 of the 360 support cells of
+    # diag(1, 0, 0)
+    path = tmp_path / "zero.mat"
+    path.write_text(serialize_matrix(T))
+    assert main(["radius", str(path)]) == 0
+    assert capsys.readouterr().out == radius + "\n"
+    assert main(["range", str(path)]) == 0
+    supports = [line.split(",")[1] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert "-0" not in supports
+    assert supports.count("0") == (360 if radius.startswith("0") else 180)
+
+
 class TestRange:
     def test_csv_circle(self, shift_file, capsys):
         assert main(["range", shift_file, "--angles", "90"]) == 0
@@ -166,13 +181,13 @@ class TestRange:
         # n = 3, since the 2x2 closed form calls no LAPACK routine
         path = tmp_path / "shift3.mat"
         path.write_text(serialize_matrix(np.eye(3, k=1)))
-        dstein = scipy.linalg.lapack.dstein
+        dstein = fov._lapack().dstein
 
         def failing(*args, **kwargs):
             z, _ = dstein(*args, **kwargs)
             return z, 1
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dstein", failing)
+        monkeypatch.setattr(fov._lapack(), "dstein", failing)
         assert main(["range", str(path), "--angles", "8"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -521,17 +536,7 @@ def test_teardrop_csv_takes_unit_circle_rows_from_the_table(capsys, monkeypatch)
     assert np.not_equal(known, None).sum() == 479
 
 
-def _run_fresh(tmp_path, *args) -> str:
-    """Run the interpreter with args in a fresh process that imports numrange
-    from src/; return its stdout."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, *args], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-def test_scipy_is_imported_only_where_it_is_used(tmp_path):
+def test_scipy_is_imported_only_where_it_is_used(tmp_path, run_fresh):
     # every other test process has scipy already, from the tests' own imports
     for name, T in (("one", [[0.5]]), ("two", SHIFT2), ("three", np.eye(3, k=1))):
         (tmp_path / f"{name}.mat").write_text(serialize_matrix(np.array(T, dtype=complex)))
@@ -543,7 +548,7 @@ def test_scipy_is_imported_only_where_it_is_used(tmp_path):
         # the teardrop table is built by the first teardrop CSV, not at
         # import, and the second one reuses it
         tables = (1, 1) if any(argv[0] == "teardrop" for argv in argvs) else (0, 0)
-        _run_fresh(tmp_path, "-c", textwrap.dedent(f"""
+        run_fresh("-c", textwrap.dedent(f"""
             import sys
             import numrange
             import numrange.cli
@@ -556,15 +561,60 @@ def test_scipy_is_imported_only_where_it_is_used(tmp_path):
             built = numrange.cli._unit_circle_rows.cache_info()
             assert (built.misses, built.hits) == {tables!r}, built
         """))
-    # range at n >= 3 takes its eigenpairs from LAPACK through scipy, on first use
-    _run_fresh(tmp_path, "-c", textwrap.dedent("""
+    # range at n >= 3 loads LAPACK's extension module alone, on first use,
+    # and prints the golden bytes, which the golden tests check only with
+    # scipy.linalg already loaded
+    (tmp_path / "seeded5.mat").write_text(serialize_matrix(_matrix("seeded5")))
+    out = run_fresh("-c", textwrap.dedent("""
         import sys
         from numrange.cli import main
-        assert main(["range", "three.mat"]) == 0
+        assert main(["range", "seeded5.mat", "--angles", "360"]) == 0
+        loaded = [m for m in ("scipy.linalg", "scipy.linalg._flapack") if m in sys.modules]
+        assert not loaded, loaded
+    """))
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == RANGE["seeded5"][0]
+
+
+def test_range_without_the_extension_file_prints_the_same_bytes(tmp_path, run_fresh):
+    # where no extension file lies beside scipy.linalg, as in an editable
+    # install, fov imports scipy.linalg.lapack instead
+    (tmp_path / "seeded5.mat").write_text(serialize_matrix(_matrix("seeded5")))
+    out = run_fresh("-c", textwrap.dedent("""
+        import sys
+        from numrange import fov
+        from numrange.cli import main
+
+        class NoFile:
+            @staticmethod
+            def find_spec(name, path=None, target=None):
+                return None
+
+        fov.PathFinder = NoFile
+        assert main(["range", "seeded5.mat", "--angles", "360"]) == 0
         assert "scipy.linalg" in sys.modules
+    """))
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == RANGE["seeded5"][0]
+
+
+def test_scipy_linalg_imports_after_the_extension_is_loaded(run_fresh):
+    # the extension registers itself in sys.modules as it loads; left there,
+    # it kept a later import scipy.linalg from setting its _flapack attribute
+    run_fresh("-c", textwrap.dedent("""
+        import sys
+        import numpy as np
+        from numrange import fov
+        lapack = fov._lapack()
+        assert "scipy.linalg" not in sys.modules
+        import scipy.linalg
+        assert scipy.linalg._flapack.zhetrd is lapack.zhetrd
+        assert scipy.linalg.lapack.dstein is lapack.dstein
+        assert scipy.linalg.eigvalsh(np.diag([2.0, 1.0])).tolist() == [1.0, 2.0]
+        # once scipy.linalg is loaded, fov takes its module
+        fov._lapack.cache_clear()
+        assert fov._lapack() is scipy.linalg._flapack
     """))
 
 
-def test_python_m_numrange(tmp_path):
+def test_python_m_numrange(tmp_path, run_fresh):
     (tmp_path / "one.mat").write_text(serialize_matrix(np.array([[0.5]], dtype=complex)))
-    assert _run_fresh(tmp_path, "-m", "numrange", "radius", "one.mat") == "0.500000000000000\n"
+    assert run_fresh("-m", "numrange", "radius", "one.mat") == "0.500000000000000\n"

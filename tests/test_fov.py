@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -200,7 +199,7 @@ class TestBoundary:
         # H(theta + pi) = -H(theta): an even grid reduces only its first half,
         # one tridiagonal reduction per angle and no full eigendecomposition
         reductions = []
-        zhetrd = scipy.linalg.lapack.zhetrd
+        zhetrd = fov._lapack().zhetrd
 
         def counting(a, *args, **kwargs):
             reductions.append(np.shape(a))
@@ -209,7 +208,7 @@ class TestBoundary:
         def no_eigh(*args, **kwargs):
             raise AssertionError("boundary called np.linalg.eigh")
 
-        monkeypatch.setattr(scipy.linalg.lapack, "zhetrd", counting)
+        monkeypatch.setattr(fov._lapack(), "zhetrd", counting)
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         boundary(random_complex(np.random.default_rng(7), 4), n_angles)
         assert reductions == [(4, 4)] * solved
