@@ -186,12 +186,12 @@ def boundary(T, n_angles: int) -> BoundaryCurve:
     h, d1 = (np.concatenate([v[:, 0], v[:paired, 1]]) for v in (h, d1))
     supports = scale_back(slot, h, "support value")
     # formed at the prescaled size and scaled back once per part, so that
-    # the product does not round on the subnormal grid; assigning the parts
-    # keeps the sign of a zero imaginary part
+    # the product does not round on the subnormal grid; + 0.0 turns the
+    # -0.0 that a zero h or h' times cos or sin of theta can give into 0.0
     z = np.exp(1j * thetas) * (h + 1j * d1)
     points = np.empty(n_angles, dtype=complex)
-    points.real = scale_back(slot, z.real, "boundary point")
-    points.imag = scale_back(slot, z.imag, "boundary point")
+    points.real = scale_back(slot, z.real, "boundary point") + 0.0
+    points.imag = scale_back(slot, z.imag, "boundary point") + 0.0
     return BoundaryCurve(thetas=thetas, supports=supports, points=points)
 
 

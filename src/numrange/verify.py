@@ -14,7 +14,8 @@ body trial(rng, T, rec) for each trial, with a _Recorder of that trial.
 The body draws the rest of its data from rng, steps through f(T) with
 yield from rec.eval_matrix, which counts scale retries, and passes each
 residual to rec.record(residual, tol, witness_fn), which keeps the trial's
-first witness with residual > tol, tagged with "trial": i.
+first witness with residual > tol, tagged with "trial": i; a grid's
+residuals go as one array to rec.record_all, which records them in turn.
 
 A body that needs a kernel is a generator, and each value it yields is a
 request (answer, item), answered by one call answer([item, ...]) for all
@@ -26,27 +27,42 @@ tol or be the largest of the call, and elsewhere a value at most w(F)
 whose excess over bound also passes tol and stays below that largest one
 (numerical_radii with checks); (_arcs, [(F, c), ...]) the arc midpoints of
 those level pairs (arc_midpoints); (support_samples, (F, thetas)) h_F at
-thetas; (_psds, (T, ts, ss)) the smallest eigenvalue of Q(T, ts[j],
-ss[j]) for each j; and f's own requests (diskfun._solve_systems, systems), one per
-level of its expression tree, the solutions of those resolvent systems,
-or a PolesNearSpectrumError raised at the yield. The bodies advance in
-lockstep (one lockstep.run per suite call), so each wave of requests from
-all live trials costs one numerical_radii call, one level_cuts call (one
-stacked eigenvalue call per size), one support_samples sweep, one stacked
-solve per size for the resolvents and one stacked eigensolve per size for
-the Q-form grids: the kernels run on stacks instead of one matrix at a
-time. Each trial draws from its own rng and records into its own recorder,
-so the order in which trials advance changes nothing: the report sums
-failures and retries, takes the worst residual, and keeps the witness of
-the lowest failing trial. A trial whose radius check stops early passes
+thetas; (_psds, (T, ts, ss, tol)), the request of the Q-form suites'
+checks lambda_min(Q(T, ts[j], ss[j])) >= -tol, receives for each j that
+smallest eigenvalue, or a level c below it where linalg.certify_above
+proves that the point passes tol and stays below the largest residual the
+call solves exactly; and f's own requests (diskfun._solve_systems,
+systems), one per level of its expression tree, the solutions of those
+resolvent systems, or a PolesNearSpectrumError raised at the yield. The
+bodies advance in lockstep (one lockstep.run per suite call), so each wave
+of requests from all live trials costs one numerical_radii call, one
+level_cuts call (one stacked eigenvalue call per size), one
+support_samples sweep, one stacked solve per size for the resolvents, and
+for the Q-form grids one stacked eigensolve per size at every SUBGRID-th
+point and one stacked Cholesky certificate per size at the others: the
+kernels run on stacks instead of one matrix at a time. Each trial draws
+from its own rng and records into its own recorder, so the order in which
+trials advance changes nothing: the report sums failures and retries,
+takes the worst residual, and keeps the witness of the lowest failing
+trial. A trial whose radius check stops early passes
 either way, and its residual stays below one that another trial of the
-same call records, so the report is the one exact radii give. A residual
-that is not a finite number raises NumericError (exit 3), as no comparison
-with tol could count it.
+same call records, so the report is the one exact radii give.
+
+The same holds for a certified grid point. Let W0 be the largest residual
+-lambda_min that _psds solves exactly at the subgrid, and m a margin of
+1e-12 ||Q||_2 or more, many times eigvalsh's rounding (about n eps
+||Q||_2). A point certified at c = min(W0, tol) - m has lambda_min > c, so
+its residual from exact eigenvalues would be below min(W0, tol), and the
+residual recorded for it, -c, is below it too: either passes tol, and
+neither is the call's worst, which is at least W0. So failures,
+worst_residual, the witness and every report byte are those of exact
+eigenvalues at every point. A residual that is not a finite number raises
+NumericError (exit 3), as no comparison with tol could count it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -72,10 +88,17 @@ from .fov import (
     numerical_radius,
     support_samples,
 )
-from .linalg import min_eigenvalue
+from .linalg import certify_above, min_eigenvalue
 
 # grid points per t range of region S's boundary in the Q-form suites
 BRANCH_POINTS = 21
+
+# _psds solves lambda_min exactly at every SUBGRID-th point of a grid
+# (indices 0, 10, 20, ...), and certifies the other points below the
+# largest residual found there by a margin of Q_MARGIN times a bound on
+# ||Q||_2: many times eigvalsh's rounding, about n eps ||Q||_2
+SUBGRID = BRANCH_POINTS // 2
+Q_MARGIN = 1e-12
 
 _SUITE_IDS = {
     "berger-stampfli": 1,
@@ -131,6 +154,10 @@ class VerifyReport:
         return {**asdict(self), "worst_residual": worst, "warning": self.warning}
 
 
+def _not_finite(residual):
+    raise NumericError(f"residual {float(residual)} is not a finite number")
+
+
 class _Recorder:
     """Accumulates one trial's residuals, scale retries and first failing
     witness; trial is None for the checks that belong to no trial."""
@@ -147,14 +174,32 @@ class _Recorder:
         NumericError if it is not a finite number, which no comparison
         would count."""
         if not math.isfinite(residual):
-            raise NumericError(f"residual {residual} is not a finite number")
+            _not_finite(residual)
         self.worst = max(self.worst, float(residual))  # not np.float64(...) in reports
         if residual > tol:
-            self.failures += 1
-            if self.witness is None:
-                self.witness = witness_fn()
-                if self.trial is not None:
-                    self.witness["trial"] = self.trial
+            self._fail(1, witness_fn)
+
+    def record_all(self, residuals: np.ndarray, tol: float, witness_fn):
+        """record(residuals[j], tol, lambda: witness_fn(j)) for each j in
+        turn, in one call: the largest residual is the first one that the
+        max fold keeps, and the witness that of the first failing j."""
+        finite = np.isfinite(residuals)
+        if not finite.all():
+            _not_finite(residuals[finite.argmin()])
+        if residuals.size:
+            self.worst = max(self.worst, float(residuals[residuals.argmax()]))
+            failing = np.flatnonzero(residuals > tol)
+            if failing.size:
+                self._fail(failing.size, lambda: witness_fn(int(failing[0])))
+
+    def _fail(self, count: int, witness_fn):
+        """Count failures, and keep the first one's witness, tagged with
+        the trial."""
+        self.failures += count
+        if self.witness is None:
+            self.witness = witness_fn()
+            if self.trial is not None:
+                self.witness["trial"] = self.trial
 
     def eval_matrix(self, f: DiskFunction, T: np.ndarray):
         """A body's steps (yield from) for f(T): those of f.steps(T), and
@@ -211,19 +256,53 @@ def _arcs(asks):
 
 
 def _psds(asks):
-    """Per size of T and grid (ts, ss): one q_form stack and one
-    min_eigenvalue call for the whole grid of every T."""
-    lams = [None] * len(asks)
+    """For each (T, ts, ss, tol), a value for each grid point j: the
+    smallest eigenvalue of Q(T, ts[j], ss[j]), or a level c below it where
+    that point provably passes and cannot set the call's worst residual.
+
+    Phase 1 solves lambda_min exactly at every SUBGRID-th point, one
+    q_form stack and one min_eigenvalue call per size of T and grid; W0 is
+    the largest residual -lambda_min found there. Phase 2 then builds the
+    other points' Q-forms, size by size, and answers
+    c = min(W0, tol) - m for T, m = Q_MARGIN (1 + 2 max |t| ||T||_F +
+    max |s| ||T||_F^2) >= Q_MARGIN ||Q||_2, where certify_above proves
+    lambda_min > c, and the exact lambda_min elsewhere.
+    """
     groups = {}
-    for i, (T, ts, ss) in enumerate(asks):
+    for i, (T, ts, ss, _) in enumerate(asks):
         groups.setdefault((T.shape, ts.tobytes(), ss.tobytes()), []).append(i)
+    grids = []
     for run in groups.values():
-        _, ts, ss = asks[run[0]]
-        Q = regions.q_form(np.stack([asks[i][0] for i in run]), ts, ss)
-        n = Q.shape[-1]
-        for i, row in zip(run, min_eigenvalue(Q.reshape(-1, n, n)).reshape(len(run), -1)):
+        _, ts, ss, _ = asks[run[0]]
+        Ts = np.stack([asks[i][0] for i in run])
+        sub = np.zeros(len(ts), dtype=bool)
+        sub[::SUBGRID] = True
+        values = np.empty((len(run), len(ts)))
+        values[:, sub] = min_eigenvalue(_q_stack(Ts, ts[sub], ss[sub])).reshape(len(run), -1)
+        grids.append((run, Ts, ts, ss, sub, values))
+    w0 = max(-values[:, sub].min() for *_, sub, values in grids)
+    lams = [None] * len(asks)
+    for run, Ts, ts, ss, sub, values in grids:
+        rest = ~sub
+        fro = np.linalg.norm(Ts, axis=(-2, -1))
+        margin = Q_MARGIN * (1.0 + 2.0 * np.abs(ts).max() * fro + np.abs(ss).max() * fro ** 2)
+        levels = margin - np.minimum(w0, [asks[i][3] for i in run])
+        Q = _q_stack(Ts, ts[rest], ss[rest])
+        answer = np.repeat(levels, rest.sum())
+        exact = ~certify_above(Q, answer)
+        if exact.any():
+            answer[exact] = min_eigenvalue(Q[exact])
+        values[:, rest] = answer.reshape(len(run), -1)
+        for i, row in zip(run, values):
             lams[i] = row
     return lams
+
+
+def _q_stack(Ts: np.ndarray, ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
+    """Q(Ts[i], ts[j], ss[j]) for each i and j, in that order, as one
+    (m k, n, n) stack."""
+    Q = regions.q_form(Ts, ts, ss)
+    return Q.reshape(-1, *Q.shape[-2:])
 
 
 def random_matrix(rng: np.random.Generator, dim: int | None = None) -> np.ndarray:
@@ -339,13 +418,13 @@ def check_props52(trials: int | range, seed: int = 42) -> VerifyReport:
 
 def _psd_grid(ts: np.ndarray, ss: np.ndarray, tol: float):
     """Trial body: Q(T, ts[j], ss[j]) >= 0 at every grid point, from the
-    _psds request that one stacked eigensolve per size answers for every
-    trial of a wave, recorded in grid order."""
+    _psds request that stacked eigensolves and Cholesky certificates answer
+    for every trial of a wave, recorded in grid order."""
     points = list(zip(ts.tolist(), ss.tolist()))
     def trial(rng, T, rec):
-        lams = (yield _psds, (T, ts, ss)).tolist()
-        for (t, s), lam in zip(points, lams):
-            rec.record(-lam, tol, lambda: _matrix_witness(T, t=t, s=s, lam_min=lam))
+        lams = yield _psds, (T, ts, ss, tol)
+        rec.record_all(-lams, tol, lambda j: _matrix_witness(
+            T, t=points[j][0], s=points[j][1], lam_min=float(lams[j])))
     return trial
 
 
@@ -409,6 +488,26 @@ def check_drury(trials: int | range, seed: int = 42) -> VerifyReport:
     return _run("drury", trials, seed, tol, trial)
 
 
+@functools.cache
+def _sharpness_table() -> tuple[tuple, tuple, tuple, np.ndarray]:
+    """(Ms, ts, ss, lams) of region-s's sharpness check: at offset 0.01
+    below each branch, the proof's counterexample M (2 x shift, -I,
+    -(t/s) I) and lambda_min of Q(M, t, s). It depends on no seed or trial
+    count, so it is built once per process, on the first region-s call."""
+    k = BRANCH_POINTS
+    ts, ss = _boundary_points((0.025, 0.475), (0.51, 1.0), (1.1, 2.0))
+    ss = ss - 0.01
+    shift = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
+    eye = np.eye(2, dtype=complex)
+    Ms = [shift] * k + [-eye] * k + [-(t / s) * eye for t, s in zip(ts[2 * k:], ss[2 * k:])]
+    lams = min_eigenvalue(np.concatenate(
+        [regions.q_form(shift, ts[:k], ss[:k]), regions.q_form(-eye, ts[k:2 * k], ss[k:2 * k])]
+        + [regions.q_form(M, t, s)[None]
+           for M, t, s in zip(Ms[2 * k:], ts[2 * k:], ss[2 * k:])]))
+    lams.flags.writeable = False
+    return tuple(Ms), tuple(ts.tolist()), tuple(ss.tolist()), lams
+
+
 def check_region_S(trials: int | range, seed: int = 42) -> VerifyReport:
     """Boundary membership and below-boundary sharpness of the region S.
 
@@ -420,19 +519,9 @@ def check_region_S(trials: int | range, seed: int = 42) -> VerifyReport:
     membership = _psd_grid(*_boundary_points((0.0, 0.5), (0.5, 1.0), (1.0, 2.0)), tol)
 
     def sharp(rec):
-        k = BRANCH_POINTS
-        ts, ss = _boundary_points((0.025, 0.475), (0.51, 1.0), (1.1, 2.0))
-        ss = ss - 0.01
-        # the proof's counterexample below each branch: 2 x shift, -I, -(t/s) I
-        shift = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
-        eye = np.eye(2, dtype=complex)
-        Ms = [shift] * k + [-eye] * k + [-(t / s) * eye for t, s in zip(ts[2 * k:], ss[2 * k:])]
-        lams = min_eigenvalue(np.concatenate(
-            [regions.q_form(shift, ts[:k], ss[:k]), regions.q_form(-eye, ts[k:2 * k], ss[k:2 * k])]
-            + [regions.q_form(M, t, s)[None]
-               for M, t, s in zip(Ms[2 * k:], ts[2 * k:], ss[2 * k:])]))
-        for M, t, s, lam in zip(Ms, ts.tolist(), ss.tolist(), lams.tolist()):
-            rec.record(lam, 0.0, lambda: _matrix_witness(M, t=t, s=s, lam_min=lam))
+        Ms, ts, ss, lams = _sharpness_table()
+        rec.record_all(lams, 0.0, lambda j: _matrix_witness(
+            Ms[j], t=ts[j], s=ss[j], lam_min=float(lams[j])))
     return _run("region-s", trials, seed, tol, membership, sharp)
 
 

@@ -195,3 +195,27 @@ def test_range_peak_memory(tmp_path, run_fresh):
     """)))
     report(f"range at n = 3 in a fresh process: peak RSS grows {grown:.1f} MB < 10 MB",
            grown < 10.0, time.perf_counter() - t0, 30.0)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_region_s_peak_memory(run_fresh):
+    # region-s at 2000 trials grew the peak by 92.4 MB when every grid
+    # point had its own eigensolve, and by 66.8 MB with certified points;
+    # a _psds that kept every size's Q-form stack alive through both of its
+    # phases grew it by 105.5 MB
+    t0 = time.perf_counter()
+    grown = float(run_fresh("-c", textwrap.dedent("""
+        import contextlib, io
+        from numrange.cli import main
+
+        def peak_kb():
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+        before = peak_kb()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "--suite", "region-s", "--trials", "2000"]) == 0
+        print((peak_kb() - before) / 1024.0)
+    """)))
+    report(f"region-s at 2000 trials in a fresh process: peak RSS grows {grown:.1f} MB < 100 MB",
+           grown < 100.0, time.perf_counter() - t0, 30.0)

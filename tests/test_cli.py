@@ -122,6 +122,19 @@ def test_zero_radius_and_supports_print_unsigned(T, radius, tmp_path, capsys):
     assert supports.count("0") == (360 if radius.startswith("0") else 180)
 
 
+def test_range_points_print_unsigned_zeros(tmp_path, capsys):
+    # e^{i theta}(h + i h') with h = h' = 0 is -0.0 in the real part where
+    # cos theta < 0 and in the imaginary part where sin theta < 0: 180 of
+    # diag(1, 0, 0)'s 360 rows printed a -0 point coordinate
+    path = tmp_path / "diag100.mat"
+    path.write_text(serialize_matrix(np.diag([1.0, 0.0, 0.0])))
+    assert main(["range", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[92:94] == ["1.5882496193148399,0,0,0", "1.605702911834783,0,0,0"]
+    assert lines[182:184] == ["3.1590459461097362,0,0,0", "3.1764992386296798,0,0,0"]
+    assert not [line for line in lines if "-0" in line.split(",")]
+
+
 class TestRange:
     def test_csv_circle(self, shift_file, capsys):
         assert main(["range", shift_file, "--angles", "90"]) == 0

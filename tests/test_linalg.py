@@ -4,12 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numrange.errors import NotHermitianError, SingularError
-from numrange.linalg import is_psd, min_eigenvalue, operator_norm, solve
+from numrange.linalg import certify_above, is_psd, min_eigenvalue, operator_norm, solve
 
 
 def random_hermitian(rng, n):
     M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return (M + M.conj().T) / 2
+
+
+def with_spectrum(rng, lams):
+    """U diag(lams) U* for a random unitary U, made exactly Hermitian."""
+    n = len(lams)
+    U, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    H = (U * np.asarray(lams, dtype=float)) @ U.conj().T
+    return (H + H.conj().T) / 2
 
 
 class TestSolve:
@@ -141,6 +149,112 @@ class TestMinEigenvalueStack:
             min_eigenvalue(np.zeros((3, 2, 4)))
         with pytest.raises(ValueError, match="square"):
             min_eigenvalue(np.zeros((2, 3, 2, 2)))
+
+
+class TestMinEigenvalueNearOverflow:
+    # (H + H*)/2 and the Frobenius norms overflowed: [[1e308, 0], [0, 1]]
+    # gave nan, and from about 1e154 the norms raised a RuntimeWarning
+
+    def test_matrix(self):
+        assert min_eigenvalue(np.array([[1e308, 0], [0, 1]], dtype=complex)) == 1.0
+
+    def test_stack_with_one_such_member(self):
+        rng = np.random.default_rng(24)
+        H = np.stack([random_hermitian(rng, 2) for _ in range(4)])
+        H[2] = [[2.0, 0.0], [0.0, 1e308]]
+        lams = min_eigenvalue(H)
+        assert lams[2] == 2.0
+        assert np.array_equal(np.delete(lams, 2), min_eigenvalue(np.delete(H, 2, axis=0)))
+
+    def test_near_hermitian_large_matrix(self):
+        # within tolerance of Hermitian, so symmetrized: its norms are taken
+        # after scaling, and it is halved before the sum, which could overflow
+        for big in (1e200, 1e308):
+            H = np.array([[big, 1.0], [1.0 + 1e-6, big / 2]], dtype=complex)
+            assert min_eigenvalue(H) == big / 2
+        message = r"deviates from Hermitian by 1.414e\+300 \(allowed 1.414e\+291\)"
+        with pytest.raises(NotHermitianError, match=message):
+            min_eigenvalue(np.array([[1e300, 1e300], [0.0, 1.0]], dtype=complex))
+
+
+class TestCertifyAbove:
+    # True must prove lambda_min > c: never True where eigvalsh gives
+    # lambda_min <= c
+
+    @staticmethod
+    def _never_above(H, c, certified):
+        lams = np.linalg.eigvalsh(H)[:, 0]
+        assert certified.dtype == bool and certified.shape == lams.shape
+        assert not np.any(certified & (lams <= c))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_seeded_stacks(self, n):
+        rng = np.random.default_rng([31, n])
+        H = np.stack([random_hermitian(rng, n) for _ in range(40)])
+        lams = np.linalg.eigvalsh(H)[:, 0]
+        scale = np.abs(H).max(axis=(1, 2))
+        for gap in (-1e-3, -1e-9, -1e-13, 0.0, 1e-13, 1e-9, 1e-3):
+            c = lams - gap * scale
+            certified = certify_above(H, c)
+            self._never_above(H, c, certified)
+            if gap >= 1e-9:
+                assert certified.all()
+        # one level for the whole stack: away from it, certified iff above
+        c = float(np.median(lams))
+        certified = certify_above(H, c)
+        self._never_above(H, c, certified)
+        far = np.abs(lams - c) > 1e-9 * scale
+        assert np.array_equal(certified[far], lams[far] > c)
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 16])
+    def test_near_singular_members(self, n):
+        # lambda_min = c + k eps scale for k = -8..8: the pad is above any
+        # of these gaps, so none is certified, and eigvalsh is the oracle
+        rng = np.random.default_rng([32, n])
+        eps = np.finfo(float).eps
+        for c, scale in ((0.0, 1.0), (0.7, 4.0), (-3.0, 10.0)):
+            H = np.stack([with_spectrum(rng, [c + k * eps * scale]
+                                        + list(rng.uniform(c + 0.5 * scale, c + scale, n - 1)))
+                          for k in range(-8, 9)])
+            certified = certify_above(H, c)
+            self._never_above(H, c, certified)
+            assert not certified.any()
+            assert certify_above(H, c - 1e-12 * scale).all()
+
+    @pytest.mark.parametrize("power", [500, -500])
+    def test_scaled_entries(self, power):
+        rng = np.random.default_rng(33)
+        H = np.stack([random_hermitian(rng, 6) for _ in range(30)])
+        lams = np.linalg.eigvalsh(H)[:, 0]
+        factor = 2.0 ** power
+        for gap in (-1e-6, 0.0, 1e-6):
+            c = (lams - gap) * factor
+            certified = certify_above(H * factor, c)
+            self._never_above(H * factor, c, certified)
+            assert certified.all() == (gap > 0)
+
+    def test_empty_stack(self):
+        certified = certify_above(np.zeros((0, 3, 3), dtype=complex), 0.0)
+        assert certified.shape == (0,) and certified.dtype == bool
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 16])
+    def test_one_failing_member_at_each_position(self, k):
+        # numpy raises for the whole stack; the split isolates the member
+        rng = np.random.default_rng([34, k])
+        for j in range(k):
+            H = np.stack([with_spectrum(rng, rng.uniform(1.0, 2.0, 4)) for _ in range(k)])
+            H[j] = with_spectrum(rng, [0.5, 1.0, 1.5, 2.0])
+            assert np.array_equal(certify_above(H, 0.9), np.arange(k) != j)
+
+    def test_checks_hermitian_and_levels(self):
+        H = np.stack([np.eye(2, dtype=complex)] * 3)
+        H[1, 0, 1] = 1e-3
+        with pytest.raises(NotHermitianError, match="matrix 1 "):
+            certify_above(H, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            certify_above(np.stack([np.eye(2)] * 2), [0.0, np.nan])
+        with pytest.raises(ValueError, match="square"):
+            certify_above(np.eye(2), 0.0)
 
 
 class TestOperatorNorm:

@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -162,24 +163,38 @@ class TestQFormSuites:
                      if -min_eigenvalue(q_form(T, t, t * t - 0.25)) > report.tolerance)
         assert (w["t"], w["s"]) == (first, first * first - 0.25)
 
-    @pytest.mark.parametrize("suite, points, extra", [
-        ("operator-ineq", 21, []),
-        ("region-s", 63, [63]),  # and the sharpness table
+    @pytest.mark.parametrize("suite, subgrid, points, table", [
+        ("operator-ineq", 3, 21, []),
+        ("region-s", 7, 63, [63]),
     ], ids=["operator-ineq", "region-s"])
-    def test_one_eigensolve_call_per_size(self, monkeypatch, suite, points, extra):
-        # the 20 trials' grids in one stacked call per size of T, in the
-        # order of the first trial of each size
+    def test_one_eigensolve_call_per_size(self, monkeypatch, suite, subgrid, points, table):
+        # the matrices whose lambda_min a 20-trial call solves exactly: the
+        # grids' every SUBGRID-th point, in one stacked call per size of T in
+        # the order of the first trial of each size; the points that
+        # certify_above could not certify (none at seed 1, so no second call
+        # per size); and region-s's sharpness table once per process. The
+        # reference path solves each trial's whole grid in one call
         calls = []
 
         def counted(H, *args):
             calls.append(len(H))
             return min_eigenvalue(H, *args)
 
+        verify._sharpness_table.cache_clear()
         monkeypatch.setattr(verify, "min_eigenvalue", counted)
-        assert verify.SUITES[suite](20, seed=1).passed
         sizes = Counter(len(random_matrix(_trial_rng(1, suite, i))) for i in range(20))
         assert len(sizes) == 7
-        assert calls == [points * count for count in sizes.values()] + extra
+        runs = []
+        for answer in (verify._psds, verify._psds, _exact_psds):
+            monkeypatch.setattr(verify, "_psds", answer)
+            calls.clear()
+            assert verify.SUITES[suite](20, seed=1).passed
+            runs.append(list(calls))
+        first, second, reference = runs
+        assert first == [subgrid * count for count in sizes.values()] + table
+        assert second == [subgrid * count for count in sizes.values()]
+        assert reference == [points] * 20
+        assert [sum(run) for run in runs] == [20 * subgrid + sum(table), 20 * subgrid, 20 * points]
 
     def test_sharpness_table_q_form_calls(self, monkeypatch):
         # one stacked call for each fixed counterexample (2 x shift, -I);
@@ -190,6 +205,7 @@ class TestQFormSuites:
             shapes.append(np.shape(t))
             return q_form(T, t, s)
 
+        verify._sharpness_table.cache_clear()
         monkeypatch.setattr(verify.regions, "q_form", counted)
         assert check_region_S(0, seed=1).passed
         assert shapes == [(21,), (21,)] + [()] * 21
@@ -429,6 +445,124 @@ class TestLockstep:
 def _exact_checked_radii(asks):
     """The reference path for _checked_radii: the exact radii of its matrices."""
     return verify._radii([[F for F, _, _ in ask] for ask in asks])
+
+
+def _exact_psds(asks):
+    """The reference path for _psds: lambda_min at every grid point."""
+    return [verify.min_eigenvalue(q_form(T, ts, ss)) for T, ts, ss, _ in asks]
+
+
+class TestQFormCertificate:
+    # operator-ineq and region-s ask _psds, which answers the grid points
+    # that certify_above proves to pass, below the call's worst residual,
+    # with a level below lambda_min: their reports must keep the bytes of
+    # the reference path
+    SUITES = ["operator-ineq", "region-s"]
+
+    @staticmethod
+    def _both(monkeypatch, run):
+        """(run() as it is, run() on the reference path, whether some
+        answer of the first run was a certified level). Both runs ask the
+        same waves, and each answer is checked against the reference
+        path's lambda_min at its point. The second run reuses the first
+        run's normalized draws, which _psds does not touch."""
+        answers = {verify._psds: [], _exact_psds: []}
+        normalized, draws = verify.normalize_radii, {}
+
+        def normalize_once(mats):
+            key = tuple(T.tobytes() for T in mats)
+            if key not in draws:
+                draws[key] = normalized(mats)
+            return draws[key]
+
+        reports = []
+        for answer, replies in answers.items():
+            def recorded(asks, answer=answer, replies=replies):
+                replies.append(answer(asks))
+                return replies[-1]
+
+            with monkeypatch.context() as m:
+                m.setattr(verify, "_psds", recorded)
+                m.setattr(verify, "normalize_radii", normalize_once)
+                reports.append(run())
+        certified = False
+        for wave, exact_wave in zip(*answers.values(), strict=True):
+            for values, exact in zip(wave, exact_wave, strict=True):
+                assert np.all(values <= exact)
+                certified |= bool(np.any(values != exact))
+        return *reports, certified
+
+    @staticmethod
+    def _scaled(monkeypatch, scale):
+        """T scaled by scale after normalization."""
+        normalized = verify.normalize_radii
+        monkeypatch.setattr(verify, "normalize_radii",
+                            lambda mats: [scale * T for T in normalized(mats)])
+
+    def _same_reports(self, monkeypatch, suite, trials, seeds):
+        """The summed failures of the suite's reports at these seeds, each
+        checked to keep the reference path's text and --json bytes."""
+        failures = 0
+        for seed in seeds:
+            fast, reference, certified = self._both(
+                monkeypatch, lambda: verify.SUITES[suite](trials, seed))
+            assert certified
+            assert fast.to_text() == reference.to_text()
+            assert json.dumps(fast.to_json_dict()) == json.dumps(reference.to_json_dict())
+            failures += fast.failures
+        return failures
+
+    @pytest.mark.parametrize("suite", SUITES)
+    @pytest.mark.parametrize("trials, seeds", [(20, range(60)), (200, range(5)),
+                                               (1000, range(2))],
+                             ids=["20x60", "200x5", "1000x2"])
+    def test_reports_keep_their_bytes(self, monkeypatch, suite, trials, seeds):
+        assert self._same_reports(monkeypatch, suite, trials, seeds) == 0
+
+    @pytest.mark.parametrize("suite", SUITES)
+    @pytest.mark.parametrize("scale", [1.02, 1 + 1e-5, 1 + 1e-7],
+                             ids=["1.02", "1+1e-5", "1+1e-7"])
+    def test_failing_reports_keep_their_bytes(self, monkeypatch, suite, scale):
+        # at 1.02 many trials fail, at 1 + 1e-5 a few; at 1 + 1e-7 none
+        # does, and the worst residuals come within 3e-6 of the tolerance
+        self._scaled(monkeypatch, scale)
+        failures = self._same_reports(monkeypatch, suite, 20, range(20))
+        failures += self._same_reports(monkeypatch, suite, 200, range(2))
+        assert (failures > 0) == (scale > 1 + 1e-6)
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_failing_witness_replay_keeps_its_bytes(self, monkeypatch, capsys, suite):
+        self._scaled(monkeypatch, 1.02)
+        witness = verify.SUITES[suite](20, 1).witness
+
+        def replay():
+            assert main(["verify", "--suite", suite, "--seed", "1", "--trial",
+                         str(witness["trial"]), "--json"]) == 1
+            return capsys.readouterr().out
+
+        fast, reference, _ = self._both(monkeypatch, replay)
+        assert fast == reference
+        assert json.loads(fast)[0]["witness"] == witness
+
+    def test_record_all_is_record_in_turn(self):
+        # the max fold keeps the first of equal residuals, so 0.0 after
+        # -0.0 leaves -0.0; failures count and the first failing witness
+        rng = np.random.default_rng(5)
+        rows = [np.array([-0.0, 0.0, -1.0]), np.array([0.0, -0.0]), np.array([]),
+                np.array([2.0, -3.0, 2.0, 1.0])]
+        rows += [np.round(rng.normal(size=9), 1) for _ in range(20)]
+        for row in rows:
+            one, each = verify._Recorder(3), verify._Recorder(3)
+            one.record_all(row, 0.5, lambda j: {"j": j})
+            for j, r in enumerate(row.tolist()):
+                each.record(r, 0.5, lambda: {"j": j})
+            assert (one.failures, one.witness) == (each.failures, each.witness)
+            assert math.copysign(1.0, one.worst) == math.copysign(1.0, each.worst)
+            assert one.worst == each.worst and type(one.worst) is float
+
+    def test_record_all_rejects_a_non_finite_residual(self):
+        with pytest.raises(NumericError, match="residual nan"):
+            verify._Recorder().record_all(np.array([0.0, np.nan]), 1.0, None)
 
 
 class TestCheckedRadii:
