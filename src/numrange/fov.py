@@ -119,7 +119,7 @@ def hermitian_part(T, theta: float = 0.0) -> np.ndarray:
     """(e^{-i theta} T + e^{i theta} T*)/2, Hermitian by construction, formed
     from the prescaled T; NumericError if an entry is not finite."""
     S, e = _prescaled(linalg.as_matrix(T)[None])
-    H = _rotated(*_cartesian_parts(S), [0], np.array([theta]))[0]
+    H = _rotated(_cartesian_parts(S), [0], _trig(np.array([theta])))[0]
     with np.errstate(over="ignore"):
         H.real, H.imag = np.ldexp(H.real, e), np.ldexp(H.imag, e)
     return _finite(H, "Hermitian part entry")
@@ -195,9 +195,9 @@ def boundary(T, n_angles: int) -> BoundaryCurve:
     return BoundaryCurve(thetas=thetas, supports=supports, points=points)
 
 
-def _extreme_pairs(S: np.ndarray, thetas: np.ndarray):
-    """(h, h') of the prescaled matrix S at each of thetas, each with
-    columns theta and theta + pi.
+def _extreme_pairs(S: np.ndarray, thetas: np.ndarray, cs: np.ndarray):
+    """(h, h') of the prescaled matrix S at each of thetas, whose cos and sin
+    are the columns of cs, each with columns theta and theta + pi.
 
     H(theta) = cos A + sin B, formed as _rotated forms it from the cartesian
     parts of S, is reduced once to real tridiagonal form, H = Q T Q*
@@ -216,13 +216,12 @@ def _extreme_pairs(S: np.ndarray, thetas: np.ndarray):
     n = len(S)
     # Fortran order, so that zhetrd works on H in place
     A, B = (np.asfortranarray(X) for X in _cartesian_parts(S))
-    cos, sin = np.cos(thetas), np.sin(thetas)
     vals = np.empty((len(thetas), 2))
     vecs = np.empty((len(thetas), 2, n), dtype=complex)
     for k in range(len(thetas)):
         Z = vecs[k].T  # the two vectors at thetas[k], as Fortran-order columns
-        H = A * cos[k]
-        H += B * sin[k]
+        H = A * cs[0, k]
+        H += B * cs[1, k]
         c, d, e, tau, info = lapack.zhetrd(H, lower=1, overwrite_a=1)
         _lapack_ok("zhetrd", info)
         for col, i in enumerate((n, 1)):
@@ -237,7 +236,7 @@ def _extreme_pairs(S: np.ndarray, thetas: np.ndarray):
     # <Sx, x> of both vectors at each angle
     forms = (vecs.conj() * (vecs @ S.T)).sum(axis=2)
     # -lambda_1 is -0.0 where lambda_1 = 0; + 0.0 turns only that into 0.0
-    return vals * [1, -1] + 0.0, (np.exp(-1j * thetas)[:, None] * forms).imag * [1, -1]
+    return vals * _SIGNS + 0.0, (np.exp(-1j * thetas)[:, None] * forms).imag * _SIGNS
 
 
 def _lapack_ok(routine: str, info: int):
@@ -278,26 +277,42 @@ def _lapack():
     return scipy.linalg.lapack._flapack
 
 
-def _cartesian_parts(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A = (T + T*)/2, B = (T - T*)/2i of a stack T: H = cos(theta) A + sin(theta) B."""
+def _cartesian_parts(T: np.ndarray) -> np.ndarray:
+    """A = (T + T*)/2 and B = (T - T*)/2i of a matrix or stack T, as the
+    two halves AB[0] = A and AB[1] = B of one array, each formed in place:
+    H = cos(theta) A + sin(theta) B."""
     TH = T.conj().swapaxes(-1, -2)
-    return (T + TH) / 2.0, (T - TH) * -0.5j
+    AB = np.empty((2,) + T.shape, dtype=complex)
+    A, B = AB
+    np.add(T, TH, out=A)
+    A /= 2.0
+    np.subtract(T, TH, out=B)
+    B *= -0.5j
+    return AB
 
 
-def _rotated(A: np.ndarray, B: np.ndarray, j, thetas: np.ndarray) -> np.ndarray:
-    """H(thetas[c]) of matrix j[c] of the stacks A, B, formed in place in the
-    copies A[j] and B[j], which saves two temporaries of that size."""
-    H, G = A[j], B[j]
-    H *= np.cos(thetas)[:, None, None]
-    G *= np.sin(thetas)[:, None, None]
-    H += G
+def _trig(thetas: np.ndarray) -> np.ndarray:
+    """cos and sin of each of thetas, as the rows of a (2, k) array."""
+    return np.array([np.cos(thetas), np.sin(thetas)])
+
+
+def _rotated(AB: np.ndarray, j, cs: np.ndarray) -> np.ndarray:
+    """H(theta_c) = cos A + sin B of matrix j[c] for each cell c, from the
+    cartesian parts AB = (A, B) of a stack and the rows cs = (cos, sin) of
+    the cells' angles: the gathered parts AB[:, j] are scaled in place, and
+    the sum is formed in their A half, which is returned, so that the step
+    takes one gathered array."""
+    G = AB[:, j]
+    G *= cs[:, :, None, None]
+    H = G[0]
+    H += G[1]
     return H
 
 
-def _top_eigh(A: np.ndarray, B: np.ndarray, j: np.ndarray, thetas: np.ndarray,
-              paired: bool = False):
+def _top_eigh(AB: np.ndarray, j: np.ndarray, cs: np.ndarray, paired: bool = False):
     """h, h', h'' of h(theta) = lambda_max(H_j(theta)) for matrix j[c] of the
-    stacks A, B at thetas[c]; paired, each with columns theta and theta + pi.
+    cartesian parts AB = (A, B) of a stack at the angle theta_c whose cos
+    and sin are cs[:, c]; paired, each with columns theta and theta + pi.
 
     h' = x* H' x for a unit top eigenvector x, which is Im(e^{-i theta}<Tx,x>),
     and h'' = -h + 2 sum_j |y_j* H' x|^2 / (h - lambda_j) over the other
@@ -305,55 +320,64 @@ def _top_eigh(A: np.ndarray, B: np.ndarray, j: np.ndarray, thetas: np.ndarray,
     column reads the bottom eigenpair (lambda_min, y) of the same eigh, as
     the top pair of H(theta + pi) = -H(theta), whose derivative is
     -H'(theta): h = -lambda_min, h' = -y* H' y and h'' = lambda_min +
-    2 sum_j |y_j* H' y|^2 / (lambda_j - lambda_min).
+    2 sum_j |y_j* H' y|^2 / (lambda_j - lambda_min). AB[:, j] is gathered
+    again after the eigensolve, once for both columns, not kept through it,
+    so that a step's peak memory stays that of _rotated; one conjugated
+    eigenvector stack serves both columns' h' and h''.
     """
-    vals, vecs = np.linalg.eigh(_rotated(A, B, j, thetas))
-    cos, sin = np.cos(thetas)[:, None, None], np.sin(thetas)[:, None, None]
-    top = _derivatives(A, B, j, cos, sin, vals[:, -1], vecs[:, :, -1:],
-                       vals[:, :-1], vecs[:, :, :-1])
+    vals, vecs = np.linalg.eigh(_rotated(AB, j, cs))
+    AB, conj = AB[:, j], vecs.conj()
+    cos, sin = cs[0, :, None, None], cs[1, :, None, None]
+    top = _derivatives(AB, cos, sin, vals[:, -1], vecs[:, :, -1:], conj[:, :, -1],
+                       vals[:, :-1], conj[:, :, :-1])
     if not paired:
         return top
     # H(theta + pi) = -cos A - sin B = -H(theta), whose top pair is the bottom one
-    bottom = _derivatives(A, B, j, -cos, -sin, -vals[:, 0], vecs[:, :, :1],
-                          -vals[:, 1:], vecs[:, :, 1:])
+    bottom = _derivatives(AB, -cos, -sin, -vals[:, 0], vecs[:, :, :1], conj[:, :, 0],
+                          -vals[:, 1:], conj[:, :, 1:])
     return tuple(np.stack(v, axis=1) for v in zip(top, bottom))
 
 
-def _derivatives(A, B, j, cos, sin, h, x, vals, vecs):
-    """(h, h', h'') at the top eigenpair (h, x) of cos A[j] + sin B[j], whose
-    other eigenpairs are (vals, vecs), x and vecs as (k, n, 1) and
-    (k, n, n - 1) stacks. H'x = cos B x - sin A x takes one batched product
-    over the gathered A[j] and one over B[j], for all cells, so each cell's
-    bits do not depend on which cells share the call. A[j] and B[j] are
-    gathered again for it, not kept through the eigensolve, so that a
-    step's peak memory stays that of _rotated."""
-    dx = (cos * (B[j] @ x) - sin * (A[j] @ x))[:, :, 0]
-    x = x[:, :, 0]
-    d1 = np.einsum("ki,ki->k", x.conj(), dx).real
-    coef = np.einsum("kji,kj->ki", vecs.conj(), dx)
+def _derivatives(AB, cos, sin, h, x, x_conj, vals, vecs_conj):
+    """(h, h', h'') at the top eigenpair (h, x) of cos A + sin B for each
+    matrix of the gathered parts AB = (A, B), whose other eigenpairs are
+    vals and the vectors conjugated in vecs_conj; x is a (k, n, 1) stack,
+    x_conj its conjugate as (k, n). H'x = cos B x - sin A x takes one
+    batched product, of every A and B with its x, for all cells, so each
+    cell's bits do not depend on which cells share the call."""
+    Ax, Bx = AB @ x
+    dx = (cos * Bx - sin * Ax)[:, :, 0]
+    d1 = np.einsum("ki,ki->k", x_conj, dx).real
+    coef = np.einsum("kji,kj->ki", vecs_conj, dx)
     gaps = h[:, None] - vals
-    d2 = 2.0 * np.sum((coef * coef.conj()).real / gaps, axis=1) - h
+    d2 = 2.0 * np.add.reduce((coef * coef.conj()).real / gaps, axis=1) - h
     return h, d1, d2
 
 
-def _sinusoids_2x2(T: np.ndarray) -> np.ndarray:
-    """Coefficients P with [m, u, Re b, Im b, and their theta-derivatives]
-    = cos(theta) P[0] + sin(theta) P[1], where H(theta) = [[m + u, b],
-    [conj(b), m - u]] for a 2x2 T."""
-    (t00, t01), (t10, t11) = T.tolist()
-    mean, half_gap = (t00 + t11) / 2, (t00 - t11) / 2
-    a01, b01 = (t01 + t10.conjugate()) / 2, (t01 - t10.conjugate()) * -0.5j
-    from_a = [mean.real, half_gap.real, a01.real, a01.imag]
-    from_b = [mean.imag, half_gap.imag, b01.real, b01.imag]
-    return np.array([from_a + from_b, from_b + [-v for v in from_a]])
+def _sinusoids_2x2(Ts: np.ndarray) -> np.ndarray:
+    """Coefficients P[i] with [m, u, Re b, Im b, and their theta-derivatives]
+    = cos(theta) P[i, 0] + sin(theta) P[i, 1], where H(theta) = [[m + u, b],
+    [conj(b), m - u]] for the 2x2 Ts[i]. One pass over the stack's entries
+    as Python complex numbers, and one array at the end: for the few
+    matrices of a call that costs less than the dozen numpy calls of the
+    same arithmetic on arrays (4 against 11 us for one matrix)."""
+    rows = []
+    for (t00, t01), (t10, t11) in Ts.tolist():
+        mean, half_gap = (t00 + t11) / 2, (t00 - t11) / 2
+        a01, b01 = (t01 + t10.conjugate()) / 2, (t01 - t10.conjugate()) * -0.5j
+        from_a = [mean.real, half_gap.real, a01.real, a01.imag]
+        from_b = [mean.imag, half_gap.imag, b01.real, b01.imag]
+        rows.append([from_a + from_b, from_b + [-v for v in from_a]])
+    return np.array(rows)
 
 
-def _top_2x2(P: np.ndarray, thetas: np.ndarray, order: int = 2):
+def _top_2x2(P: np.ndarray, cs: np.ndarray, order: int = 2):
     """h, h', h'' in closed form for 2x2 T: h = m + r, r = sqrt(u^2 + |b|^2).
-    P holds one set of coefficients per theta. Order 0 returns h alone,
-    formed from the four value columns only."""
+    P holds one set of coefficients per angle theta, whose cos and sin are
+    the matching column of cs. Order 0 returns h alone, formed from the four
+    value columns only."""
     cols = slice(None) if order else slice(4)
-    V = np.cos(thetas)[:, None] * P[:, 0, cols] + np.sin(thetas)[:, None] * P[:, 1, cols]
+    V = cs[0, :, None] * P[:, 0, cols] + cs[1, :, None] * P[:, 1, cols]
     w = V[:, 1:4]
     r = np.hypot(w[:, 0], np.hypot(w[:, 1], w[:, 2]))
     if not order:
@@ -368,34 +392,42 @@ def _top_2x2(P: np.ndarray, thetas: np.ndarray, order: int = 2):
     return V[:, 0] + r, V[:, 4] + dr, d2r - V[:, 0]
 
 
+# the columns lambda_max, lambda_min of an ascending eigvalsh row, and the
+# signs that make them h at theta and at theta + pi
+_EXTREMES = np.array([-1, 0])
+_SIGNS = np.array([1.0, -1.0])
+
+
 def _support_kernels(Ts: np.ndarray) -> dict:
     """The queries of _supports for a (m, n, n) stack, keyed by (order,
-    paired), each taking (j, thetas) for matrix j[c] at thetas[c] and a
-    sorted j; closed forms when n = 2."""
+    paired), each taking (j, thetas, cs) for matrix j[c] at thetas[c],
+    whose cos and sin are the column cs[:, c] (_trig), and a sorted j; closed
+    forms when n = 2."""
     if Ts.shape[1] == 2:
-        P = np.array([_sinusoids_2x2(T) for T in Ts])
-        def pairs(j, thetas, order):
+        P = _sinusoids_2x2(Ts)
+        def pairs(j, thetas, cs, order):
             # there is no eigensolve to save: the closed form at theta + pi
-            both = _top_2x2(P[np.tile(j, 2)], np.concatenate([thetas, thetas + np.pi]), order)
+            turned = _trig(thetas + np.pi)
+            both = _top_2x2(P[np.concatenate([j, j])], np.concatenate([cs, turned], axis=1), order)
             if not order:
                 return both.reshape(2, -1).T
             return tuple(v.reshape(2, -1).T for v in both[:order + 1])
-        return {(0, False): lambda j, thetas: _top_2x2(P[j], thetas, order=0),
+        return {(0, False): lambda j, thetas, cs: _top_2x2(P[j], cs, order=0),
                 (0, True): functools.partial(pairs, order=0),
                 (1, True): functools.partial(pairs, order=1),
-                (2, False): lambda j, thetas: _top_2x2(P[j], thetas),
+                (2, False): lambda j, thetas, cs: _top_2x2(P[j], cs),
                 (2, True): functools.partial(pairs, order=2)}
-    A, B = _cartesian_parts(Ts)
-    def sample(j, thetas):
-        return np.linalg.eigvalsh(_rotated(A, B, j, thetas))[:, -1]
-    def sample_pairs(j, thetas):
+    AB = _cartesian_parts(Ts)
+    def sample(j, thetas, cs):
+        return np.linalg.eigvalsh(_rotated(AB, j, cs))[:, -1]
+    def sample_pairs(j, thetas, cs):
         # H(theta + pi) = -H(theta), whose top eigenvalue is -lambda_min(H(theta))
-        return np.linalg.eigvalsh(_rotated(A, B, j, thetas))[:, [-1, 0]] * [1, -1]
-    def pairs(j, thetas):
-        return _extreme_pairs(Ts[j[0]], thetas)
+        return np.linalg.eigvalsh(_rotated(AB, j, cs))[:, _EXTREMES] * _SIGNS
+    def pairs(j, thetas, cs):
+        return _extreme_pairs(Ts[j[0]], thetas, cs)
     return {(0, False): sample, (0, True): sample_pairs, (1, True): pairs,
-            (2, False): functools.partial(_top_eigh, A, B),
-            (2, True): functools.partial(_top_eigh, A, B, paired=True)}
+            (2, False): lambda j, thetas, cs: _top_eigh(AB, j, cs),
+            (2, True): lambda j, thetas, cs: _top_eigh(AB, j, cs, paired=True)}
 
 
 def _supports(mats):
@@ -403,9 +435,12 @@ def _supports(mats):
     (slots, sweep, scale_back). A 1x1 [t] enters as t I_2, which has the
     same W. Slots hold the prescaled matrices in (n, index) order, and
     mats[i] is in slots[i]. sweep(slot, thetas, order, paired) answers for
-    slot[c] at thetas[c], in one kernel call per distinct n for a sorted
-    slot: order 0 gives h; order 1, which is always paired and asks about
-    one matrix, gives (h, h'); order 2 gives (h, h', h''). A paired query
+    slot[c] at thetas[c], for a sorted slot: it takes cos and sin of all
+    of thetas once, splits the cells into one contiguous run per distinct
+    n with one searchsorted, and makes one kernel call per run, on that
+    run's slices of thetas, cos and sin. Order 0 gives h; order 1, which
+    is always paired and asks about one matrix, gives (h, h'); order 2
+    gives (h, h', h''); no cells give empty arrays. A paired query
     gives each value with columns theta and theta + pi, from the same
     eigensolves as theta alone, and its theta column has the bits of the
     query that is not paired.
@@ -419,18 +454,21 @@ def _supports(mats):
     sized = _size_groups(mats)
     slots = np.argsort([i for run, _, _ in sized for i in run])
     exps = np.concatenate([e for _, _, e in sized])
-    # (first slot, stop slot, methods by order) for each size n
-    stops = np.cumsum([len(run) for run, _, _ in sized]).tolist()
-    groups = [(stop - len(run), stop, _support_kernels(S))
-              for (run, S, _), stop in zip(sized, stops)]
+    # the first slot of each size n, then the slot count; and each size's
+    # (first slot, methods by order)
+    starts = np.cumsum([0] + [len(run) for run, _, _ in sized])
+    groups = [(first, _support_kernels(S)) for (_, S, _), first in zip(sized, starts.tolist())]
 
     def sweep(slot, thetas, order=0, paired=False):
-        # one kernel call per size n, over that size's contiguous run of cells
-        parts = []
-        for first, stop, methods in groups:
-            a, b = np.searchsorted(slot, [first, stop])
-            if a < b:
-                parts.append(methods[order, paired](slot[a:b] - first, thetas[a:b]))
+        cs = _trig(thetas)
+        cuts = slot.searchsorted(starts).tolist()
+        parts = [methods[order, paired](slot[a:b] - first, thetas[a:b], cs[:, a:b])
+                 for (first, methods), a, b in zip(groups, cuts, cuts[1:]) if a < b]
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            empty = np.zeros((0, 2) if paired else 0)
+            return tuple([empty] * (order + 1)) if order else empty
         if order:
             return tuple(np.concatenate(p) for p in zip(*parts))
         return np.concatenate(parts)
@@ -453,7 +491,8 @@ def _cell_bounds(lo, hi, h_lo, h_hi) -> np.ndarray:
     also the bound of a cell of zero width. The bound only decides which
     cells are kept and which checked matrices stop; it is never a reported
     value."""
-    cos_w, sin_w = np.cos(hi - lo), np.sin(hi - lo)
+    width = hi - lo
+    cos_w, sin_w = np.cos(width), np.sin(width)
     c = (h_hi - h_lo * cos_w) / sin_w
     vertex = (c > 0) & (h_lo > h_hi * cos_w)
     return np.where(vertex, np.hypot(h_lo, c), np.maximum(h_lo, h_hi))
@@ -495,9 +534,9 @@ def numerical_radii(mats, checks=None) -> np.ndarray:
     c J_n, against 56 and 64 with one solve per cell. A matrix without a
     live pair keeps its bits and its cost.
 
-    checks, if given, holds a pair (bound, tol) for each matrix, for a
-    caller that asks only whether w(T) - bound <= tol and which matrix has
-    the largest w(T) - bound. The search then stops a matrix, and returns
+    checks, if given, holds a pair (bound, tol) for each matrix (else
+    ValueError, naming both counts), for a caller that asks only whether
+    w(T) - bound <= tol and which matrix has the largest w(T) - bound. The search then stops a matrix, and returns
     the largest h it reached, once a rigorous upper bound u on its w shows
     that u - bound <= tol and that u - bound is below the largest
     best - bound of the call, where best is the largest h each matrix has
@@ -523,6 +562,9 @@ def numerical_radii(mats, checks=None) -> np.ndarray:
     is not finite raises NumericError, and [] gives an empty array.
     """
     mats = list(mats)
+    if checks is not None and len(checks) != len(mats):
+        raise ValueError(f"numerical_radii got {len(checks)} checks for {len(mats)} matrices; "
+                         "it takes one (bound, tol) pair per matrix")
     if not mats:
         return np.zeros(0)
     slots, sweep, scale_back = _supports(mats)
@@ -547,52 +589,65 @@ def numerical_radii(mats, checks=None) -> np.ndarray:
     return scale_back(slots, best[slots], "numerical radius of matrix") + 0.0
 
 
+# the coarse grid: its cell ends, the ends (lo, hi) of each of its cells,
+# and the index of each cell and of its right neighbour
+_ENDS = 2.0 * np.pi / _COARSE_ANGLES * np.arange(_COARSE_ANGLES + 1)
+_EDGES = np.array([_ENDS[:-1], _ENDS[1:]])
+_CELLS = np.arange(_COARSE_ANGLES)
+_NEXT = np.roll(_CELLS, -1)
+
+
 def _cell_search(sweep, k: int, settled=None) -> np.ndarray:
     """The largest h reached by the search of numerical_radii for each of k
     slots; sweep(slot, thetas) samples h of matrix slot[c] at thetas[c],
     sweep(slot, thetas, order=2) gives h, h', h'', and paired=True answers
     each query at thetas[c] + pi too. settled(best, upper), if given, names
     the slots whose search stops, from the best h and an upper bound on
-    max h of each slot; it is asked at the stop points of numerical_radii."""
+    max h of each slot; it is asked at the stop points of numerical_radii.
+
+    The live cells are held as the rows of two arrays, so that each stage
+    selects, splits or updates all of them in a few calls: cell holds
+    (lo, hi, h_lo, h_hi, vertex), where vertex is where the cell's Newton
+    refinement starts, set by the halvings; ids holds (slot, idx), idx
+    being the cell's index on the grid of `cells` cells of this width,
+    whose cell i splits into cells 2i and 2i + 1 of the next grid."""
     width = 2.0 * np.pi / _COARSE_ANGLES
-    ends = width * np.arange(_COARSE_ANGLES + 1)
-    # ends[k] + pi is ends[k + half] to the bit, so the paired samples at
+    # _ENDS[k] + pi is _ENDS[k + half] to the bit, so the paired samples at
     # the first half of the grid are the samples at all of it
     half = _COARSE_ANGLES // 2
     live = np.arange(k)
     if settled is None:
-        values = _coarse(sweep, live, ends[:half])
+        values = _coarse(sweep, live, _ENDS[:half])
         best = values.max(axis=1)
     else:
         # the even half of the grid first, which bounds h on cells of
         # 2 pi / 8; the odd half only for the slots still live
-        even = _coarse(sweep, live, ends[:half:2])
+        even = _coarse(sweep, live, _ENDS[:half:2])
         best = even.max(axis=1)
-        bounds = _cell_bounds(ends[:-1:2], ends[2::2], even, np.roll(even, -1, axis=1))
+        bounds = _cell_bounds(_ENDS[:-1:2], _ENDS[2::2], even, np.roll(even, -1, axis=1))
         live = np.flatnonzero(~settled(best, np.maximum(best, bounds.max(axis=1))))
         values = np.empty((live.size, _COARSE_ANGLES))
-        values[:, 0::2], values[:, 1::2] = even[live], _coarse(sweep, live, ends[1:half:2])
+        values[:, 0::2], values[:, 1::2] = even[live], _coarse(sweep, live, _ENDS[1:half:2])
         best[live] = values.max(axis=1)
-    slot = np.repeat(live, _COARSE_ANGLES)
-    # each cell's index on the grid of `cells` cells of this width; cell i
-    # splits into cells 2i and 2i + 1 of the next grid
-    cells, idx = _COARSE_ANGLES, np.tile(np.arange(_COARSE_ANGLES), live.size)
-    lo, hi = np.tile(ends[:-1], live.size), np.tile(ends[1:], live.size)
+    cells = _COARSE_ANGLES
+    cell = np.empty((5, live.size * cells))
+    cell[:2] = np.tile(_EDGES, live.size)
+    cell[2], cell[3], cell[4] = values.ravel(), values[:, _NEXT].ravel(), cell[0]
+    ids = np.array([np.repeat(live, cells), np.tile(_CELLS, live.size)])
     gain_tol = 4.0 * np.finfo(float).eps * best
-    h_lo, h_hi = values.ravel(), np.roll(values, -1, axis=1).ravel()
-    vertex = lo  # where each cell's Newton refinement starts, set by the halvings
     for halving in range(_HALVINGS + 1):
-        bounds = _cell_bounds(lo, hi, h_lo, h_hi)
-        keep = bounds > best[slot]
+        bounds = _cell_bounds(*cell[:4])
+        keep = bounds > best[ids[0]]
         if settled is not None:
             # the dropped cells' bounds are at most best, so this is a bound on w
             upper = best.copy()
-            np.maximum.at(upper, slot, bounds)
-            keep &= ~settled(best, upper)[slot]
-        slot, idx, lo, hi, h_lo, h_hi, vertex = (
-            v[keep] for v in (slot, idx, lo, hi, h_lo, h_hi, vertex))
-        if halving == _HALVINGS or not slot.size:
+            np.maximum.at(upper, ids[0], bounds)
+            keep &= ~settled(best, upper)[ids[0]]
+        cell, ids = cell[:, keep], ids[:, keep]
+        if halving == _HALVINGS or not ids.size:
             break
+        lo, hi, h_lo, h_hi, _ = cell
+        slot, idx = ids
         mid = (lo + hi) / 2.0
         # a follower splits at its leader's midpoint + pi, which is its own
         # midpoint to the bit on the coarse grid and at most an ulp off it on
@@ -601,13 +656,16 @@ def _cell_search(sweep, k: int, settled=None) -> np.ndarray:
         np.maximum.at(best, slot, h_mid)
         width /= 2.0
         bend = h_lo - 2.0 * h_mid + h_hi
-        vertex = np.where(bend < 0, mid + 0.5 * width * (h_lo - h_hi) / bend, mid)
+        cell[4] = np.where(bend < 0, mid + 0.5 * width * (h_lo - h_hi) / bend, mid)
         # each cell splits into [lo, mid] and [mid, hi]
-        slot, idx, lo, hi, h_lo, h_hi, vertex = (
-            np.repeat(v, 2) for v in (slot, idx, lo, hi, h_lo, h_hi, vertex))
-        lo[1::2], hi[0::2], h_lo[1::2], h_hi[0::2] = mid, mid, h_mid, h_mid
-        cells, idx = 2 * cells, 2 * idx
-        idx[1::2] += 1
+        cell, ids = np.repeat(cell, 2, axis=1), np.repeat(ids, 2, axis=1)
+        cell[0, 1::2] = cell[1, 0::2] = mid
+        cell[2, 1::2] = cell[3, 0::2] = h_mid
+        cells *= 2
+        ids[1] *= 2
+        ids[1, 1::2] += 1
+    lo, hi, h_lo, h_hi, vertex = cell
+    slot, idx = ids
     theta = np.minimum(np.maximum(vertex, lo), hi)
     # a follower starts at its leader's start + pi, inside its own cell as
     # its ends are its leader's + pi; only this first sweep is paired, as
@@ -627,15 +685,17 @@ def _cell_search(sweep, k: int, settled=None) -> np.ndarray:
         nxt = np.where((lo < nxt) & (nxt < hi), nxt, (lo + hi) / 2.0)
         keep = ((d1 != 0) & ~(np.abs(d1) * np.abs(nxt - theta) <= gain_tol[slot])
                 & (_cell_bounds(lo, hi, h_lo, h_hi) > best[slot]))
-        slot, lo, hi, h_lo, h_hi, theta = (
-            v[keep] for v in (slot, lo, hi, h_lo, h_hi, nxt))
+        cell = np.array([lo, hi, h_lo, h_hi, nxt])[:, keep]
+        slot = slot[keep]
+        lo, hi, h_lo, h_hi, theta = cell
     return best
 
 
 def _coarse(sweep, slots, angles) -> np.ndarray:
     """h of each of slots at angles and then at angles + pi, one row per
     slot, from the paired query at angles."""
-    h = sweep(np.repeat(slots, len(angles)), np.tile(angles, len(slots)), paired=True)
+    h = sweep(np.repeat(slots, len(angles)), np.broadcast_to(angles, (len(slots), len(angles))).ravel(),
+              paired=True)
     return h.reshape(len(slots), len(angles), 2).transpose(0, 2, 1).reshape(len(slots), -1)
 
 
@@ -673,12 +733,14 @@ def _paired_sweep(sweep, slot, thetas, lead, follow, order: int = 0):
 def _prescaled(Ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(2^-e T, e) for each T of a (m, n, n) stack, with 2^(e-1) <= the
     largest |Re| or |Im| of an entry of T < 2^e (e = 0 for T = 0) and
-    e >= -1021, so that 2^-e is finite. A T with e = 0 is left as it is."""
-    top = np.maximum(np.abs(Ts.real).max(axis=(1, 2)), np.abs(Ts.imag).max(axis=(1, 2)))
+    e >= -1021, so that 2^-e is finite. A T with e = 0 is left as it is,
+    and a stack with no other T is returned itself, not copied."""
+    top = np.maximum.reduce(np.abs(np.ascontiguousarray(Ts).view(float)), axis=(1, 2))
     e = np.maximum(np.frexp(top)[1], -1021)
-    scaled = e != 0
-    Ts = Ts.copy()
-    Ts[scaled] *= np.ldexp(1.0, -e[scaled])[:, None, None]
+    if e.any():
+        scaled = e != 0
+        Ts = Ts.copy()
+        Ts[scaled] *= np.ldexp(1.0, -e[scaled])[:, None, None]
     return Ts, e
 
 
@@ -689,7 +751,8 @@ def _size_groups(mats):
     matrices of that size in increasing order and (S, e) is the
     _prescaled stack of those mats[i]."""
     mats = [np.asarray(T, dtype=complex) for T in mats]
-    ranked = sorted(range(len(mats)), key=lambda i: (mats[i].shape, i))
+    # a stable sort, so each run keeps increasing indices
+    ranked = sorted(range(len(mats)), key=lambda i: mats[i].shape)
     groups = []
     for _, run in itertools.groupby(ranked, key=lambda i: mats[i].shape):
         run = list(run)

@@ -38,7 +38,7 @@ def _as_square(entries, ndims=(2, 3)) -> np.ndarray:
     T = np.asarray(entries, dtype=complex)
     if T.ndim not in ndims or T.shape[-1] != T.shape[-2] or T.shape[-1] < 1:
         raise ValueError(f"expected a square matrix, got shape {T.shape}")
-    if not np.all(np.isfinite(T)):
+    if not np.isfinite(T).all():
         raise ValueError("matrix has non-finite entries")
     return T
 

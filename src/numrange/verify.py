@@ -260,29 +260,37 @@ def _psds(asks):
     smallest eigenvalue of Q(T, ts[j], ss[j]), or a level c below it where
     that point provably passes and cannot set the call's worst residual.
 
-    Phase 1 solves lambda_min exactly at every SUBGRID-th point, one
-    q_form stack and one min_eigenvalue call per size of T and grid; W0 is
-    the largest residual -lambda_min found there. Phase 2 then builds the
-    other points' Q-forms, size by size, and answers
+    A grid that repeats a point bit for bit, as region-s's does where two
+    branches of S meet (t = 0.5 and t = 1), is solved or certified at each
+    distinct point once, and the value is copied to the repeats, whose
+    Q-forms are bitwise equal. Phase 1 solves lambda_min exactly at every
+    SUBGRID-th point, one q_form stack and one min_eigenvalue call per size
+    of T and grid; W0 is the largest residual -lambda_min found there.
+    Phase 2 then builds the other points' Q-forms, size by size, and answers
     c = min(W0, tol) - m for T, m = Q_MARGIN (1 + 2 max |t| ||T||_F +
     max |s| ||T||_F^2) >= Q_MARGIN ||Q||_2, where certify_above proves
     lambda_min > c, and the exact lambda_min elsewhere.
     """
-    groups = {}
+    groups, distinct = {}, {}
     for i, (T, ts, ss, _) in enumerate(asks):
-        groups.setdefault((T.shape, ts.tobytes(), ss.tobytes()), []).append(i)
+        grid = (ts.tobytes(), ss.tobytes())
+        groups.setdefault((T.shape, grid), []).append(i)
+        if grid not in distinct:
+            distinct[grid] = _distinct_points(ts, ss)
     grids = []
-    for run in groups.values():
+    for (_, grid), run in groups.items():
         _, ts, ss, _ = asks[run[0]]
+        keep, back = distinct[grid]
+        sub = np.zeros(len(keep), dtype=bool)
+        sub[back[::SUBGRID]] = True
+        ts, ss = ts[keep], ss[keep]
         Ts = np.stack([asks[i][0] for i in run])
-        sub = np.zeros(len(ts), dtype=bool)
-        sub[::SUBGRID] = True
         values = np.empty((len(run), len(ts)))
         values[:, sub] = min_eigenvalue(_q_stack(Ts, ts[sub], ss[sub])).reshape(len(run), -1)
-        grids.append((run, Ts, ts, ss, sub, values))
-    w0 = max(-values[:, sub].min() for *_, sub, values in grids)
+        grids.append((run, Ts, ts, ss, sub, values, back))
+    w0 = max(-values[:, sub].min() for *_, sub, values, _ in grids)
     lams = [None] * len(asks)
-    for run, Ts, ts, ss, sub, values in grids:
+    for run, Ts, ts, ss, sub, values, back in grids:
         rest = ~sub
         fro = np.linalg.norm(Ts, axis=(-2, -1))
         margin = Q_MARGIN * (1.0 + 2.0 * np.abs(ts).max() * fro + np.abs(ss).max() * fro ** 2)
@@ -293,9 +301,24 @@ def _psds(asks):
         if exact.any():
             answer[exact] = min_eigenvalue(Q[exact])
         values[:, rest] = answer.reshape(len(run), -1)
-        for i, row in zip(run, values):
+        for i, row in zip(run, values[:, back]):
             lams[i] = row
     return lams
+
+
+def _distinct_points(ts: np.ndarray, ss: np.ndarray) -> tuple[list, np.ndarray]:
+    """(keep, back) for the grid points (ts[j], ss[j]), compared bit for
+    bit: keep lists the first index of each distinct point, in grid order,
+    and back[j] is the position of point j's first index in keep."""
+    position, keep, back = {}, [], []
+    bits = zip(np.ascontiguousarray(ts).view(np.int64).tolist(),
+               np.ascontiguousarray(ss).view(np.int64).tolist())
+    for j, point in enumerate(bits):
+        if point not in position:
+            position[point] = len(keep)
+            keep.append(j)
+        back.append(position[point])
+    return keep, np.array(back)
 
 
 def _q_stack(Ts: np.ndarray, ts: np.ndarray, ss: np.ndarray) -> np.ndarray:

@@ -318,6 +318,24 @@ class TestNumericalRadius:
             level = numerical_radius(T) * (1 + 1e-12)
             assert support_values(T, arc_midpoints([(T, level)])).max() <= level
 
+    def test_no_angles_give_empty_supports(self):
+        # the sweep concatenated no parts and raised numpy's "need at least
+        # one array to concatenate"
+        T = random_complex(np.random.default_rng(9), 4)
+        assert support_values(T, []).shape == (0,)
+        assert support_values(np.array([[2.0]]), np.zeros(0)).shape == (0,)
+        samples = fov.support_samples([(T, []), (SHIFT2, [])])
+        assert [v.shape for v in samples] == [(0,), (0,)]
+        samples = fov.support_samples([(T, []), (SHIFT2, [0.0])])
+        assert samples[0].shape == (0,) and samples[1].tolist() == [1.0]
+        _, sweep, _ = fov._supports([T, SHIFT2])
+        none = np.zeros(0, dtype=int)
+        for order, paired, shape in [(0, False, (0,)), (0, True, (0, 2)), (2, False, (0,)),
+                                     (2, True, (0, 2))]:
+            values = sweep(none, np.zeros(0), order, paired)
+            parts = values if order else (values,)
+            assert len(parts) == order + 1 and all(v.shape == shape for v in parts)
+
     def test_at_least_grid_maximum(self):
         rng = np.random.default_rng(11)
         T = random_complex(rng, 4)
@@ -350,6 +368,16 @@ class TestNumericalRadii:
     def test_empty_list(self):
         radii = numerical_radii([])
         assert radii.shape == (0,)
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_checks_must_match_the_matrices(self, count):
+        # numpy's "shape mismatch" or "not enough values to unpack" leaked out
+        mats = [random_complex(np.random.default_rng(4), n) for n in (2, 5)]
+        with pytest.raises(ValueError, match=f"got {count} checks for 2 matrices"):
+            numerical_radii(mats, [(1.0, 1e-7)] * count)
+        with pytest.raises(ValueError, match="got 1 checks for 0 matrices"):
+            numerical_radii([], [(1.0, 1e-7)])
+        assert numerical_radii([], []).shape == (0,)
 
     @pytest.mark.parametrize("n", [3, 8, 64])
     def test_coarse_stage_solves_half_the_grid(self, monkeypatch, n):

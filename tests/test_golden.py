@@ -81,6 +81,13 @@ process; that change leaves clark alone. The Clark weights' last bits
 follow numpy's scalar abs, so a change to how they are computed can move
 these digests and must explain it.
 
+The normalization-stacks kernel digest was recorded at commit 308f36c,
+the parent of the change that cut the radius search's fixed cost per size
+and per sweep. It covers the small mixed-size stacks (20 draws, n = 2..8)
+that each verify call normalizes, where that cost weighs most, and which
+the one 2,065-matrix numerical_radii call does not exercise; that change
+keeps every bit.
+
 Reports for a fixed seed and trial count, the clark decompositions, and
 the range and teardrop curves, are part of the CLI contract and must stay byte-identical under
 refactors. A digest that changes means an output changed; record a new one
@@ -98,7 +105,7 @@ import pytest
 from numrange.cli import main
 from numrange.formats import serialize_matrix
 from numrange.fov import boundary, numerical_radii, support_values
-from numrange.verify import random_matrix
+from numrange.verify import _trial_rng, random_matrix
 
 VERIFY = [
     (["--suite", "all", "--trials", "50", "--seed", "3"],
@@ -214,6 +221,8 @@ def test_range_curve(capsys, tmp_path, name, fmt):
 
 KERNEL = {
     "numerical_radii": "d91d7af2894c60dac982dc64694523c42b4c1494f2fd26eb4e83ac2b74208007",
+    # recorded at commit 308f36c
+    "normalization-stacks": "6c91051371f1a07cb19303bde040dbf3e6c49d63f7ec3ee1059dcc436a56c2d9",
     "support_values": "c918e21d1cf40c6a5c99703ce12e43887f2074a5ff4ea20e4b6240a983d9ec8f",
     "boundary-16": "cff7c49d21f2eb5e2c62dabc21b9beb7c7041bd3561b26a8eecddcd475565145",
     "boundary-64": "8579baec0c87e23daec19b4a636e8e32d712546c2a9cba4db6955395eb79c5e7",
@@ -233,9 +242,27 @@ def _kernel_matrices() -> list[np.ndarray]:
     return mats
 
 
+SUITES = ["berger-stampfli", "power", "local-ineq", "operator-ineq", "region-s", "drury",
+          "props52"]
+
+
+def _normalization_radii() -> list[np.ndarray]:
+    """The radii of each suite's 20-trial normalization stack at seeds
+    0..49, one numerical_radii call per stack, exact and with the check
+    (1.0, 1e-7) on every matrix."""
+    out = []
+    for seed in range(50):
+        for suite in SUITES:
+            mats = [random_matrix(_trial_rng(seed, suite, i)) for i in range(20)]
+            out += [numerical_radii(mats), numerical_radii(mats, [(1.0, 1e-7)] * 20)]
+    return out
+
+
 def _kernel_output(name: str) -> list[np.ndarray]:
     if name == "numerical_radii":
         return [numerical_radii(_kernel_matrices())]
+    if name == "normalization-stacks":
+        return _normalization_radii()
     if name == "support_values":
         thetas = np.linspace(0.0, 2.0 * np.pi, 37)
         return [support_values(T, thetas) for T in _kernel_matrices()[::5]]

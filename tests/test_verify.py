@@ -196,6 +196,44 @@ class TestQFormSuites:
         assert reference == [points] * 20
         assert [sum(run) for run in runs] == [20 * subgrid + sum(table), 20 * subgrid, 20 * points]
 
+    def test_region_s_solves_each_distinct_point_once(self, monkeypatch):
+        # region-s's grid repeats t = 0.5 (indices 20 and 21) and t = 1 (41
+        # and 42), with bitwise equal Q-forms: a 20-trial call at seed 1
+        # factors 54 points per trial, not 56, in one cholesky call per
+        # size, and solves its 7 subgrid points per trial in one call per size
+        assert check_region_S(0, seed=1).passed  # the sharpness table, built once
+        factored, solved = [], []
+        cholesky = np.linalg.cholesky
+
+        def counted_cholesky(A):
+            factored.append(len(A))
+            return cholesky(A)
+
+        def counted_solve(H, *args):
+            solved.append(len(H))
+            return min_eigenvalue(H, *args)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        monkeypatch.setattr(verify, "min_eigenvalue", counted_solve)
+        assert check_region_S(20, seed=1).passed
+        sizes = Counter(len(random_matrix(_trial_rng(1, "region-s", i))) for i in range(20))
+        assert factored == [54 * count for count in sizes.values()]
+        assert solved == [7 * count for count in sizes.values()]
+
+    def test_repeated_points_count_twice(self, monkeypatch):
+        # at radius 3 both copies of a repeated point fail; the report
+        # counts each, as the reference path does, and names the first
+        scaled = verify.normalize_radii
+        monkeypatch.setattr(verify, "normalize_radii", lambda mats: [3.0 * T for T in scaled(mats)])
+        report = check_region_S(4, seed=2)
+        monkeypatch.setattr(verify, "_psds", _exact_psds)
+        assert report.failures > 0
+        assert report == check_region_S(4, seed=2)
+        T = parse_matrix(report.witness["matrix"])
+        lams = min_eigenvalue(q_form(T, *verify._boundary_points((0.0, 0.5), (0.5, 1.0),
+                                                                  (1.0, 2.0))))
+        assert lams[20] == lams[21] and lams[41] == lams[42]
+
     def test_sharpness_table_q_form_calls(self, monkeypatch):
         # one stacked call for each fixed counterexample (2 x shift, -I);
         # -(t/s) I changes with t, so that branch is built point by point
