@@ -7,8 +7,12 @@ Every result here is read off one kernel for h (_supports), which serves
 a list of matrices of mixed sizes in one eigensolve call per size and
 answers three orders of query: h, at theta or at theta and theta + pi; h
 and h' at theta and theta + pi; and h, h', h'', at theta or at theta and
-theta + pi. For a unit top eigenvector x, h' = Im(e^{-i theta}<Tx,x>), so
-<Tx, x> = e^{i theta}(h + i h') is a boundary point (C. R. Johnson,
+theta + pi. A query is a sweep over cells sorted by matrix: it takes cos
+theta and sin theta of all its cells once, splits them into one run per
+size with one searchsorted, and hands each run its slices, so that its
+fixed cost per size is the eigensolve call and little else. For a unit
+top eigenvector x, h' = Im(e^{-i theta}<Tx,x>), so <Tx, x> =
+e^{i theta}(h + i h') is a boundary point (C. R. Johnson,
 "Numerical determination of the field of values of a general complex
 matrix", SIAM J. Numer. Anal. 1978): boundary is the order-1 query on an
 angle grid. Since H(theta + pi) = -H(theta), the extreme eigenpairs of
@@ -536,8 +540,9 @@ def numerical_radii(mats, checks=None) -> np.ndarray:
 
     checks, if given, holds a pair (bound, tol) for each matrix (else
     ValueError, naming both counts), for a caller that asks only whether
-    w(T) - bound <= tol and which matrix has the largest w(T) - bound. The search then stops a matrix, and returns
-    the largest h it reached, once a rigorous upper bound u on its w shows
+    w(T) - bound <= tol and which matrix has the largest w(T) - bound.
+    The search then stops a matrix, and returns the largest h it reached,
+    once a rigorous upper bound u on its w shows
     that u - bound <= tol and that u - bound is below the largest
     best - bound of the call, where best is the largest h each matrix has
     reached (both in the input's units, with a margin of _STOP_MARGIN
@@ -694,8 +699,8 @@ def _cell_search(sweep, k: int, settled=None) -> np.ndarray:
 def _coarse(sweep, slots, angles) -> np.ndarray:
     """h of each of slots at angles and then at angles + pi, one row per
     slot, from the paired query at angles."""
-    h = sweep(np.repeat(slots, len(angles)), np.broadcast_to(angles, (len(slots), len(angles))).ravel(),
-              paired=True)
+    thetas = np.broadcast_to(angles, (len(slots), len(angles))).ravel()
+    h = sweep(np.repeat(slots, len(angles)), thetas, paired=True)
     return h.reshape(len(slots), len(angles), 2).transpose(0, 2, 1).reshape(len(slots), -1)
 
 
