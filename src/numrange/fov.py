@@ -303,13 +303,12 @@ def _trig(thetas: np.ndarray) -> np.ndarray:
 def _rotated(AB: np.ndarray, j, cs: np.ndarray) -> np.ndarray:
     """H(theta_c) = cos A + sin B of matrix j[c] for each cell c, from the
     cartesian parts AB = (A, B) of a stack and the rows cs = (cos, sin) of
-    the cells' angles: the gathered parts AB[:, j] are scaled in place, and
-    the sum is formed in their A half, which is returned, so that the step
-    takes one gathered array."""
-    G = AB[:, j]
-    G *= cs[:, :, None, None]
-    H = G[0]
-    H += G[1]
+    the cells' angles, formed in place in the gathered copies A[j] and B[j],
+    which saves two temporaries of that size."""
+    H, G = AB[0, j], AB[1, j]
+    H *= cs[0, :, None, None]
+    G *= cs[1, :, None, None]
+    H += G
     return H
 
 
@@ -324,33 +323,41 @@ def _top_eigh(AB: np.ndarray, j: np.ndarray, cs: np.ndarray, paired: bool = Fals
     column reads the bottom eigenpair (lambda_min, y) of the same eigh, as
     the top pair of H(theta + pi) = -H(theta), whose derivative is
     -H'(theta): h = -lambda_min, h' = -y* H' y and h'' = lambda_min +
-    2 sum_j |y_j* H' y|^2 / (lambda_j - lambda_min). AB[:, j] is gathered
-    again after the eigensolve, once for both columns, not kept through it,
-    so that a step's peak memory stays that of _rotated; one conjugated
-    eigenvector stack serves both columns' h' and h''.
+    2 sum_j |y_j* H' y|^2 / (lambda_j - lambda_min).
+
+    H'x = cos B x - sin A x takes one batched product over B[j] and one over
+    A[j] for each of x and y, for all cells, so each cell's bits do not
+    depend on which cells share the call. B[j] and A[j] are gathered again
+    after the eigensolve, each once for both columns and one at a time,
+    not kept through it, so that a step's peak memory stays that of
+    _rotated; one conjugated eigenvector stack serves both columns' h' and
+    h''.
     """
     vals, vecs = np.linalg.eigh(_rotated(AB, j, cs))
-    AB, conj = AB[:, j], vecs.conj()
+    ends = (vecs[:, :, -1:], vecs[:, :, :1])[:1 + paired]
+    Bx, Ax = _products(AB[1, j], ends), _products(AB[0, j], ends)
+    conj = vecs.conj()
     cos, sin = cs[0, :, None, None], cs[1, :, None, None]
-    top = _derivatives(AB, cos, sin, vals[:, -1], vecs[:, :, -1:], conj[:, :, -1],
+    top = _derivatives(cos * Bx[0] - sin * Ax[0], vals[:, -1], conj[:, :, -1],
                        vals[:, :-1], conj[:, :, :-1])
     if not paired:
         return top
     # H(theta + pi) = -cos A - sin B = -H(theta), whose top pair is the bottom one
-    bottom = _derivatives(AB, -cos, -sin, -vals[:, 0], vecs[:, :, :1], conj[:, :, 0],
+    bottom = _derivatives((-cos) * Bx[1] - (-sin) * Ax[1], -vals[:, 0], conj[:, :, 0],
                           -vals[:, 1:], conj[:, :, 1:])
     return tuple(np.stack(v, axis=1) for v in zip(top, bottom))
 
 
-def _derivatives(AB, cos, sin, h, x, x_conj, vals, vecs_conj):
-    """(h, h', h'') at the top eigenpair (h, x) of cos A + sin B for each
-    matrix of the gathered parts AB = (A, B), whose other eigenpairs are
-    vals and the vectors conjugated in vecs_conj; x is a (k, n, 1) stack,
-    x_conj its conjugate as (k, n). H'x = cos B x - sin A x takes one
-    batched product, of every A and B with its x, for all cells, so each
-    cell's bits do not depend on which cells share the call."""
-    Ax, Bx = AB @ x
-    dx = (cos * Bx - sin * Ax)[:, :, 0]
+def _products(M: np.ndarray, vectors) -> list:
+    """M @ x for each (k, n, 1) stack x of vectors; M is dropped on return."""
+    return [M @ x for x in vectors]
+
+
+def _derivatives(dx, h, x_conj, vals, vecs_conj):
+    """(h, h', h'') at the top eigenpair (h, x) of H, whose other
+    eigenpairs are vals and the vectors conjugated in vecs_conj, from
+    H'x as the (k, n, 1) stack dx and x conjugated as (k, n)."""
+    dx = dx[:, :, 0]
     d1 = np.einsum("ki,ki->k", x_conj, dx).real
     coef = np.einsum("kji,kj->ki", vecs_conj, dx)
     gaps = h[:, None] - vals
