@@ -7,16 +7,16 @@ matrix T; every division becomes a resolvent solve, which raises
 PolesNearSpectrumError when the required system is numerically singular.
 
 f.steps(T) is f(T) as a lockstep body (numrange.lockstep): it yields the
-request (_solve_systems, systems) for the linear systems of one level of
-its expression tree, every factor of a Blaschke product or the one of a
-Mobius map, and is sent their solutions, or has the
-PolesNearSpectrumError of a singular system raised at the yield. Bodies
-that run side by side have each wave's systems solved as one stack per
-size (one linalg.solve call); the verify suites step through f(T) this
-way inside their trials. A Compose evaluates its inner function, then its
-outer one, and every product is formed in factor order, so each f(T) is
-the same to the bit as when it is evaluated alone. eval_matrix runs one
-such body.
+request (_solve_systems, systems) for the list of linear systems of one
+level of its expression tree, every factor of a Blaschke product or the
+one of a Mobius map, and is sent the list of their solutions, or has the
+PolesNearSpectrumError of a singular system raised at the yield. lockstep
+joins the systems of all bodies of a wave into one list, which
+_solve_systems solves as one stack per size (one linalg.solve call); the
+verify suites step through f(T) this way inside their trials. A Compose
+evaluates its inner function, then its outer one, and every product is
+formed in factor order, so each f(T) is the same to the bit as when it is
+evaluated alone. eval_matrix runs one such body.
 """
 
 from __future__ import annotations
@@ -56,12 +56,11 @@ def eval_matrix(f: DiskFunction, T) -> np.ndarray:
     return FT
 
 
-def _solve_systems(asks) -> list:
-    """Answer each ask, a list of systems (A, B), with the list of their
-    solutions: one linalg.solve call for all systems of a size.
-    PolesNearSpectrumError if one of them is singular; lockstep then asks
-    each ask alone, so that only the asks with a singular system fail."""
-    systems = [system for ask in asks for system in ask]
+def _solve_systems(systems) -> list:
+    """The solutions A^-1 B of the systems (A, B): one linalg.solve call
+    for all systems of a size. PolesNearSpectrumError if one of them is
+    singular; lockstep then asks each body's systems alone, so that only
+    the bodies with a singular system fail."""
     solved = [None] * len(systems)
     sizes = {}
     for i, (A, _) in enumerate(systems):
@@ -74,8 +73,7 @@ def _solve_systems(asks) -> list:
             raise PolesNearSpectrumError(str(exc)) from exc
         for i, x in zip(run, X):
             solved[i] = x
-    solutions = iter(solved)
-    return [[next(solutions) for _ in ask] for ask in asks]
+    return solved
 
 
 @dataclass(frozen=True)

@@ -130,23 +130,26 @@ def hermitian_part(T, theta: float = 0.0) -> np.ndarray:
 
 
 def support_values(T, thetas) -> np.ndarray:
-    """Top eigenvalue of H(theta) for each theta (vectorized); NumericError
-    if one is not a finite number."""
+    """Top eigenvalue of H(theta) for each theta (vectorized); ValueError
+    if a theta, and NumericError if a value, is not a finite number."""
     return support_samples([(T, thetas)])[0]
 
 
 def support_samples(requests) -> list[np.ndarray]:
     """support_values(T, thetas) for each pair (T, thetas) of requests, from
-    one kernel sweep: one eigensolve call per size n. NumericError names a
-    value that is not finite by its index in the requests' thetas, taken
-    in turn."""
+    one kernel sweep: one eigensolve call per size n. ValueError names an
+    angle, and NumericError a value, that is not finite by its index in the
+    requests' thetas, taken in turn."""
     requests = [(T, np.atleast_1d(np.asarray(thetas, dtype=float))) for T, thetas in requests]
     if not requests:
         return []
+    thetas = np.concatenate([thetas for _, thetas in requests])
+    bad = np.flatnonzero(~np.isfinite(thetas))
+    if bad.size:
+        raise ValueError(f"angle {bad[0]} is {thetas[bad[0]]}, not a finite number")
     slots, sweep, scale_back = _supports([T for T, _ in requests])
     sizes = [len(thetas) for _, thetas in requests]
     slot = np.repeat(slots, sizes)
-    thetas = np.concatenate([thetas for _, thetas in requests])
     # the sweep wants its cells sorted by slot
     order = np.argsort(slot, kind="stable")
     values = np.empty(len(thetas))
@@ -545,11 +548,11 @@ def numerical_radii(mats, checks=None) -> np.ndarray:
     c J_n, against 56 and 64 with one solve per cell. A matrix without a
     live pair keeps its bits and its cost.
 
-    checks, if given, holds a pair (bound, tol) for each matrix (else
-    ValueError, naming both counts), for a caller that asks only whether
-    w(T) - bound <= tol and which matrix has the largest w(T) - bound.
-    The search then stops a matrix, and returns the largest h it reached,
-    once a rigorous upper bound u on its w shows
+    checks, if given, holds a pair (bound, tol) for each matrix, shape
+    (len(mats), 2) (else ValueError, naming both shapes), for a caller
+    that asks only whether w(T) - bound <= tol and which matrix has the
+    largest w(T) - bound. The search then stops a matrix, and returns the
+    largest h it reached, once a rigorous upper bound u on its w shows
     that u - bound <= tol and that u - bound is below the largest
     best - bound of the call, where best is the largest h each matrix has
     reached (both in the input's units, with a margin of _STOP_MARGIN
@@ -574,16 +577,19 @@ def numerical_radii(mats, checks=None) -> np.ndarray:
     is not finite raises NumericError, and [] gives an empty array.
     """
     mats = list(mats)
-    if checks is not None and len(checks) != len(mats):
-        raise ValueError(f"numerical_radii got {len(checks)} checks for {len(mats)} matrices; "
-                         "it takes one (bound, tol) pair per matrix")
+    if checks is not None:
+        checks = np.asarray(checks, dtype=float)
+        if checks.shape != (len(mats), 2) and (mats or checks.size):
+            raise ValueError(f"numerical_radii got checks of shape {checks.shape} for "
+                             f"{len(mats)} matrices; it takes one (bound, tol) pair per "
+                             f"matrix, shape ({len(mats)}, 2)")
     if not mats:
         return np.zeros(0)
     slots, sweep, scale_back = _supports(mats)
     settled = None
     if checks is not None:
         bound, tol = np.empty((2, len(mats)))
-        bound[slots], tol[slots] = np.asarray(checks, dtype=float).T
+        bound[slots], tol[slots] = checks.T
         every = np.arange(len(mats))
 
         def settled(best, upper):
@@ -890,9 +896,12 @@ def contains(T, z: complex, tol: float = 1e-9) -> bool:
     up to its rounding (n eps sigma_max), a unit singular vector x has
     |<Sx, x>| <= ||Sx|| <= tol, so z is in; the level pencil of S is not
     asked there, as it can be singular (T normal with eigenvalue z, at
-    tol = 0).
+    tol = 0). ValueError if z is not a finite number.
     """
-    S = linalg.as_matrix(T) - complex(z) * np.eye(len(T))
+    z = complex(z)
+    if not np.isfinite(z):
+        raise ValueError(f"point {z} is not a finite number")
+    S = linalg.as_matrix(T) - z * np.eye(len(T))
     sv = np.linalg.svd(S, compute_uv=False)
     return bool(sv[-1] <= tol + len(S) * np.finfo(float).eps * sv[0]
                 or np.all(support_values(S, arc_midpoints([(S, -tol)])) >= -tol))

@@ -18,35 +18,38 @@ first witness with residual > tol, tagged with "trial": i; a grid's
 residuals go as one array to rec.record_all, which records them in turn.
 
 A body that needs a kernel is a generator, and each value it yields is a
-request (answer, item), answered by one call answer([item, ...]) for all
-trials of a wave that name that answer: (_radii, [F, ...]) receives the
-radii w(F), ... ; (_checked_radii, [(F, bound, tol), ...]), the request of
-the radius checks w(F) - bound <= tol of berger-stampfli, power and drury,
-receives one value per F, which is w(F) wherever w(F) - bound may exceed
-tol or be the largest of the call, and elsewhere a value at most w(F)
-whose excess over bound also passes tol and stays below that largest one
-(numerical_radii with checks); (_arcs, [(F, c), ...]) the arc midpoints of
-those level pairs (arc_midpoints); (support_samples, (F, thetas)) h_F at
-thetas; (_psds, (T, ts, ss, tol)), the request of the Q-form suites'
-checks lambda_min(Q(T, ts[j], ss[j])) >= -tol, receives for each j that
-smallest eigenvalue, or a level c below it where linalg.certify_above
-proves that the point passes tol and stays below the largest residual the
-call solves exactly; and f's own requests (diskfun._solve_systems,
-systems), one per level of its expression tree, the solutions of those
-resolvent systems, or a PolesNearSpectrumError raised at the yield. The
-bodies advance in lockstep (one lockstep.run per suite call), so each wave
-of requests from all live trials costs one numerical_radii call, one
-level_cuts call (one stacked eigenvalue call per size), one
-support_samples sweep, one stacked solve per size for the resolvents, and
-for the Q-form grids one stacked eigensolve per size at every SUBGRID-th
-point and one stacked Cholesky certificate per size at the others: the
-kernels run on stacks instead of one matrix at a time. Each trial draws
-from its own rng and records into its own recorder, so the order in which
-trials advance changes nothing: the report sums failures and retries,
-takes the worst residual, and keeps the witness of the lowest failing
-trial. A trial whose radius check stops early passes
-either way, and its residual stays below one that another trial of the
-same call records, so the report is the one exact radii give.
+request (answer, items) with a list of items; lockstep.run joins the
+items of all trials of a wave that name that answer, calls answer once on
+them, and sends each trial the answers to its own items:
+(numerical_radii, [M]) receives [w(M)]; (_checked_radii,
+[(F, bound, tol), ...]), the request of the radius checks
+w(F) - bound <= tol of berger-stampfli, power and drury, receives one
+value per F, which is w(F) wherever w(F) - bound may exceed tol or be the
+largest of the call, and elsewhere a value at most w(F) whose excess over
+bound also passes tol and stays below that largest one (numerical_radii
+with checks); (level_cuts, [(F, c), ...]) the level cuts of those pairs,
+whose arc midpoints the body takes itself (cut_midpoints);
+(support_samples, [(F, thetas)]) [h_F at thetas]; (_psds,
+[(T, ts, ss, tol)]), the request of the Q-form suites' checks
+lambda_min(Q(T, ts[j], ss[j])) >= -tol, receives for each j that smallest
+eigenvalue, or a level c below it where linalg.certify_above proves that
+the point passes tol and stays below the largest residual the call solves
+exactly; and f's own requests (diskfun._solve_systems, systems), one per
+level of its expression tree, the solutions of those resolvent systems,
+or a PolesNearSpectrumError raised at the yield. The bodies advance in
+lockstep (one lockstep.run per suite call), so each wave of requests from
+all live trials costs one numerical_radii call, one level_cuts call (one
+stacked eigenvalue call per size), one support_samples sweep, one stacked
+solve per size for the resolvents, and for the Q-form grids one stacked
+eigensolve per size at every SUBGRID-th point and one stacked Cholesky
+certificate per size at the others: the kernels run on stacks instead of
+one matrix at a time. Each trial draws from its own rng and records into
+its own recorder, so the order in which trials advance changes nothing:
+the report sums failures and retries, takes the worst residual, and keeps
+the witness of the lowest failing trial. A trial whose radius check stops
+early passes either way, and its residual stays below one that another
+trial of the same call records, so the report is the one exact radii
+give.
 
 The same holds for a certified grid point. Let W0 be the largest residual
 -lambda_min that _psds solves exactly at the subgrid, and m a margin of
@@ -234,25 +237,13 @@ def _run(suite: str, trials: int | range, seed: int, tol: float, trial,
                         next((r.witness for r in recs if r.witness is not None), None))
 
 
-def _radii(asks):
-    radii = iter(numerical_radii([M for ask in asks for M in ask]).tolist())
-    return [[next(radii) for _ in ask] for ask in asks]
-
-
-def _checked_radii(asks):
-    """A value for each (F, bound, tol) of each ask, from one
-    numerical_radii call with those checks: w(F) where w(F) - bound may
-    exceed tol or be the call's largest, else a value at most w(F) whose
-    excess over bound is below that largest one."""
-    items = [item for ask in asks for item in ask]
-    radii = iter(numerical_radii([F for F, _, _ in items],
-                                 [(bound, tol) for _, bound, tol in items]).tolist())
-    return [[next(radii) for _ in ask] for ask in asks]
-
-
-def _arcs(asks):
-    cuts = iter(level_cuts([pair for ask in asks for pair in ask]))
-    return [cut_midpoints([next(cuts) for _ in ask]) for ask in asks]
+def _checked_radii(items):
+    """A value for each (F, bound, tol) of items, from one numerical_radii
+    call with those checks: w(F) where w(F) - bound may exceed tol or be
+    the call's largest, else a value at most w(F) whose excess over bound
+    is below that largest one."""
+    return numerical_radii([F for F, _, _ in items],
+                           [(bound, tol) for _, bound, tol in items]).tolist()
 
 
 def _psds(asks):
@@ -431,7 +422,7 @@ def check_props52(trials: int | range, seed: int = 42) -> VerifyReport:
             bound = max(2.0 * math.sqrt(1.0 - cos_a ** 2), math.sqrt(2.0))
             rec.record(norm_tx - bound, tol, witness)
         M = random_matrix(rng, dim=2)
-        [w] = yield _radii, [M]
+        [w] = yield numerical_radii, [M]
         M = _normalized(M, w)
         a, c = complex(M[0, 0]), complex(M[1, 0])
         rec.record(abs(c) - (1.0 + math.sqrt(max(0.0, 1.0 - abs(a) ** 2))), tol,
@@ -445,7 +436,7 @@ def _psd_grid(ts: np.ndarray, ss: np.ndarray, tol: float):
     for every trial of a wave, recorded in grid order."""
     points = list(zip(ts.tolist(), ss.tolist()))
     def trial(rng, T, rec):
-        lams = yield _psds, (T, ts, ss, tol)
+        [lams] = yield _psds, [(T, ts, ss, tol)]
         rec.record_all(-lams, tol, lambda j: _matrix_witness(
             T, t=points[j][0], s=points[j][1], lam_min=float(lams[j])))
     return trial
@@ -476,11 +467,12 @@ def _excess_body(F: np.ndarray, alpha: complex, tol: float):
     does at an arc midpoint of both level cuts. The samples are those
     midpoints and the two tangent directions arg alpha -+ arccos|alpha|.
     """
-    arcs = yield _arcs, [(F, 1.0 + tol),
-                         (F - alpha * np.eye(len(F)), 1.0 - abs(alpha) ** 2 + tol)]
+    cuts = yield level_cuts, [(F, 1.0 + tol),
+                              (F - alpha * np.eye(len(F)), 1.0 - abs(alpha) ** 2 + tol)]
     psi, delta = np.angle(alpha), math.acos(abs(alpha))
-    thetas = np.append(arcs, [psi - delta, psi + delta])
-    excess = (yield support_samples, (F, thetas)) - regions.teardrop_support(alpha, thetas)
+    thetas = np.append(cut_midpoints(cuts), [psi - delta, psi + delta])
+    [h] = yield support_samples, [(F, thetas)]
+    excess = h - regions.teardrop_support(alpha, thetas)
     k = int(np.argmax(excess))
     return float(thetas[k]), float(excess[k])
 

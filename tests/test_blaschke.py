@@ -61,6 +61,10 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             BlaschkeProduct(1.0, (1.0,))
 
+    def test_rejects_no_zeros(self):
+        with pytest.raises(ValueError, match="a Blaschke product needs at least one zero"):
+            BlaschkeProduct(1, ())
+
 
 class TestCircleLogDerivative:
     def test_identity_is_one(self):

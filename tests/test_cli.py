@@ -8,7 +8,14 @@ from test_golden import RANGE, _matrix
 
 from numrange import cli, fov, verify
 from numrange.cli import _write_curve, build_parser, main
-from numrange.formats import format_complex, parse_complex, parse_matrix, serialize_matrix
+from numrange.errors import FunctionExprError, MatrixFileError
+from numrange.formats import (
+    format_complex,
+    parse_complex,
+    parse_function,
+    parse_matrix,
+    serialize_matrix,
+)
 from numrange.regions import teardrop_boundary
 
 SHIFT2 = np.array([[0, 2], [0, 0]], dtype=complex)
@@ -402,10 +409,9 @@ class TestVerify:
         # every radius answer gives NaN: a NaN residual compared false with
         # tol and was dropped from the worst, so berger-stampfli's report
         # read "failures: 0" and "worst_residual: -inf", and passed
-        def nan_radii(asks):
-            return [[float("nan")] * len(ask) for ask in asks]
+        def nan_radii(items):
+            return [float("nan")] * len(items)
 
-        monkeypatch.setattr(verify, "_radii", nan_radii)
         monkeypatch.setattr(verify, "_checked_radii", nan_radii)
         assert main(["verify", "--suite", suite, "--trials", "5", "--seed", "1"]) == 3
         captured = capsys.readouterr()
@@ -441,6 +447,30 @@ class TestSearch:
         # --dim 0 looped for ever: every objective of an empty matrix failed
         assert main(["search", "poly 0 1", "--dim", dim]) == 2
         assert capsys.readouterr().err.startswith(f"error: dim and iterations must be >= 1, got {dim}")
+
+
+@pytest.mark.parametrize("argv, error, message", [
+    (["search", "poly 1 x"], FunctionExprError,
+     "polynomial coefficient: not a complex literal: 'x'"),
+    (["search", "mobius 1 1 0 0"], FunctionExprError, "Mobius denominator is identically zero"),
+    (["search", "scale 2 ( poly 0 1 )"], FunctionExprError, "rho must be in (0, 1], got 2.0"),
+    (["radius", "big.mat"], MatrixFileError, "matrix has non-finite entries"),
+], ids=["poly-token", "mobius-zero-denominator", "scale-rho", "matrix-overflow"])
+def test_parse_errors_exit_2(capsys, tmp_path, monkeypatch, argv, error, message):
+    # each is the parse layer's own error type, which main maps to exit 2
+    # with its message and no output
+    (tmp_path / "big.mat").write_text("dim 1\n1e999+0i\n")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(error) as info:
+        if argv[0] == "radius":
+            parse_matrix((tmp_path / argv[1]).read_text())
+        else:
+            parse_function(argv[1])
+    assert str(info.value) == message
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, option", [

@@ -14,7 +14,7 @@ from numrange.diskfun import (
     mobius_automorphism,
 )
 from numrange import lockstep
-from numrange.errors import PolesNearSpectrumError
+from numrange.errors import PoleHitError, PolesNearSpectrumError
 from numrange.linalg import as_matrix, solve
 
 SHIFT2 = np.array([[0, 2], [0, 0]], dtype=complex)
@@ -38,6 +38,19 @@ class TestScalar:
     def test_polynomial_horner(self):
         p = Polynomial((1, 0, -2))  # 1 - 2z^2
         assert eval_scalar(p, 3.0) == pytest.approx(-17.0)
+
+    def test_mobius_pole_is_pole_hit_error(self):
+        # z/(1 - z) at its pole z = 1
+        with pytest.raises(PoleHitError, match=r"Mobius denominator vanishes at z = 1"):
+            Mobius(0, 1, 1, -1).at(1)
+
+    def test_automorphism_needs_alpha_in_the_disk(self):
+        with pytest.raises(ValueError, match=r"\|alpha\| must be < 1, got 1.5"):
+            mobius_automorphism(1.5)
+
+    def test_polynomial_needs_a_coefficient(self):
+        with pytest.raises(ValueError, match="polynomial needs at least one coefficient"):
+            Polynomial(())
 
 
 class TestMatrix:

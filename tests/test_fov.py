@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -336,6 +337,16 @@ class TestNumericalRadius:
             parts = values if order else (values,)
             assert len(parts) == order + 1 and all(v.shape == shape for v in parts)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_non_finite_angles_are_value_errors(self, n):
+        # at n = 3 a NaN angle gave two RuntimeWarnings and then numpy's
+        # LinAlgError "Eigenvalues did not converge", at n = 2 a NumericError
+        for theta in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"angle 1 is {theta}, not a finite number"):
+                support_values(np.eye(n), [0.0, theta])
+            with pytest.raises(ValueError, match=f"angle 2 is {theta}, not a finite number"):
+                fov.support_samples([(SHIFT2, [0.5]), (np.eye(n), [1.0, theta])])
+
     def test_at_least_grid_maximum(self):
         rng = np.random.default_rng(11)
         T = random_complex(rng, 4)
@@ -371,12 +382,21 @@ class TestNumericalRadii:
 
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_checks_must_match_the_matrices(self, count):
-        # numpy's "shape mismatch" or "not enough values to unpack" leaked out
+        # numpy's "shape mismatch", "too many values to unpack (expected 2)"
+        # or "not enough values to unpack" leaked out
         mats = [random_complex(np.random.default_rng(4), n) for n in (2, 5)]
-        with pytest.raises(ValueError, match=f"got {count} checks for 2 matrices"):
-            numerical_radii(mats, [(1.0, 1e-7)] * count)
-        with pytest.raises(ValueError, match="got 1 checks for 0 matrices"):
+        checks = [(1.0, 1e-7)] * count
+        with pytest.raises(ValueError, match=re.escape(
+                f"got checks of shape {np.shape(checks)} for 2 matrices")):
+            numerical_radii(mats, checks)
+        with pytest.raises(ValueError, match=re.escape("got checks of shape (1, 2) for 0 matrices")):
             numerical_radii([], [(1.0, 1e-7)])
+        # one check per matrix, but not a (bound, tol) pair
+        for bad, shape in [([(1.0, 1e-7, 0.0)], "(1, 3)"), ([1.0], "(1,)")]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"got checks of shape {shape} for 1 matrices; it takes one (bound, tol) "
+                    "pair per matrix, shape (1, 2)")):
+                numerical_radii([np.eye(2)], bad)
         assert numerical_radii([], []).shape == (0,)
 
     @pytest.mark.parametrize("n", [3, 8, 64])
@@ -569,12 +589,12 @@ def _drury_levels(trials: int, seed: int) -> list:
     of level requests, after which the run stops."""
     pairs = []
 
-    def capture(asks):
-        pairs.extend(pair for ask in asks for pair in ask)
+    def capture(levels):
+        pairs.extend(levels)
         raise _LevelsDrawn
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "_arcs", capture)
+        patch.setattr(verify, "level_cuts", capture)
         with pytest.raises(_LevelsDrawn):
             verify.check_drury(trials, seed=seed)
     return pairs
@@ -682,6 +702,16 @@ class TestLevelCuts:
         with pytest.raises(NoConvergenceError, match="singular"):
             level_cuts([(T, c), (random_matrix(np.random.default_rng(26), len(T)), 0.5)])
 
+    def test_lapack_failure_is_no_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(NoConvergenceError, match="level-crossing eigenproblem: "
+                                                     "Eigenvalues did not converge") as info:
+            level_cuts([(SHIFT2, 0.5), (np.eye(3), 0.5)])
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
     def test_pencils_scaled_apart_take_the_best_shift(self):
         # contains near an eigenvalue lambda of a normal T asks for the cuts
         # of S = T - (lambda - d)I at level -1e-9, whose level pencil has a
@@ -713,6 +743,15 @@ class TestContains:
     def test_unit_disk_membership(self):
         assert contains(SHIFT2, 1.0)
         assert not contains(SHIFT2, 1.01, tol=1e-6)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex(0, float("-inf")),
+                                   complex(1, float("nan"))])
+    def test_non_finite_point_is_value_error(self, n, z):
+        # at n = 3, complex("nan") gave numpy's LinAlgError "SVD did not
+        # converge"
+        with pytest.raises(ValueError, match="is not a finite number"):
+            contains(np.eye(n), z)
 
     def test_mean_of_diagonal_is_inside(self):
         rng = np.random.default_rng(12)

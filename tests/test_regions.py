@@ -285,6 +285,10 @@ class TestDruryParams:
         assert t == pytest.approx(0.5)
         assert s == pytest.approx(0.0)
 
+    def test_inner_alpha_one_is_domain_error(self):
+        with pytest.raises(DomainError, match=r"alpha must be in \[0, 1\), got 1.0"):
+            drury_params_inner(1.0, 0.0)
+
     def test_inner_degenerate_corner(self):
         omega, t, s = drury_params_inner(0.5, 0.0)
         assert t == pytest.approx(0.0)

@@ -45,24 +45,37 @@ SHIFT2 = np.array([[0, 2], [0, 0]], dtype=complex)
 
 def traced_suite(monkeypatch, check, trials, seed, force=None):
     """check(trials, seed) with its resolvent solves counted: (report, the
-    number of asks of each diskfun._solve_systems call, {trial: (f, T, f(T))}
-    from the trials' rec.eval_matrix). With force, ask number force of the
-    first call raises PolesNearSpectrumError whenever it is asked."""
+    number of trials whose systems each diskfun._solve_systems call solves,
+    {trial: (f, T, f(T))} from the trials' rec.eval_matrix). With force, the
+    systems of trial force in the first call raise PolesNearSpectrumError
+    whenever they are asked."""
     real, real_eval = diskfun._solve_systems, verify._Recorder.eval_matrix
-    calls, forced, evals = [], [], {}
+    calls, forced, evals, owner = [], [], {}, {}
 
-    def answer(asks):
+    def answer(systems):
+        trials = [owner[id(system)] for system in systems]
         if force is not None and not calls:
-            forced.append(asks[force])
-        calls.append(len(asks))
-        if any(ask is bad for ask in asks for bad in forced):
+            forced.extend(s for s, k in zip(systems, trials) if k == force)
+        calls.append(len(set(trials)))
+        if any(system is bad for system in systems for bad in forced):
             raise PolesNearSpectrumError("forced pole near the spectrum")
-        return real(asks)
+        return real(systems)
 
     def recorded(rec, f, T):
-        FT = yield from real_eval(rec, f, T)
-        evals[rec.trial] = (f, T, FT)
-        return FT
+        # real_eval's steps, with each yielded system tagged by its trial
+        steps, value = real_eval(rec, f, T), None
+        try:
+            while True:
+                request = (steps.throw(value) if isinstance(value, PolesNearSpectrumError)
+                           else steps.send(value))
+                owner.update((id(system), rec.trial) for system in request[1])
+                try:
+                    value = yield request
+                except PolesNearSpectrumError as exc:
+                    value = exc
+        except StopIteration as stop:
+            evals[rec.trial] = (f, T, stop.value)
+            return stop.value
 
     with monkeypatch.context() as m:
         m.setattr(diskfun, "_solve_systems", answer)
@@ -121,7 +134,8 @@ class TestSuitesPass:
 
     def test_scale_retry_fallback(self, monkeypatch):
         # the first evaluation hits a pole: the stack of three fails, each
-        # ask is asked alone, and trial 0 alone evaluates f(0.999 z)
+        # trial's systems are asked alone, and trial 0 alone evaluates
+        # f(0.999 z)
         report, calls, evals = traced_suite(monkeypatch, check_berger_stampfli, 3, 1,
                                             force=0)
         assert report.retries == 1
@@ -344,12 +358,8 @@ class TestLockstep:
         monkeypatch.setattr(np.linalg, "solve", counted)
         assert verify.SUITES[suite](20, seed=1).passed
         factors, trials = Counter(), Counter()
-        for i in range(20):
-            rng = _trial_rng(1, suite, i)
-            n = len(random_matrix(rng))
-            if suite == "drury":
-                rng.uniform(size=2)  # alpha
-            factors[n] += len(random_blaschke(rng, degree).zeros)
+        for n, zeros in _trial_zeros(suite, degree, 1, 20):
+            factors[n] += zeros
             trials[n] += 1
         assert len(factors) == 7
         want = [(k, n, n) for n, k in factors.items()]
@@ -357,37 +367,46 @@ class TestLockstep:
             want += [(k, n, n) for n, k in trials.items()]
         assert calls == want
 
+    # (answer, items) of each call after the normalization's numerical_radii
+    # call; _checked_radii's own numerical_radii call follows it, and None
+    # counts one system per Blaschke zero of every trial
     WAVES = {
-        "berger-stampfli": ["_solve_systems", "_checked_radii"],
-        "power": ["_checked_radii"],
+        "berger-stampfli": [("_solve_systems", None), ("_checked_radii", 20),
+                            ("numerical_radii", 20)],
+        "power": [("_checked_radii", 100), ("numerical_radii", 100)],
         "local-ineq": [],
-        "operator-ineq": ["_psds"],
-        "region-s": ["_psds"],
-        "drury": ["_solve_systems", "_solve_systems", "_arcs", "support_samples",
-                  "_checked_radii"],
-        "props52": ["_radii"],
+        "operator-ineq": [("_psds", 20)],
+        "region-s": [("_psds", 20)],
+        "drury": [("_solve_systems", None), ("_solve_systems", 20), ("level_cuts", 40),
+                  ("support_samples", 20), ("_checked_radii", 20), ("numerical_radii", 20)],
+        "props52": [("numerical_radii", 20)],
     }
 
     @pytest.mark.parametrize("suite", list(verify.SUITES))
     def test_each_wave_is_one_call_per_answer(self, monkeypatch, suite):
-        # the waves after the normalization (drury's resolvent solves for
-        # B(T) and then for phi_alpha(B(T)), the level cuts, the support
-        # samples, then the radii), each answered by one call for all 20
-        # trials; a suite that answered its trials one at a time would show
-        # 20 calls of one request each
+        # each wave (drury's resolvent solves for B(T) and then for
+        # phi_alpha(B(T)), the level cuts, the support samples, then the
+        # radii) is answered by one call on the items of all 20 trials; a
+        # suite that answered its trials one at a time would show 20 calls
+        # of a trial's items each
         calls = []
 
         def counted(answer):
-            def wrapped(asks):
-                calls.append((answer.__name__, len(asks)))
-                return answer(asks)
+            def wrapped(items, *args):
+                calls.append((answer.__name__, len(items)))
+                return answer(items, *args)
             return wrapped
 
-        for name in ("_arcs", "support_samples", "_radii", "_checked_radii", "_psds"):
+        for name in ("level_cuts", "support_samples", "numerical_radii", "_checked_radii",
+                     "_psds"):
             monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
         monkeypatch.setattr(diskfun, "_solve_systems", counted(diskfun._solve_systems))
         assert verify.SUITES[suite](20, seed=3).passed
-        assert calls == [(name, 20) for name in self.WAVES[suite]]
+        def zeros():
+            return sum(k for _, k in _trial_zeros(suite, 4 if suite == "drury" else 5, 3, 20))
+
+        assert calls == [("numerical_radii", 20)] + [
+            (name, zeros() if count is None else count) for name, count in self.WAVES[suite]]
 
     @pytest.mark.parametrize("suite", list(verify.SUITES))
     def test_one_lockstep_run_per_suite_call(self, monkeypatch, suite):
@@ -418,22 +437,24 @@ class TestLockstep:
                 raise NumericError(odd[0])
             return items
 
-        def body(answer, item):
+        def body(answer, items):
             try:
-                got = yield answer, item
+                got = yield answer, items
             except NumericError as exc:
                 return "raised", exc.args[0]
             return "answered", (yield double, got)
 
-        bodies = [body(odd_fails, 1), body(double, 2), None, body(odd_fails, 2)]
-        assert lockstep.run(bodies) == [("raised", 1), ("answered", 8), None,
-                                        ("answered", 4)]
-        # one call per answer function and wave, in order of first appearance;
-        # the odd_fails stack raised, so each of its items was asked alone
-        assert calls == [("odd_fails", [1, 2]), ("odd_fails", [1]), ("odd_fails", [2]),
-                         ("double", [2]), ("double", [4, 2])]
+        bodies = [body(odd_fails, [1]), body(double, [2, 3]), None, body(odd_fails, [2, 4])]
+        assert lockstep.run(bodies) == [("raised", 1), ("answered", [8, 12]), None,
+                                        ("answered", [4, 8])]
+        # one call per answer function and wave, in order of first
+        # appearance, on the bodies' item lists joined in body order, each
+        # body sent its own slice; the odd_fails stack raised, so each
+        # body's list was asked alone
+        assert calls == [("odd_fails", [1, 2, 4]), ("odd_fails", [1]), ("odd_fails", [2, 4]),
+                         ("double", [2, 3]), ("double", [4, 6, 2, 4])]
 
-    def test_a_raising_stack_is_asked_again_item_by_item(self):
+    def test_a_raising_stack_is_asked_again_body_by_body(self):
         calls = []
 
         def answer(items):
@@ -442,18 +463,19 @@ class TestLockstep:
                 raise NumericError(f"bad among {len(items)}")
             return [x.upper() for x in items]
 
-        def body(item):
+        def body(*items):
             try:
-                return (yield answer, item)
+                return (yield answer, list(items))
             except NumericError as exc:
                 return str(exc)
 
-        # one call for the stack, then one per item; the bad body gets its
-        # own error at its yield and the others their answers
-        assert lockstep.run([body("a"), body("bad"), body("c")]) == ["A", "bad among 1", "C"]
-        assert calls == [["a", "bad", "c"], ["a"], ["bad"], ["c"]]
+        # one call for the stack, then one per body's list; the bad body
+        # gets its own error at its yield and the others their answers
+        assert lockstep.run([body("a"), body("bad", "b"), body("c", "d")]) == [
+            ["A"], "bad among 2", ["C", "D"]]
+        assert calls == [["a", "bad", "b", "c", "d"], ["a"], ["bad", "b"], ["c", "d"]]
         calls.clear()
-        assert lockstep.run([body("a"), body("c")]) == ["A", "C"]
+        assert lockstep.run([body("a"), body("c")]) == [["A"], ["C"]]
         assert calls == [["a", "c"]]
 
     def test_other_exceptions_propagate_at_once(self):
@@ -465,7 +487,7 @@ class TestLockstep:
 
         def body(item):
             try:
-                return (yield answer, item)
+                return (yield answer, [item])
             except Exception as exc:
                 thrown.append(exc)
                 raise
@@ -480,14 +502,27 @@ class TestLockstep:
         assert (report.trials, report.failures, report.witness) == (0, 0, None)
 
 
-def _exact_checked_radii(asks):
+def _trial_zeros(suite: str, degree: int, seed: int, trials: int) -> list:
+    """(n, the number of zeros of B) for each trial of berger-stampfli or
+    drury, whose Blaschke products have at most degree zeros."""
+    draws = []
+    for i in range(trials):
+        rng = _trial_rng(seed, suite, i)
+        n = len(random_matrix(rng))
+        if suite == "drury":
+            rng.uniform(size=2)  # alpha
+        draws.append((n, len(random_blaschke(rng, degree).zeros)))
+    return draws
+
+
+def _exact_checked_radii(items):
     """The reference path for _checked_radii: the exact radii of its matrices."""
-    return verify._radii([[F for F, _, _ in ask] for ask in asks])
+    return verify.numerical_radii([F for F, _, _ in items]).tolist()
 
 
-def _exact_psds(asks):
+def _exact_psds(items):
     """The reference path for _psds: lambda_min at every grid point."""
-    return [verify.min_eigenvalue(q_form(T, ts, ss)) for T, ts, ss, _ in asks]
+    return [verify.min_eigenvalue(q_form(T, ts, ss)) for T, ts, ss, _ in items]
 
 
 class TestQFormCertificate:
@@ -515,8 +550,8 @@ class TestQFormCertificate:
 
         reports = []
         for answer, replies in answers.items():
-            def recorded(asks, answer=answer, replies=replies):
-                replies.append(answer(asks))
+            def recorded(items, answer=answer, replies=replies):
+                replies.append(answer(items))
                 return replies[-1]
 
             with monkeypatch.context() as m:
@@ -615,10 +650,10 @@ class TestCheckedRadii:
         checked answer of the first run fell below its exact radius)."""
         real, lower = verify._checked_radii, []
 
-        def watched(asks):
-            values = real(asks)
-            exact = _exact_checked_radii(asks)
-            assert all(v <= w for ask, ref in zip(values, exact) for v, w in zip(ask, ref))
+        def watched(items):
+            values = real(items)
+            exact = _exact_checked_radii(items)
+            assert all(v <= w for v, w in zip(values, exact, strict=True))
             lower.append(values != exact)
             return values
 
@@ -810,6 +845,33 @@ class TestExtremalSearch:
     def test_rejects_bad_iterations(self):
         with pytest.raises(ValueError):
             extremal_search(Polynomial((0, 1)), 2, 0)
+
+    def test_stalled_search_restarts(self, monkeypatch):
+        # the zero candidate has no radius to normalize by, so its objective
+        # is None and the search starts at random. With f = z every w(f(T))
+        # is 1, no step improves, the step halves every 20 iterations and
+        # drops below 1e-4 at iteration 240, where the search restarts: 1 +
+        # 1 + 2 x 260 + 1 normalizations, the first of which raises
+        outcomes = []
+        normalize = verify.normalize_radius
+
+        def counted(T):
+            try:
+                Tn = normalize(T)
+            except ValueError:
+                outcomes.append("raised")
+                raise
+            outcomes.append("normalized")
+            return Tn
+
+        monkeypatch.setattr(verify, "normalize_radius", counted)
+        run = lambda: extremal_search(Polynomial((0, 1)), 2, 260, seed=1,
+                                      initial_candidates=(np.zeros((2, 2)),))
+        best_w, T = run()
+        assert best_w == 1.0
+        assert outcomes == ["raised"] + ["normalized"] * 522
+        again_w, again_T = run()
+        assert again_w == best_w and again_T.tobytes() == T.tobytes()
 
     @pytest.mark.parametrize("dim", [0, -1])
     def test_rejects_dimension_below_one(self, dim):
