@@ -5,14 +5,15 @@ eigenvalue of the rotated Hermitian part
 H(theta) = (e^{-i theta} T + e^{i theta} T*)/2.
 Every result here is read off one kernel for h (_supports), which serves
 a list of matrices of mixed sizes in one eigensolve call per size and
-answers three orders of query: h, at theta or at theta and theta + pi; h
-and h' at theta and theta + pi; and h, h', h'', at theta or at theta and
-theta + pi. A query is a sweep over cells sorted by matrix: it takes cos
-theta and sin theta of all its cells once, splits them into one run per
-size with one searchsorted, and hands each run its slices, so that its
-fixed cost per size is the eigensolve call and little else. For a unit
-top eigenvector x, h' = Im(e^{-i theta}<Tx,x>), so <Tx, x> =
-e^{i theta}(h + i h') is a boundary point (C. R. Johnson,
+answers one query per order: h; h and h'; and h, h', h''. A query is a
+sweep over cells sorted by matrix, each at its own angle theta, and any
+of its cells can also be answered at theta + pi, from the same
+eigensolve: which ones is a list of cell positions, not a kind of query.
+A sweep takes cos theta and sin theta of all its cells once, splits them
+into one run per size with one searchsorted, and hands each run its
+slices, so that its fixed cost per size is the eigensolve call and little
+else. For a unit top eigenvector x, h' = Im(e^{-i theta}<Tx,x>), so
+<Tx, x> = e^{i theta}(h + i h') is a boundary point (C. R. Johnson,
 "Numerical determination of the field of values of a general complex
 matrix", SIAM J. Numer. Anal. 1978): boundary is the order-1 query on an
 angle grid. Since H(theta + pi) = -H(theta), the extreme eigenpairs of
@@ -143,17 +144,14 @@ def support_samples(requests) -> list[np.ndarray]:
     requests = [(T, np.atleast_1d(np.asarray(thetas, dtype=float))) for T, thetas in requests]
     if not requests:
         return []
-    thetas = np.concatenate([thetas for _, thetas in requests])
-    bad = np.flatnonzero(~np.isfinite(thetas))
-    if bad.size:
-        raise ValueError(f"angle {bad[0]} is {thetas[bad[0]]}, not a finite number")
+    thetas = _finite(np.concatenate([thetas for _, thetas in requests]), "angle", ValueError)
     slots, sweep, scale_back = _supports([T for T, _ in requests])
     sizes = [len(thetas) for _, thetas in requests]
     slot = np.repeat(slots, sizes)
     # the sweep wants its cells sorted by slot
     order = np.argsort(slot, kind="stable")
     values = np.empty(len(thetas))
-    values[order] = sweep(slot[order], thetas[order])
+    values[order] = sweep(slot[order], thetas[order])[0][0]
     return np.split(scale_back(slot, values, "support value"), np.cumsum(sizes)[:-1])
 
 
@@ -177,20 +175,20 @@ def boundary(T, n_angles: int) -> BoundaryCurve:
     thetas[k]. NumericError if a support value or point is not finite,
     NoConvergenceError if LAPACK fails.
 
-    The query gives h and h' at theta and at theta + pi, so an even
-    n_angles asks only for the first half of its angles, and row
-    k + n_angles/2 is the theta + pi answer of row k. An odd n_angles has
-    no antipodal pairs and asks for every angle.
+    The query answers a cell at theta + pi too, so an even n_angles asks
+    only for the first half of its angles, each also at theta + pi, and
+    row k + n_angles/2 is the theta + pi answer of row k. An odd n_angles
+    has no antipodal pairs and asks for every angle.
     """
     if n_angles < 8:
         raise ValueError(f"n_angles must be >= 8, got {n_angles}")
     thetas = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    paired = 0 if n_angles % 2 else n_angles // 2
+    half = 0 if n_angles % 2 else n_angles // 2
     _, sweep, scale_back = _supports([T])
-    h, d1 = sweep(np.zeros(n_angles - paired, dtype=int), thetas[:n_angles - paired],
-                  order=1, paired=True)
+    at, turned = sweep(np.zeros(n_angles - half, dtype=int), thetas[:n_angles - half],
+                       order=1, pair=np.arange(half))
     slot = np.zeros(n_angles, dtype=int)
-    h, d1 = (np.concatenate([v[:, 0], v[:paired, 1]]) for v in (h, d1))
+    h, d1 = np.concatenate([at, turned], axis=1)
     supports = scale_back(slot, h, "support value")
     # formed at the prescaled size and scaled back once per part, so that
     # the product does not round on the subnormal grid; + 0.0 turns the
@@ -200,6 +198,11 @@ def boundary(T, n_angles: int) -> BoundaryCurve:
     points.real = scale_back(slot, z.real, "boundary point") + 0.0
     points.imag = scale_back(slot, z.imag, "boundary point") + 0.0
     return BoundaryCurve(thetas=thetas, supports=supports, points=points)
+
+
+# the signs that make the top and the bottom eigenvalue of H(theta) h at
+# theta and at theta + pi
+_SIGNS = np.array([1.0, -1.0])
 
 
 def _extreme_pairs(S: np.ndarray, thetas: np.ndarray, cs: np.ndarray):
@@ -315,45 +318,51 @@ def _rotated(AB: np.ndarray, j, cs: np.ndarray) -> np.ndarray:
     return H
 
 
-def _top_eigh(AB: np.ndarray, j: np.ndarray, cs: np.ndarray, paired: bool = False):
-    """h, h', h'' of h(theta) = lambda_max(H_j(theta)) for matrix j[c] of the
-    cartesian parts AB = (A, B) of a stack at the angle theta_c whose cos
-    and sin are cs[:, c]; paired, each with columns theta and theta + pi.
+def _top_eigh(AB: np.ndarray, j: np.ndarray, cs: np.ndarray, pair: np.ndarray):
+    """(at, turned) for h(theta) = lambda_max(H_j(theta)) of matrix j[c] of
+    the cartesian parts AB = (A, B) of a stack at the angle theta_c whose
+    cos and sin are cs[:, c]: at holds the rows h, h', h'' of every cell,
+    and turned the same rows at theta + pi of the cells at positions pair.
 
     h' = x* H' x for a unit top eigenvector x, which is Im(e^{-i theta}<Tx,x>),
     and h'' = -h + 2 sum_j |y_j* H' x|^2 / (h - lambda_j) over the other
     eigenpairs (lambda_j, y_j), since H'' = -H (_derivatives). The theta + pi
-    column reads the bottom eigenpair (lambda_min, y) of the same eigh, as
-    the top pair of H(theta + pi) = -H(theta), whose derivative is
-    -H'(theta): h = -lambda_min, h' = -y* H' y and h'' = lambda_min +
-    2 sum_j |y_j* H' y|^2 / (lambda_j - lambda_min).
+    answer of a pair cell reads the bottom eigenpair (lambda_min, y) of the
+    same eigh, as the top pair of H(theta + pi) = -H(theta), whose
+    derivative is -H'(theta): h = -lambda_min, h' = -y* H' y and h'' =
+    lambda_min + 2 sum_j |y_j* H' y|^2 / (lambda_j - lambda_min).
 
     H'x = cos B x - sin A x takes one batched product over B[j] and one over
-    A[j] for each of x and y, for all cells, so each cell's bits do not
-    depend on which cells share the call. B[j] and A[j] are gathered again
-    after the eigensolve, each once for both columns and one at a time,
-    not kept through it, so that a step's peak memory stays that of
-    _rotated; one conjugated eigenvector stack serves both columns' h' and
-    h''.
+    A[j] for all cells, and H'y one over each for the pair cells, so each
+    cell's bits do not depend on which cells share the call: the pair rows
+    of the eigenvectors are gathered before their columns are sliced, so
+    that the products see the strides of a stack of those cells alone. B[j]
+    and A[j] are gathered again after the eigensolve, one at a time, not
+    kept through it, and the top rows are done, and the other eigenvector
+    rows let go, before the pair rows are gathered, so that a step's peak
+    memory stays that of _rotated. With no pair cell, the bottom pairs are
+    not touched.
     """
     vals, vecs = np.linalg.eigh(_rotated(AB, j, cs))
-    ends = (vecs[:, :, -1:], vecs[:, :, :1])[:1 + paired]
-    Bx, Ax = _products(AB[1, j], ends), _products(AB[0, j], ends)
+    dx = _slopes(AB, j, cs, vecs[:, :, -1:])
     conj = vecs.conj()
-    cos, sin = cs[0, :, None, None], cs[1, :, None, None]
-    top = _derivatives(cos * Bx[0] - sin * Ax[0], vals[:, -1], conj[:, :, -1],
-                       vals[:, :-1], conj[:, :, :-1])
-    if not paired:
-        return top
-    # H(theta + pi) = -cos A - sin B = -H(theta), whose top pair is the bottom one
-    bottom = _derivatives((-cos) * Bx[1] - (-sin) * Ax[1], -vals[:, 0], conj[:, :, 0],
-                          -vals[:, 1:], conj[:, :, 1:])
-    return tuple(np.stack(v, axis=1) for v in zip(top, bottom))
+    at = np.array(_derivatives(dx, vals[:, -1], conj[:, :, -1], vals[:, :-1], conj[:, :, :-1]))
+    if not pair.size:
+        return at, at[:, :0]
+    # H(theta + pi) = -cos A - sin B = -H(theta), whose top pair is the
+    # bottom one
+    del conj
+    vecs = vecs[pair]
+    dy = _slopes(AB, j[pair], -cs[:, pair], vecs[:, :, :1])
+    conj = vecs.conj()
+    turned = _derivatives(dy, -vals[pair, 0], conj[:, :, 0], -vals[pair, 1:], conj[:, :, 1:])
+    return at, np.array(turned)
 
 
-def _products(M: np.ndarray, vectors) -> list:
-    """M @ x for each (k, n, 1) stack x of vectors; M is dropped on return."""
-    return [M @ x for x in vectors]
+def _slopes(AB: np.ndarray, j: np.ndarray, cs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """H'(theta_c) x_c = cos B x - sin A x for matrix j[c], as a (k, n, 1)
+    stack, with B[j] and then A[j] gathered and dropped in turn."""
+    return cs[0, :, None, None] * (AB[1, j] @ x) - cs[1, :, None, None] * (AB[0, j] @ x)
 
 
 def _derivatives(dx, h, x_conj, vals, vecs_conj):
@@ -385,17 +394,17 @@ def _sinusoids_2x2(Ts: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-def _top_2x2(P: np.ndarray, cs: np.ndarray, order: int = 2):
-    """h, h', h'' in closed form for 2x2 T: h = m + r, r = sqrt(u^2 + |b|^2).
-    P holds one set of coefficients per angle theta, whose cos and sin are
-    the matching column of cs. Order 0 returns h alone, formed from the four
-    value columns only."""
+def _top_2x2(P: np.ndarray, cs: np.ndarray, order: int) -> np.ndarray:
+    """The rows h, h', h'' up to the given order, in closed form for 2x2 T:
+    h = m + r, r = sqrt(u^2 + |b|^2). P holds one set of coefficients per
+    angle theta, whose cos and sin are the matching column of cs. Order 0
+    forms h from the four value columns only."""
     cols = slice(None) if order else slice(4)
     V = cs[0, :, None] * P[:, 0, cols] + cs[1, :, None] * P[:, 1, cols]
     w = V[:, 1:4]
     r = np.hypot(w[:, 0], np.hypot(w[:, 1], w[:, 2]))
     if not order:
-        return V[:, 0] + r
+        return (V[:, 0] + r)[None]
     dw = V[:, 5:8]
     # at r = 0, H = m I and every unit vector is a top eigenvector: take
     # r' = r'' = 0 there, which dividing by inf gives, since w = 0
@@ -403,61 +412,52 @@ def _top_2x2(P: np.ndarray, cs: np.ndarray, order: int = 2):
     dr = (w * dw).sum(axis=1) / q
     # the parts of H are sinusoids, so w'' = -w
     d2r = ((dw * dw).sum(axis=1) - r * r - dr * dr) / q
-    return V[:, 0] + r, V[:, 4] + dr, d2r - V[:, 0]
+    return np.array([V[:, 0] + r, V[:, 4] + dr, d2r - V[:, 0]][:order + 1])
 
 
-# the columns lambda_max, lambda_min of an ascending eigvalsh row, and the
-# signs that make them h at theta and at theta + pi
-_EXTREMES = np.array([-1, 0])
-_SIGNS = np.array([1.0, -1.0])
-
-
-def _support_kernels(Ts: np.ndarray) -> dict:
-    """The queries of _supports for a (m, n, n) stack, keyed by (order,
-    paired), each taking (j, thetas, cs) for matrix j[c] at thetas[c],
-    whose cos and sin are the column cs[:, c] (_trig), and a sorted j; closed
-    forms when n = 2."""
+def _support_kernels(Ts: np.ndarray) -> list:
+    """The queries of _supports for a (m, n, n) stack, one per order, each
+    taking (j, thetas, cs, pair) for matrix j[c] at thetas[c], whose cos
+    and sin are the column cs[:, c] (_trig), and a sorted j, and returning
+    (at, turned) as sweep does; closed forms when n = 2."""
     if Ts.shape[1] == 2:
         P = _sinusoids_2x2(Ts)
-        def pairs(j, thetas, cs, order):
-            # there is no eigensolve to save: the closed form at theta + pi
-            turned = _trig(thetas + np.pi)
-            both = _top_2x2(P[np.concatenate([j, j])], np.concatenate([cs, turned], axis=1), order)
-            if not order:
-                return both.reshape(2, -1).T
-            return tuple(v.reshape(2, -1).T for v in both[:order + 1])
-        return {(0, False): lambda j, thetas, cs: _top_2x2(P[j], cs, order=0),
-                (0, True): functools.partial(pairs, order=0),
-                (1, True): functools.partial(pairs, order=1),
-                (2, False): lambda j, thetas, cs: _top_2x2(P[j], cs),
-                (2, True): functools.partial(pairs, order=2)}
+        def closed(j, thetas, cs, pair, order):
+            if pair.size:
+                # there is no eigensolve to share: the closed form at theta + pi
+                j = np.concatenate([j, j[pair]])
+                cs = np.concatenate([cs, _trig(thetas[pair] + np.pi)], axis=1)
+            values = _top_2x2(P[j], cs, order)
+            return values[:, :len(thetas)], values[:, len(thetas):]
+        return [functools.partial(closed, order=order) for order in range(3)]
     AB = _cartesian_parts(Ts)
-    def sample(j, thetas, cs):
-        return np.linalg.eigvalsh(_rotated(AB, j, cs))[:, -1]
-    def sample_pairs(j, thetas, cs):
+    def sample(j, thetas, cs, pair):
+        vals = np.linalg.eigvalsh(_rotated(AB, j, cs))
         # H(theta + pi) = -H(theta), whose top eigenvalue is -lambda_min(H(theta))
-        return np.linalg.eigvalsh(_rotated(AB, j, cs))[:, _EXTREMES] * _SIGNS
-    def pairs(j, thetas, cs):
-        return _extreme_pairs(Ts[j[0]], thetas, cs)
-    return {(0, False): sample, (0, True): sample_pairs, (1, True): pairs,
-            (2, False): lambda j, thetas, cs: _top_eigh(AB, j, cs),
-            (2, True): lambda j, thetas, cs: _top_eigh(AB, j, cs, paired=True)}
+        return vals[None, :, -1], -vals[None, pair, 0]
+    def pairs(j, thetas, cs, pair):
+        values = np.array(_extreme_pairs(Ts[j[0]], thetas, cs))
+        return values[:, :, 0], values[:, pair, 1]
+    return [sample, pairs, lambda j, thetas, cs, pair: _top_eigh(AB, j, cs, pair)]
+
+
+_NO_CELLS = np.zeros(0, dtype=int)
 
 
 def _supports(mats):
     """The kernel for h of the square matrices mats, which may mix sizes:
     (slots, sweep, scale_back). A 1x1 [t] enters as t I_2, which has the
     same W. Slots hold the prescaled matrices in (n, index) order, and
-    mats[i] is in slots[i]. sweep(slot, thetas, order, paired) answers for
+    mats[i] is in slots[i]. sweep(slot, thetas, order, pair) answers for
     slot[c] at thetas[c], for a sorted slot: it takes cos and sin of all
     of thetas once, splits the cells into one contiguous run per distinct
     n with one searchsorted, and makes one kernel call per run, on that
-    run's slices of thetas, cos and sin. Order 0 gives h; order 1, which
-    is always paired and asks about one matrix, gives (h, h'); order 2
-    gives (h, h', h''); no cells give empty arrays. A paired query
-    gives each value with columns theta and theta + pi, from the same
-    eigensolves as theta alone, and its theta column has the bits of the
-    query that is not paired.
+    run's slices of thetas, cos, sin and pair. It returns (at, turned):
+    at has the rows h (order 0), h, h' (order 1, which asks about one
+    matrix) or h, h', h'' (order 2) of every cell, and turned the same
+    rows at thetas[c] + pi of the cells at the sorted positions pair (none
+    by default), read from the same eigensolves; a cell's at has the same
+    bits whether it is in pair or not, and no cells give empty rows.
     scale_back(slot, values, what) takes values of slot back to the units
     of mats and checks them (_finite); without what it leaves them unchecked.
     """
@@ -473,19 +473,16 @@ def _supports(mats):
     starts = np.cumsum([0] + [len(run) for run, _, _ in sized])
     groups = [(first, _support_kernels(S)) for (_, S, _), first in zip(sized, starts.tolist())]
 
-    def sweep(slot, thetas, order=0, paired=False):
+    def sweep(slot, thetas, order=0, pair=_NO_CELLS):
         cs = _trig(thetas)
         cuts = slot.searchsorted(starts).tolist()
-        parts = [methods[order, paired](slot[a:b] - first, thetas[a:b], cs[:, a:b])
-                 for (first, methods), a, b in zip(groups, cuts, cuts[1:]) if a < b]
-        if len(parts) == 1:
-            return parts[0]
-        if not parts:
-            empty = np.zeros((0, 2) if paired else 0)
-            return tuple([empty] * (order + 1)) if order else empty
-        if order:
-            return tuple(np.concatenate(p) for p in zip(*parts))
-        return np.concatenate(parts)
+        ends = pair.searchsorted(cuts).tolist()
+        at, turned = np.empty((order + 1, len(slot))), np.empty((order + 1, len(pair)))
+        for (first, queries), a, b, p, q in zip(groups, cuts, cuts[1:], ends, ends[1:]):
+            if a < b:
+                at[:, a:b], turned[:, p:q] = queries[order](
+                    slot[a:b] - first, thetas[a:b], cs[:, a:b], pair[p:q] - a)
+        return at, turned
 
     def scale_back(slot, values, what=None):
         with np.errstate(over="ignore"):
@@ -545,7 +542,9 @@ def numerical_radii(mats, checks=None) -> np.ndarray:
     weighted shift, a Jordan block or a bipartite [[0, A], [B, 0]], keeps
     every such pair live (W is symmetric about 0), and its search takes
     half the eigensolves: 32 eigvalsh and 32 eigh matrices for a rotated
-    c J_n, against 56 and 64 with one solve per cell. A matrix without a
+    c J_n, against 56 and 64 with one solve per cell. The first cells of
+    the pairs sit in the same stack as every other cell of their size, so
+    a step still makes one eigensolve call per size. A matrix without a
     live pair keeps its bits and its cost.
 
     checks, if given, holds a pair (bound, tol) for each matrix, shape
@@ -578,11 +577,13 @@ def numerical_radii(mats, checks=None) -> np.ndarray:
     """
     mats = list(mats)
     if checks is not None:
-        checks = np.asarray(checks, dtype=float)
-        if checks.shape != (len(mats), 2) and (mats or checks.size):
-            raise ValueError(f"numerical_radii got checks of shape {checks.shape} for "
+        # as objects, ragged checks such as [(1.0, 1e-7), (1.0,)] have a shape too
+        shape = np.shape(np.array(checks, dtype=object))
+        if shape != (len(mats), 2) and (mats or np.prod(shape)):
+            raise ValueError(f"numerical_radii got checks of shape {shape} for "
                              f"{len(mats)} matrices; it takes one (bound, tol) pair per "
                              f"matrix, shape ({len(mats)}, 2)")
+        checks = np.asarray(checks, dtype=float)
     if not mats:
         return np.zeros(0)
     slots, sweep, scale_back = _supports(mats)
@@ -618,10 +619,11 @@ _NEXT = np.roll(_CELLS, -1)
 def _cell_search(sweep, k: int, settled=None) -> np.ndarray:
     """The largest h reached by the search of numerical_radii for each of k
     slots; sweep(slot, thetas) samples h of matrix slot[c] at thetas[c],
-    sweep(slot, thetas, order=2) gives h, h', h'', and paired=True answers
-    each query at thetas[c] + pi too. settled(best, upper), if given, names
-    the slots whose search stops, from the best h and an upper bound on
-    max h of each slot; it is asked at the stop points of numerical_radii.
+    sweep(slot, thetas, order=2) gives h, h', h'', and each answers the
+    cells at the positions pair at thetas[c] + pi too (_supports).
+    settled(best, upper), if given, names the slots whose search stops,
+    from the best h and an upper bound on max h of each slot; it is asked
+    at the stop points of numerical_radii.
 
     The live cells are held as the rows of two arrays, so that each stage
     selects, splits or updates all of them in a few calls: cell holds
@@ -670,7 +672,7 @@ def _cell_search(sweep, k: int, settled=None) -> np.ndarray:
         # a follower splits at its leader's midpoint + pi, which is its own
         # midpoint to the bit on the coarse grid and at most an ulp off it on
         # the next; so each follower's ends stay its leader's ends + pi
-        h_mid = _paired_sweep(sweep, slot, mid, *_antipodes(slot, idx, cells))
+        h_mid = _paired_sweep(sweep, slot, mid, *_antipodes(slot, idx, cells))[0]
         np.maximum.at(best, slot, h_mid)
         width /= 2.0
         bend = h_lo - 2.0 * h_mid + h_hi
@@ -711,10 +713,10 @@ def _cell_search(sweep, k: int, settled=None) -> np.ndarray:
 
 def _coarse(sweep, slots, angles) -> np.ndarray:
     """h of each of slots at angles and then at angles + pi, one row per
-    slot, from the paired query at angles."""
+    slot, from one sweep at angles that pairs every cell."""
     thetas = np.broadcast_to(angles, (len(slots), len(angles))).ravel()
-    h = sweep(np.repeat(slots, len(angles)), thetas, paired=True)
-    return h.reshape(len(slots), len(angles), 2).transpose(0, 2, 1).reshape(len(slots), -1)
+    at, turned = sweep(np.repeat(slots, len(angles)), thetas, pair=np.arange(len(thetas)))
+    return np.concatenate([at.reshape(len(slots), -1), turned.reshape(len(slots), -1)], axis=1)
 
 
 def _antipodes(slot: np.ndarray, idx: np.ndarray, cells: int):
@@ -731,21 +733,18 @@ def _antipodes(slot: np.ndarray, idx: np.ndarray, cells: int):
 
 
 def _paired_sweep(sweep, slot, thetas, lead, follow, order: int = 0):
-    """sweep(slot, thetas, order) after each cell follow[c] is moved to
-    thetas[lead[c]] + pi, in thetas: each leader takes the paired query,
-    whose theta + pi column answers its follower from the same eigensolve,
-    and every other cell the query that is not paired."""
+    """The rows of sweep(slot, thetas, order) after each cell follow[c] is
+    moved to thetas[lead[c]] + pi, in thetas: one sweep over the cells that
+    are not followers pairs each leader, whose theta + pi answer, read from
+    the same eigensolve, is its follower's."""
     if not lead.size:
-        return sweep(slot, thetas, order)
+        return sweep(slot, thetas, order)[0]
     thetas[follow] = thetas[lead] + np.pi
+    kept = np.delete(np.arange(len(slot)), follow)
     values = np.empty((order + 1, len(slot)))
-    solo = np.ones(len(slot), dtype=bool)
-    solo[lead] = solo[follow] = False
-    if solo.any():
-        values[:, solo] = sweep(slot[solo], thetas[solo], order)
-    both = np.reshape(sweep(slot[lead], thetas[lead], order, paired=True), (order + 1, -1, 2))
-    values[:, lead], values[:, follow] = both[..., 0], both[..., 1]
-    return values if order else values[0]
+    values[:, kept], values[:, follow] = sweep(slot[kept], thetas[kept], order,
+                                               kept.searchsorted(lead))
+    return values
 
 
 def _prescaled(Ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -778,12 +777,12 @@ def _size_groups(mats):
     return groups
 
 
-def _finite(values: np.ndarray, what: str) -> np.ndarray:
-    """values, or NumericError naming the first one (by flat index) that is
-    not finite."""
+def _finite(values: np.ndarray, what: str, error=NumericError) -> np.ndarray:
+    """values, or error (NumericError, or ValueError for an input) naming
+    the first one (by flat index) that is not finite."""
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        raise NumericError(f"{what} {bad[0]} is {values.flat[bad[0]]}, not a finite number")
+        raise error(f"{what} {bad[0]} is {values.flat[bad[0]]}, not a finite number")
     return values
 
 
@@ -803,15 +802,17 @@ def level_cuts(levels) -> list[np.ndarray]:
     else the one of _SHIFTS with the smallest condition number of L0; the
     zeta within _CUT_TOL of the circle (a band widened for an L0 that is
     not well conditioned, _shifts) are mapped back to z.
+    ValueError names the first pair whose level is not a finite number.
     NoConvergenceError, for the whole call, if L0 has condition number
     _SINGULAR_COND or more at every shift, as for every singular pencil
     (det P = 0 for all z, such as the zero matrix at level 0), or if LAPACK
     fails.
     """
     levels = [(np.asarray(T, dtype=complex), c) for T, c in levels]
+    level = _finite(np.array([c for _, c in levels], dtype=float), "level of pair", ValueError)
     cuts = [None] * len(levels)
     for run, S, e in _size_groups([T for T, _ in levels]):
-        c = np.ldexp([levels[i][1] for i in run], -e)[:, None, None]
+        c = np.ldexp(level[run], -e)[:, None, None]
         beta, band = _shifts(S, c)
         lost = np.flatnonzero(np.isnan(beta))
         if lost.size:
@@ -896,11 +897,13 @@ def contains(T, z: complex, tol: float = 1e-9) -> bool:
     up to its rounding (n eps sigma_max), a unit singular vector x has
     |<Sx, x>| <= ||Sx|| <= tol, so z is in; the level pencil of S is not
     asked there, as it can be singular (T normal with eigenvalue z, at
-    tol = 0). ValueError if z is not a finite number.
+    tol = 0). ValueError if z or tol is not a finite number.
     """
     z = complex(z)
     if not np.isfinite(z):
         raise ValueError(f"point {z} is not a finite number")
+    if not np.isfinite(tol):
+        raise ValueError(f"tol {tol} is not a finite number")
     S = linalg.as_matrix(T) - z * np.eye(len(T))
     sv = np.linalg.svd(S, compute_uv=False)
     return bool(sv[-1] <= tol + len(S) * np.finfo(float).eps * sv[0]

@@ -331,11 +331,9 @@ class TestNumericalRadius:
         assert samples[0].shape == (0,) and samples[1].tolist() == [1.0]
         _, sweep, _ = fov._supports([T, SHIFT2])
         none = np.zeros(0, dtype=int)
-        for order, paired, shape in [(0, False, (0,)), (0, True, (0, 2)), (2, False, (0,)),
-                                     (2, True, (0, 2))]:
-            values = sweep(none, np.zeros(0), order, paired)
-            parts = values if order else (values,)
-            assert len(parts) == order + 1 and all(v.shape == shape for v in parts)
+        for order in (0, 1, 2):
+            for at, turned in (sweep(none, np.zeros(0), order), sweep(none, np.zeros(0), order, none)):
+                assert at.shape == turned.shape == (order + 1, 0)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_non_finite_angles_are_value_errors(self, n):
@@ -391,12 +389,14 @@ class TestNumericalRadii:
             numerical_radii(mats, checks)
         with pytest.raises(ValueError, match=re.escape("got checks of shape (1, 2) for 0 matrices")):
             numerical_radii([], [(1.0, 1e-7)])
-        # one check per matrix, but not a (bound, tol) pair
-        for bad, shape in [([(1.0, 1e-7, 0.0)], "(1, 3)"), ([1.0], "(1,)")]:
+        # one check per matrix, but not a (bound, tol) pair; ragged checks
+        # leaked numpy's "inhomogeneous shape"
+        for bad, shape in [([(1.0, 1e-7, 0.0)], "(1, 3)"), ([1.0], "(1,)"),
+                           ([(1.0, 1e-7), (1.0,)], "(2,)")]:
             with pytest.raises(ValueError, match=re.escape(
-                    f"got checks of shape {shape} for 1 matrices; it takes one (bound, tol) "
-                    "pair per matrix, shape (1, 2)")):
-                numerical_radii([np.eye(2)], bad)
+                    f"got checks of shape {shape} for {len(bad)} matrices; it takes one "
+                    f"(bound, tol) pair per matrix, shape ({len(bad)}, 2)")):
+                numerical_radii([np.eye(2)] * len(bad), bad)
         assert numerical_radii([], []).shape == (0,)
 
     @pytest.mark.parametrize("n", [3, 8, 64])
@@ -434,19 +434,49 @@ class TestNumericalRadii:
         numerical_radius(T)
         assert counts == {"eigvalsh": eigvalsh, "eigh": eigh}
 
+    def test_one_eigensolve_call_per_size_per_step(self, monkeypatch):
+        # the leaders of pairs of antipodal cells share each size's stack
+        # with the other cells, so a rotated J_n and a generic draw of each
+        # size take one call per size per step: 10 calls, where a second
+        # call per size on each step with pairs made 16 for the same matrices
+        rng = np.random.default_rng(2)
+        mats = [rotated_jordan(rng, n)[0] for n in (8, 5)] + [random_complex(rng, n) for n in (8, 5)]
+        calls = []
+
+        def counted(solve):
+            def solve_counted(a, *args, **kwargs):
+                calls.append((solve.__name__, a.shape[-1], len(a)))
+                return solve(a, *args, **kwargs)
+            return solve_counted
+
+        for solve in (np.linalg.eigvalsh, np.linalg.eigh):
+            monkeypatch.setattr(np.linalg, solve.__name__, counted(solve))
+        radii = numerical_radii(mats)
+        # (name, n, matrices) per call: the 8 coarse angles of both
+        # matrices; the 8, 16 and 32 leaders of the rotated J_n's halvings
+        # and first Newton step, each in one stack with the draw's 2 cells;
+        # the draw's last Newton step
+        assert calls == [("eigvalsh", 5, 16), ("eigvalsh", 8, 16), ("eigvalsh", 5, 10),
+                         ("eigvalsh", 8, 10), ("eigvalsh", 5, 18), ("eigvalsh", 8, 18),
+                         ("eigh", 5, 34), ("eigh", 8, 34), ("eigh", 5, 1), ("eigh", 8, 1)]
+        monkeypatch.undo()
+        assert radii.tolist() == [numerical_radius(T) for T in mats]
+
     def test_paired_newton_query_matches_reflected(self):
-        # the theta + pi column of the paired order-2 query is h, h', h'' of
-        # the top pair at theta + pi, and its theta column keeps its bits
+        # the theta + pi answers of the pair cells of the order-2 query are
+        # h, h', h'' of the top pair at theta + pi, and every cell's theta
+        # answer keeps its bits
         rng = np.random.default_rng(37)
         slots, sweep, _ = fov._supports([random_complex(rng, n) for n in (2, 3, 5, 16)])
         slot = np.repeat(slots, 4)
         thetas = rng.uniform(0, np.pi, slot.size)
-        paired = sweep(slot, thetas, order=2, paired=True)
-        top = sweep(slot, thetas, order=2)
-        reflected = sweep(slot, thetas + np.pi, order=2)
-        for col, at, at_pi in zip(paired, top, reflected):
-            assert col[:, 0].tobytes() == at.tobytes()
-            assert np.abs(col[:, 1] - at_pi).max() <= 1e-12 * max(1, np.abs(at_pi).max())
+        top, _ = sweep(slot, thetas, order=2)
+        reflected, _ = sweep(slot, thetas + np.pi, order=2)
+        for pair in (np.arange(slot.size), np.arange(1, slot.size, 3)):
+            at, turned = sweep(slot, thetas, order=2, pair=pair)
+            assert at.tobytes() == top.tobytes()
+            for row, at_pi in zip(turned, reflected[:, pair]):
+                assert np.abs(row - at_pi).max() <= 1e-12 * max(1, np.abs(at_pi).max())
 
     def test_newton_derivatives_match_differences(self):
         # h' and h'' of the order-2 query, whose H'x is one batched product
@@ -455,9 +485,9 @@ class TestNumericalRadii:
         slots, sweep, _ = fov._supports([random_complex(rng, n) for n in (3, 3, 5, 16)])
         slot = np.repeat(slots, 3)
         thetas = rng.uniform(0, 2 * np.pi, slot.size)
-        h, d1, d2 = sweep(slot, thetas, order=2)
+        (h, d1, d2), _ = sweep(slot, thetas, order=2)
         step = 1e-4
-        above, below = sweep(slot, thetas + step), sweep(slot, thetas - step)
+        ((above,), _), ((below,), _) = sweep(slot, thetas + step), sweep(slot, thetas - step)
         assert np.abs(d1 - (above - below) / (2 * step)).max() <= 1e-6
         assert np.abs(d2 - (above - 2 * h + below) / step ** 2).max() <= 1e-4
 
@@ -712,6 +742,13 @@ class TestLevelCuts:
             level_cuts([(SHIFT2, 0.5), (np.eye(3), 0.5)])
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
+    def test_non_finite_level_is_value_error(self, level):
+        # NaN gave NoConvergenceError ("Array must not contain infs or
+        # NaNs", exit 3 through the CLI), and inf a RuntimeWarning first
+        with pytest.raises(ValueError, match=f"level of pair 1 is {level}, not a finite number"):
+            level_cuts([(SHIFT2, 0.5), (np.eye(3), level)])
+
     def test_pencils_scaled_apart_take_the_best_shift(self):
         # contains near an eigenvalue lambda of a normal T asks for the cuts
         # of S = T - (lambda - d)I at level -1e-9, whose level pencil has a
@@ -752,6 +789,14 @@ class TestContains:
         # converge"
         with pytest.raises(ValueError, match="is not a finite number"):
             contains(np.eye(n), z)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_non_finite_tol_is_value_error(self, n, tol):
+        # NaN gave NoConvergenceError from the level cuts, and inf answered
+        # True without asking them
+        with pytest.raises(ValueError, match=f"tol {tol} is not a finite number"):
+            contains(np.eye(n), 2.0, tol)
 
     def test_mean_of_diagonal_is_inside(self):
         rng = np.random.default_rng(12)
