@@ -39,12 +39,12 @@ class BlaschkeProduct:
     def __post_init__(self):
         c = complex(self.constant)
         zeros = tuple(complex(a) for a in self.zeros)
-        if abs(abs(c) - 1.0) > 1e-12:
+        if not abs(abs(c) - 1.0) <= 1e-12:
             raise NotUnimodularError(f"|constant| = {abs(c)!r}, expected 1")
         if len(zeros) < 1:
             raise ValueError("a Blaschke product needs at least one zero")
         for a in zeros:
-            if abs(a) > 1.0 - 1e-12:
+            if not abs(a) <= 1.0 - 1e-12:
                 raise ValueError(f"zero {a!r} is not in the open unit disk")
         object.__setattr__(self, "constant", c)
         object.__setattr__(self, "zeros", zeros)
@@ -78,7 +78,7 @@ def evaluate(B: BlaschkeProduct, z):
 def circle_log_derivative(B: BlaschkeProduct, zeta: complex) -> float:
     """zeta B'(zeta)/B(zeta) = sum_k (1-|a_k|^2)/|zeta-a_k|^2 on the circle."""
     zeta = complex(zeta)
-    if abs(abs(zeta) - 1.0) > UNIMODULAR_TOL:
+    if not abs(abs(zeta) - 1.0) <= UNIMODULAR_TOL:
         raise NotOnCircleError(f"|zeta| = {abs(zeta)!r}, expected 1")
     terms = [(1.0 - abs(a) ** 2) / abs(zeta - a) ** 2 for a in B.zeros]
     return float(sum(terms))
@@ -116,7 +116,7 @@ def level_set(B: BlaschkeProduct, gamma: complex) -> np.ndarray:
     increasing angle in [0, 2pi).
     """
     gamma = complex(gamma)
-    if abs(abs(gamma) - 1.0) > UNIMODULAR_TOL:
+    if not abs(abs(gamma) - 1.0) <= UNIMODULAR_TOL:
         raise NotUnimodularError(f"|gamma| = {abs(gamma)!r}, expected 1")
     gamma /= abs(gamma)
     lam = (-1) ** B.degree * gamma / B.constant

@@ -188,6 +188,6 @@ class Scale(DiskFunction):
 def mobius_automorphism(alpha: complex) -> Mobius:
     """phi_alpha(z) = (alpha + z)/(1 + conj(alpha) z), |alpha| < 1."""
     alpha = complex(alpha)
-    if abs(alpha) >= 1.0:
+    if not abs(alpha) < 1.0:
         raise ValueError(f"|alpha| must be < 1, got {abs(alpha)!r}")
     return Mobius(alpha, 1.0, 1.0, np.conj(alpha))

@@ -122,28 +122,36 @@ _SINGULAR_COND = 1e14
 
 def hermitian_part(T, theta: float = 0.0) -> np.ndarray:
     """(e^{-i theta} T + e^{i theta} T*)/2, Hermitian by construction, formed
-    from the prescaled T; NumericError if an entry is not finite."""
+    from the prescaled T; ValueError if theta, and NumericError if an
+    entry, is not a finite number."""
+    theta = _finite(np.array([theta], dtype=float), "angle", ValueError)
     S, e = _prescaled(linalg.as_matrix(T)[None])
-    H = _rotated(_cartesian_parts(S), [0], _trig(np.array([theta])))[0]
+    H = _rotated(_cartesian_parts(S), [0], _trig(theta))[0]
     with np.errstate(over="ignore"):
         H.real, H.imag = np.ldexp(H.real, e), np.ldexp(H.imag, e)
     return _finite(H, "Hermitian part entry")
 
 
 def support_values(T, thetas) -> np.ndarray:
-    """Top eigenvalue of H(theta) for each theta (vectorized); ValueError
-    if a theta, and NumericError if a value, is not a finite number."""
+    """Top eigenvalue of H(theta) for each theta of a scalar or 1-D
+    thetas; ValueError if thetas has more dimensions or a theta is not a
+    finite number, and NumericError if a value is not."""
     return support_samples([(T, thetas)])[0]
 
 
 def support_samples(requests) -> list[np.ndarray]:
     """support_values(T, thetas) for each pair (T, thetas) of requests, from
-    one kernel sweep: one eigensolve call per size n. ValueError names an
-    angle, and NumericError a value, that is not finite by its index in the
+    one kernel sweep: one eigensolve call per size n. ValueError names a
+    request whose thetas have more than one dimension, and an angle, as
+    NumericError names a value, that is not finite by its index in the
     requests' thetas, taken in turn."""
     requests = [(T, np.atleast_1d(np.asarray(thetas, dtype=float))) for T, thetas in requests]
     if not requests:
         return []
+    deep = next((i for i, (_, thetas) in enumerate(requests) if thetas.ndim > 1), None)
+    if deep is not None:
+        raise ValueError(f"thetas of request {deep} have shape {requests[deep][1].shape}, "
+                         f"expected a scalar or a 1-D array")
     thetas = _finite(np.concatenate([thetas for _, thetas in requests]), "angle", ValueError)
     slots, sweep, scale_back = _supports([T for T, _ in requests])
     sizes = [len(thetas) for _, thetas in requests]
@@ -881,8 +889,9 @@ def arc_midpoints(levels) -> np.ndarray:
 
 
 def cut_midpoints(cuts) -> np.ndarray:
-    """arc_midpoints from the level_cuts arrays of its pairs."""
-    cuts = functools.reduce(np.union1d, cuts)
+    """arc_midpoints from the list of level_cuts arrays of its pairs; with
+    no pair, the circle is one arc."""
+    cuts = functools.reduce(np.union1d, cuts) if len(cuts) else np.zeros(0)
     if cuts.size == 0:
         return np.zeros(1)
     return (cuts + np.append(cuts[1:], cuts[0] + 2.0 * np.pi)) / 2.0

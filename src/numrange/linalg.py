@@ -59,8 +59,11 @@ def _check_hermitian(H: np.ndarray, tol: float, who: str) -> np.ndarray:
     symmetrized as H/2 + H*/2, so that neither overflows near the top of
     the float range; halving is exact away from the subnormals, so that
     is (H + H*)/2 to the bit wherever the latter is finite and no entry of
-    either is below 2^-1021 in modulus.
+    either is below 2^-1021 in modulus. ValueError for a tol that is not a
+    finite number >= 0, which would switch the check off.
     """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{who}: tol must be a finite number >= 0, got {tol}")
     Hs = H.conj().swapaxes(-1, -2)
     if np.array_equal(H, Hs):
         return H
@@ -121,7 +124,8 @@ def min_eigenvalue(H, tol: float = DEFAULT_TOL) -> float | np.ndarray:
     (k, n, n) stack, from one LAPACK call.
 
     Each matrix is checked on its own: NotHermitianError if
-    ||H - H*||_F > tol*(1+||H||_F), and ValueError for non-finite entries.
+    ||H - H*||_F > tol*(1+||H||_F), and ValueError for non-finite entries
+    or a tol that is not a finite number >= 0.
     A matrix gives a float, a stack a length-k array.
     """
     H = _check_hermitian(_as_square(H), tol, "min_eigenvalue")

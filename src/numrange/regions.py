@@ -28,7 +28,7 @@ _DOMAIN_SLACK = 1e-12
 
 def _check_alpha(alpha) -> complex:
     alpha = complex(alpha)
-    if abs(alpha) > 1.0 + 1e-12:
+    if not abs(alpha) <= 1.0 + 1e-12:
         raise ValueError(f"|alpha| must be <= 1, got {abs(alpha)!r}")
     return alpha
 
@@ -128,7 +128,7 @@ def region_S_boundary(t):
     """Lowest admissible s for t >= 0, scalar (a float) or array (an array):
     t^2 - 1/4 up to t = 1/2, then 2t - 1 up to t = 1, then t^2."""
     ts = np.asarray(t, dtype=float)
-    if np.any(ts < 0):
+    if not np.all(ts >= 0):
         raise NegativeTError(f"t must be >= 0, got {float(ts.min())!r}")
     s = np.where(ts <= 0.5, ts * ts - 0.25, np.where(ts <= 1.0, 2.0 * ts - 1.0, ts * ts))
     return float(s) if ts.ndim == 0 else s
@@ -174,7 +174,7 @@ def drury_params_outer(alpha: float, theta: float) -> tuple[complex, float, floa
     if not 0.0 <= alpha < 1.0:
         raise DomainError(f"alpha must be in [0, 1), got {alpha!r}")
     c = math.cos(theta)
-    if c > alpha + _DOMAIN_SLACK:
+    if not c <= alpha + _DOMAIN_SLACK:
         raise DomainError(f"outer branch needs cos(theta) <= alpha, got {c!r} > {alpha!r}")
     denom = 1.0 - 2.0 * alpha * c + alpha * alpha
     eit = complex(math.cos(theta), math.sin(theta))
@@ -195,7 +195,7 @@ def drury_params_inner(alpha: float, theta: float) -> tuple[complex, float, floa
     if not 0.0 <= alpha < 1.0:
         raise DomainError(f"alpha must be in [0, 1), got {alpha!r}")
     c = math.cos(theta)
-    if c < alpha - _DOMAIN_SLACK:
+    if not c >= alpha - _DOMAIN_SLACK:
         raise DomainError(f"inner branch needs cos(theta) >= alpha, got {c!r} < {alpha!r}")
     s = alpha * (alpha - c)
     # s + 1/4 = (alpha - 1/2)^2 + alpha(1 - cos(theta)) >= 0: only rounding

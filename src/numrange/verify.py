@@ -31,12 +31,13 @@ with checks); (level_cuts, [(F, c), ...]) the level cuts of those pairs,
 whose arc midpoints the body takes itself (cut_midpoints);
 (support_samples, [(F, thetas)]) [h_F at thetas]; (_psds,
 [(T, ts, ss, tol)]), the request of the Q-form suites' checks
-lambda_min(Q(T, ts[j], ss[j])) >= -tol, receives for each j that smallest
-eigenvalue, or a level c below it where linalg.certify_above proves that
-the point passes tol and stays below the largest residual the call solves
-exactly; and f's own requests (diskfun._solve_systems, systems), one per
-level of its expression tree, the solutions of those resolvent systems,
-or a PolesNearSpectrumError raised at the yield. The bodies advance in
+lambda_min(Q(T, ts[j], ss[j])) >= -tol at the distinct points of the
+body's grid, receives for each j that smallest eigenvalue, or a level c
+below it where linalg.certify_above proves that the point passes tol and
+stays below the largest residual the call solves exactly; and f's own
+requests (diskfun._solve_systems, systems), one per level of its
+expression tree, the solutions of those resolvent systems, or a
+PolesNearSpectrumError raised at the yield. The bodies advance in
 lockstep (one lockstep.run per suite call), so each wave of requests from
 all live trials costs one numerical_radii call, one level_cuts call (one
 stacked eigenvalue call per size), one support_samples sweep, one stacked
@@ -97,9 +98,10 @@ from .linalg import certify_above, min_eigenvalue
 BRANCH_POINTS = 21
 
 # _psds solves lambda_min exactly at every SUBGRID-th point of a grid
-# (indices 0, 10, 20, ...), and certifies the other points below the
-# largest residual found there by a margin of Q_MARGIN times a bound on
-# ||Q||_2: many times eigvalsh's rounding, about n eps ||Q||_2
+# (indices 0, 10, 20, ... of the Q-form suites' grids of distinct points:
+# each branch's two ends and its midpoint), and certifies the other points
+# below the largest residual found there by a margin of Q_MARGIN times a
+# bound on ||Q||_2: many times eigvalsh's rounding, about n eps ||Q||_2
 SUBGRID = BRANCH_POINTS // 2
 Q_MARGIN = 1e-12
 
@@ -251,37 +253,29 @@ def _psds(asks):
     smallest eigenvalue of Q(T, ts[j], ss[j]), or a level c below it where
     that point provably passes and cannot set the call's worst residual.
 
-    A grid that repeats a point bit for bit, as region-s's does where two
-    branches of S meet (t = 0.5 and t = 1), is solved or certified at each
-    distinct point once, and the value is copied to the repeats, whose
-    Q-forms are bitwise equal. Phase 1 solves lambda_min exactly at every
-    SUBGRID-th point, one q_form stack and one min_eigenvalue call per size
-    of T and grid; W0 is the largest residual -lambda_min found there.
-    Phase 2 then builds the other points' Q-forms, size by size, and answers
+    Phase 1 solves lambda_min exactly at every SUBGRID-th point, one
+    q_form stack and one min_eigenvalue call per size of T and grid; W0 is
+    the largest residual -lambda_min found there. Phase 2 then builds the
+    other points' Q-forms, size by size, and answers
     c = min(W0, tol) - m for T, m = Q_MARGIN (1 + 2 max |t| ||T||_F +
     max |s| ||T||_F^2) >= Q_MARGIN ||Q||_2, where certify_above proves
     lambda_min > c, and the exact lambda_min elsewhere.
     """
-    groups, distinct = {}, {}
+    groups = {}
     for i, (T, ts, ss, _) in enumerate(asks):
-        grid = (ts.tobytes(), ss.tobytes())
-        groups.setdefault((T.shape, grid), []).append(i)
-        if grid not in distinct:
-            distinct[grid] = _distinct_points(ts, ss)
+        groups.setdefault((T.shape, ts.tobytes(), ss.tobytes()), []).append(i)
     grids = []
-    for (_, grid), run in groups.items():
+    for run in groups.values():
         _, ts, ss, _ = asks[run[0]]
-        keep, back = distinct[grid]
-        sub = np.zeros(len(keep), dtype=bool)
-        sub[back[::SUBGRID]] = True
-        ts, ss = ts[keep], ss[keep]
         Ts = np.stack([asks[i][0] for i in run])
+        sub = np.zeros(len(ts), dtype=bool)
+        sub[::SUBGRID] = True
         values = np.empty((len(run), len(ts)))
         values[:, sub] = min_eigenvalue(_q_stack(Ts, ts[sub], ss[sub])).reshape(len(run), -1)
-        grids.append((run, Ts, ts, ss, sub, values, back))
-    w0 = max(-values[:, sub].min() for *_, sub, values, _ in grids)
+        grids.append((run, Ts, ts, ss, sub, values))
+    w0 = max(-values[:, sub].min() for *_, sub, values in grids)
     lams = [None] * len(asks)
-    for run, Ts, ts, ss, sub, values, back in grids:
+    for run, Ts, ts, ss, sub, values in grids:
         rest = ~sub
         fro = np.linalg.norm(Ts, axis=(-2, -1))
         margin = Q_MARGIN * (1.0 + 2.0 * np.abs(ts).max() * fro + np.abs(ss).max() * fro ** 2)
@@ -292,7 +286,7 @@ def _psds(asks):
         if exact.any():
             answer[exact] = min_eigenvalue(Q[exact])
         values[:, rest] = answer.reshape(len(run), -1)
-        for i, row in zip(run, values[:, back]):
+        for i, row in zip(run, values):
             lams[i] = row
     return lams
 
@@ -433,12 +427,19 @@ def check_props52(trials: int | range, seed: int = 42) -> VerifyReport:
 def _psd_grid(ts: np.ndarray, ss: np.ndarray, tol: float):
     """Trial body: Q(T, ts[j], ss[j]) >= 0 at every grid point, from the
     _psds request that stacked eigensolves and Cholesky certificates answer
-    for every trial of a wave, recorded in grid order."""
+    for every trial of a wave, recorded in grid order.
+
+    The request names each distinct point once: a grid that repeats a point
+    bit for bit, as region-s's does where two branches of S meet (t = 0.5
+    and t = 1), is asked without the repeats, which then take their first
+    copy's value, as their Q-forms are bitwise equal."""
     points = list(zip(ts.tolist(), ss.tolist()))
+    keep, back = _distinct_points(ts, ss)
+    grid = ts[keep], ss[keep]
     def trial(rng, T, rec):
-        [lams] = yield _psds, [(T, ts, ss, tol)]
-        rec.record_all(-lams, tol, lambda j: _matrix_witness(
-            T, t=points[j][0], s=points[j][1], lam_min=float(lams[j])))
+        [lams] = yield _psds, [(T, *grid, tol)]
+        rec.record_all(-lams[back], tol, lambda j: _matrix_witness(
+            T, t=points[j][0], s=points[j][1], lam_min=float(lams[back[j]])))
     return trial
 
 
@@ -515,10 +516,7 @@ def _sharpness_table() -> tuple[tuple, tuple, tuple, np.ndarray]:
     shift = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
     eye = np.eye(2, dtype=complex)
     Ms = [shift] * k + [-eye] * k + [-(t / s) * eye for t, s in zip(ts[2 * k:], ss[2 * k:])]
-    lams = min_eigenvalue(np.concatenate(
-        [regions.q_form(shift, ts[:k], ss[:k]), regions.q_form(-eye, ts[k:2 * k], ss[k:2 * k])]
-        + [regions.q_form(M, t, s)[None]
-           for M, t, s in zip(Ms[2 * k:], ts[2 * k:], ss[2 * k:])]))
+    lams = min_eigenvalue(np.stack([regions.q_form(M, t, s) for M, t, s in zip(Ms, ts, ss)]))
     lams.flags.writeable = False
     return tuple(Ms), tuple(ts.tolist()), tuple(ss.tolist()), lams
 

@@ -123,6 +123,14 @@ class TestHermitianPart:
         with pytest.raises(NumericError, match=r"Hermitian part entry 0 is \(inf"):
             hermitian_part(T, np.pi / 4)
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf])
+    def test_non_finite_angle_is_value_error(self, theta):
+        # NaN gave two RuntimeWarnings, then NumericError (exit 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"angle 0 is {theta}, not a finite number"):
+                hermitian_part(SHIFT2, theta)
+
 
 class TestBoundary:
     def test_shift_gives_unit_circle(self):
@@ -344,6 +352,20 @@ class TestNumericalRadius:
                 support_values(np.eye(n), [0.0, theta])
             with pytest.raises(ValueError, match=f"angle 2 is {theta}, not a finite number"):
                 fov.support_samples([(SHIFT2, [0.5]), (np.eye(n), [1.0, theta])])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_thetas_of_more_dimensions_are_value_errors(self, n):
+        # numpy's broadcast message leaked from the kernels
+        with pytest.raises(ValueError, match=re.escape(
+                "thetas of request 0 have shape (2, 2), expected a scalar or a 1-D array")):
+            support_values(np.eye(n), [[0.0, 1.0], [2.0, 3.0]])
+        with pytest.raises(ValueError, match="thetas of request 1 have shape"):
+            fov.support_samples([(SHIFT2, 0.5), (np.eye(n), [[1.0]])])
+
+    def test_no_pair_is_one_arc(self):
+        # functools.reduce raised TypeError on an empty list
+        assert arc_midpoints([]).tolist() == [0.0]
+        assert fov.cut_midpoints([]).tolist() == [0.0]
 
     def test_at_least_grid_maximum(self):
         rng = np.random.default_rng(11)

@@ -108,6 +108,16 @@ class TestIsPsd:
         with pytest.raises(NotHermitianError):
             is_psd(np.array([[1, 1], [0, 1]], dtype=complex))
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_rejects_a_tol_that_switches_the_check_off(self, tol):
+        # a NaN tol made every deviation pass: min_eigenvalue gave -1.5 here
+        H = np.array([[1.0, 5.0], [0.0, 1.0]])
+        for check in (min_eigenvalue, is_psd):
+            with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+                check(H, tol)
+            with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+                check(np.eye(2), tol)
+
 
 class TestMinEigenvalueStack:
     def test_stack_equals_per_matrix_loop(self):

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from numrange.errors import DomainError, NegativeTError
+from numrange.blaschke import BlaschkeProduct, circle_log_derivative, level_set
+from numrange.diskfun import mobius_automorphism
+from numrange.errors import (
+    DomainError,
+    NegativeTError,
+    NotOnCircleError,
+    NotUnimodularError,
+)
 from numrange.fov import numerical_radius
 from numrange.linalg import is_psd, min_eigenvalue
 from numrange.regions import (
@@ -376,3 +383,31 @@ class TestDruryParams:
                 scale = 1 - a * np.cos(theta)
             residual = X.conj().T @ lhs @ X - scale * q_form(omega * G, t, s)
             assert np.abs(residual).max() < 1e-12, (k, a, theta)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: BlaschkeProduct(NAN, (0,)), NotUnimodularError),
+    (lambda: BlaschkeProduct(1, (NAN,)), ValueError),
+    (lambda: BlaschkeProduct(1, (complex(0.0, NAN),)), ValueError),
+    (lambda: level_set(BlaschkeProduct(1, (0,)), NAN), NotUnimodularError),
+    (lambda: circle_log_derivative(BlaschkeProduct(1, (0,)), NAN), NotOnCircleError),
+    (lambda: mobius_automorphism(NAN), ValueError),
+    (lambda: teardrop_support(NAN, 0.0), ValueError),
+    (lambda: teardrop_distance(NAN, 0.0), ValueError),
+    (lambda: region_S_boundary(NAN), NegativeTError),
+    (lambda: region_S_boundary(np.array([0.5, NAN])), NegativeTError),
+    (lambda: drury_params_outer(0.5, NAN), DomainError),
+    (lambda: drury_params_inner(0.5, NAN), DomainError),
+], ids=["blaschke-constant", "blaschke-zero", "blaschke-zero-imag", "level-set",
+        "circle-log-derivative", "mobius-automorphism", "teardrop-support",
+        "teardrop-distance", "region-s-boundary", "region-s-boundary-array",
+        "drury-outer", "drury-inner"])
+def test_nan_is_out_of_range(call, error):
+    # each range check is written so that a comparison with NaN fails it,
+    # and NaN gets the error of an out-of-range value
+    with pytest.raises(error) as raised:
+        call()
+    assert raised.type is error

@@ -177,17 +177,19 @@ class TestQFormSuites:
                      if -min_eigenvalue(q_form(T, t, t * t - 0.25)) > report.tolerance)
         assert (w["t"], w["s"]) == (first, first * first - 0.25)
 
-    @pytest.mark.parametrize("suite, subgrid, points, table", [
-        ("operator-ineq", 3, 21, []),
-        ("region-s", 7, 63, [63]),
+    @pytest.mark.parametrize("suite, subgrid, points, uncertified, table", [
+        ("operator-ineq", 3, 21, [], []),
+        ("region-s", 7, 61, [2], [63]),
     ], ids=["operator-ineq", "region-s"])
-    def test_one_eigensolve_call_per_size(self, monkeypatch, suite, subgrid, points, table):
+    def test_one_eigensolve_call_per_size(self, monkeypatch, suite, subgrid, points,
+                                          uncertified, table):
         # the matrices whose lambda_min a 20-trial call solves exactly: the
-        # grids' every SUBGRID-th point, in one stacked call per size of T in
-        # the order of the first trial of each size; the points that
-        # certify_above could not certify (none at seed 1, so no second call
-        # per size); and region-s's sharpness table once per process. The
-        # reference path solves each trial's whole grid in one call
+        # grids' every SUBGRID-th distinct point, in one stacked call per
+        # size of T in the order of the first trial of each size; the points
+        # that certify_above could not certify, one call per size that has
+        # any (at seed 1, two of region-s's n = 5 stack); and region-s's
+        # sharpness table once per process. The reference path solves each
+        # trial's distinct points in one call
         calls = []
 
         def counted(H, *args):
@@ -205,34 +207,72 @@ class TestQFormSuites:
             assert verify.SUITES[suite](20, seed=1).passed
             runs.append(list(calls))
         first, second, reference = runs
-        assert first == [subgrid * count for count in sizes.values()] + table
-        assert second == [subgrid * count for count in sizes.values()]
+        per_size = [subgrid * count for count in sizes.values()]
+        assert first == per_size + uncertified + table
+        assert second == per_size + uncertified
         assert reference == [points] * 20
-        assert [sum(run) for run in runs] == [20 * subgrid + sum(table), 20 * subgrid, 20 * points]
+        assert [sum(run) for run in runs] == [20 * subgrid + sum(uncertified + table),
+                                              20 * subgrid + sum(uncertified), 20 * points]
 
     def test_region_s_solves_each_distinct_point_once(self, monkeypatch):
         # region-s's grid repeats t = 0.5 (indices 20 and 21) and t = 1 (41
         # and 42), with bitwise equal Q-forms: a 20-trial call at seed 1
-        # factors 54 points per trial, not 56, in one cholesky call per
-        # size, and solves its 7 subgrid points per trial in one call per size
+        # factors 54 points per trial, not 56, in the first cholesky call of
+        # each size, and solves its 7 subgrid points per trial in one call
+        # per size. Only the n = 5 stack, with two points left uncertified,
+        # is split into smaller cholesky calls, and solves those two exactly
         assert check_region_S(0, seed=1).passed  # the sharpness table, built once
         factored, solved = [], []
         cholesky = np.linalg.cholesky
 
         def counted_cholesky(A):
-            factored.append(len(A))
+            factored.append((A.shape[-1], len(A)))
             return cholesky(A)
 
         def counted_solve(H, *args):
-            solved.append(len(H))
+            solved.append((H.shape[-1], len(H)))
             return min_eigenvalue(H, *args)
 
         monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
         monkeypatch.setattr(verify, "min_eigenvalue", counted_solve)
         assert check_region_S(20, seed=1).passed
         sizes = Counter(len(random_matrix(_trial_rng(1, "region-s", i))) for i in range(20))
-        assert factored == [54 * count for count in sizes.values()]
-        assert solved == [7 * count for count in sizes.values()]
+        calls = Counter(n for n, _ in factored)
+        assert [n for n, _ in factored] == [n for n in sizes for _ in range(calls[n])]
+        first = dict(reversed(factored))  # each size's first call
+        assert [(n, first[n]) for n in sizes] == [(n, 54 * count) for n, count in sizes.items()]
+        assert [n for n in sizes if calls[n] > 1] == [5]
+        assert solved == [(n, 7 * count) for n, count in sizes.items()] + [(5, 2)]
+
+    @pytest.mark.parametrize("suite, subgrid", [
+        ("operator-ineq", [0.0, 0.25, 0.5]),
+        ("region-s", [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0]),
+    ], ids=["operator-ineq", "region-s"])
+    def test_exact_subgrid_is_each_branchs_ends_and_midpoint(self, monkeypatch, suite,
+                                                             subgrid):
+        # every SUBGRID-th point of the grid of distinct points: the first
+        # _q_stack call builds the Q-forms that _psds solves exactly
+        grids, q_stack = [], verify._q_stack
+
+        def recorded(Ts, ts, ss):
+            grids.append((ts, ss))
+            return q_stack(Ts, ts, ss)
+
+        monkeypatch.setattr(verify, "_q_stack", recorded)
+        assert verify.SUITES[suite](1, seed=1).passed
+        ts, ss = grids[0]
+        assert ts.tolist() == subgrid
+        assert ss.tolist() == [verify.regions.region_S_boundary(t) for t in subgrid]
+
+    def test_distinct_points_keep_first_copies_in_grid_order(self):
+        # bitwise comparison: -0.0 and 0.0 are different points
+        ts = np.array([0.0, 0.5, 0.5, -0.0, 1.0, 0.5, 0.0])
+        ss = np.array([1.0, 2.0, 2.0, 1.0, 3.0, 2.5, 1.0])
+        keep, back = verify._distinct_points(ts, ss)
+        assert list(keep) == [0, 1, 3, 4, 5]
+        assert back.tolist() == [0, 1, 1, 2, 3, 4, 0]
+        assert ts[keep][back].tobytes() == ts.tobytes()
+        assert ss[keep][back].tobytes() == ss.tobytes()
 
     def test_repeated_points_count_twice(self, monkeypatch):
         # at radius 3 both copies of a repeated point fail; the report
@@ -249,8 +289,7 @@ class TestQFormSuites:
         assert lams[20] == lams[21] and lams[41] == lams[42]
 
     def test_sharpness_table_q_form_calls(self, monkeypatch):
-        # one stacked call for each fixed counterexample (2 x shift, -I);
-        # -(t/s) I changes with t, so that branch is built point by point
+        # the 63 counterexamples' Q-forms, built point by point
         shapes = []
 
         def counted(T, t, s):
@@ -260,7 +299,7 @@ class TestQFormSuites:
         verify._sharpness_table.cache_clear()
         monkeypatch.setattr(verify.regions, "q_form", counted)
         assert check_region_S(0, seed=1).passed
-        assert shapes == [(21,), (21,)] + [()] * 21
+        assert shapes == [()] * 63
 
 
 class TestDrury:
