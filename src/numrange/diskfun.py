@@ -21,6 +21,7 @@ evaluated alone. eval_matrix runs one such body.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,12 @@ def _solve_systems(systems) -> list:
     return solved
 
 
+def _check_finite(name: str, value: complex):
+    """ValueError naming the coefficient when value is inf or nan."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Polynomial(DiskFunction):
     """c0 + c1 z + c2 z^2 + ... (constant term first)."""
@@ -86,6 +93,8 @@ class Polynomial(DiskFunction):
         coeffs = tuple(complex(c) for c in self.coefficients)
         if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
+        for k, c in enumerate(coeffs):
+            _check_finite(f"polynomial coefficient c{k}", c)
         object.__setattr__(self, "coefficients", coeffs)
 
     def at(self, z):
@@ -115,7 +124,9 @@ class Mobius(DiskFunction):
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+            value = complex(getattr(self, name))
+            _check_finite(f"Mobius coefficient {name}", value)
+            object.__setattr__(self, name, value)
         if abs(self.c) + abs(self.d) == 0.0:
             raise ValueError("Mobius denominator is identically zero")
 

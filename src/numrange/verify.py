@@ -29,12 +29,13 @@ largest of the call, and elsewhere a value at most w(F) whose excess over
 bound also passes tol and stays below that largest one (numerical_radii
 with checks); (level_cuts, [(F, c), ...]) the level cuts of those pairs,
 whose arc midpoints the body takes itself (cut_midpoints);
-(support_samples, [(F, thetas)]) [h_F at thetas]; (_psds,
-[(T, ts, ss, tol)]), the request of the Q-form suites' checks
-lambda_min(Q(T, ts[j], ss[j])) >= -tol at the distinct points of the
-body's grid, receives for each j that smallest eigenvalue, or a level c
-below it where linalg.certify_above proves that the point passes tol and
-stays below the largest residual the call solves exactly; and f's own
+(support_samples, [(F, thetas)]) [h_F at thetas]; (answer, [T]), the
+request of the Q-form suites' checks lambda_min(Q(T, ts[j], ss[j])) >=
+-tol, whose answer _psd_grid builds once per suite call to call
+_psds(mats, ts, ss, tol) on the distinct points of its grid, receives for
+each j that smallest eigenvalue, or a level c below it where
+linalg.certify_above proves that the point passes tol and stays below the
+largest residual the call solves exactly; and f's own
 requests (diskfun._solve_systems, systems), one per level of its
 expression tree, the solutions of those resolvent systems, or a
 PolesNearSpectrumError raised at the yield. The bodies advance in
@@ -97,13 +98,18 @@ from .linalg import certify_above, min_eigenvalue
 # grid points per t range of region S's boundary in the Q-form suites
 BRANCH_POINTS = 21
 
-# _psds solves lambda_min exactly at every SUBGRID-th point of a grid
-# (indices 0, 10, 20, ... of the Q-form suites' grids of distinct points:
-# each branch's two ends and its midpoint), and certifies the other points
-# below the largest residual found there by a margin of Q_MARGIN times a
-# bound on ||Q||_2: many times eigvalsh's rounding, about n eps ||Q||_2
+# _psds solves lambda_min exactly at every SUBGRID-th point of the grid it
+# is called with (indices 0, 10, 20, ... of the distinct points that
+# _psd_grid passes: each branch's two ends and its midpoint), one mask per
+# call, and certifies the other points below the largest residual found
+# there by a margin of Q_MARGIN times a bound on ||Q||_2: many times
+# eigvalsh's rounding, about n eps ||Q||_2
 SUBGRID = BRANCH_POINTS // 2
 Q_MARGIN = 1e-12
+
+# extremal_search's random restarts give up after this many consecutive
+# draws whose w(f(T)) is not a finite number
+START_DRAWS = 1000
 
 _SUITE_IDS = {
     "berger-stampfli": 1,
@@ -248,40 +254,38 @@ def _checked_radii(items):
                            [(bound, tol) for _, bound, tol in items]).tolist()
 
 
-def _psds(asks):
-    """For each (T, ts, ss, tol), a value for each grid point j: the
-    smallest eigenvalue of Q(T, ts[j], ss[j]), or a level c below it where
-    that point provably passes and cannot set the call's worst residual.
+def _psds(mats, ts, ss, tol):
+    """For each T of mats, a value for each grid point j: the smallest
+    eigenvalue of Q(T, ts[j], ss[j]), or a level c below it where that
+    point provably passes tol and cannot set the call's worst residual.
 
     Phase 1 solves lambda_min exactly at every SUBGRID-th point, one
-    q_form stack and one min_eigenvalue call per size of T and grid; W0 is
-    the largest residual -lambda_min found there. Phase 2 then builds the
+    q_form stack and one min_eigenvalue call per size of T; W0 is the
+    largest residual -lambda_min found there. Phase 2 then builds the
     other points' Q-forms, size by size, and answers
     c = min(W0, tol) - m for T, m = Q_MARGIN (1 + 2 max |t| ||T||_F +
     max |s| ||T||_F^2) >= Q_MARGIN ||Q||_2, where certify_above proves
     lambda_min > c, and the exact lambda_min elsewhere.
     """
-    groups = {}
-    for i, (T, ts, ss, _) in enumerate(asks):
-        groups.setdefault((T.shape, ts.tobytes(), ss.tobytes()), []).append(i)
-    grids = []
-    for run in groups.values():
-        _, ts, ss, _ = asks[run[0]]
-        Ts = np.stack([asks[i][0] for i in run])
-        sub = np.zeros(len(ts), dtype=bool)
-        sub[::SUBGRID] = True
+    sizes = {}
+    for i, T in enumerate(mats):
+        sizes.setdefault(T.shape, []).append(i)
+    sub = np.zeros(len(ts), dtype=bool)
+    sub[::SUBGRID] = True
+    rest = ~sub
+    stacks = []
+    for run in sizes.values():
+        Ts = np.stack([mats[i] for i in run])
         values = np.empty((len(run), len(ts)))
         values[:, sub] = min_eigenvalue(_q_stack(Ts, ts[sub], ss[sub])).reshape(len(run), -1)
-        grids.append((run, Ts, ts, ss, sub, values))
-    w0 = max(-values[:, sub].min() for *_, sub, values in grids)
-    lams = [None] * len(asks)
-    for run, Ts, ts, ss, sub, values in grids:
-        rest = ~sub
+        stacks.append((run, Ts, values))
+    w0 = max(-values[:, sub].min() for *_, values in stacks)
+    lams = [None] * len(mats)
+    for run, Ts, values in stacks:
         fro = np.linalg.norm(Ts, axis=(-2, -1))
         margin = Q_MARGIN * (1.0 + 2.0 * np.abs(ts).max() * fro + np.abs(ss).max() * fro ** 2)
-        levels = margin - np.minimum(w0, [asks[i][3] for i in run])
         Q = _q_stack(Ts, ts[rest], ss[rest])
-        answer = np.repeat(levels, rest.sum())
+        answer = np.repeat(margin - min(w0, tol), rest.sum())
         exact = ~certify_above(Q, answer)
         if exact.any():
             answer[exact] = min_eigenvalue(Q[exact])
@@ -289,21 +293,6 @@ def _psds(asks):
         for i, row in zip(run, values):
             lams[i] = row
     return lams
-
-
-def _distinct_points(ts: np.ndarray, ss: np.ndarray) -> tuple[list, np.ndarray]:
-    """(keep, back) for the grid points (ts[j], ss[j]), compared bit for
-    bit: keep lists the first index of each distinct point, in grid order,
-    and back[j] is the position of point j's first index in keep."""
-    position, keep, back = {}, [], []
-    bits = zip(np.ascontiguousarray(ts).view(np.int64).tolist(),
-               np.ascontiguousarray(ss).view(np.int64).tolist())
-    for j, point in enumerate(bits):
-        if point not in position:
-            position[point] = len(keep)
-            keep.append(j)
-        back.append(position[point])
-    return keep, np.array(back)
 
 
 def _q_stack(Ts: np.ndarray, ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
@@ -425,19 +414,23 @@ def check_props52(trials: int | range, seed: int = 42) -> VerifyReport:
 
 
 def _psd_grid(ts: np.ndarray, ss: np.ndarray, tol: float):
-    """Trial body: Q(T, ts[j], ss[j]) >= 0 at every grid point, from the
-    _psds request that stacked eigensolves and Cholesky certificates answer
+    """Trial body: Q(T, ts[j], ss[j]) >= 0 at every grid point, from one
+    _psds call that stacked eigensolves and Cholesky certificates answer
     for every trial of a wave, recorded in grid order.
 
-    The request names each distinct point once: a grid that repeats a point
-    bit for bit, as region-s's does where two branches of S meet (t = 0.5
-    and t = 1), is asked without the repeats, which then take their first
-    copy's value, as their Q-forms are bitwise equal."""
+    The grid owns its request: the answer, built once per suite call, asks
+    _psds about each distinct point once. A grid that repeats a point, as
+    region-s's does where two branches of S meet (t = 0.5 and t = 1), is
+    asked without the repeats, which then take their first copy's value,
+    as their Q-forms are bitwise equal."""
+    # ts rises and ss = S(ts) is a function of t, so equal t means an equal
+    # point, and np.unique's sorted order keeps first copies in grid order
+    _, keep, back = np.unique(ts, return_index=True, return_inverse=True)
     points = list(zip(ts.tolist(), ss.tolist()))
-    keep, back = _distinct_points(ts, ss)
     grid = ts[keep], ss[keep]
+    answer = lambda mats: _psds(mats, *grid, tol)
     def trial(rng, T, rec):
-        [lams] = yield _psds, [(T, *grid, tol)]
+        [lams] = yield answer, [T]
         rec.record_all(-lams[back], tol, lambda j: _matrix_witness(
             T, t=points[j][0], s=points[j][1], lam_min=float(lams[back[j]])))
     return trial
@@ -545,6 +538,8 @@ def extremal_search(f: DiskFunction, dim: int, iterations: int, seed: int = 42,
     Random restarts plus coordinate-wise perturbation: step 0.3 per real
     parameter, halved after 20 consecutive non-improvements, restart when
     the step drops below 1e-4. Deterministic for a fixed seed.
+    NumericError when START_DRAWS random starts in a row give no finite
+    w(f(T)).
     """
     if dim < 1 or iterations < 1:
         raise ValueError(f"dim and iterations must be >= 1, got {dim} and {iterations}")
@@ -560,11 +555,12 @@ def extremal_search(f: DiskFunction, dim: int, iterations: int, seed: int = 42,
             return None
 
     def random_start():
-        while True:
+        for _ in range(START_DRAWS):
             v = rng.uniform(-1.0, 1.0, 2 * size)
             res = objective(v)
             if res is not None:
                 return v, res
+        raise NumericError(f"w(f(T)) is not finite at {START_DRAWS} random starts in a row")
 
     current, best = None, (-math.inf, None)
     for cand in initial_candidates:

@@ -448,6 +448,21 @@ class TestSearch:
         assert main(["search", "poly 0 1", "--dim", dim]) == 2
         assert capsys.readouterr().err.startswith(f"error: dim and iterations must be >= 1, got {dim}")
 
+    def test_no_finite_start_is_numeric_error(self, run_fresh):
+        # T / 1e-320 overflows at every draw, so no random start has a
+        # finite w(f(T)); the search looped for ever. A fresh process under
+        # a timeout turns such a loop into a failure
+        out = run_fresh("-W", "ignore::RuntimeWarning", "-c", textwrap.dedent("""
+            import contextlib, io
+            from numrange.cli import main
+
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["search", "mobius 0 1 1e-320 0", "--iters", "2"])
+            print(code, err.getvalue(), end="")
+        """))
+        assert out == "3 numeric error: w(f(T)) is not finite at 1000 random starts in a row\n"
+
 
 @pytest.mark.parametrize("argv, error, message", [
     (["search", "poly 1 x"], FunctionExprError,
@@ -455,7 +470,13 @@ class TestSearch:
     (["search", "mobius 1 1 0 0"], FunctionExprError, "Mobius denominator is identically zero"),
     (["search", "scale 2 ( poly 0 1 )"], FunctionExprError, "rho must be in (0, 1], got 2.0"),
     (["radius", "big.mat"], MatrixFileError, "matrix has non-finite entries"),
-], ids=["poly-token", "mobius-zero-denominator", "scale-rho", "matrix-overflow"])
+    # 1e999 reads as inf: poly looped for ever, and mobius printed best_w 0
+    (["search", "poly 0 1e999", "--iters", "2"], FunctionExprError,
+     "polynomial coefficient c1 must be finite, got (inf+0j)"),
+    (["search", "mobius 1 1 1e999 0", "--iters", "2"], FunctionExprError,
+     "Mobius coefficient c must be finite, got (inf+0j)"),
+], ids=["poly-token", "mobius-zero-denominator", "scale-rho", "matrix-overflow",
+        "poly-inf", "mobius-inf"])
 def test_parse_errors_exit_2(capsys, tmp_path, monkeypatch, argv, error, message):
     # each is the parse layer's own error type, which main maps to exit 2
     # with its message and no output

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -51,6 +53,18 @@ class TestScalar:
     def test_polynomial_needs_a_coefficient(self):
         with pytest.raises(ValueError, match="polynomial needs at least one coefficient"):
             Polynomial(())
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0, math.inf)],
+                             ids=["inf", "-inf", "nan", "inf-imag"])
+    def test_non_finite_coefficient_is_value_error(self, bad):
+        # each constructed, and poly 0 inf made search loop for ever
+        with pytest.raises(ValueError, match=r"polynomial coefficient c1 must be finite"):
+            Polynomial((0, bad))
+        for k, name in enumerate("abcd"):
+            coefficients = [1, 1, 1, 0]
+            coefficients[k] = bad
+            with pytest.raises(ValueError, match=rf"Mobius coefficient {name} must be finite"):
+                Mobius(*coefficients)
 
 
 class TestMatrix:

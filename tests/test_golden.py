@@ -88,6 +88,10 @@ that each verify call normalizes, where that cost weighs most, and which
 the one 2,065-matrix numerical_radii call does not exercise; that change
 keeps every bit.
 
+The three search digests were recorded at commit 2829371, the parent of
+the change that made search stop after 1,000 random starts in a row
+without a finite w(f(T)); that change keeps their bytes.
+
 Reports for a fixed seed and trial count, the clark decompositions, and
 the range and teardrop curves, are part of the CLI contract and must stay byte-identical under
 refactors. A digest that changes means an output changed; record a new one
@@ -168,6 +172,17 @@ CLARK = {
                         "edb985be3ec92e0c4c91b669af25ef53104e83318f10ce95a74a91667984f270"),
 }
 
+# case -> (search argv, stdout digest): the sharp Mobius example, whose
+# witness is the 2x2 shift candidate; z^2 at n = 3; a degree-2 Blaschke
+SEARCH = {
+    "mobius-sharp": (["mobius 1 -2 2 -1", "--dim", "2", "--seed", "3", "--iters", "30"],
+                     "af3aeda8f61d6a1d956727f68fdb23f8277712e0df255a48207c4f6eace19b78"),
+    "poly-dim-3": (["poly 0 0 1", "--dim", "3", "--seed", "5", "--iters", "40"],
+                   "0000795ebc3e437fff85e763f4a3803c0242655d10354b1d55f23377ad8c2b13"),
+    "blaschke": (["blaschke 1 0 0.5", "--dim", "2", "--seed", "7", "--iters", "20"],
+                 "422ff1171559661accb14eab84b0cd9104fecd558914913b118d884953a101ea"),
+}
+
 # matrix -> (csv digest, svg digest) of `range --angles 360`
 RANGE = {
     "shift2": ("16111e77920de904b9a309827c74a270b17cc91dc5add9a12de5ce40b7887c21",
@@ -208,6 +223,12 @@ def test_teardrop_curve(capsys, alpha, fmt):
 def test_clark_decomposition(capsys, case):
     argv, expected = CLARK[case]
     assert _digest(capsys, ["clark"] + argv) == expected
+
+
+@pytest.mark.parametrize("case", SEARCH)
+def test_search_witness(capsys, case):
+    argv, expected = SEARCH[case]
+    assert _digest(capsys, ["search"] + argv) == expected
 
 
 @pytest.mark.parametrize("name", RANGE)

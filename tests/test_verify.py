@@ -264,16 +264,6 @@ class TestQFormSuites:
         assert ts.tolist() == subgrid
         assert ss.tolist() == [verify.regions.region_S_boundary(t) for t in subgrid]
 
-    def test_distinct_points_keep_first_copies_in_grid_order(self):
-        # bitwise comparison: -0.0 and 0.0 are different points
-        ts = np.array([0.0, 0.5, 0.5, -0.0, 1.0, 0.5, 0.0])
-        ss = np.array([1.0, 2.0, 2.0, 1.0, 3.0, 2.5, 1.0])
-        keep, back = verify._distinct_points(ts, ss)
-        assert list(keep) == [0, 1, 3, 4, 5]
-        assert back.tolist() == [0, 1, 1, 2, 3, 4, 0]
-        assert ts[keep][back].tobytes() == ts.tobytes()
-        assert ss[keep][back].tobytes() == ss.tobytes()
-
     def test_repeated_points_count_twice(self, monkeypatch):
         # at radius 3 both copies of a repeated point fail; the report
         # counts each, as the reference path does, and names the first
@@ -559,9 +549,9 @@ def _exact_checked_radii(items):
     return verify.numerical_radii([F for F, _, _ in items]).tolist()
 
 
-def _exact_psds(items):
+def _exact_psds(mats, ts, ss, tol):
     """The reference path for _psds: lambda_min at every grid point."""
-    return [verify.min_eigenvalue(q_form(T, ts, ss)) for T, ts, ss, _ in items]
+    return [verify.min_eigenvalue(q_form(T, ts, ss)) for T in mats]
 
 
 class TestQFormCertificate:
@@ -589,8 +579,8 @@ class TestQFormCertificate:
 
         reports = []
         for answer, replies in answers.items():
-            def recorded(items, answer=answer, replies=replies):
-                replies.append(answer(items))
+            def recorded(*request, answer=answer, replies=replies):
+                replies.append(answer(*request))
                 return replies[-1]
 
             with monkeypatch.context() as m:
