@@ -62,14 +62,24 @@ class BlaschkeProduct:
 
 
 def evaluate(B: BlaschkeProduct, z):
-    """Evaluate B at a scalar or an array of points."""
+    """Evaluate B at a scalar or an array of points.
+
+    The numerators a_k - z and denominators 1 - conj(a_k) z of all factors
+    are formed at once, one row per zero; PoleHitError names the first zero
+    whose denominator vanishes (below 1e-14) at some point. The product is
+    then taken factor by factor in zero order, result * num / den.
+    """
     z = np.asarray(z, dtype=complex)
+    a = np.array(B.zeros).reshape((-1,) + (1,) * z.ndim)
+    nums = a - z
+    dens = 1.0 - np.conj(a) * z
+    hit = np.abs(dens) < 1e-14
+    if hit.any():
+        zero = B.zeros[int(np.argmax(hit)) // z.size]
+        raise PoleHitError(f"evaluation at a pole of the factor for zero {zero!r}")
     result = np.full(z.shape, B.constant, dtype=complex)
-    for a in B.zeros:
-        denom = 1.0 - np.conj(a) * z
-        if np.any(np.abs(denom) < 1e-14):
-            raise PoleHitError(f"evaluation at a pole of the factor for zero {a!r}")
-        result = result * (a - z) / denom
+    for num, den in zip(nums, dens):
+        result = result * num / den
     if z.ndim == 0:
         return complex(result)
     return result
@@ -96,15 +106,23 @@ def _clark_unitary(zeros, lam: complex) -> np.ndarray:
     the Clark unitary is T + lam/(1 - lam d) c r (Garcia, Mashreghi and
     Ross, Introduction to Model Spaces and their Operators, the chapter on
     Clark operators).
+
+    Every product of w's comes from one cumprod over an (n+1) x (n+1)
+    array whose row k is ones up to column k, then w_k ... w_{n-1}: its
+    entry (k, j) is prod_{k<=l<j} w_l, each after leading factors of
+    exactly 1+0j, so it has the bits of the per-row cumprod starting at
+    w_k. Row k + 1, times s_k s_j, is row k of [[T, c], [r, d]] above the
+    diagonal, and row 0, times 1 * s_j, is [r, d]. lam = 0 gives T.
     """
     a = np.asarray(zeros, dtype=complex)
-    s = np.append(np.sqrt(1.0 - np.abs(a) ** 2), 1.0)
-    w = -np.conj(a)
-    V = np.diag(np.append(a, 0j))
-    # row -1 holds r and d; s[-1] = 1 scales it
-    for i in range(-1, a.size):
-        V[i, i + 1:] = s[i] * s[i + 1:] * np.cumprod(np.append(1.0, w[i + 1:]))
-    T, c, r, d = V[:-1, :-1], V[:-1, -1], V[-1, :-1], V[-1, -1]
+    n = a.size
+    s = np.sqrt(1.0 - np.abs(a) ** 2)
+    lower = np.tri(n + 1, dtype=bool)
+    prods = np.cumprod(np.where(lower, 1.0 + 0j, np.append(1.0, -np.conj(a))), axis=1)
+    V = np.outer(np.append(1.0, s), np.append(s, 1.0)) * prods
+    T = np.where(lower[:-1, :-1], 0j, V[1:, :-1])
+    T.flat[::n + 1] = a
+    c, r, d = V[1:, -1], V[0, :-1], V[0, -1]
     return T + lam / (1.0 - lam * d) * np.outer(c, r)
 
 

@@ -10,11 +10,15 @@ usage error (exit 2), as a bad --seed would be. verify --trial i runs only
 trial i of the --trials run with the same seed, so a witness's "trial"
 replays with one command.
 
-main(argv) may be called many times in one process. The argument parser
-is built on the first call, not at import, and kept, as is the text of the
-unit-circle rows that every teardrop CSV shares, built on the first
-teardrop --out csv, and scipy's LAPACK extension module, loaded alone on
-the first range at n >= 3; NUMRANGE_SEED is read on every call.
+main(argv) may be called many times in one process. It keeps this state,
+each part built on first use, not at import:
+  * the argument parser, built on the first call;
+  * the text of the unit-circle rows that every teardrop CSV shares, and
+    of each grid angle, built on the first teardrop --out csv;
+  * clark's check points, for the last eight --check-points counts;
+  * scipy's LAPACK extension module, loaded alone on the first range at
+    n >= 3.
+NUMRANGE_SEED is read on every call.
 """
 
 from __future__ import annotations
@@ -70,28 +74,37 @@ def _px(points: np.ndarray) -> np.ndarray:
     return xy
 
 
-def _csv_rows(table: np.ndarray, known: np.ndarray | None = None) -> str:
+def _csv_rows(table: np.ndarray, known: tuple | None = None) -> str:
     """The rows of table as CSV text, every value %.17g. known, if given,
-    is an object array with one entry per row: that row's text, taken as it
-    is, or None for a row to format. The rows to format are formatted in
-    one % pass (%-formatting a float gives str.format's bytes)."""
+    is a pair (texts, widths) of arrays with one entry per row: the text of
+    the row's first widths[i] values with the comma after them, taken as
+    it is (the whole row's text, newline included, where widths[i] is the
+    table's width), or None where widths[i] is 0. The rest of the rows is
+    formatted in one % pass per width (%-formatting a float gives
+    str.format's bytes)."""
     if known is None:
         row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
         return (row_format * len(table)) % tuple(table.ravel().tolist())
-    todo = np.equal(known, None)
-    rows = known.copy()
-    rows[todo] = _csv_rows(table[todo]).splitlines(keepends=True)
+    texts, widths = known
+    rows = texts.copy()
+    for width in range(table.shape[1]):
+        todo = widths == width
+        if todo.any():
+            rest = np.array(_csv_rows(table[todo, width:]).splitlines(keepends=True),
+                            dtype=object)
+            rows[todo] = rest if width == 0 else texts[todo] + rest
     return "".join(rows.tolist())
 
 
 def _write_curve(args, header: str, columns, points: np.ndarray, color: str,
-                 known: np.ndarray | None = None):
+                 known: tuple | None = None):
     """Write a closed curve as CSV rows (the columns, then the real and
     imaginary parts of points, every value %.17g) or as an 800x800 SVG
-    polygon over the square [-2,2]^2 with the unit circle. A CSV row whose
-    text known holds is taken from it (see _csv_rows): teardrop passes its
-    unit-circle rows, formatted once per process and reused only where a
-    row's bits match them."""
+    polygon over the square [-2,2]^2 with the unit circle. The text that
+    known holds for the start of a CSV row is taken from it (see
+    _csv_rows): teardrop passes the rows and grid angles of the unit
+    circle, formatted once per process and reused only where the bits
+    match."""
     if args.out == "csv":
         table = np.column_stack((*columns, points.real, points.imag))
         text = header + "\n" + _csv_rows(table, known)
@@ -124,12 +137,17 @@ def cmd_radius(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=8)
 def _clark_check_points(n: int) -> np.ndarray:
-    """Deterministic low-discrepancy points filling |z| <= 0.9."""
+    """Deterministic low-discrepancy points filling |z| <= 0.9, read-only.
+    Kept per count for the last eight counts asked for: the count comes
+    from the user, so the cache is bounded."""
     j = np.arange(n)
     radii = 0.9 * np.sqrt((j + 0.5) / n)
     angles = 2.0 * np.pi * ((j * 0.61803398874989479) % 1.0)
-    return radii * np.exp(1j * angles)
+    points = radii * np.exp(1j * angles)
+    points.flags.writeable = False
+    return points
 
 
 def cmd_clark(args) -> int:
@@ -141,42 +159,54 @@ def cmd_clark(args) -> int:
     B = f.product
     gamma = formats.parse_complex(args.gamma)
     decomp = bl.clark_decomposition(B, gamma)
-    for zeta, c in zip(decomp.zetas, decomp.weights):
-        print(f"{formats.format_complex(zeta)} {c:.17g}")
-    print(f"sum_weights: {float(decomp.weights.sum()):.17g}")
     zs = _clark_check_points(args.check_points)
     lhs = 1.0 / (1.0 - np.conj(decomp.gamma) * bl.evaluate(B, zs))
     residual = float(np.abs(lhs - decomp.resolvent_sum(zs)).max())
-    print(f"max_identity_residual: {residual:.17g}")
+    lines = [f"{formats.format_complex(zeta)} {c:.17g}\n"
+             for zeta, c in zip(decomp.zetas, decomp.weights)]
+    lines.append(f"sum_weights: {float(decomp.weights.sum()):.17g}\n"
+                 f"max_identity_residual: {residual:.17g}\n")
+    sys.stdout.write("".join(lines))
     return 0
 
 
 @functools.cache
-def _unit_circle_rows() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(phis, bits, texts) of teardrop_boundary(0): the grid angles, the
-    int64 view of each row's phi, re and im, and each row's CSV text. Built
-    once per process, on the first teardrop --out csv, not at import."""
+def _unit_circle_rows() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(phis, bits, texts, phi_texts) of teardrop_boundary(0): the grid
+    angles, the int64 views of the phi, re and im columns (one row each),
+    each CSV row's text, and each grid angle's text with the comma after
+    it. Built once per process, on the first teardrop --out csv, not at
+    import."""
     phis, points = regions.teardrop_boundary(0.0)
-    table = np.column_stack((phis, points.real, points.imag))
-    texts = np.array(_csv_rows(table).splitlines(keepends=True), dtype=object)
-    return phis, table.view(np.int64), texts
+    columns = np.stack((phis, points.real, points.imag))
+    texts = np.array(_csv_rows(columns.T).splitlines(keepends=True), dtype=object)
+    phi_texts = np.array([text[:text.index(",") + 1] for text in texts], dtype=object)
+    return phis, columns.view(np.int64), texts, phi_texts
 
 
-def _unit_circle_known(phis: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """For each row of a teardrop CSV, the text of the teardrop_boundary(0)
-    row at the same grid index where phi, re and im are bitwise that row's
-    (so -0.0 and 0.0 differ), else None."""
-    grid, bits, texts = _unit_circle_rows()
+def _unit_circle_known(phis: np.ndarray, points: np.ndarray) -> tuple:
+    """The known pair (texts, widths) of _csv_rows for the rows of a
+    teardrop CSV. Each row is compared with the teardrop_boundary(0) row at
+    the same grid index, bitwise (so -0.0 and 0.0 differ): where phi, re and
+    im all match, the row takes that row's text (width 3); where only phi
+    matches, it takes the grid angle's text (width 1), and re and im are
+    formatted; elsewhere (the tangent segments) nothing (width 0)."""
+    grid, bits, texts, phi_texts = _unit_circle_rows()
     k = np.minimum(np.searchsorted(grid, phis), len(grid) - 1)
-    rows = np.column_stack((phis, points.real, points.imag)).view(np.int64)
-    return np.where((rows == bits[k]).all(axis=1), texts[k], None)
+    same = np.stack((phis, points.real, points.imag)).view(np.int64) == bits[:, k]
+    angle = same[0]
+    whole = angle & same[1] & same[2]
+    known = np.where(angle, phi_texts[k], None)
+    known[whole] = texts[k[whole]]
+    return known, angle + 2 * whole
 
 
 def cmd_teardrop(args) -> int:
-    """Print the td(alpha) boundary. Most CSV rows lie on the unit circle
-    at the fixed grid angles whatever alpha is; those take their text from
-    a table formatted once per process, and only where their bits match
-    it, so the output is the bytes of formatting every row."""
+    """Print the td(alpha) boundary. Most CSV rows lie at the fixed grid
+    angles whatever alpha is, and on the unit circle; they take their text,
+    or only their angle's, from a table formatted once per process, and
+    only where their bits match it, so the output is the bytes of
+    formatting every row."""
     phis, points = regions.teardrop_boundary(formats.parse_complex(args.alpha))
     known = _unit_circle_known(phis, points) if args.out == "csv" else None
     _write_curve(args, "phi,re,im", (phis,), points, "#2040c0", known)

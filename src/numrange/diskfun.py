@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg, lockstep
 from .blaschke import BlaschkeProduct
-from .errors import PoleHitError, PolesNearSpectrumError, SingularError
+from .errors import NumericError, PoleHitError, PolesNearSpectrumError, SingularError
 
 
 class DiskFunction:
@@ -141,7 +141,12 @@ class Mobius(DiskFunction):
         eye = np.eye(n, dtype=complex)
         numer = self.a * eye + self.b * T
         if self.d == 0:
-            return numer / self.c
+            # a subnormal c overflows the quotient
+            with np.errstate(over="ignore", invalid="ignore"):
+                X = numer / self.c
+            if not np.isfinite(X).all():
+                raise NumericError(f"(a + b T)/c is not finite for c = {self.c!r}")
+            return X
         [X] = yield _solve_systems, [(self.c * eye + self.d * T, numer)]
         return X
 

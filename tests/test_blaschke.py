@@ -5,6 +5,7 @@ import pytest
 
 from numrange.blaschke import (
     BlaschkeProduct,
+    _clark_unitary,
     circle_log_derivative,
     clark_decomposition,
     evaluate,
@@ -220,3 +221,80 @@ class TestClarkDecomposition:
         B = BlaschkeProduct(1.0, (0.5,))
         with pytest.raises(RequiresVanishingAtZeroError):
             clark_decomposition(B, 1.0)
+
+
+def _row_loop_clark_unitary(zeros, lam):
+    """The Clark unitary built row by row, one cumprod per row: the form
+    that _clark_unitary's single cumprod must match bit for bit."""
+    a = np.asarray(zeros, dtype=complex)
+    s = np.append(np.sqrt(1.0 - np.abs(a) ** 2), 1.0)
+    w = -np.conj(a)
+    V = np.diag(np.append(a, 0j))
+    for i in range(-1, a.size):
+        V[i, i + 1:] = s[i] * s[i + 1:] * np.cumprod(np.append(1.0, w[i + 1:]))
+    T, c, r, d = V[:-1, :-1], V[:-1, -1], V[-1, :-1], V[-1, -1]
+    return T + lam / (1.0 - lam * d) * np.outer(c, r)
+
+
+def _per_zero_evaluate(B, z):
+    """B(z) one zero at a time, with a pole check per zero: the form that
+    evaluate must match bit for bit, error included."""
+    z = np.asarray(z, dtype=complex)
+    result = np.full(z.shape, B.constant, dtype=complex)
+    for a in B.zeros:
+        denom = 1.0 - np.conj(a) * z
+        if np.any(np.abs(denom) < 1e-14):
+            raise PoleHitError(f"evaluation at a pole of the factor for zero {a!r}")
+        result = result * (a - z) / denom
+    if z.ndim == 0:
+        return complex(result)
+    return result
+
+
+def _reference_draws():
+    """(rng, zeros) for degrees 1-12: interior zeros, zeros repeated at the
+    origin (w = -0 entries), and one zero of modulus 0.999."""
+    rng = np.random.default_rng(37)
+    for degree in range(1, 13):
+        for kind in ("interior", "origin", "near-circle") * 4:
+            zeros = 0.9 * np.sqrt(rng.uniform(size=degree)) * np.exp(
+                2j * np.pi * rng.uniform(size=degree))
+            if kind == "origin":
+                zeros[:degree // 2 + 1] = 0.0
+            elif kind == "near-circle":
+                zeros[rng.integers(degree)] = 0.999 * np.exp(2j * np.pi * rng.uniform())
+            yield rng, tuple(complex(a) for a in zeros)
+
+
+class TestArrayFormsMatchLoops:
+    def test_clark_unitary_matches_row_loop(self):
+        for rng, zeros in _reference_draws():
+            for lam in (0.0, complex(np.exp(2j * np.pi * rng.uniform())), -1.0):
+                got, want = _clark_unitary(zeros, lam), _row_loop_clark_unitary(zeros, lam)
+                assert got.shape == want.shape == (len(zeros), len(zeros))
+                assert got.tobytes() == want.tobytes(), (zeros, lam)
+
+    def test_evaluate_matches_per_zero_loop(self):
+        for rng, zeros in _reference_draws():
+            B = BlaschkeProduct(np.exp(2j * np.pi * rng.uniform()), zeros)
+            zs = 0.95 * np.sqrt(rng.uniform(size=9)) * np.exp(2j * np.pi * rng.uniform(size=9))
+            for z in (zs, zs.reshape(3, 3), zs[0], complex(zs[1]), np.exp(1j * zs[2].real)):
+                got, want = evaluate(B, z), _per_zero_evaluate(B, z)
+                assert type(got) is type(want) and np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (zeros, z)
+
+    def test_pole_of_the_second_zero(self):
+        B = BlaschkeProduct(1j, (0.3 - 0.2j, 0.5 + 0.4j, -0.6))
+        first, second, third = (1.0 / np.conj(a) for a in B.zeros)
+        # the third zero's pole comes first in the array, but the second
+        # zero is named, as the loop checks zero by zero
+        for z in (second, np.array([0.1j, second, 0.5]), np.array([third, 0.2, second])):
+            messages = []
+            for form in (evaluate, _per_zero_evaluate):
+                with pytest.raises(PoleHitError) as raised:
+                    form(B, z)
+                messages.append(str(raised.value))
+            assert messages[0] == messages[1]
+            assert messages[0].endswith(f"for zero {B.zeros[1]!r}")
+        with pytest.raises(PoleHitError, match=r"for zero \(0\.3-0\.2j\)"):
+            evaluate(B, np.array([second, first]))

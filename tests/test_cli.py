@@ -261,6 +261,19 @@ class TestClark:
         assert captured.out == ""
         assert f"argument --check-points: must be >= 1, got {points}" in captured.err
 
+    def test_check_points_are_kept_per_count_read_only(self, capsys):
+        # the count comes from the user, so only the last few are kept
+        points = cli._clark_check_points
+        assert points.cache_info().maxsize == 8
+        points.cache_clear()
+        for count in (7, 100, 7):
+            assert main(["clark", "blaschke 1 0 0", "--gamma", "1+0i",
+                         f"--check-points={count}"]) == 0
+        assert (points.cache_info().hits, points.cache_info().misses) == (1, 2)
+        assert not points(7).flags.writeable
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 12 and lines[:4] == lines[8:]
+
 
 class TestTeardrop:
     def test_alpha_zero_is_unit_circle(self, capsys):
@@ -452,7 +465,7 @@ class TestSearch:
         # T / 1e-320 overflows at every draw, so no random start has a
         # finite w(f(T)); the search looped for ever. A fresh process under
         # a timeout turns such a loop into a failure
-        out = run_fresh("-W", "ignore::RuntimeWarning", "-c", textwrap.dedent("""
+        out = run_fresh("-W", "error", "-c", textwrap.dedent("""
             import contextlib, io
             from numrange.cli import main
 
@@ -588,16 +601,20 @@ def test_teardrop_csv_takes_unit_circle_rows_from_the_table(capsys, monkeypatch)
     csv_rows = cli._csv_rows
 
     def spy(table, known=None):
-        seen.append((len(table), known))
+        seen.append((table.shape, known))
         return csv_rows(table, known)
 
     monkeypatch.setattr(cli, "_csv_rows", spy)
     assert main(["teardrop", "--alpha=0.5", "--out", "csv"]) == 0
-    # 479 of the 762 rows come from the table; the other 283 (the small
-    # circle and the tangent segments) are formatted in one pass
-    (rows, known), (formatted, none) = seen
-    assert (rows, formatted, none) == (762, 283, None)
-    assert np.not_equal(known, None).sum() == 479
+    # 479 of the 762 rows come from the table whole; the 241 on the small
+    # circle take their grid angle's text and format only re and im, in one
+    # pass; the 42 on the tangent segments are formatted whole, in another
+    (rows, (texts, widths)), (whole, none), (tails, none_too) = seen
+    assert (rows, whole, tails) == ((762, 3), (42, 3), (241, 2))
+    assert none is none_too is None
+    assert np.bincount(widths).tolist() == [42, 241, 0, 479]
+    assert np.not_equal(texts, None).sum() == 479 + 241
+    assert all(text.endswith(",") for text in texts[widths == 1])
 
 
 def test_scipy_is_imported_only_where_it_is_used(tmp_path, run_fresh):

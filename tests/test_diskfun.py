@@ -16,7 +16,7 @@ from numrange.diskfun import (
     mobius_automorphism,
 )
 from numrange import lockstep
-from numrange.errors import PoleHitError, PolesNearSpectrumError
+from numrange.errors import NumericError, PoleHitError, PolesNearSpectrumError
 from numrange.linalg import as_matrix, solve
 
 SHIFT2 = np.array([[0, 2], [0, 0]], dtype=complex)
@@ -100,6 +100,13 @@ class TestMatrix:
         A = np.eye(64) - np.triu(np.ones((64, 64)), 1)
         with pytest.raises(PolesNearSpectrumError):
             eval_matrix(Mobius(0, 1, 1, 1), A - np.eye(64))
+
+    def test_overflowing_constant_denominator_is_numeric_error(self):
+        # d = 0 divides by c without a solve; a subnormal c overflowed with
+        # numpy's RuntimeWarnings and gave inf and nan entries
+        message = r"\(a \+ b T\)/c is not finite for c = \(1e-320\+0j\)"
+        with pytest.raises(NumericError, match=message):
+            eval_matrix(Mobius(0, 1, 1e-320, 0), np.eye(2))
 
     def test_spectral_mapping_on_diagonalizable(self):
         rng = np.random.default_rng(21)

@@ -156,7 +156,11 @@ TEARDROP = {
 }
 
 # case -> (clark argv, stdout digest): degree 2; degree 5 with interior
-# zeros; degree 10 with one zero of modulus 0.999 (0.999 e^{2i}); gamma = -1
+# zeros; degree 10 with one zero of modulus 0.999 (0.999 e^{2i}); gamma = -1;
+# a repeated zero at the origin (its w = -0 entries pass through the
+# Clark unitary's cumulative products); degree 1 (a 2x2 array); and the
+# degree-5 case at 7 check points. The last three were recorded at bc93925,
+# before the Clark unitary and B(z) took their array forms
 CLARK = {
     "degree-2": (["blaschke 1 0 0.5", "--gamma=1+0i"],
                  "17516148f756df0b1287d9760d3fe1ad457c7cfd36cea468209b758b0fbb4f36"),
@@ -170,6 +174,14 @@ CLARK = {
         "d9efc21b473b852dadd21936fbbda1387594ffc3540c992d2edc7ac0a51ebc06"),
     "gamma-minus-one": (["blaschke 1 0 0+0.5i -0.4 0.2+0.6i", "--gamma=-1+0i"],
                         "edb985be3ec92e0c4c91b669af25ef53104e83318f10ce95a74a91667984f270"),
+    "repeated-origin": (["blaschke 1 0 0", "--gamma=1+0i"],
+                        "3d38aa1416ab19cf8ca724cdbd0f91003e2fa14770d7439b6d594b7f1f1c20c2"),
+    "degree-1": (["blaschke 1 0", "--gamma=1+0i"],
+                 "6b8b5fc2bc6c9b81253a7bc0577195a0a0ed49f387cb0359512c5581dc8c38b7"),
+    "degree-5-check-points-7": (
+        ["blaschke 0.6+0.8i 0 0.3+0.2i -0.5 0.1-0.7i 0+0.6i",
+         "--gamma=0.7648421872844885+0.64421768723769102i", "--check-points", "7"],
+        "4caa397b9c99f7a5347efbe19c89d299841be0db9f18c64880f4c23b4127f2d4"),
 }
 
 # case -> (search argv, stdout digest): the sharp Mobius example, whose
