@@ -44,6 +44,16 @@ and hermitian_part included, scales T by 2^-e, with e from its largest entry
 no longer overflow. A value that is still not finite raises NumericError
 (_finite).
 
+The stacked queries, order 0 (eigvalsh) and order 2 (eigh), solve a
+size's cells in chunks of at most max(1, _STACK_ENTRIES // n^2) cells,
+1 MiB per complex n x n stack, so a step's memory does not grow with the
+number of live cells (_capped): a rotated J_64 radius peaks at about
+2.3 MB of numpy allocations, against 4.4 MB with all its live cells in one
+stack. A cell keeps its bits in any chunk. The order-1 query is not split,
+as _extreme_pairs already solves one H(theta) at a time, so chunks would
+save no memory and only add calls; nor are the n = 2 closed forms, which
+form no n x n stack.
+
 Comparisons of h with a level c over the whole circle need no angle grid:
 level_cuts finds every theta at which some eigenvalue of H(theta) equals
 c, from the unimodular eigenvalues of a 2n x 2n linearization of
@@ -95,6 +105,11 @@ _MAX_STEPS = 64
 # times the rounding of its h samples (about n eps ||T||, with ||T|| <= 2w)
 # and of the cell bounds formed from them
 _STOP_MARGIN = 1e-12
+
+# the stacked queries (orders 0 and 2) solve a size's cells in chunks of at
+# most max(1, _STACK_ENTRIES // n^2) cells, so that each complex n x n stack
+# they form takes at most 1 MiB however many cells are live (_capped)
+_STACK_ENTRIES = 2 ** 16
 
 # a pencil eigenvalue z within this of the unit circle is a cut at arg z. A
 # true crossing lies within rounding of the circle, and a level that h only
@@ -446,7 +461,26 @@ def _support_kernels(Ts: np.ndarray) -> list:
     def pairs(j, thetas, cs, pair):
         values = np.array(_extreme_pairs(Ts[j[0]], thetas, cs))
         return values[:, :, 0], values[:, pair, 1]
-    return [sample, pairs, lambda j, thetas, cs, pair: _top_eigh(AB, j, cs, pair)]
+    n = Ts.shape[1]
+    return [_capped(sample, n), pairs,
+            _capped(lambda j, thetas, cs, pair: _top_eigh(AB, j, cs, pair), n)]
+
+
+def _capped(query, n: int):
+    """query, a stacked query of _support_kernels for size n, run on
+    consecutive chunks of at most max(1, _STACK_ENTRIES // n^2) cells, each
+    with the pair positions that fall in it, and the chunks' (at, turned)
+    joined: a cell keeps its bits in any chunk."""
+    def chunked(j, thetas, cs, pair):
+        cap = max(1, _STACK_ENTRIES // (n * n))
+        if len(j) <= cap:
+            return query(j, thetas, cs, pair)
+        starts = list(range(0, len(j), cap))
+        ends = pair.searchsorted(starts + [len(j)]).tolist()
+        parts = [query(j[a:a + cap], thetas[a:a + cap], cs[:, a:a + cap], pair[p:q] - a)
+                 for a, p, q in zip(starts, ends, ends[1:])]
+        return tuple(np.concatenate(rows, axis=1) for rows in zip(*parts))
+    return chunked
 
 
 _NO_CELLS = np.zeros(0, dtype=int)

@@ -16,6 +16,7 @@ of these branches; it takes a scalar or an array of t.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -104,24 +105,35 @@ def teardrop_boundary(alpha: complex) -> tuple[np.ndarray, np.ndarray]:
     alpha = _check_alpha(alpha)
     a = abs(alpha)
     r2 = 1.0 - a * a
-    phis = 2.0 * np.pi * np.arange(BOUNDARY_ANGLES) / BOUNDARY_ANGLES
-    unit = np.exp(1j * phis)
+    phis, unit = _boundary_grid()
     if _is_unit_disk(a):
-        return phis, unit
+        return phis.copy(), unit.copy()
     psi = math.atan2(alpha.imag, alpha.real)
     delta = math.acos(a)
     points = np.where(np.cos(phis - psi) >= a, alpha + r2 * unit, unit)
     leave, join = (psi - delta) % (2.0 * np.pi), (psi + delta) % (2.0 * np.pi)
-    crossings = np.array(sorted((leave, join)))
-    at = np.repeat(np.searchsorted(phis, crossings, side="right"), SEGMENT_POINTS)
-    e = np.exp(1j * crossings)[:, None]
+    crossings = sorted((leave, join))
+    e = np.exp(1j * np.array(crossings))[:, None]
     segments = e + np.linspace(0.0, 1.0, SEGMENT_POINTS) * (alpha + r2 * e - e)
     # the boundary leaves the unit circle at psi - delta and joins it again
     # at psi + delta, so that segment runs from the small circle
     back = int(join > leave)
     segments[back] = segments[back, ::-1]
-    return (np.insert(phis, at, np.repeat(crossings, SEGMENT_POINTS)),
-            np.insert(points, at, segments.ravel()))
+    # each segment follows the grid samples at or before its crossing
+    i, j = np.searchsorted(phis, crossings, side="right").tolist()
+    first, second = (np.full(SEGMENT_POINTS, c) for c in crossings)
+    return (np.concatenate([phis[:i], first, phis[i:j], second, phis[j:]]),
+            np.concatenate([points[:i], segments[0], points[i:j], segments[1], points[j:]]))
+
+
+@functools.cache
+def _boundary_grid() -> tuple[np.ndarray, np.ndarray]:
+    """(phis, e^{i phis}) of teardrop_boundary's angle grid, which depend on
+    no alpha: built once per process, on the first call, and read-only."""
+    phis = 2.0 * np.pi * np.arange(BOUNDARY_ANGLES) / BOUNDARY_ANGLES
+    unit = np.exp(1j * phis)
+    phis.flags.writeable = unit.flags.writeable = False
+    return phis, unit
 
 
 def region_S_boundary(t):

@@ -6,8 +6,10 @@ VerifyReport. Reports are deterministic functions of (suite, trials, seed):
 the per-trial RNG is derived from (seed, suite id, trial index), so results
 do not depend on evaluation order.
 
-One driver, _run, holds every suite's trials. It first draws the raw
-matrix random_matrix(rng) of every trial i, each from its own
+One driver, _run, holds every suite's trials. It runs their indices in
+consecutive blocks of TRIAL_BLOCK, so that its peak memory is set by the
+block, not by the trial count. For each block it draws the raw matrix
+random_matrix(rng) of every trial i, each from its own
 rng = _trial_rng(seed, suite, i), and normalizes them all as one stack
 (normalize_radii, one numerical_radii call). Then it calls the suite's
 body trial(rng, T, rec) for each trial, with a _Recorder of that trial.
@@ -38,9 +40,9 @@ linalg.certify_above proves that the point passes tol and stays below the
 largest residual the call solves exactly; and f's own
 requests (diskfun._solve_systems, systems), one per level of its
 expression tree, the solutions of those resolvent systems, or a
-PolesNearSpectrumError raised at the yield. The bodies advance in
-lockstep (one lockstep.run per suite call), so each wave of requests from
-all live trials costs one numerical_radii call, one level_cuts call (one
+PolesNearSpectrumError raised at the yield. The bodies of a block advance
+in lockstep (one lockstep.run per block), so each wave of requests from
+all its live trials costs one numerical_radii call, one level_cuts call (one
 stacked eigenvalue call per size), one support_samples sweep, one stacked
 solve per size for the resolvents, and for the Q-form grids one stacked
 eigensolve per size at every SUBGRID-th point and one stacked Cholesky
@@ -48,10 +50,11 @@ certificate per size at the others: the kernels run on stacks instead of
 one matrix at a time. Each trial draws from its own rng and records into
 its own recorder, so the order in which trials advance changes nothing:
 the report sums failures and retries, takes the worst residual, and keeps
-the witness of the lowest failing trial. A trial whose radius check stops
-early passes either way, and its residual stays below one that another
-trial of the same call records, so the report is the one exact radii
-give.
+the witness of the lowest failing trial, and each block folds its
+recorders into these totals in trial order before the next block starts.
+A trial whose radius check stops early passes either way, and its
+residual stays below one that another trial of the same call records, so
+the report is the one exact radii give.
 
 The same holds for a certified grid point. Let W0 be the largest residual
 -lambda_min that _psds solves exactly at the subgrid, and m a margin of
@@ -63,6 +66,14 @@ neither is the call's worst, which is at least W0. So failures,
 worst_residual, the witness and every report byte are those of exact
 eigenvalues at every point. A residual that is not a finite number raises
 NumericError (exit 3), as no comparison with tol could count it.
+
+Nor does the block size change a report byte. Every kernel gives a member
+of a stack the same bits whatever else shares the call, so a trial's
+residuals that are not stopped or certified are the same in any block. A
+matrix that the checks stop in a block, or a grid point certified below
+that block's W0, passes tol and lies below the block's worst residual: it
+is neither a failure nor the block's worst, so nor the run's, and each
+total is the one exact values give, whatever the blocks.
 """
 
 from __future__ import annotations
@@ -106,6 +117,11 @@ BRANCH_POINTS = 21
 # eigvalsh's rounding, about n eps ||Q||_2
 SUBGRID = BRANCH_POINTS // 2
 Q_MARGIN = 1e-12
+
+# _run draws, normalizes and runs the trials of a suite call in consecutive
+# blocks of this many indices, so that its peak memory does not grow with
+# the trial count; no report depends on it (see the module docstring)
+TRIAL_BLOCK = 256
 
 # extremal_search's random restarts give up after this many consecutive
 # draws whose w(f(T)) is not a finite number
@@ -212,6 +228,15 @@ class _Recorder:
             if self.trial is not None:
                 self.witness["trial"] = self.trial
 
+    def absorb(self, other: _Recorder):
+        """Fold in a later recorder's counts, worst residual (the first of
+        equal ones stays, as in record) and witness, if none is kept yet."""
+        self.failures += other.failures
+        self.retries += other.retries
+        self.worst = max(self.worst, other.worst)
+        if self.witness is None:
+            self.witness = other.witness
+
     def eval_matrix(self, f: DiskFunction, T: np.ndarray):
         """A body's steps (yield from) for f(T): those of f.steps(T), and
         those of f(0.999 z) when a resolvent of f(T) is singular."""
@@ -228,21 +253,29 @@ def _trial_rng(seed: int, suite: str, index: int) -> np.random.Generator:
 
 def _run(suite: str, trials: int | range, seed: int, tol: float, trial,
          after=None) -> VerifyReport:
-    """Run trials 0..trials-1 of a suite, or the trial indices of a range
-    (see the module docstring); after(rec), if given, then records the
-    checks that belong to no trial."""
+    """Run trials 0..trials-1 of a suite, or the trial indices of a range,
+    in consecutive blocks of TRIAL_BLOCK indices (see the module
+    docstring): each block draws, normalizes (one normalize_radii call) and
+    runs its trials (one lockstep.run), and folds their recorders into the
+    run's totals in trial order, so that no trial's objects outlive its
+    block. after(rec), if given, then records the checks that belong to no
+    trial."""
     indices = trials if isinstance(trials, range) else range(trials)
-    rngs = [_trial_rng(seed, suite, i) for i in indices]
-    recs = [_Recorder(i) for i in indices]
-    Ts = normalize_radii([random_matrix(rng) for rng in rngs])
-    lockstep.run([trial(rng, T, rec) for rng, T, rec in zip(rngs, Ts, recs)])
+    total = _Recorder()
+    for start in range(0, len(indices), TRIAL_BLOCK):
+        block = indices[start:start + TRIAL_BLOCK]
+        rngs = [_trial_rng(seed, suite, i) for i in block]
+        recs = [_Recorder(i) for i in block]
+        Ts = normalize_radii([random_matrix(rng) for rng in rngs])
+        lockstep.run([trial(rng, T, rec) for rng, T, rec in zip(rngs, Ts, recs)])
+        for rec in recs:
+            total.absorb(rec)
     if after is not None:
-        recs.append(_Recorder())
-        after(recs[-1])
-    return VerifyReport(suite, len(indices), sum(r.failures for r in recs),
-                        max((r.worst for r in recs), default=-math.inf), tol, seed,
-                        sum(r.retries for r in recs),
-                        next((r.witness for r in recs if r.witness is not None), None))
+        rec = _Recorder()
+        after(rec)
+        total.absorb(rec)
+    return VerifyReport(suite, len(indices), total.failures, total.worst, tol, seed,
+                        total.retries, total.witness)
 
 
 def _checked_radii(items):

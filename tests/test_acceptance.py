@@ -174,25 +174,32 @@ def test_full_verification_run_deterministic(tmp_path, capsys):
                ok, elapsed, 120.0)
 
 
+# prints how far numrange.cli.main(argv) raises the peak RSS of a fresh
+# process, in MB. The peak is VmHWM, not ru_maxrss, which Linux carries
+# over exec from the process that started this one: here, the test
+# runner's own peak
+PEAK_GROWTH = textwrap.dedent("""
+    import contextlib, io, sys
+    from numrange.cli import main
+
+    def peak_kb():
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+    before = peak_kb()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+    print((peak_kb() - before) / 1024.0)
+""")
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_range_peak_memory(tmp_path, run_fresh):
     # range at n >= 3 loads LAPACK's extension alone: about 5 MB, where the
-    # whole scipy.linalg package took about 28 MB. The peak is VmHWM, not
-    # ru_maxrss, which Linux carries over exec from the process that
-    # started this one: here, the test runner's own peak
+    # whole scipy.linalg package took about 28 MB
     (tmp_path / "three.mat").write_text(serialize_matrix(np.eye(3, k=1)))
     t0 = time.perf_counter()
-    grown = float(run_fresh("-c", textwrap.dedent("""
-        from numrange.cli import main
-
-        def peak_kb():
-            with open("/proc/self/status") as fh:
-                return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-
-        before = peak_kb()
-        assert main(["range", "three.mat", "--output", "three.csv"]) == 0
-        print((peak_kb() - before) / 1024.0)
-    """)))
+    grown = float(run_fresh("-c", PEAK_GROWTH, "range", "three.mat", "--output", "three.csv"))
     report(f"range at n = 3 in a fresh process: peak RSS grows {grown:.1f} MB < 10 MB",
            grown < 10.0, time.perf_counter() - t0, 30.0)
 
@@ -200,22 +207,22 @@ def test_range_peak_memory(tmp_path, run_fresh):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_region_s_peak_memory(run_fresh):
     # region-s at 2000 trials grew the peak by 92.4 MB when every grid
-    # point had its own eigensolve, and by 66.8 MB with certified points;
-    # a _psds that kept every size's Q-form stack alive through both of its
-    # phases grew it by 105.5 MB
+    # point had its own eigensolve, by 66.8 MB with certified points and
+    # all trials in one block, and by 18.1 MB in blocks of 256 trials
     t0 = time.perf_counter()
-    grown = float(run_fresh("-c", textwrap.dedent("""
-        import contextlib, io
-        from numrange.cli import main
+    grown = float(run_fresh("-c", PEAK_GROWTH, "verify", "--suite", "region-s",
+                            "--trials", "2000"))
+    report(f"region-s at 2000 trials in a fresh process: peak RSS grows {grown:.1f} MB < 40 MB",
+           grown < 40.0, time.perf_counter() - t0, 30.0)
 
-        def peak_kb():
-            with open("/proc/self/status") as fh:
-                return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 
-        before = peak_kb()
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["verify", "--suite", "region-s", "--trials", "2000"]) == 0
-        print((peak_kb() - before) / 1024.0)
-    """)))
-    report(f"region-s at 2000 trials in a fresh process: peak RSS grows {grown:.1f} MB < 100 MB",
-           grown < 100.0, time.perf_counter() - t0, 30.0)
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_local_ineq_peak_memory(run_fresh):
+    # local-ineq grew the peak by 36.9 MB at 5,000 trials and 131.2 MB at
+    # 20,000 with all trials in one block; in blocks of 256 trials, by
+    # 10.0 and 9.9 MB
+    t0 = time.perf_counter()
+    grown = float(run_fresh("-c", PEAK_GROWTH, "verify", "--suite", "local-ineq",
+                            "--trials", "20000", "--seed", "1"))
+    report(f"local-ineq at 20000 trials in a fresh process: peak RSS grows {grown:.1f} MB < 25 MB",
+           grown < 25.0, time.perf_counter() - t0, 30.0)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from numrange.fov import (
     level_cuts,
     numerical_radii,
     numerical_radius,
+    support_samples,
     support_values,
 )
 from numrange.linalg import operator_norm
@@ -593,6 +595,65 @@ class TestChecks:
         assert counts == exact
 
 
+class TestStackCap:
+    # the order-0 and order-2 queries solve a size's cells in chunks of at
+    # most max(1, _STACK_ENTRIES // n^2): every value keeps its bits, and a
+    # rotated J_64 radius no longer stacks all its live cells at once
+    @staticmethod
+    def _answers(monkeypatch, entries):
+        """numerical_radii with and without checks, support_samples and
+        boundary on a shuffled n = 2..16 list with rotated J_n, whose
+        antipodal cells pair live, under _STACK_ENTRIES = entries, and the
+        largest stack that eigvalsh and eigh were given."""
+        rng = np.random.default_rng(41)
+        mats = [random_matrix(rng, n) for n in range(2, 17) for _ in range(2)]
+        mats += [rotated_jordan(rng, n)[0] for n in range(2, 17)]
+        mats = [mats[i] for i in rng.permutation(len(mats))]
+        thetas = rng.uniform(0, 2 * np.pi, 40)
+        stacks = []
+
+        def counted(solve):
+            def solve_counted(a, *args, **kwargs):
+                stacks.append(len(a))
+                return solve(a, *args, **kwargs)
+            return solve_counted
+
+        with monkeypatch.context() as m:
+            m.setattr(fov, "_STACK_ENTRIES", entries)
+            for solve in (np.linalg.eigvalsh, np.linalg.eigh):
+                m.setattr(np.linalg, solve.__name__, counted(solve))
+            exact = numerical_radii(mats)
+            checks = [(b, 1e-7) for b in (exact * rng.uniform(0.95, 1.5, len(mats))).tolist()]
+            values = [exact, numerical_radii(mats, checks),
+                      *support_samples([(T, thetas) for T in mats])]
+            for T in mats:
+                curve = boundary(T, 64)
+                values += [curve.supports, curve.points]
+        return [v.tobytes() for v in values], max(stacks)
+
+    @pytest.mark.parametrize("entries", [1, 500])
+    def test_chunks_keep_every_bit(self, monkeypatch, entries):
+        # at 1 every chunk holds one cell; at 500, 1 cell at n = 16, 7 at
+        # n = 8 and 55 at n = 3
+        uncapped, largest = self._answers(monkeypatch, 2 ** 62)
+        capped, chunk = self._answers(monkeypatch, entries)
+        assert capped == uncapped
+        assert largest > 55 and chunk == max(1, entries // 9)
+
+    def test_rotated_jordan_64_peak_allocation(self):
+        # 4.42 MB of traced allocations with every live cell of the size in
+        # one stack, 2.33 MB in stacks of 16 cells (1 MiB each)
+        T, w = rotated_jordan(np.random.default_rng(64), 64)
+        numerical_radius(T)
+        tracemalloc.start()
+        try:
+            assert numerical_radius(T) == pytest.approx(w, rel=1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
+
+
 class TestPrescale:
     def test_entry_points_scale_exactly(self):
         # support_values, boundary and the level cuts formed H(theta) and the
@@ -638,7 +699,8 @@ class _LevelsDrawn(Exception):
 
 def _drury_levels(trials: int, seed: int) -> list:
     """The level pairs (F, c) of drury's first trials, taken from its wave
-    of level requests, after which the run stops."""
+    of level requests, after which the run stops; the trials run as one
+    block, so that the wave holds the pairs of all of them."""
     pairs = []
 
     def capture(levels):
@@ -647,6 +709,7 @@ def _drury_levels(trials: int, seed: int) -> list:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify, "level_cuts", capture)
+        patch.setattr(verify, "TRIAL_BLOCK", max(trials, 1))
         with pytest.raises(_LevelsDrawn):
             verify.check_drury(trials, seed=seed)
     return pairs

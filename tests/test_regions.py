@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,30 @@ class TestTeardropContains:
             # the unit disk has no tangent segments; otherwise 2 x 21 points
             unit_disk = abs(alpha) < 1e-12 or 1 - abs(alpha) ** 2 < 1e-12
             assert len(phis) == len(points) == (720 if unit_disk else 762), alpha
+
+    def test_boundary_splices_each_segment_after_its_crossing(self):
+        # the grid is built once per process, and each call splices its 21
+        # segment points in after the grid samples at or before their
+        # crossing, as np.insert at those indices does, also where both
+        # crossings fall in one grid gap (delta < pi / 720); each call
+        # returns arrays of its own
+        grid = 2 * np.pi * np.arange(720) / 720
+        for alpha in (0.5, -0.3 + 0.4j, 0.999 * np.exp(1j), 0.999995 * np.exp(2.5j * grid[1]),
+                      math.cos(grid[3]) * np.exp(1j * grid[5])):
+            psi, delta = np.angle(alpha), math.acos(abs(alpha))
+            crossings = np.sort([(psi - delta) % (2 * np.pi), (psi + delta) % (2 * np.pi)])
+            at = np.repeat(np.searchsorted(grid, crossings, side="right"), 21)
+            phis, points = teardrop_boundary(alpha)
+            assert phis.tobytes() == np.insert(grid, at, np.repeat(crossings, 21)).tobytes()
+            on_grid = np.ones(len(phis), dtype=bool)
+            on_grid[at + np.arange(42)] = False
+            assert phis[on_grid].tobytes() == grid.tobytes()
+            assert np.abs(teardrop_distance(alpha, points)).max() <= 1e-12
+            phis += 1.0
+            points *= 2.0
+        phis, points = teardrop_boundary(0.0)
+        assert phis.tobytes() == grid.tobytes()
+        assert points.tobytes() == np.exp(1j * grid).tobytes()
 
     def test_alpha_outside_closed_disk_raises(self):
         for fn in (lambda a: teardrop_support(a, 0.0),

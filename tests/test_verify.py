@@ -756,6 +756,115 @@ class TestCheckedRadii:
         assert counts == [solved, reference]
 
 
+def _run_at_once(suite, trials, seed, tol, trial, after=None):
+    """verify._run as one block: every trial drawn, normalized and run in
+    one stack, and the report folded from all the recorders at the end."""
+    indices = trials if isinstance(trials, range) else range(trials)
+    rngs = [verify._trial_rng(seed, suite, i) for i in indices]
+    recs = [verify._Recorder(i) for i in indices]
+    Ts = verify.normalize_radii([verify.random_matrix(rng) for rng in rngs])
+    lockstep.run([trial(rng, T, rec) for rng, T, rec in zip(rngs, Ts, recs)])
+    if after is not None:
+        recs.append(verify._Recorder())
+        after(recs[-1])
+    return VerifyReport(suite, len(indices), sum(r.failures for r in recs),
+                        max((r.worst for r in recs), default=-math.inf), tol, seed,
+                        sum(r.retries for r in recs),
+                        next((r.witness for r in recs if r.witness is not None), None))
+
+
+class TestTrialBlocks:
+    # _run runs a suite call's trials in blocks of TRIAL_BLOCK indices:
+    # each trial has its own rng, and a trial that the checks stop or a
+    # grid point certified in a block is never that block's worst, so no
+    # report byte depends on the block size. WHOLE runs them as one block
+    # (_run_at_once)
+    WHOLE = None
+
+    @staticmethod
+    def _outputs(monkeypatch, capsys, block, *args):
+        """The text and --json stdout of verify --suite all with args, and
+        the reports, in blocks of block trials, or as one block."""
+        outputs = []
+        with monkeypatch.context() as m:
+            if block is None:
+                m.setattr(verify, "_run", _run_at_once)
+            else:
+                m.setattr(verify, "TRIAL_BLOCK", block)
+            for extra in ([], ["--json"]):
+                main(["verify", "--suite", "all", *args, *extra])
+                outputs.append(capsys.readouterr().out)
+        return outputs, json.loads(outputs[1])
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("trials", [50, 0])
+    def test_reports_keep_their_bytes(self, monkeypatch, capsys, block, trials):
+        args = ["--trials", str(trials), "--seed", "3"]
+        blocked, reports = self._outputs(monkeypatch, capsys, block, *args)
+        assert blocked == self._outputs(monkeypatch, capsys, self.WHOLE, *args)[0]
+        assert [r["trials"] for r in reports] == [trials] * len(verify.SUITES)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_failing_reports_keep_their_bytes(self, monkeypatch, capsys, block):
+        # every draw scaled to w(T) = 1.02: the failure counts, the worst
+        # residuals and the lowest failing trial's witness stay
+        normalized = verify._normalized
+        monkeypatch.setattr(verify, "_normalized", lambda T, w: 1.02 * normalized(T, w))
+        args = ["--trials", "50", "--seed", "3"]
+        blocked, reports = self._outputs(monkeypatch, capsys, block, *args)
+        assert blocked == self._outputs(monkeypatch, capsys, self.WHOLE, *args)[0]
+        failing = [r for r in reports if r["failures"]]
+        assert len(failing) >= 5
+        assert any(0 < r["witness"]["trial"] and r["failures"] > 1 for r in failing)
+
+    def test_trial_300_replays_across_blocks(self, monkeypatch, capsys):
+        # trial 300 alone has its draws normalized to w = 1.5, in the second
+        # block of 256: a 400-trial run names it as its witness, blocked or
+        # not, and --trial 300 replays that witness. marked keeps trial
+        # 300's rngs and draws alive, so that identity picks them out
+        marked = []
+        trial_rng, draw, normalized = verify._trial_rng, verify.random_matrix, verify._normalized
+
+        def marking(seed, suite, index):
+            rng = trial_rng(seed, suite, index)
+            if index == 300:
+                marked.append(rng)
+            return rng
+
+        def drawing(rng, dim=None):
+            T = draw(rng, dim)
+            if any(rng is r for r in marked):
+                marked.append(T)
+            return T
+
+        def scaling(T, w):
+            return (1.5 if any(T is M for M in marked) else 1.0) * normalized(T, w)
+
+        monkeypatch.setattr(verify, "_trial_rng", marking)
+        monkeypatch.setattr(verify, "random_matrix", drawing)
+        monkeypatch.setattr(verify, "_normalized", scaling)
+        args = ["--trials", "400", "--seed", "9"]
+        blocked, reports = self._outputs(monkeypatch, capsys, 256, *args)
+        assert blocked == self._outputs(monkeypatch, capsys, self.WHOLE, *args)[0]
+        witnesses = {r["suite"]: r["witness"] for r in reports if r["failures"]}
+        assert len(witnesses) >= 4
+        assert all(w["trial"] == 300 for w in witnesses.values())
+        for block in (256, self.WHOLE):
+            _, replayed = self._outputs(monkeypatch, capsys, block, "--seed", "9", "--trial", "300")
+            assert {r["suite"]: r["witness"] for r in replayed if r["failures"]} == witnesses
+
+    def test_each_block_is_one_normalization_and_one_lockstep(self, monkeypatch):
+        calls = []
+        normalized, real = verify.normalize_radii, lockstep.run
+        monkeypatch.setattr(verify, "normalize_radii",
+                            lambda mats: calls.append(("normalize", len(mats))) or normalized(mats))
+        monkeypatch.setattr(lockstep, "run",
+                            lambda bodies: calls.append(("run", len(bodies))) or real(bodies))
+        monkeypatch.setattr(verify, "TRIAL_BLOCK", 4)
+        assert check_power_inequality(10, seed=2).trials == 10
+        assert calls == [("normalize", 4), ("run", 4)] * 2 + [("normalize", 2), ("run", 2)]
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical(self):
         a = check_berger_stampfli(20, seed=11).to_text()
