@@ -26,7 +26,9 @@ from .blaschke import BlaschkeProduct
 from .diskfun import Blaschke, Compose, DiskFunction, Mobius, Polynomial, Scale
 from .errors import FunctionExprError, MatrixFileError, NotUnimodularError
 
-_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# the grammar is ASCII: \d, like int(), would also take other scripts' digits
+_NUM = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_DIM_RE = re.compile(r"[0-9]+")
 # one complex literal, `re` or `re+imi`, which complex() reads once its `i`
 # is a `j`; a matrix row is whitespace-separated literals
 _TOKEN = rf"[+-]?{_NUM}(?:[+-]{_NUM}i)?"
@@ -69,10 +71,9 @@ def parse_matrix(text: str) -> np.ndarray:
     header = lines[0].split()
     if len(header) != 2 or header[0] != "dim":
         raise MatrixFileError(f"line 1: expected 'dim n', got {lines[0]!r}")
-    try:
-        n = int(header[1])
-    except ValueError:
-        raise MatrixFileError(f"line 1: bad dimension {header[1]!r}") from None
+    if not _DIM_RE.fullmatch(header[1]):
+        raise MatrixFileError(f"line 1: bad dimension {header[1]!r}")
+    n = int(header[1])
     if n < 1:
         raise MatrixFileError(f"line 1: dimension must be positive, got {n}")
     rows = [(number, line) for number, line in enumerate(lines[1:], start=2) if line.strip()]

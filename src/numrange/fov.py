@@ -68,10 +68,25 @@ consecutive cuts h - c has a single sign, so one sample per arc decides it;
 arc_midpoints gives those samples. contains(T, z) is this test for
 h_{T - zI} against -tol.
 
-Only _extreme_pairs (LAPACK's tridiagonal routines) calls scipy. On its
-first call it loads scipy's LAPACK extension module alone (_lapack), not
-the scipy.linalg package around it, and everything but boundary at n >= 3
-runs without scipy.
+A normal T has W(T) = conv sigma(T), a polygon, so boundary at n >= 3
+first asks whether the prescaled S is normal (_normal_spectrum). A gate of
+four matrix-vector products, ||S*(Sx) - S(S*x)|| for one fixed x, turns a
+non-normal S away in microseconds; an S that passes it takes one complex
+Schur form R = D + N (zgees, no Schur vectors), and is certified normal
+when ||N||_F <= 4 n eps ||S||_F (_NORMAL_MARGIN). Its curve is then read
+off diag R: h(theta) = max_j Re(e^{-i theta} lambda_j), with the first
+maximizing lambda_j as the point, and no eigensolve per angle. Each
+support is within ||N||_2 plus the Schur form's backward error of the true
+one, since conv(diag R) is in W(R), which is in conv(diag R) +
+||N||_2 D. Every other matrix, and every n <= 2, keeps the loop and its
+bits. The radius search does not take this path: it misses near-tied
+peaks (ROADMAP defect (a)) on any input, normal near-tie matrices are
+where those misses show, and the fix belongs in the search itself.
+
+Only _extreme_pairs (LAPACK's tridiagonal routines) and _normal_spectrum
+(zgees) call scipy. On the first such call boundary loads scipy's LAPACK
+extension module alone (_lapack), not the scipy.linalg package around it,
+and everything but boundary at n >= 3 runs without scipy.
 """
 
 from __future__ import annotations
@@ -133,6 +148,32 @@ _COND_LIMIT = 1e8
 # proportion (to at most 0.5), so that its larger rounding loses no cut
 _SHIFTS = 0.5 * np.exp(2j * np.pi * np.arange(7) / 7)
 _SINGULAR_COND = 1e14
+
+# boundary takes the polygon of the eigenvalues of an n x n prescaled S
+# (n >= 3) whose computed complex Schur form R = D + N (D diagonal, N
+# strictly upper) has ||N||_F <= _NORMAL_MARGIN n eps ||S||_F. R is the
+# exact Schur form of S + E, with ||E||_2 a small multiple of eps ||S||_F
+# (zgees is backward stable), and conv(diag R) is in W(R), which is in
+# conv(diag R) + ||N||_2 D, so each support of that polygon is within
+# ||N||_2 + ||E||_2 of the support of W(S). A matrix that is normal up to
+# the rounding of its entries, as U diag(lambda) U* formed in floating
+# point, gives ||N||_F up to about 2.4 sqrt(n) eps ||S||_F (Haar unitary,
+# Hermitian, skew-Hermitian and near-tie draws at n = 3..64): 4 n eps
+# ||S||_F takes them all, by a factor of 2.5 at n = 3 that grows as
+# sqrt(n), and since ||S||_F <= sqrt(n) ||S||_2 it bounds ||N||_2 by
+# 4 n^1.5 eps ||S||_2, 4.6e-13 ||S||_2 at n = 64
+_NORMAL_MARGIN = 4.0
+
+# before zgees, the commutator S*(Sx) - S(S*x) at the fixed unit-modulus
+# probe x_k = e^{2 pi i k phi} (phi the golden ratio) must be within
+# _COMMUTATOR_MARGIN n eps ||S||_F^2 ||x||: its rounding is about
+# 2 n eps ||S||_F^2 ||x||, and for S = Q(D + N)Q* its exact norm is at most
+# (4 ||S||_2 ||N||_2 + 2 ||N||_2^2) ||x||, which 4 _NORMAL_MARGIN
+# n eps ||S||_F^2 ||x|| covers for every N that the certificate accepts;
+# twice their sum, so that the gate turns away no matrix the certificate
+# would take. It only saves a non-normal matrix its zgees call
+_COMMUTATOR_MARGIN = 2.0 * (2.0 + 4.0 * _NORMAL_MARGIN)
+_PROBE_STEP = 2.0 * np.pi * (1.0 + 5.0 ** 0.5) / 2.0
 
 
 def hermitian_part(T, theta: float = 0.0) -> np.ndarray:
@@ -202,25 +243,69 @@ def boundary(T, n_angles: int) -> BoundaryCurve:
     only for the first half of its angles, each also at theta + pi, and
     row k + n_angles/2 is the theta + pi answer of row k. An odd n_angles
     has no antipodal pairs and asks for every angle.
+
+    A normal T has W(T) = conv sigma(T), so at n >= 3 a T certified
+    normal (_normal_spectrum) takes no eigensolve per angle: supports[k]
+    is max_j Re(e^{-i theta_k} lambda_j) over the diagonal lambda of its
+    complex Schur form R = D + N, and points[k] the first maximizing
+    lambda_j, a vertex of that polygon. Each support is then within
+    ||N||_2 plus the Schur form's backward error of the true one, where
+    ||N||_F <= 4 n eps ||S||_F for the prescaled S (_NORMAL_MARGIN).
     """
     if n_angles < 8:
         raise ValueError(f"n_angles must be >= 8, got {n_angles}")
     thetas = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    half = 0 if n_angles % 2 else n_angles // 2
+    T = np.asarray(T, dtype=complex)
     _, sweep, scale_back = _supports([T])
-    at, turned = sweep(np.zeros(n_angles - half, dtype=int), thetas[:n_angles - half],
-                       order=1, pair=np.arange(half))
+    # _supports has checked T; the prescale is that of its slot
+    spectrum = _normal_spectrum(_prescaled(T[None])[0][0]) if len(T) >= 3 else None
+    if spectrum is None:
+        half = 0 if n_angles % 2 else n_angles // 2
+        at, turned = sweep(np.zeros(n_angles - half, dtype=int), thetas[:n_angles - half],
+                           order=1, pair=np.arange(half))
+        h, d1 = np.concatenate([at, turned], axis=1)
+        # formed at the prescaled size, so that the product does not round
+        # on the subnormal grid
+        z = np.exp(1j * thetas) * (h + 1j * d1)
+    else:
+        # Re(e^{-i theta} lambda) of every angle and eigenvalue; argmax
+        # takes the first of tied eigenvalues, and + 0.0 turns the -0.0
+        # of a zero eigenvalue into 0.0
+        proj = _trig(thetas).T @ np.array([spectrum.real, spectrum.imag])
+        top = proj.argmax(axis=1)
+        h, z = proj[np.arange(n_angles), top] + 0.0, spectrum[top]
     slot = np.zeros(n_angles, dtype=int)
-    h, d1 = np.concatenate([at, turned], axis=1)
     supports = scale_back(slot, h, "support value")
-    # formed at the prescaled size and scaled back once per part, so that
-    # the product does not round on the subnormal grid; + 0.0 turns the
-    # -0.0 that a zero h or h' times cos or sin of theta can give into 0.0
-    z = np.exp(1j * thetas) * (h + 1j * d1)
+    # each part scaled back once; + 0.0 turns the -0.0 that a zero h or h'
+    # times cos or sin of theta, or a zero eigenvalue, can give into 0.0
     points = np.empty(n_angles, dtype=complex)
     points.real = scale_back(slot, z.real, "boundary point") + 0.0
     points.imag = scale_back(slot, z.imag, "boundary point") + 0.0
     return BoundaryCurve(thetas=thetas, supports=supports, points=points)
+
+
+def _normal_spectrum(S: np.ndarray):
+    """The diagonal of the complex Schur form R = D + N of the prescaled
+    n x n S if S is certified normal, ||N||_F <= _NORMAL_MARGIN n eps
+    ||S||_F; else None.
+
+    A gate of four matrix-vector products comes first: S*(Sx) - S(S*x) at
+    a fixed probe x, against _COMMUTATOR_MARGIN. Only a matrix that passes
+    it takes the zgees call (no Schur vectors), and a zgees that reports
+    failure gives None too, so that boundary falls back to its loop."""
+    n = len(S)
+    eps = np.finfo(float).eps
+    frob = np.linalg.norm(S)
+    x = np.exp(1j * _PROBE_STEP * np.arange(n))
+    SH = S.conj().T
+    gap = np.linalg.norm(SH @ (S @ x) - S @ (SH @ x))
+    if gap > _COMMUTATOR_MARGIN * n * eps * frob * frob * np.sqrt(n):
+        return None
+    # zgees calls its selector only to sort the Schur form, which is not asked for
+    R, _, w, _, _, info = _lapack().zgees(lambda z: 0, S, compute_v=0)
+    if info != 0 or np.linalg.norm(np.triu(R, 1)) > _NORMAL_MARGIN * n * eps * frob:
+        return None
+    return w
 
 
 # the signs that make the top and the bottom eigenvalue of H(theta) h at

@@ -196,12 +196,14 @@ PEAK_GROWTH = textwrap.dedent("""
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_range_peak_memory(tmp_path, run_fresh):
     # range at n >= 3 loads LAPACK's extension alone: about 5 MB, where the
-    # whole scipy.linalg package took about 28 MB
-    (tmp_path / "three.mat").write_text(serialize_matrix(np.eye(3, k=1)))
-    t0 = time.perf_counter()
-    grown = float(run_fresh("-c", PEAK_GROWTH, "range", "three.mat", "--output", "three.csv"))
-    report(f"range at n = 3 in a fresh process: peak RSS grows {grown:.1f} MB < 10 MB",
-           grown < 10.0, time.perf_counter() - t0, 30.0)
+    # whole scipy.linalg package took about 28 MB. J_3 takes the per-angle
+    # loop, and the normal diag(1, i, -1) one Schur form (zgees)
+    for name, T in (("three", np.eye(3, k=1)), ("normal", np.diag([1, 1j, -1]))):
+        (tmp_path / f"{name}.mat").write_text(serialize_matrix(T))
+        t0 = time.perf_counter()
+        grown = float(run_fresh("-c", PEAK_GROWTH, "range", f"{name}.mat", "--output", f"{name}.csv"))
+        report(f"range of {name}.mat (n = 3) in a fresh process: peak RSS grows {grown:.1f} MB < 10 MB",
+               grown < 10.0, time.perf_counter() - t0, 30.0)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import textwrap
 
 import numpy as np
@@ -505,6 +506,29 @@ def test_parse_errors_exit_2(capsys, tmp_path, monkeypatch, argv, error, message
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, stdin, error, message", [
+    (["radius", "-"], "dim \u0661\n2+0i\n", MatrixFileError, "line 1: bad dimension '\u0661'"),
+    (["radius", "-"], "dim 1\n\u0662+0i\n", MatrixFileError,
+     "line 2, column 1: not a complex literal: '\u0662+0i'"),
+    (["range", "-"], "dim 1_0\n" + "0+0i " * 10 + "\n", MatrixFileError,
+     "line 1: bad dimension '1_0'"),
+    (["clark", "blaschke 1 0 0.5", "--gamma", "\u0661+0i"], "", ValueError,
+     "not a complex literal: '\u0661+0i'"),
+    (["teardrop", "--alpha", "0.\u0665+0i"], "", ValueError,
+     "not a complex literal: '0.\u0665+0i'"),
+    (["search", "poly 0 \u0662", "--iters", "2"], "", FunctionExprError,
+     "polynomial coefficient: not a complex literal: '\u0662'"),
+], ids=["stdin-dim", "stdin-entry", "dim-underscore", "gamma", "alpha", "function"])
+def test_non_ascii_digits_exit_2(capsys, monkeypatch, argv, stdin, error, message):
+    # the grammar is ASCII, but \d and int() took any script's digits:
+    # "dim \u0661" with the entry 2+0i on stdin printed 2.000000000000000
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("argv, option", [

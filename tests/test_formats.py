@@ -72,6 +72,25 @@ class TestMatrixFiles:
         with pytest.raises(MatrixFileError, match="positive"):
             parse_matrix("dim 0\n")
 
+    @pytest.mark.parametrize("dim", ["\u0663", "\uff13", "1_0", "+3", "3.0"])
+    def test_dimension_is_ascii_digits(self, dim):
+        # int() read the Arabic-Indic and fullwidth 3 as 3, "1_0" as 10 and
+        # "+3" as 3
+        with pytest.raises(MatrixFileError, match=f"^{re.escape(f'line 1: bad dimension {dim!r}')}$"):
+            parse_matrix(f"dim {dim}\n" + "1+0i 0+0i 0+0i\n" * 3)
+
+    @pytest.mark.parametrize("token", ["\u0662+0i", "1+\u0662i", "\uff11.5", "2e\u0663",
+                                       "\u09e8-1i"])
+    def test_literals_are_ascii_digits(self, token):
+        # \d took every script's decimal digits, which complex() reads too:
+        # "\u0662+0i" parsed as 2
+        with pytest.raises(ValueError, match="not a complex literal"):
+            parse_complex(token)
+        with pytest.raises(MatrixFileError, match=re.escape(f"line 2, column 6: not a complex literal: {token!r}")):
+            parse_matrix(f"dim 2\n1+0i {token}\n0+0i 1+0i\n")
+        with pytest.raises(FunctionExprError, match="polynomial coefficient: not a complex literal"):
+            parse_function(f"poly 0 {token}")
+
     def test_row_count_error(self):
         with pytest.raises(MatrixFileError, match="2 matrix rows"):
             parse_matrix("dim 2\n1+0i 0+0i\n")

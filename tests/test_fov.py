@@ -91,6 +91,92 @@ def _extreme_pair_inputs() -> dict:
 EXTREME_PAIR_INPUTS = _extreme_pair_inputs()
 
 
+def loop_curve(T, n_angles: int) -> fov.BoundaryCurve:
+    """boundary's curve from a direct order-1 sweep of the kernel, as its
+    loop forms it: the polygon of a normal T is not asked for."""
+    thetas = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    half = 0 if n_angles % 2 else n_angles // 2
+    _, sweep, scale_back = fov._supports([T])
+    at, turned = sweep(np.zeros(n_angles - half, dtype=int), thetas[:n_angles - half],
+                       order=1, pair=np.arange(half))
+    h, d1 = np.concatenate([at, turned], axis=1)
+    slot = np.zeros(n_angles, dtype=int)
+    z = np.exp(1j * thetas) * (h + 1j * d1)
+    points = np.empty(n_angles, dtype=complex)
+    points.real = scale_back(slot, z.real, "boundary point") + 0.0
+    points.imag = scale_back(slot, z.imag, "boundary point") + 0.0
+    return fov.BoundaryCurve(thetas=thetas, supports=scale_back(slot, h, "support value"),
+                             points=points)
+
+
+def near_tie(rng, n):
+    """U diag(lambda) U* for a Haar unitary U, with 2 or 3 eigenvalues whose
+    moduli tie within 1e-5 and the rest inside 0.9 times their modulus."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    U = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    radius, ties = rng.uniform(0.5, 2.0), min(n, int(rng.integers(2, 4)))
+    moduli = np.concatenate([radius * (1.0 - np.concatenate([[0.0], rng.uniform(0.0, 1e-5, ties - 1)])),
+                             0.9 * radius * rng.uniform(size=n - ties)])
+    return (U * (moduli * np.exp(2j * np.pi * rng.uniform(size=n)))) @ U.conj().T
+
+
+def _normal_inputs() -> dict:
+    """Normal matrices at n >= 3: polygons with tied vertices at their edge
+    normals, repeated and zero eigenvalues, and segments."""
+    rng = np.random.default_rng(39)
+    cases = {"cI": (0.3 - 0.7j) * np.eye(5),
+             "zero": np.zeros((3, 3)),
+             "diag(1,0,0)": np.diag([1.0, 0.0, 0.0]),
+             "diag-repeated": np.diag([1j, 2.0, 1j, -1.0, 2.0, 1j]),
+             "diag(1,i,-1,-i)": np.diag([1, 1j, -1, -1j])}
+    cases.update({f"roots-{n}": np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+                  for n in (3, 8, 30, 64)})
+    cases.update({f"near-tie-{n}": near_tie(rng, n) for n in (3, 4, 9, 17, 40, 64)})
+    cases["haar-12"] = np.linalg.qr(random_complex(rng, 12))[0]
+    for n in (3, 7, 33):
+        H = random_complex(rng, n)
+        cases[f"hermitian-{n}"] = H + H.conj().T
+        cases[f"skew-hermitian-{n}"] = H - H.conj().T
+    return {name: T.astype(complex) for name, T in cases.items()}
+
+
+NORMAL_INPUTS = _normal_inputs()
+
+
+def _non_normal_inputs() -> dict:
+    """Matrices at n >= 3 that boundary must leave on its loop: normal ones
+    moved off normality by 1e-6 and 1e-10 of their norm, Jordan blocks and
+    random draws."""
+    rng = np.random.default_rng(40)
+    cases = {}
+    for n in (3, 8, 64):
+        N = near_tie(rng, n)
+        E = random_complex(rng, n)
+        E *= operator_norm(N) / operator_norm(E)
+        cases.update({f"near-tie-{n}+1e-6": N + 1e-6 * E, f"near-tie-{n}+1e-10": N + 1e-10 * E})
+    cases.update({f"jordan-{n}": JORDAN_C * np.eye(n, k=1) for n in range(3, 17)})
+    cases.update({f"draw-{n}": random_matrix(rng, n) for n in (3, 5, 16)})
+    cases.update({f"complex-{n}": random_complex(rng, n) for n in (3, 12)})
+    return {name: T.astype(complex) for name, T in cases.items()}
+
+
+NON_NORMAL_INPUTS = _non_normal_inputs()
+
+
+def zgees_counter(monkeypatch) -> list:
+    """The shapes of the matrices that boundary hands to zgees from here on."""
+    calls = []
+    zgees = fov._lapack().zgees
+
+    def counting(select, a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return zgees(select, a, *args, **kwargs)
+
+    monkeypatch.setattr(fov._lapack(), "zgees", counting)
+    return calls
+
+
 class TestHermitianPart:
     def test_shift_theta_zero(self):
         assert np.allclose(hermitian_part(SHIFT2, 0.0),
@@ -226,11 +312,13 @@ class TestBoundary:
 
     @pytest.mark.parametrize("name", EXTREME_PAIR_INPUTS)
     def test_extreme_pairs_match_eigh(self, name):
-        # boundary computes only eigenpairs 1 and n of each H(theta); they
+        # the loop computes only eigenpairs 1 and n of each H(theta); they
         # must be those of a full eigensolve of the same H. MRRR for a single
         # index returned eigenpair 2 in place of 1 on the 1e-12 tie
         T = EXTREME_PAIR_INPUTS[name]
-        curve = boundary(T, 360)
+        # the loop's order-1 kernel itself, which boundary skips for a
+        # normal T at n >= 3
+        curve = loop_curve(T, 360)
         vals = np.linalg.eigh(np.array([hermitian_part(T, t) for t in curve.thetas[:180]]))[0]
         norm = operator_norm(T)
         supports = np.concatenate([vals[:, -1], -vals[:, 0]])
@@ -258,6 +346,94 @@ class TestBoundary:
                     # each point lies on its supporting line
                     proj = np.real(np.exp(-1j * curve.thetas) * curve.points)
                     assert np.max(np.abs(proj - curve.supports)) <= 1e-13 * tol
+
+
+class TestNormalPolygon:
+    @pytest.mark.parametrize("k", [0, 600, -600])
+    @pytest.mark.parametrize("name", NORMAL_INPUTS)
+    def test_normal_matrices_take_the_polygon(self, monkeypatch, name, k):
+        # W(T) = conv sigma(T): one Schur form and no tridiagonal reduction.
+        # Norms and eigenvalues are taken at scale 1, where they neither
+        # overflow nor underflow, and scaled exactly
+        T0, scale = NORMAL_INPUTS[name], 2.0 ** k
+        T = T0 * scale
+        calls = zgees_counter(monkeypatch)
+        reductions, zhetrd = [], fov._lapack().zhetrd
+        monkeypatch.setattr(fov._lapack(), "zhetrd",
+                            lambda *args, **kwargs: reductions.append(1) or zhetrd(*args, **kwargs))
+        curve = boundary(T, 360)
+        assert len(calls) == 1 and not reductions
+        S, e = fov._prescaled(T[None])
+        R = fov._lapack().zgees(lambda z: 0, S[0], compute_v=0)[0]
+        # each point is an eigenvalue: a diagonal entry of R, scaled back
+        diag = np.ldexp(R.diagonal().real, e[0]) + 1j * np.ldexp(R.diagonal().imag, e[0])
+        assert np.isin(curve.points, diag).all()
+        # the certificate's bound, ||N||_2 <= ||N||_F plus the backward
+        # errors of that Schur form and of eigvals's, each about
+        # sqrt(n) eps ||T||_F
+        n, eps, norm = len(T), np.finfo(float).eps, max(1.0, operator_norm(T0))
+        bound = (np.linalg.norm(np.triu(R, 1)) * 2.0 ** (e[0] - k)
+                 + 2.0 * np.sqrt(n) * eps * np.linalg.norm(T0)) * scale
+        assert bound <= 1e-13 * norm * scale
+        exact = np.real(np.exp(-1j * curve.thetas)[:, None]
+                        * np.linalg.eigvals(T0)[None, :]).max(axis=1) * scale
+        assert np.abs(curve.supports - exact).max() <= bound
+        # each point lies on its supporting line
+        proj = np.real(np.exp(-1j * curve.thetas) * curve.points)
+        assert np.abs(proj - curve.supports).max() <= 1e-15 * norm * scale
+
+    @pytest.mark.parametrize("name", NON_NORMAL_INPUTS)
+    def test_other_matrices_keep_the_loop(self, monkeypatch, name):
+        # bit for bit the order-1 sweep; and only a matrix that passes the
+        # commutator gate, as a normal one moved by 1e-10 of its norm may,
+        # pays for a Schur form
+        T = NON_NORMAL_INPUTS[name]
+        calls = zgees_counter(monkeypatch)
+        for n_angles in (360, 361):
+            curve, loop = boundary(T, n_angles), loop_curve(T, n_angles)
+            for part in ("thetas", "supports", "points"):
+                assert getattr(curve, part).tobytes() == getattr(loop, part).tobytes()
+        if not name.endswith("1e-10"):
+            assert calls == []
+
+    def test_zgees_failure_falls_back_to_the_loop(self, monkeypatch):
+        T = NORMAL_INPUTS["near-tie-9"]
+        zgees = fov._lapack().zgees
+
+        def failing(*args, **kwargs):
+            *out, _ = zgees(*args, **kwargs)
+            return (*out, 1)
+
+        monkeypatch.setattr(fov._lapack(), "zgees", failing)
+        curve, loop = boundary(T, 360), loop_curve(T, 360)
+        assert curve.supports.tobytes() == loop.supports.tobytes()
+        assert curve.points.tobytes() == loop.points.tobytes()
+
+    @pytest.mark.parametrize("n_angles", [8, 9, 360, 361])
+    def test_any_grid(self, n_angles):
+        T = NORMAL_INPUTS["roots-8"]
+        curve = boundary(T, n_angles)
+        assert np.array_equal(curve.thetas, 2.0 * np.pi * np.arange(n_angles) / n_angles)
+        # every point is a vertex of the octagon, 1 the one facing theta = 0
+        assert curve.points[0] == 1.0
+        assert np.abs(np.abs(curve.points) - 1.0).max() <= 1e-15
+        assert len(curve.supports) == len(curve.points) == n_angles
+
+    @pytest.mark.parametrize("first", [1 + 1j, 1])
+    def test_first_of_tied_vertices(self, first):
+        # theta = 0 faces the edge from 1 to 1 + i, whose ends tie exactly
+        # there: the point is the first of them on the diagonal
+        spectrum = [first, (2 + 1j) - first, -1]
+        curve = boundary(np.diag(spectrum), 8)
+        assert curve.supports[0] == 1.0 and curve.points[0] == first
+        assert curve.points[2] == 1 + 1j and curve.points[4] == -1
+
+    def test_support_beyond_float_range_raises(self):
+        # the normal path scales back as the loop does: h(pi/4) of this
+        # diagonal is sqrt(2) 1.7e308
+        T = np.diag([1.7e308 * (1 + 1j), 0.0, 0.0])
+        with pytest.raises(NumericError, match="support value 1 is inf"):
+            boundary(T, 8)
 
 
 class TestNumericalRadius:
